@@ -62,26 +62,46 @@ struct JitFrame {
   /// call (trace code resolves base-side spans off it; action code never
   /// reads it — the caller resolves the span).
   const int64_t *BaseData = nullptr;
-  // Slow-path (complete stream) state, used only by compiled block bodies:
-  // the recording simulator's private run-time-static state, plus the
-  // placeholder capture buffer recording variants write through.
+  // Slow-path (complete stream) state, used only by the compiled slow-step
+  // function: the recording simulator's private run-time-static state,
+  // plus the placeholder capture buffer recording variants write through.
   int64_t *StatSlots = nullptr;            ///< +96  StatSlots.data()
   int64_t *StatGlobals = nullptr;          ///< +104 StatGlobals.data()
   int64_t *const *StatArrays = nullptr;    ///< +112 per-global-id data()
   int64_t *const *StatLocArrays = nullptr; ///< +120 per-local-array data()
-  /// +128: capture buffer base; the caller sizes it to the block's
-  /// compile-time capture word count before every recording call.
+  /// +128: capture buffer base; the caller sizes it to the function's
+  /// largest action-block capture before the first recording call.
   int64_t *Capture = nullptr;
-  /// +136: capture cursor at exit (set by recording block variants on
+  /// +136: capture cursor at exit (set by recording slow-step variants on
   /// every exit path, bails included, so the caller can flush exactly the
   /// words the interpreter would have pushed before a fault).
   int64_t *CaptureEnd = nullptr;
+  /// +144: the block a slow-step function left from (set on every exit
+  /// path, bails included).
+  int64_t SlowBlock = 0;
 };
 
 /// A compiled action entry point.
 using JitFn = int64_t (*)(const JitFrame *Frame, const int64_t *Span);
 
-/// Negative return values of a JitFn.
+/// The compiled slow-step function of a plan: every block of Plan.Code in
+/// one function, entered at block \p Block through an entry table indexed
+/// by block id. It returns at Ret, on a bail (< 0, a JitBail) and — in
+/// recording variants — after every action block's terminator, so the
+/// caller can record that block's node. A non-negative return value packs
+/// the exit kind (SlowExit) in its low two bits and the next block above
+/// them; Frame->SlowBlock names the block left from.
+using JitSlowFn = int64_t (*)(const JitFrame *Frame, uint64_t Block);
+
+/// How a slow-step function left a block (low two bits of its return).
+enum SlowExit : int64_t {
+  SlowPlain = 0, ///< Jump or rt-static Branch: a plain node
+  SlowEdge0 = 1, ///< dynamic-result Branch not taken: a Test node, edge 0
+  SlowEdge1 = 2, ///< dynamic-result Branch taken: a Test node, edge 1
+  SlowRet = 3,   ///< Ret: the step is over
+};
+
+/// Negative return values of a JitFn or JitSlowFn.
 enum JitBail : int64_t {
   /// Guarded instruction fetch outside the text segment. The caller raises
   /// the same DecodeError fault the guarded interpreter raises mid-node.
@@ -120,13 +140,15 @@ struct JitSession {
   JitFrame Frame;
   JitCache *Cache = nullptr;
   JitTraceCache *Traces = nullptr; ///< per-session compiled entry traces
-  uint32_t Threshold = 1; ///< visits before an action/trace compiles
+  /// Visits before an action/trace compiles; slow steps before the
+  /// plan's slow-step function compiles.
+  uint32_t Threshold = 1;
   uint64_t JitSteps = 0;   ///< steps where >=1 node ran natively
   uint64_t TraceSteps = 0; ///< steps completed entirely by one trace call
   uint64_t Bailouts = 0;   ///< structural fallbacks to the interpreter
-  uint64_t SlowBlockExecs = 0; ///< slow-path block bodies run natively
-  /// Placeholder capture buffer for recording block variants; sized on
-  /// demand to the dispatched block's compile-time capture word count.
+  uint64_t SlowCalls = 0;  ///< native slow-step function calls
+  /// Placeholder capture buffer for recording slow-step variants; sized
+  /// once to the function's largest action-block capture.
   std::vector<int64_t> Capture;
 };
 

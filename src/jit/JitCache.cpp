@@ -4,7 +4,9 @@
 
 #include "src/facile/Ir.h"
 
+#include <algorithm>
 #include <cassert>
+#include <chrono>
 
 using namespace facile;
 using namespace facile::jit;
@@ -36,18 +38,9 @@ JitCache::JitCache(const CompiledProgram &Prog, const rt::ExecPlan &Plan,
   }
   Words.assign(NumActions, 0);
 
-  NumBlocks = static_cast<uint32_t>(Plan.BlockOfs.size() - 1);
-  for (unsigned V = 0; V != 4; ++V)
-    BlockFns[V] = std::make_unique<std::atomic<JitFn>[]>(NumBlocks);
-  BlockVisits = std::make_unique<std::atomic<uint32_t>[]>(NumBlocks);
-  BlockState = std::make_unique<std::atomic<uint8_t>[]>(NumBlocks);
-  for (uint32_t B = 0; B != NumBlocks; ++B) {
-    for (unsigned V = 0; V != 4; ++V)
-      BlockFns[V][B].store(nullptr, std::memory_order_relaxed);
-    BlockVisits[B].store(0, std::memory_order_relaxed);
-    BlockState[B].store(Cold, std::memory_order_relaxed);
-  }
-  BlockWords.assign(NumBlocks, 0);
+  Ctx.ActionBlocks.reserve(Prog.Actions.Blocks.size());
+  for (const ActionBlockInfo &B : Prog.Actions.Blocks)
+    Ctx.ActionBlocks.push_back(B.ActionId != ActionBlockInfo::NoAction);
 }
 
 void JitCache::noteVisit(uint32_t Action, uint32_t Threshold) {
@@ -96,33 +89,40 @@ void JitCache::compileLocked(uint32_t Action) {
   State[Action].store(Published, std::memory_order_relaxed);
 }
 
-void JitCache::noteBlockVisit(uint32_t B, uint32_t Threshold) {
-  if (B >= NumBlocks || BlockState[B].load(std::memory_order_relaxed) != Cold)
+void JitCache::noteSlowStep(uint32_t Threshold) {
+  if (SlowState.load(std::memory_order_relaxed) != Cold)
     return;
-  uint32_t Seen = BlockVisits[B].fetch_add(1, std::memory_order_relaxed) + 1;
+  uint32_t Seen = SlowSteps.fetch_add(1, std::memory_order_relaxed) + 1;
   if (Seen < Threshold)
     return;
   std::lock_guard<std::mutex> Lock(Mu);
-  if (BlockState[B].load(std::memory_order_relaxed) == Cold)
-    compileBlockLocked(B);
+  if (SlowState.load(std::memory_order_relaxed) == Cold)
+    compileSlowLocked();
 }
 
-void JitCache::compileBlockLocked(uint32_t B) {
-  // All four variants or none: a body that compiles in one guard mode
-  // compiles in the other (the templates differ only inside Fetch), and
-  // publishing a partial set would let one session's shape diverge.
+void JitCache::compileSlowLocked() {
+  const auto Start = std::chrono::steady_clock::now();
+  auto finish = [&](uint8_t State) {
+    SlowCompileUs.fetch_add(
+        static_cast<uint64_t>(
+            std::chrono::duration_cast<std::chrono::microseconds>(
+                std::chrono::steady_clock::now() - Start)
+                .count()),
+        std::memory_order_relaxed);
+    SlowState.store(State, std::memory_order_relaxed);
+  };
+  // All four variants or none: a stream that compiles in one shape
+  // compiles in every other (the templates differ only inside Fetch and
+  // the capture stores), and publishing a partial set would let one
+  // session's shape diverge.
   std::vector<uint8_t> Codes[4];
   uint32_t CapWords[4] = {0, 0, 0, 0};
-  for (unsigned V = 0; V != 4; ++V) {
-    if (!emitBlock(Ctx, B, /*Guarded=*/(V & 2) != 0, /*Recording=*/(V & 1) != 0,
-                   Codes[V], CapWords[V])) {
-      BlockState[B].store(NoCompile, std::memory_order_relaxed);
-      return;
-    }
-  }
-  assert(CapWords[0] == CapWords[1] && CapWords[1] == CapWords[2] &&
-         CapWords[2] == CapWords[3] &&
-         "block variants must agree on capture layout");
+  for (unsigned V = 0; V != 4; ++V)
+    if (!emitSlowStep(Ctx, /*Guarded=*/(V & 2) != 0,
+                      /*Recording=*/(V & 1) != 0, Codes[V], CapWords[V]))
+      return finish(NoCompile);
+  assert(CapWords[1] == CapWords[3] &&
+         "guard variants must agree on capture layout");
 
   std::vector<uint8_t> All;
   size_t Ofs[4];
@@ -131,19 +131,19 @@ void JitCache::compileBlockLocked(uint32_t B) {
     All.insert(All.end(), Codes[V].begin(), Codes[V].end());
   }
   const uint8_t *Base = Arena.publish(All.data(), All.size());
-  if (!Base) {
-    BlockState[B].store(NoCompile, std::memory_order_relaxed);
-    return;
-  }
+  if (!Base)
+    return finish(NoCompile);
 
-  BlockWords[B] = CapWords[0];
-  CompiledBlocks.fetch_add(1, std::memory_order_relaxed);
+  SlowWords = CapWords[1];
+  CompiledBlocks.store(
+      std::min(Ctx.Plan->BlockOfs.size() - 1, Ctx.ActionBlocks.size()),
+      std::memory_order_relaxed);
   CodeBytes.fetch_add(All.size(), std::memory_order_relaxed);
   // Release: a reader that sees any pointer sees the code bytes, the
-  // protection flip and BlockWords[B].
+  // protection flip and SlowWords.
   for (unsigned V = 0; V != 4; ++V)
-    BlockFns[V][B].store(
-        reinterpret_cast<JitFn>(reinterpret_cast<uintptr_t>(Base + Ofs[V])),
-        std::memory_order_release);
-  BlockState[B].store(Published, std::memory_order_relaxed);
+    SlowFns[V].store(reinterpret_cast<JitSlowFn>(
+                         reinterpret_cast<uintptr_t>(Base + Ofs[V])),
+                     std::memory_order_release);
+  finish(Published);
 }

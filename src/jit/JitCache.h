@@ -10,12 +10,14 @@
 /// (SharedProgram holds one lazily; owned-plan simulations hold a private
 /// one), so all mutation is thread-safe:
 ///
-///  - visit counters are relaxed atomics bumped from the replay loop;
+///  - visit counters are relaxed atomics bumped from the replay loop and
+///    the slow engine;
 ///  - compilation is serialized by a mutex and happens at most once per
-///    action (success or a permanent "leave it interpreted" verdict);
-///  - entry points are published by a release store into per-action tables
-///    after the W^X arena flipped the chunk read-execute; the replay loop
-///    acquire-loads them, so a non-null pointer always sees finished code.
+///    action, and once per plan for the slow-step function (success or a
+///    permanent "leave it interpreted" verdict);
+///  - entry points are published by a release store after the W^X arena
+///    flipped the chunk read-execute; the engines acquire-load them, so a
+///    non-null pointer always sees finished code.
 ///
 /// Two variants exist per action — guarded and unguarded — differing only
 /// in the Fetch template (bail vs produce-0 on out-of-range addresses),
@@ -70,33 +72,35 @@ public:
   /// points over one shared cache — first to trip compiles).
   void noteVisit(uint32_t Action, uint32_t Threshold);
 
-  //===-- Slow-path block bodies -------------------------------------------
-  // The complete (rt-static + dynamic) body of every slow-stream block
-  // compiles once per plan in four variants — Guarded × Recording — and is
-  // dispatched by the slow engine on every cold or unmemoized step. Blocks
-  // are few and shared, so they amortize perfectly; like actions they trip
-  // on a per-block visit count.
+  //===-- Slow-step function -----------------------------------------------
+  // The whole slow stream compiles once per plan, into one function per
+  // variant — Guarded × Recording — that the slow engine calls on every
+  // cold or unmemoized step. It trips on the plan's slow-step count, and
+  // compiles all blocks or none.
 
-  /// The compiled body of block \p B for the variant, or null while it is
-  /// interpreted.
-  JitFn blockFn(uint32_t B, bool Guarded, bool Recording) const {
-    if (B >= NumBlocks)
-      return nullptr;
-    return BlockFns[variant(Guarded, Recording)][B].load(
+  /// The compiled slow-step function for the variant, or null while the
+  /// slow stream is interpreted.
+  JitSlowFn slowFn(bool Guarded, bool Recording) const {
+    return SlowFns[variant(Guarded, Recording)].load(
         std::memory_order_acquire);
   }
-  /// Placeholder words one recording execution of block \p B captures.
-  /// Meaningful once blockFn() returned non-null for any variant.
-  uint32_t blockCaptureWords(uint32_t B) const { return BlockWords[B]; }
-  /// Counts one interpreted execution of block \p B's body; compiles all
-  /// four variants once the count reaches \p Threshold.
-  void noteBlockVisit(uint32_t B, uint32_t Threshold);
+  /// The most placeholder words one recording call can capture.
+  /// Meaningful once slowFn() returned non-null.
+  uint32_t slowCaptureWords() const { return SlowWords; }
+  /// Counts one interpreted slow step; compiles all four variants once the
+  /// count reaches \p Threshold.
+  void noteSlowStep(uint32_t Threshold);
 
   uint64_t compiledActions() const {
     return Compiled.load(std::memory_order_relaxed);
   }
+  /// Blocks covered by the compiled slow-step function (0 until then).
   uint64_t compiledBlocks() const {
     return CompiledBlocks.load(std::memory_order_relaxed);
+  }
+  /// Microseconds spent compiling the slow-step function.
+  uint64_t slowCompileMicros() const {
+    return SlowCompileUs.load(std::memory_order_relaxed);
   }
   uint64_t codeBytes() const {
     return CodeBytes.load(std::memory_order_relaxed);
@@ -110,24 +114,24 @@ private:
   }
 
   void compileLocked(uint32_t Action);
-  void compileBlockLocked(uint32_t B);
+  void compileSlowLocked();
 
   EmitContext Ctx;
   uint32_t NumActions = 0;
-  uint32_t NumBlocks = 0;
   std::unique_ptr<std::atomic<JitFn>[]> GuardedFns;
   std::unique_ptr<std::atomic<JitFn>[]> UnguardedFns;
   std::unique_ptr<std::atomic<uint32_t>[]> Visits;
   std::unique_ptr<std::atomic<uint8_t>[]> State;
   std::vector<uint32_t> Words; ///< written under Mu before publication
-  std::unique_ptr<std::atomic<JitFn>[]> BlockFns[4]; ///< by variant()
-  std::unique_ptr<std::atomic<uint32_t>[]> BlockVisits;
-  std::unique_ptr<std::atomic<uint8_t>[]> BlockState;
-  std::vector<uint32_t> BlockWords; ///< written under Mu before publication
+  std::atomic<JitSlowFn> SlowFns[4]; ///< by variant()
+  std::atomic<uint32_t> SlowSteps{0};
+  std::atomic<uint8_t> SlowState{Cold};
+  uint32_t SlowWords = 0; ///< written under Mu before publication
   std::mutex Mu;
   JitArena Arena;
   std::atomic<uint64_t> Compiled{0};
   std::atomic<uint64_t> CompiledBlocks{0};
+  std::atomic<uint64_t> SlowCompileUs{0};
   std::atomic<uint64_t> CodeBytes{0};
 };
 

@@ -14,6 +14,7 @@
 #include "src/facile/Ir.h"
 #include "src/isa/TargetImage.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstring>
@@ -41,6 +42,7 @@ static_assert(offsetof(JitFrame, StatArrays) == 112, "frame layout is ABI");
 static_assert(offsetof(JitFrame, StatLocArrays) == 120, "frame layout is ABI");
 static_assert(offsetof(JitFrame, Capture) == 128, "frame layout is ABI");
 static_assert(offsetof(JitFrame, CaptureEnd) == 136, "frame layout is ABI");
+static_assert(offsetof(JitFrame, SlowBlock) == 144, "frame layout is ABI");
 
 bool jit::available() {
 #if defined(__x86_64__) && (defined(__unix__) || defined(__APPLE__))
@@ -320,6 +322,32 @@ public:
     u8(0x01);
     memRM(S, Base, Disp);
   }
+  void movMI32(unsigned Base, int32_t Disp, int32_t Imm) { // mov qword [..], simm32
+    rex(true, 0, 0, Base);
+    u8(0xC7);
+    memRM(0, Base, Disp);
+    u32(static_cast<uint32_t>(Imm));
+  }
+  /// lea D, [rip + rel32]: emits a rel32 placeholder, returns its position
+  /// (patch() resolves it like a jump: rip is the end of the displacement).
+  size_t leaRip(unsigned D) {
+    rex(true, D, 0, 0);
+    u8(0x8D);
+    u8(0x05 | ((D & 7) << 3));
+    size_t P = size();
+    u32(0);
+    return P;
+  }
+  void movsxdIdx4(unsigned D, unsigned Base, unsigned Idx) {
+    rex(true, D, Idx, Base); // movsxd D, dword [Base+Idx*4]
+    u8(0x63);
+    memSIB(D, Base, Idx, 2);
+  }
+  void jmpR(unsigned R) {
+    rex(false, 0, 0, R);
+    u8(0xFF);
+    modRR(4, R);
+  }
   void movMI8(unsigned Base, int32_t Disp, uint8_t Imm) { // mov byte [..], Imm
     rex(false, 0, 0, Base);
     u8(0xC6);
@@ -380,10 +408,10 @@ public:
   /// ExternBails for the caller to patch.
   bool emitBody(uint32_t Action, uint32_t &WordsOut);
 
-  /// Compiles the complete (slow-stream) body of block \p Block; see
-  /// jit::emitBlock. Register plan: rbp = StatSlots base, r13 = capture
+  /// Compiles the plan's whole slow stream into one function; see
+  /// jit::emitSlowStep. Register plan: rbp = StatSlots base, r13 = capture
   /// cursor (recording variants only); the rest as for fast streams.
-  bool compileBlock(uint32_t Block, bool Recording, uint32_t &CaptureWordsOut);
+  bool compileSlowStep(bool Recording, uint32_t &CaptureWordsOut);
 
   std::vector<size_t> FetchBails;
   std::vector<size_t> ExternBails;
@@ -393,14 +421,14 @@ private:
   const bool Guarded;
   Asm &A;
   uint32_t K = 0; ///< compile-time placeholder cursor (Span word index)
-  bool Slow = false;      ///< emitting a slow-stream (complete) block body
-  bool Recording = false; ///< slow variant that captures placeholder words
+  bool Slow = false;      ///< emitting slow-stream (complete) block bodies
+  bool Recording = false; ///< current slow block captures placeholder words
   bool InStatic = false;  ///< current instruction is run-time static
-  uint32_t CapWords = 0;  ///< words one execution of the body captures
+  uint32_t CapWords = 0;  ///< words one execution of the block captures
 
   bool slotOk(uint32_t Slot) const { return Slot < Ctx.NumSlots; }
-  /// Appends the value in \p Src to the capture buffer (recording slow
-  /// variants; the word count advances for both variants so they agree).
+  /// Appends the value in \p Src to the capture buffer (action blocks of
+  /// recording slow variants).
   void capture(unsigned Src) {
     ++CapWords;
     if (!Recording)
@@ -928,21 +956,22 @@ bool ActionCompiler::compile(uint32_t Action, uint32_t &WordsOut) {
   return true;
 }
 
-bool ActionCompiler::compileBlock(uint32_t Block, bool Rec,
-                                  uint32_t &CaptureWordsOut) {
+bool ActionCompiler::compileSlowStep(bool Rec, uint32_t &CaptureWordsOut) {
   const ExecPlan &P = *Ctx.Plan;
-  if (Block + 1 >= P.BlockOfs.size())
+  if (P.BlockOfs.size() < 2)
     return false;
-  uint32_t Begin = P.BlockOfs[Block], End = P.BlockOfs[Block + 1];
-  if (End <= Begin + 1)
-    return false; // no body (terminator only): nothing to gain
+  // The slow engine's block table: blocks the plan frames *and* the action
+  // table describes. Exits pack the next block above two kind bits.
+  const size_t NumBlocks =
+      std::min(P.BlockOfs.size() - 1, Ctx.ActionBlocks.size());
+  if (NumBlocks == 0 || NumBlocks >= (size_t(1) << 29))
+    return false;
   Slow = true;
-  Recording = Rec;
-  CapWords = 0;
 
   // Prologue mirrors the trace compiler's (6 pushes + 136 keeps rsp
   // 16-aligned at call sites) with rbp = StatSlots and r13 = the capture
-  // cursor instead of span bases.
+  // cursor, then dispatches on the entry block (rsi) through a table of
+  // rel32 offsets from the table's own start.
   A.push(RBX);
   A.push(RBP);
   A.push(R12);
@@ -953,48 +982,140 @@ bool ActionCompiler::compileBlock(uint32_t Block, bool Rec,
   A.movRM(R12, RBX, 0);
   A.movRM(R14, RBX, 8);
   A.movRM(RBP, RBX, 96);
-  if (Recording)
+  if (Rec)
     A.movRM(R13, RBX, 128);
   A.subRI32(RSP, 136);
+  const size_t TableRef = A.leaRip(RAX);
+  A.movsxdIdx4(RCX, RAX, RSI);
+  A.alu(0x01, RAX, RCX); // add rax, rcx
+  A.jmpR(RAX);
+  const size_t Table = A.size();
+  A.patch(TableRef, Table);
+  for (size_t B = 0; B != NumBlocks; ++B)
+    A.u32(0);
 
-  for (uint32_t Idx = Begin; Idx != End - 1; ++Idx) {
-    const XInst &I = P.Code[Idx];
-    InStatic = !I.Dynamic;
-    if (InStatic) {
-      // Only the opcodes the slow interpreter's rt-static switch handles;
-      // anything else would be a PlanCorrupt fault — leave it interpreted.
-      switch (I.Opcode) {
-      case XOp::Const:
-      case XOp::Copy:
-      case XOp::Bin:
-      case XOp::Un:
-      case XOp::LoadGlobal:
-      case XOp::StoreGlobal:
-      case XOp::LoadElem:
-      case XOp::StoreElem:
-      case XOp::LoadLocElem:
-      case XOp::StoreLocElem:
-      case XOp::InitLocArray:
-      case XOp::Fetch:
-      case XOp::TextStart:
-      case XOp::TextEnd:
-        break;
-      default:
-        return false;
-      }
-    }
-    if (!emitInst(I, Idx))
+  struct Pending {
+    size_t Pos;      ///< rel32 position in the code buffer
+    uint32_t Target; ///< block id
+  };
+  std::vector<Pending> Jumps;
+  std::vector<size_t> Label(NumBlocks);
+  std::vector<size_t> Exits; ///< jumps to the shared epilogue
+  /// Bail sites of one block and kind, funnelled through one stub that
+  /// names the block.
+  struct BailGroup {
+    uint32_t Block;
+    JitBail Code;
+    std::vector<size_t> Sites;
+  };
+  std::vector<BailGroup> Bails;
+  uint32_t MaxCap = 0;
+
+  for (uint32_t B = 0; B != NumBlocks; ++B) {
+    const uint32_t Begin = P.BlockOfs[B], End = P.BlockOfs[B + 1];
+    if (End <= Begin || End > P.Code.size())
       return false;
-  }
-  InStatic = false;
+    Label[B] = A.size();
+    const int32_t Rel = static_cast<int32_t>(Label[B] - Table);
+    std::memcpy(&A.Code[Table + 4 * B], &Rel, 4);
 
-  // Success epilogue; bails funnel through the same exit with the capture
-  // cursor published either way, so the caller can flush exactly what the
-  // interpreter would have pushed before a fault.
-  if (Recording)
+    // Only action blocks record a node, so only they capture — and in a
+    // recording variant each one hands control back after its terminator.
+    Recording = Rec && Ctx.ActionBlocks[B];
+    CapWords = 0;
+    for (uint32_t Idx = Begin; Idx != End - 1; ++Idx) {
+      const XInst &I = P.Code[Idx];
+      InStatic = !I.Dynamic;
+      if (InStatic) {
+        // Only the opcodes the slow interpreter's rt-static switch
+        // handles; anything else would be a PlanCorrupt fault — leave the
+        // plan interpreted.
+        switch (I.Opcode) {
+        case XOp::Const:
+        case XOp::Copy:
+        case XOp::Bin:
+        case XOp::Un:
+        case XOp::LoadGlobal:
+        case XOp::StoreGlobal:
+        case XOp::LoadElem:
+        case XOp::StoreElem:
+        case XOp::LoadLocElem:
+        case XOp::StoreLocElem:
+        case XOp::InitLocArray:
+        case XOp::Fetch:
+        case XOp::TextStart:
+        case XOp::TextEnd:
+          break;
+        default:
+          return false;
+        }
+      }
+      if (!emitInst(I, Idx))
+        return false;
+    }
+    InStatic = false;
+    if (Recording)
+      MaxCap = std::max(MaxCap, CapWords);
+    if (!FetchBails.empty())
+      Bails.push_back({B, BailFetchOob, std::move(FetchBails)});
+    if (!ExternBails.empty())
+      Bails.push_back({B, BailExternFail, std::move(ExternBails)});
+    FetchBails.clear();
+    ExternBails.clear();
+
+    // Terminator: a native jump within the function, or (action blocks of
+    // a recording variant, and Ret) an exit naming this block, the exit
+    // kind and the next block.
+    auto exitTo = [&](SlowExit Kind, uint32_t Next) {
+      A.movMI32(RBX, 144, static_cast<int32_t>(B));
+      A.movRI32(RAX, (Next << 2) | static_cast<uint32_t>(Kind));
+      Exits.push_back(A.jmp());
+    };
+    auto jumpTo = [&](uint32_t Target) {
+      if (Target != B + 1)
+        Jumps.push_back({A.jmp(), Target});
+    };
+    const XInst &T = P.Code[End - 1];
+    switch (T.Opcode) {
+    case XOp::Jump:
+      if (T.Target >= NumBlocks)
+        return false;
+      if (Recording)
+        exitTo(SlowPlain, T.Target);
+      else
+        jumpTo(T.Target);
+      break;
+    case XOp::Branch: {
+      if (T.Target >= NumBlocks || T.Target2 >= NumBlocks || !slotOk(T.A))
+        return false;
+      A.movRM(RAX, T.Dynamic ? R12 : RBP, 8 * static_cast<int32_t>(T.A));
+      A.alu(0x85, RAX, RAX); // test rax, rax
+      if (Recording) {
+        // A dynamic-result test makes the node a Test node.
+        size_t NotTaken = A.jcc(CcE);
+        exitTo(T.Dynamic ? SlowEdge1 : SlowPlain, T.Target);
+        A.patchHere(NotTaken);
+        exitTo(T.Dynamic ? SlowEdge0 : SlowPlain, T.Target2);
+      } else {
+        Jumps.push_back({A.jcc(CcNE), T.Target});
+        jumpTo(T.Target2);
+      }
+      break;
+    }
+    case XOp::Ret:
+      exitTo(SlowRet, 0);
+      break;
+    default:
+      return false; // a block without a terminator
+    }
+  }
+
+  // Shared epilogue; every exit and bail funnels through it with rax and
+  // Frame.SlowBlock set, publishing the capture cursor so the caller can
+  // flush exactly what the interpreter would have pushed.
+  const size_t Epilogue = A.size();
+  if (Rec)
     A.movMR(RBX, 136, R13);
-  A.xorR32(RAX);
-  size_t Exit = A.size();
   A.addRI32(RSP, 136);
   A.pop(R15);
   A.pop(R14);
@@ -1003,25 +1124,19 @@ bool ActionCompiler::compileBlock(uint32_t Block, bool Rec,
   A.pop(RBP);
   A.pop(RBX);
   A.ret();
-
-  if (!FetchBails.empty()) {
-    for (size_t Pos : FetchBails)
+  for (size_t Pos : Exits)
+    A.patch(Pos, Epilogue);
+  for (const BailGroup &G : Bails) {
+    for (size_t Pos : G.Sites)
       A.patchHere(Pos);
-    if (Recording)
-      A.movMR(RBX, 136, R13);
-    A.movRI32s(RAX, static_cast<int32_t>(BailFetchOob));
-    A.patch(A.jmp(), Exit);
+    A.movMI32(RBX, 144, static_cast<int32_t>(G.Block));
+    A.movRI32s(RAX, static_cast<int32_t>(G.Code));
+    A.patch(A.jmp(), Epilogue);
   }
-  if (!ExternBails.empty()) {
-    for (size_t Pos : ExternBails)
-      A.patchHere(Pos);
-    if (Recording)
-      A.movMR(RBX, 136, R13);
-    A.movRI32s(RAX, static_cast<int32_t>(BailExternFail));
-    A.patch(A.jmp(), Exit);
-  }
+  for (const Pending &J : Jumps)
+    A.patch(J.Pos, Label[J.Target]);
 
-  CaptureWordsOut = CapWords;
+  CaptureWordsOut = MaxCap;
   return true;
 }
 
@@ -1206,14 +1321,13 @@ bool jit::emitAction(const EmitContext &Ctx, uint32_t Action, bool Guarded,
   return true;
 }
 
-bool jit::emitBlock(const EmitContext &Ctx, uint32_t Block, bool Guarded,
-                    bool Recording, std::vector<uint8_t> &Code,
-                    uint32_t &CaptureWordsOut) {
+bool jit::emitSlowStep(const EmitContext &Ctx, bool Guarded, bool Recording,
+                       std::vector<uint8_t> &Code, uint32_t &CaptureWordsOut) {
   if (!available() || !Ctx.Plan || !Ctx.Image || !Ctx.Hooks.ExternSlow)
     return false;
   Asm A;
   ActionCompiler C(Ctx, Guarded, A);
-  if (!C.compileBlock(Block, Recording, CaptureWordsOut))
+  if (!C.compileSlowStep(Recording, CaptureWordsOut))
     return false;
   Code = std::move(A.Code);
   return true;

@@ -53,6 +53,9 @@ struct EmitContext {
   std::vector<uint32_t> ArraySizes;
   /// Element count per local-array id.
   std::vector<uint32_t> LocArraySizes;
+  /// Per block id: true when the block is an action block (the slow
+  /// engine records a node for it).
+  std::vector<bool> ActionBlocks;
   JitRuntimeHooks Hooks;
 };
 
@@ -68,22 +71,24 @@ struct EmitContext {
 bool emitAction(const EmitContext &Ctx, uint32_t Action, bool Guarded,
                 std::vector<uint8_t> &Code, uint32_t &WordsOut);
 
-/// Compiles the *body* of slow-stream block \p Block (everything up to but
-/// excluding the terminator, which stays in the slow engine) into \p Code:
-/// run-time-static instructions against the frame's Stat* state, dynamic
-/// instructions against the shared state. The body is straight-line, so
-/// the number of placeholder words one execution captures is a
-/// compile-time constant, returned in \p CaptureWordsOut. A \p Recording
-/// variant additionally writes every word the recording interpreter would
-/// pushData() — static operands in placeholder order, memoized sync values
-/// — to Frame.Capture, leaving the final cursor in Frame.CaptureEnd on
-/// every exit path; the caller flushes those through the cache (preserving
-/// seal and peak accounting) after the call returns. Returns 0 on success
-/// or a JitBail code; false when the block contains anything the templates
-/// cannot express bit-exactly.
-bool emitBlock(const EmitContext &Ctx, uint32_t Block, bool Guarded,
-               bool Recording, std::vector<uint8_t> &Code,
-               uint32_t &CaptureWordsOut);
+/// Compiles the whole slow stream of the plan — every block of Plan.Code —
+/// into one JitSlowFn (see JitAbi.h) in \p Code: block bodies use the same
+/// templates as actions, run-time-static instructions against the frame's
+/// Stat* state and dynamic ones against the shared state; Jump and Branch
+/// terminators become native jumps between block labels. A \p Recording
+/// variant returns after every action block's terminator and writes every
+/// word the recording interpreter would pushData() for that block — static
+/// operands in placeholder order, memoized sync values — to
+/// Frame.Capture, leaving the final cursor in Frame.CaptureEnd on every
+/// exit path; the caller flushes those through the cache (preserving seal
+/// and peak accounting). A non-recording variant runs from its entry block
+/// to Ret in one call. \p CaptureWordsOut receives the largest number of
+/// words one recording call can capture. Returns false when any block
+/// contains anything the templates cannot express bit-exactly or any
+/// control transfer leaves the block table; the plan then stays
+/// interpreted.
+bool emitSlowStep(const EmitContext &Ctx, bool Guarded, bool Recording,
+                  std::vector<uint8_t> &Code, uint32_t &CaptureWordsOut);
 
 /// Sentinel successor for TraceNodeDesc: control leaves the trace here
 /// (the emitter materializes a side exit returning the exit's id).

@@ -78,6 +78,7 @@ void ExecBackend::exportMetrics(telemetry::MetricSink &Sink) const {
   Sink.counter("bailouts", 0);
   Sink.counter("code_bytes", 0);
   Sink.counter("trace_code_bytes", 0);
+  Sink.counter("slow_compile_us", 0);
 }
 
 //===----------------------------------------------------------------------===//
@@ -142,16 +143,19 @@ public:
     Sink.counter("compiled_traces", Traces.compiledTraces());
     Sink.counter("jit_exec_steps", Session.JitSteps);
     Sink.counter("trace_steps", Session.TraceSteps);
-    Sink.counter("slow_block_execs", Session.SlowBlockExecs);
+    // compiled_blocks: blocks the slow-step function covers;
+    // slow_block_execs: native slow-step function calls.
+    Sink.counter("slow_block_execs", Session.SlowCalls);
     Sink.counter("bailouts", Session.Bailouts);
     Sink.counter("code_bytes", Session.Cache->codeBytes());
     Sink.counter("trace_code_bytes", Traces.codeBytes());
+    Sink.counter("slow_compile_us", Session.Cache->slowCompileMicros());
   }
 
   uint64_t compiledActions() const override {
     // Every tier compiles actions to native code — per-action functions,
-    // slow-path block bodies, and whole-entry traces. Report the total;
-    // exportMetrics keeps the per-tier breakdown. (At low thresholds the
+    // the slow-step function's blocks, and whole-entry traces. Report the
+    // total; exportMetrics keeps the per-tier breakdown. (At low thresholds the
     // trace tier can absorb every hot entry before a single per-action
     // visit accrues, so the per-action counter alone may read zero on a
     // run that is in fact fully JIT-compiled.)
@@ -258,7 +262,7 @@ void JitBackend::refreshFrame() {
   F.RetiredFast = &Sim.S.RetiredFast;
   F.Cycles = &Sim.S.Cycles;
   F.Halt = &Sim.HaltFlag;
-  // Slow-path state for compiled block bodies.
+  // Slow-path state for the compiled slow-step function.
   F.StatSlots = Sim.StatSlots.data();
   F.StatGlobals = Sim.StatGlobals.data();
   StatArrayPtrs.resize(Sim.StatArrays.size());

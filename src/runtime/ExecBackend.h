@@ -93,7 +93,7 @@ public:
   virtual void exportMetrics(telemetry::MetricSink &Sink) const;
 
   /// Action artifacts compiled to native code so far across all tiers
-  /// (per-action functions + block bodies + entry traces; 0 on the
+  /// (per-action functions + slow-step blocks + entry traces; 0 on the
   /// interpreter) — the cheap programmatic probe for "did the JIT
   /// actually engage". The metric group keeps the per-tier breakdown.
   virtual uint64_t compiledActions() const { return 0; }

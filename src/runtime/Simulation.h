@@ -129,9 +129,11 @@ public:
     /// Jit request degrades to Interpret when unsupported — never an
     /// error. Does not affect compatKey().
     BackendKind Backend = BackendKind::Auto;
-    /// Interpreted replay visits of an action before the Jit backend
-    /// compiles it. When left at the default, the FACILE_JIT_THRESHOLD
-    /// environment variable overrides it (harness-wide experiments).
+    /// Interpreted replay visits of an action (or entry trace) before the
+    /// Jit backend compiles it, and slow steps before the plan's slow-step
+    /// function compiles. When left at the default, the
+    /// FACILE_JIT_THRESHOLD environment variable overrides it
+    /// (harness-wide experiments).
     static constexpr uint32_t DefaultJitThreshold = 32;
     uint32_t JitThreshold = DefaultJitThreshold;
   };

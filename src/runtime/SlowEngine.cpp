@@ -8,6 +8,12 @@
 // replayed prefix handed over by the fast engine, then resume recording at
 // the miss point.
 //
+// Once the plan's slow-step function is compiled (JitCache), a session
+// with the JIT armed runs the stream natively instead: block to block in
+// one call, returning here only after a recording step's action blocks (to
+// record their nodes), at Ret and on a bail. Miss recovery stays
+// interpreted; the recording that resumes after the miss point goes native.
+//
 // Every condition that used to be an assert but is reachable from user
 // input — a corrupted recovery prefix, an illegal opcode in a loaded plan,
 // a control-flow target outside the block table — raises a structured
@@ -87,9 +93,96 @@ void Simulation::runSlow(EntryId Rec, const ReplayedStep *Recovery) {
     return Idx;
   };
 
+  // Sealing closes a node's data span and integrity seal; its kind must be
+  // final by then. A block whose terminator transfers control closes its
+  // node as a Test node hanging the next one off edge \p Edge (a
+  // dynamic-result Branch), or as a plain node (\p Edge < 0).
+  auto closeNode = [&](uint32_t NodeIdx, int Edge) {
+    if (NodeIdx == ActionNode::NoNode)
+      return;
+    ActionNode &N = Cache.node(NodeIdx);
+    if (Edge >= 0)
+      N.K = ActionNode::Kind::Test;
+    N.DataLen = Cache.dataSize() - N.DataOfs;
+    Cache.sealNode(NodeIdx, NodeTag);
+    if (Edge >= 0)
+      PrevEdge = Edge;
+  };
+  // A Ret block's node ends the step: it names the next step's key and
+  // arms the INDEX chain.
+  auto endNode = [&](uint32_t NodeIdx) {
+    if (NodeIdx == ActionNode::NoNode)
+      return;
+    serializeKeyInto(KeyBuf);
+    KeyId Next = Cache.internKey(KeyBuf.data(), KeyBuf.size());
+    ActionNode &N = Cache.node(NodeIdx);
+    N.K = ActionNode::Kind::End;
+    N.NextKey = Next;
+    N.DataLen = Cache.dataSize() - N.DataOfs;
+    Cache.sealNode(NodeIdx, NodeTag);
+    PendingEndNode = NodeIdx;
+  };
+
+  // The plan's compiled slow-step function for this step's shape, once
+  // enough slow steps have run to compile it.
+  jit::JitSession *const Jit = JitCtx;
+  jit::JitSlowFn Native = nullptr;
+  if (Jit) {
+    jit::JitCache &JC = *Jit->Cache;
+    Native = JC.slowFn(Guards, Record);
+    if (!Native) {
+      JC.noteSlowStep(Jit->Threshold);
+      Native = JC.slowFn(Guards, Record);
+    }
+    if (Native && Record && Jit->Capture.size() < JC.slowCaptureWords()) {
+      Jit->Capture.resize(JC.slowCaptureWords());
+      Jit->Frame.Capture = Jit->Capture.data();
+    }
+  }
+
   uint32_t BB = 0;
   int64_t ArgBuf[16];
   for (;;) {
+    if (Native && !Recovering) {
+      // Native: runs from BB until the next action block of a recording
+      // step, Ret or a bail. The block it left from records its node now:
+      // non-action blocks capture nothing and never touch the cache, so
+      // appending the node after its body ran and flushing the captured
+      // words leaves the pool, seals and peak accounting bit-identical to
+      // the interpreter — including on a mid-body bail, where exactly the
+      // words pushed before the fault are flushed.
+      const int64_t R = Native(&Jit->Frame, BB);
+      ++Jit->SlowCalls;
+      const uint32_t From = static_cast<uint32_t>(Jit->Frame.SlowBlock);
+      const int32_t ActionId = Prog.Actions.Blocks[From].ActionId;
+      uint32_t NodeIdx = ActionNode::NoNode;
+      if (Record && ActionId != ActionBlockInfo::NoAction) {
+        NodeIdx = appendNode(ActionId);
+        const int64_t *Cap = Jit->Capture.data();
+        const size_t N = static_cast<size_t>(Jit->Frame.CaptureEnd - Cap);
+        Cache.pushDataSpan(Cap, N);
+        S.PlaceholderWords += N;
+      }
+      if (R < 0) {
+        if (R == jit::BailFetchOob)
+          return fail(FaultKind::DecodeError,
+                      "instruction fetch outside the text segment");
+        return fail(FaultKind::ExternFailure, "extern call failed");
+      }
+      switch (R & 3) {
+      case jit::SlowRet:
+        return endNode(NodeIdx);
+      case jit::SlowPlain:
+        closeNode(NodeIdx, -1);
+        break;
+      default:
+        closeNode(NodeIdx, (R & 3) == jit::SlowEdge1 ? 1 : 0);
+        break;
+      }
+      BB = static_cast<uint32_t>(R >> 2);
+      continue;
+    }
+
     const ActionBlockInfo &AI = Prog.Actions.Blocks[BB];
 
     uint32_t NodeIdx = ActionNode::NoNode;
@@ -118,49 +211,9 @@ void Simulation::runSlow(EntryId Rec, const ReplayedStep *Recovery) {
       }
     }
 
-    // Execute the block body (everything but the terminator). When the
-    // session's JIT is armed and the plan's cache has this body compiled
-    // for the current (guard, recording) shape, it runs natively: the
-    // recording variant captures every placeholder word to a scratch
-    // buffer that is flushed through the cache afterwards, so data-pool
-    // contents, seal accumulation and peak accounting stay bit-identical
-    // to the interpreter — including on a mid-body fault, where exactly
-    // the words pushed before the fault are flushed. Recovery stays
-    // interpreted (it replays statics only).
+    // Execute the block body (everything but the terminator).
     const XInst *IP = P.blockBegin(BB);
     const XInst *Term = P.blockEnd(BB) - 1;
-    if (jit::JitSession *const Jit = JitCtx; Jit && !Recovering && IP != Term) {
-      jit::JitCache &JC = *Jit->Cache;
-      const bool Capturing = NodeIdx != ActionNode::NoNode;
-      jit::JitFn Fn = JC.blockFn(BB, Guards, Capturing);
-      if (!Fn) {
-        JC.noteBlockVisit(BB, Jit->Threshold);
-        Fn = JC.blockFn(BB, Guards, Capturing);
-      }
-      if (Fn) {
-        if (Capturing) {
-          uint32_t W = JC.blockCaptureWords(BB);
-          if (Jit->Capture.size() < W)
-            Jit->Capture.resize(W);
-          Jit->Frame.Capture = Jit->Capture.data();
-        }
-        int64_t R = Fn(&Jit->Frame, nullptr);
-        if (Capturing) {
-          const int64_t *Cap = Jit->Capture.data();
-          const size_t N = static_cast<size_t>(Jit->Frame.CaptureEnd - Cap);
-          Cache.pushDataSpan(Cap, N);
-          S.PlaceholderWords += N;
-        }
-        ++Jit->SlowBlockExecs;
-        if (R < 0) {
-          if (R == jit::BailFetchOob)
-            return fail(FaultKind::DecodeError,
-                        "instruction fetch outside the text segment");
-          return fail(FaultKind::ExternFailure, "extern call failed");
-        }
-        IP = Term; // body done natively; fall through to the terminator
-      }
-    }
     for (; IP != Term; ++IP) {
       const XInst &I = *IP;
       if (!I.Dynamic) {
@@ -395,24 +448,18 @@ void Simulation::runSlow(EntryId Rec, const ReplayedStep *Recovery) {
       }
     }
 
-    // Terminator. Sealing closes the node's data span and integrity seal;
-    // the node's kind must be final by then.
-    auto sealNode = [&] {
-      ActionNode &N = Cache.node(NodeIdx);
-      N.DataLen = Cache.dataSize() - N.DataOfs;
-      Cache.sealNode(NodeIdx, NodeTag);
-    };
+    // Terminator.
     const XInst &T = *Term;
     switch (T.Opcode) {
     case XOp::Jump:
-      if (NodeIdx != ActionNode::NoNode)
-        sealNode();
+      closeNode(NodeIdx, -1);
       BB = T.Target;
       break;
     case XOp::Branch: {
       bool Taken;
       if (!T.Dynamic) {
         Taken = StatSlots[T.A] != 0;
+        closeNode(NodeIdx, -1);
       } else if (Recovering) {
         // Dynamic-result tests take the value recorded by the fast
         // simulator; at the miss point, the newly computed value.
@@ -423,14 +470,8 @@ void Simulation::runSlow(EntryId Rec, const ReplayedStep *Recovery) {
         }
       } else {
         Taken = DynSlots[T.A] != 0;
-        if (NodeIdx != ActionNode::NoNode) {
-          Cache.node(NodeIdx).K = ActionNode::Kind::Test;
-          sealNode();
-          PrevEdge = Taken ? 1 : 0;
-        }
+        closeNode(NodeIdx, Taken ? 1 : 0);
       }
-      if (!T.Dynamic && NodeIdx != ActionNode::NoNode)
-        sealNode();
       BB = Taken ? T.Target : T.Target2;
       break;
     }
@@ -438,16 +479,7 @@ void Simulation::runSlow(EntryId Rec, const ReplayedStep *Recovery) {
       if (Recovering)
         return fail(FaultKind::CacheCorrupt,
                     "step ended before reaching the miss point");
-      if (NodeIdx != ActionNode::NoNode) {
-        serializeKeyInto(KeyBuf);
-        KeyId Next = Cache.internKey(KeyBuf.data(), KeyBuf.size());
-        Cache.node(NodeIdx).K = ActionNode::Kind::End;
-        Cache.node(NodeIdx).NextKey = Next;
-        sealNode();
-        // Arm the INDEX chain for the next step.
-        PendingEndNode = NodeIdx;
-      }
-      return;
+      return endNode(NodeIdx);
     default:
       assert(false && "block without a terminator");
       return fail(FaultKind::PlanCorrupt, "block without a terminator");

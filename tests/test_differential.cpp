@@ -19,6 +19,8 @@
 #include "src/jit/JitEmitter.h"
 #include "src/sims/SimHarness.h"
 #include "src/store/CacheStore.h"
+#include "src/support/Hashing.h"
+#include "src/support/JsonValue.h"
 #include "src/workload/Workloads.h"
 
 #include <gtest/gtest.h>
@@ -49,6 +51,17 @@ struct FinalState {
   uint64_t Misses = 0;
   uint64_t CompiledActions = 0;
   std::string BackendName;
+  // What the slow engine recorded, for the same JIT-vs-interpreter runs:
+  // the words it memoized, the keys it interned, and the action cache
+  // itself — node count, data-pool words and a digest of its compacted
+  // image (data pool, seals and key pool).
+  uint64_t PlaceholderWords = 0;
+  uint64_t BypassedSteps = 0;
+  uint64_t KeysInterned = 0;
+  uint64_t CacheNodes = 0;
+  uint64_t CacheDataWords = 0;
+  uint64_t CacheDigest = 0;
+  uint64_t SlowBlockExecs = 0; ///< native slow-step function calls
 
   bool operator==(const FinalState &O) const {
     return Halted == O.Halted && RetiredTotal == O.RetiredTotal &&
@@ -73,6 +86,23 @@ FinalState runOne(SimKind Kind, const isa::TargetImage &Image,
   F.Misses = Sim.sim().stats().Misses;
   F.CompiledActions = Sim.sim().jitCompiledActions();
   F.BackendName = Sim.sim().backendName();
+  F.PlaceholderWords = Sim.sim().stats().PlaceholderWords;
+  F.BypassedSteps = Sim.sim().stats().BypassedSteps;
+  const rt::ActionCache &C = Sim.sim().cache();
+  F.KeysInterned = C.stats().KeysInterned;
+  F.CacheNodes = C.nodeCount();
+  F.CacheDataWords = C.dataSize();
+  const rt::ActionCache::FlatImage Flat =
+      C.compactImage(/*KeepThreshold=*/0, /*DropDetached=*/false);
+  uint64_t H = hashBytes(Flat.Data.data(), Flat.Data.size() * sizeof(int64_t));
+  H = hashBytes(Flat.Seals.data(), Flat.Seals.size() * sizeof(uint64_t), H);
+  F.CacheDigest = hashBytes(Flat.KeyPool.data(), Flat.KeyPool.size(), H);
+  json::Value Stats;
+  std::string Err;
+  EXPECT_TRUE(json::parse(Sim.statsJson(), Stats, Err)) << Err;
+  if (const json::Value *Jit = Stats.get("jit"))
+    if (const json::Value *N = Jit->get("slow_block_execs"))
+      F.SlowBlockExecs = static_cast<uint64_t>(N->intOr(0));
   const CompiledProgram &P = simulatorProgram(Kind, Mode);
   for (const ir::GlobalVar &G : P.Globals) {
     if (G.IsArray)
@@ -399,16 +429,59 @@ TEST(Differential, StoreBackedMatchesOwnedCache) {
   ::rmdir(StoreDirPath.c_str());
 }
 
+namespace {
+
+/// Runs \p Image under \p Interp and again with the Jit backend at
+/// \p Threshold, and holds the JIT run to the interpreter's architectural
+/// state, step accounting and recording: placeholder words, interned keys
+/// and the action cache's nodes, data words and compacted image.
+FinalState expectJitMatches(SimKind Kind, const isa::TargetImage &Image,
+                            rt::Simulation::Options Interp,
+                            uint32_t Threshold, uint64_t MaxInstrs) {
+  Interp.Backend = rt::BackendKind::Interpret;
+  rt::Simulation::Options Jit = Interp;
+  Jit.Backend = rt::BackendKind::Jit;
+  Jit.JitThreshold = Threshold;
+
+  FinalState I = runOne(Kind, Image, Interp, MaxInstrs);
+  FinalState J = runOne(Kind, Image, Jit, MaxInstrs);
+
+  EXPECT_EQ(I.BackendName, "interpret");
+  EXPECT_EQ(J.BackendName, "jit");
+  EXPECT_EQ(J.Halted, I.Halted);
+  EXPECT_EQ(J.RetiredTotal, I.RetiredTotal);
+  EXPECT_EQ(J.Cycles, I.Cycles);
+  EXPECT_EQ(J.MemDigest, I.MemDigest);
+  EXPECT_EQ(J.Globals, I.Globals);
+  EXPECT_EQ(J.Steps, I.Steps);
+  EXPECT_EQ(J.FastSteps, I.FastSteps);
+  EXPECT_EQ(J.Misses, I.Misses);
+  EXPECT_EQ(J.BypassedSteps, I.BypassedSteps);
+  EXPECT_EQ(J.PlaceholderWords, I.PlaceholderWords);
+  EXPECT_EQ(J.KeysInterned, I.KeysInterned);
+  EXPECT_EQ(J.CacheNodes, I.CacheNodes);
+  EXPECT_EQ(J.CacheDataWords, I.CacheDataWords);
+  EXPECT_EQ(J.CacheDigest, I.CacheDigest);
+  EXPECT_EQ(I.CompiledActions, 0u);
+  EXPECT_EQ(I.SlowBlockExecs, 0u);
+  // The comparison is vacuous unless the slow steps actually ran native.
+  EXPECT_GT(J.SlowBlockExecs, 0u);
+  return J;
+}
+
+} // namespace
+
 TEST(Differential, JitMatchesInterpreter) {
   // The template-JIT backend is an execution strategy, not a semantics: a
-  // run dispatched through compiled actions, block bodies and entry traces
-  // must be bit-identical to the interpreting backend — same architectural
-  // state, same memory digest, and the same step accounting (Steps,
-  // FastSteps, Misses, RetiredTotal, Cycles), since the JIT sits below the
-  // memoization layer and never changes which engine a step takes. Runs
-  // every simulator over both workloads, memo on and off; memo-off also
-  // proves that forcing Backend=Jit with nothing to compile degrades
-  // cleanly instead of erroring.
+  // run dispatched through compiled actions, the slow-step function and
+  // entry traces must be bit-identical to the interpreting backend — same
+  // architectural state, same memory digest, the same step accounting
+  // (Steps, FastSteps, Misses, RetiredTotal, Cycles), and the same
+  // recording down to the cache image, since the JIT sits below the
+  // memoization layer and never changes which engine a step takes or what
+  // it records. Runs every simulator over both workloads, memo on and off;
+  // memo-off also proves that forcing Backend=Jit with nothing to replay
+  // degrades cleanly instead of erroring.
   if (!jit::available())
     GTEST_SKIP() << "no template-JIT backend on this host";
   for (SimKind Kind :
@@ -421,25 +494,8 @@ TEST(Differential, JitMatchesInterpreter) {
                      (Memo ? " (memo on)" : " (memo off)"));
         rt::Simulation::Options Interp;
         Interp.Memoize = Memo;
-        Interp.Backend = rt::BackendKind::Interpret;
-        rt::Simulation::Options Jit = Interp;
-        Jit.Backend = rt::BackendKind::Jit;
-        Jit.JitThreshold = 1; // compile everything hot immediately
-
-        FinalState I = runOne(Kind, Image, Interp, MaxInstrs);
-        FinalState J = runOne(Kind, Image, Jit, MaxInstrs);
-
-        EXPECT_EQ(I.BackendName, "interpret");
-        EXPECT_EQ(J.BackendName, "jit");
-        EXPECT_EQ(J.Halted, I.Halted);
-        EXPECT_EQ(J.RetiredTotal, I.RetiredTotal);
-        EXPECT_EQ(J.Cycles, I.Cycles);
-        EXPECT_EQ(J.MemDigest, I.MemDigest);
-        EXPECT_EQ(J.Globals, I.Globals);
-        EXPECT_EQ(J.Steps, I.Steps);
-        EXPECT_EQ(J.FastSteps, I.FastSteps);
-        EXPECT_EQ(J.Misses, I.Misses);
-        EXPECT_EQ(I.CompiledActions, 0u);
+        // Threshold 1: compile everything hot immediately.
+        FinalState J = expectJitMatches(Kind, Image, Interp, 1, MaxInstrs);
         if (Memo) {
           // The comparison is vacuous unless the JIT actually compiled
           // and the memoized path actually ran.
@@ -448,5 +504,44 @@ TEST(Differential, JitMatchesInterpreter) {
         }
       }
     }
+  }
+}
+
+TEST(Differential, JitSlowStepVariantsMatchInterpreter) {
+  // Each variant of the compiled slow-step function against the
+  // interpreter on ooo.fac over a gcc-shaped (branchy) program: recording
+  // at the default threshold, so the first slow steps run interpreted and
+  // the rest native; run-to-Ret with memoization off; and both at once
+  // under a budget small enough to trip the adaptive bypass, whose steps
+  // run unrecorded between recording ones.
+  if (!jit::available())
+    GTEST_SKIP() << "no template-JIT backend on this host";
+  const workload::WorkloadSpec Gcc = testWorkloads()[1];
+  isa::TargetImage Image = workload::generate(Gcc, 2);
+  const uint32_t DefaultThreshold =
+      rt::Simulation::Options::DefaultJitThreshold;
+  {
+    SCOPED_TRACE("recording at the default threshold");
+    FinalState J = expectJitMatches(SimKind::OutOfOrder, Image, {},
+                                    DefaultThreshold, 400'000);
+    EXPECT_GT(J.PlaceholderWords, 0u);
+  }
+  {
+    SCOPED_TRACE("memo off");
+    rt::Simulation::Options Off;
+    Off.Memoize = false;
+    expectJitMatches(SimKind::OutOfOrder, Image, Off, DefaultThreshold,
+                     200'000);
+  }
+  {
+    SCOPED_TRACE("tiny budget, bypass");
+    rt::Simulation::Options Tiny;
+    Tiny.CacheBudgetBytes = 64u << 10;
+    Tiny.BypassWindow = 64;
+    Tiny.BypassCooldown = 128;
+    FinalState J = expectJitMatches(SimKind::OutOfOrder, Image, Tiny,
+                                    DefaultThreshold, 300'000);
+    EXPECT_GT(J.BypassedSteps, 0u);
+    EXPECT_GT(J.PlaceholderWords, 0u);
   }
 }

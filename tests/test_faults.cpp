@@ -25,10 +25,15 @@
 #include "src/jit/JitEmitter.h"
 #include "src/runtime/Simulation.h"
 #include "src/sims/SimHarness.h"
+#include "src/support/Hashing.h"
+#include "src/support/JsonValue.h"
 #include "src/support/Rng.h"
+#include "src/telemetry/Metrics.h"
 #include "src/workload/Workloads.h"
 
 #include <gtest/gtest.h>
+
+#include <utility>
 
 using namespace facile;
 using namespace facile::rt;
@@ -795,5 +800,169 @@ TEST(FaultCampaign, JitPlanTruncationFaultsStructurally) {
     EXPECT_EQ(Res.Fault.Kind, FaultKind::PlanCorrupt);
     EXPECT_EQ(Res.Steps, 0u);
     EXPECT_EQ(Sim.step(), StepEngine::Faulted);
+  }
+}
+
+// Bails out of the compiled slow-step function while recording, inside a
+// run of blocks it executes in one call: the action block closing the
+// dynamic-result test `t % 2` returns to the slow engine, the next call
+// runs the fully rt-static blocks of `if (k == 3) w = pc?fetch();` and
+// enters the action block holding `observe`. A fetch outside the text
+// segment bails in the non-action block itself; an extern failure bails
+// in the action block that call reached through it (externs are dynamic,
+// so no non-action block can hold one). Either way the cache must hold
+// exactly the words the interpreter records before the same fault, and
+// after clearFault() the session must finish bit-identical to it.
+namespace {
+
+const char *slowBailSource() {
+  return R"(
+    extern observe(int, int) : int;
+    init val pc = 0;
+    init val k = 0;
+    init val w = 0;
+    val t = 0;
+    fun main() {
+      t = mem_ld(2097152);
+      if (t % 2 == 0) mem_st(2097156, mem_ld(2097156) + 1);
+      if (k == 3) w = pc?fetch();
+      val r = observe(k, t);
+      mem_st(2097252, r + w);
+      mem_st(2097152, t + 1);
+      k = (k + 1) % 5;
+    }
+  )";
+}
+
+/// The recorded state a bail must leave bit-identical across backends.
+struct RecordedState {
+  FaultKind Kind = FaultKind::None;
+  uint64_t Steps = 0;
+  uint64_t PlaceholderWords = 0;
+  uint64_t Nodes = 0;
+  uint64_t DataWords = 0;
+  uint64_t Digest = 0; ///< data pool, seals and key pool of compactImage()
+};
+
+void expectSameRecording(const RecordedState &J, const RecordedState &I) {
+  EXPECT_EQ(J.Kind, I.Kind);
+  EXPECT_EQ(J.Steps, I.Steps);
+  EXPECT_EQ(J.PlaceholderWords, I.PlaceholderWords);
+  EXPECT_EQ(J.Nodes, I.Nodes);
+  EXPECT_EQ(J.DataWords, I.DataWords);
+  EXPECT_EQ(J.Digest, I.Digest);
+}
+
+RecordedState recordedState(const Simulation &Sim) {
+  RecordedState R;
+  R.Kind = Sim.faulted() ? Sim.fault().Kind : FaultKind::None;
+  R.Steps = Sim.stats().Steps;
+  R.PlaceholderWords = Sim.stats().PlaceholderWords;
+  R.Nodes = Sim.cache().nodeCount();
+  R.DataWords = Sim.cache().dataSize();
+  const ActionCache::FlatImage F = Sim.cache().compactImage(0, false);
+  uint64_t H = hashBytes(F.Data.data(), F.Data.size() * sizeof(int64_t));
+  H = hashBytes(F.Seals.data(), F.Seals.size() * sizeof(uint64_t), H);
+  R.Digest = hashBytes(F.KeyPool.data(), F.KeyPool.size(), H);
+  return R;
+}
+
+struct BailRun {
+  RecordedState AtFault, AtEnd;
+  ArchState Arch;
+  uint64_t SlowCalls = 0; ///< the jit group's slow_block_execs
+};
+
+/// Runs slowBailSource() for 60 steps under \p Backend (threshold 1). With
+/// \p FetchBail the program counter starts outside the text segment, so
+/// the first step with k == 3 — the fourth, recorded cold — faults in its
+/// fetch; otherwise the extern fails on that step. The host then repairs
+/// the cause, clears the fault and runs on.
+BailRun runSlowBail(BackendKind Backend, bool FetchBail) {
+  static const CompiledProgram P = compileOk(slowBailSource());
+  static const isa::TargetImage Img = emptyImage();
+  Simulation::Options Opts;
+  Opts.Backend = Backend;
+  Opts.JitThreshold = 1;
+  Simulation Sim(P, Img, Opts);
+  EXPECT_STREQ(Sim.backendName(), backendKindName(Backend));
+  bool FailExtern = false;
+  EXPECT_TRUE(Sim.registerExtern(
+      "observe", [](const int64_t *A, size_t) { return A[0] * 10 + A[1]; }));
+  Sim.setExternFaultHook([&FailExtern](uint32_t) {
+    return std::exchange(FailExtern, false);
+  });
+  Sim.setGlobal("pc", FetchBail ? 4 : Img.TextBase);
+
+  BailRun Out;
+  EXPECT_EQ(Sim.run(3).Status, RunStatus::Limit);
+  EXPECT_EQ(Sim.getGlobal("k"), 3);
+  FailExtern = !FetchBail;
+  RunResult R = Sim.run(1);
+  EXPECT_EQ(R.Status, RunStatus::Faulted);
+  EXPECT_EQ(Sim.stats().Misses, 0u); // the faulting step was recording
+  Out.AtFault = recordedState(Sim);
+
+  Sim.setGlobal("pc", Img.TextBase);
+  Sim.clearFault();
+  EXPECT_EQ(Sim.run(60).Status, RunStatus::Limit);
+  Out.AtEnd = recordedState(Sim);
+  Out.Arch = {Sim.memory().digest(), Sim.getGlobal("k"), Sim.getGlobal("t"),
+              Sim.stats().RetiredTotal};
+  telemetry::MetricsRegistry Reg;
+  Sim.registerMetrics(Reg);
+  telemetry::JsonMetricSink Sink;
+  Reg.exportTo(Sink);
+  json::Value Stats;
+  std::string Err;
+  EXPECT_TRUE(json::parse(Sink.finish(), Stats, Err)) << Err;
+  if (const json::Value *Jit = Stats.get("jit"))
+    if (const json::Value *N = Jit->get("slow_block_execs"))
+      Out.SlowCalls = static_cast<uint64_t>(N->intOr(0));
+  return Out;
+}
+
+} // namespace
+
+TEST(FaultCampaign, JitSlowStepBailsMatchInterpreter) {
+  if (!facile::jit::available())
+    GTEST_SKIP() << "no template-JIT backend on this host";
+
+  // The fetch sits in a non-action block whose successor is an action
+  // block (the one holding the extern).
+  const CompiledProgram P = compileOk(slowBailSource());
+  bool FoundFetch = false;
+  for (uint32_t B = 0; B != P.Step.Blocks.size(); ++B) {
+    for (const ir::Inst &I : P.Step.Blocks[B].Insts) {
+      if (I.Opcode != ir::Op::Fetch)
+        continue;
+      FoundFetch = true;
+      EXPECT_EQ(P.Actions.Blocks[B].ActionId, ActionBlockInfo::NoAction);
+      const ir::Inst &T = P.Step.Blocks[B].terminator();
+      ASSERT_EQ(T.Opcode, ir::Op::Jump);
+      EXPECT_NE(P.Actions.Blocks[T.Target].ActionId,
+                ActionBlockInfo::NoAction);
+    }
+  }
+  ASSERT_TRUE(FoundFetch);
+
+  for (bool FetchBail : {true, false}) {
+    SCOPED_TRACE(FetchBail ? "fetch outside the text segment"
+                           : "extern failure");
+    BailRun I = runSlowBail(BackendKind::Interpret, FetchBail);
+    BailRun J = runSlowBail(BackendKind::Jit, FetchBail);
+    EXPECT_EQ(I.AtFault.Kind, FetchBail ? FaultKind::DecodeError
+                                        : FaultKind::ExternFailure);
+    {
+      SCOPED_TRACE("at the fault");
+      expectSameRecording(J.AtFault, I.AtFault);
+    }
+    {
+      SCOPED_TRACE("after clearFault()");
+      expectSameRecording(J.AtEnd, I.AtEnd);
+      EXPECT_TRUE(J.Arch == I.Arch);
+    }
+    EXPECT_EQ(I.SlowCalls, 0u);
+    EXPECT_GT(J.SlowCalls, 0u); // the bails happened in native code
   }
 }

@@ -117,7 +117,7 @@ int main(int argc, char **argv) {
              return true;
            });
   P.custom("jit-threshold", "<n>",
-           "replays before an action is compiled\n(default 32)",
+           "replays before an action or entry\ntrace compiles, and slow steps before\nthe slow-path function compiles\n(default 32)",
            [&Opts](const std::string &V, std::string &Err) {
              char *End = nullptr;
              uint64_t N = std::strtoull(V.c_str(), &End, 10);
