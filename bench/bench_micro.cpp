@@ -2,18 +2,21 @@
 //
 // Microbenchmarks of the primitives underneath the tables: instruction
 // decode, functional execution, cache/predictor probes, action-cache key
-// serialization, and the per-step cost of the fast and slow Facile engines
-// (the constant factors behind Figures 11/12).
+// hashing and interning, and the per-step cost of the fast and slow Facile
+// engines (the constant factors behind Figures 11/12).
 //
 //===----------------------------------------------------------------------===//
 
 #include "src/fastsim/FastSim.h"
 #include "src/isa/Assembler.h"
+#include "src/runtime/ActionCache.h"
 #include "src/sims/SimHarness.h"
 #include "src/uarch/FunctionalCore.h"
 #include "src/workload/Workloads.h"
 
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 using namespace facile;
 
@@ -90,6 +93,48 @@ void BM_PipelineKeyHash(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_PipelineKeyHash);
+
+/// An ooo.fac-shaped step key: 197 int64 words (1,576 B), mostly small
+/// values, with word 100 left for the caller to vary.
+std::vector<int64_t> oooShapedKey() {
+  std::vector<int64_t> Key(197);
+  for (size_t W = 0; W != Key.size(); ++W)
+    Key[W] = static_cast<int64_t>(W % 5) - 1;
+  return Key;
+}
+
+/// The key-table hash over one step key: what every recorded step pays
+/// before it can probe the action cache.
+void BM_KeyHash(benchmark::State &State) {
+  std::vector<int64_t> Key = oooShapedKey();
+  for (auto _ : State) {
+    benchmark::DoNotOptimize(hashKey(Key.data(), Key.size() * 8));
+    ++Key[100];
+  }
+  State.SetBytesProcessed(State.iterations() * Key.size() * 8);
+}
+BENCHMARK(BM_KeyHash);
+
+/// ActionCache::internKey of a fresh key (hash, probe miss, append to the
+/// key pool) — the recording step's path. The cache is cleared every 64K
+/// keys, outside the timed region, to bound the pool.
+void BM_InternKey(benchmark::State &State) {
+  std::vector<int64_t> Key = oooShapedKey();
+  rt::ActionCache C(size_t(1) << 30);
+  int64_t Fresh = 0;
+  for (auto _ : State) {
+    if ((Fresh & 0xffff) == 0xffff) {
+      State.PauseTiming();
+      C.clear();
+      State.ResumeTiming();
+    }
+    Key[100] = Fresh++;
+    benchmark::DoNotOptimize(C.internKey(
+        reinterpret_cast<const char *>(Key.data()), Key.size() * 8));
+  }
+  State.SetItemsProcessed(State.iterations());
+}
+BENCHMARK(BM_InternKey);
 
 /// Per-step cost of the Facile engines on the steady-state loop above:
 /// fast replay vs. slow (memoization off) — the constant factors behind

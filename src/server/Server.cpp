@@ -236,6 +236,11 @@ struct FacileServer::Impl {
     if (!Opts.CacheStorePath.empty())
       StoreDir = std::make_unique<store::CacheStoreDir>(Opts.CacheStorePath);
   }
+  ~Impl() {
+    for (int Fd : WakeFds)
+      if (Fd >= 0)
+        ::close(Fd);
+  }
 
   const ServerOptions Opts;
 
@@ -248,6 +253,10 @@ struct FacileServer::Impl {
   uint16_t BoundPort = 0;
   std::atomic<bool> Started{false};
   std::atomic<bool> Stop{false};
+  /// Self-pipe: requestShutdown writes one byte so the acceptor's poll
+  /// returns at once rather than at its timeout. Closed by ~Impl, after
+  /// every thread that could call requestShutdown is gone.
+  int WakeFds[2] = {-1, -1};
   bool AddressInUse = false; ///< set by a failed unix-socket start()
 
   // Drain state machine (see reaperLoop): requestDrain() only sets the
@@ -445,6 +454,9 @@ bool FacileServer::Impl::start(std::string *Err) {
   if (::listen(ListenFd, 128) < 0)
     return fail("listen");
 
+  // Without the pipe the acceptor still stops, at its poll timeout.
+  if (::pipe(WakeFds) != 0)
+    WakeFds[0] = WakeFds[1] = -1;
   Started = true;
   AcceptThread = std::thread([this] { acceptLoop(); });
   ReaperThread = std::thread([this] { reaperLoop(); });
@@ -456,9 +468,9 @@ bool FacileServer::Impl::start(std::string *Err) {
 
 void FacileServer::Impl::acceptLoop() {
   while (!Stop.load(std::memory_order_acquire)) {
-    pollfd P{ListenFd, POLLIN, 0};
-    int R = ::poll(&P, 1, 200);
-    if (R <= 0 || !(P.revents & POLLIN))
+    pollfd P[2] = {{ListenFd, POLLIN, 0}, {WakeFds[0], POLLIN, 0}};
+    int R = ::poll(P, 2, 200);
+    if (R <= 0 || !(P[0].revents & POLLIN))
       continue;
     int Fd = ::accept(ListenFd, nullptr, nullptr);
     if (Fd < 0)
@@ -613,11 +625,23 @@ void FacileServer::Impl::requestShutdown() {
   bool Expected = false;
   if (!Stop.compare_exchange_strong(Expected, true))
     return;
+  // Stop is set outside both mutexes. A waiter that tested its predicate
+  // under its mutex just before the store has not yet blocked, and would
+  // miss a bare notify and sleep forever; taking each mutex once orders
+  // the notify after every such waiter is really waiting.
   {
     std::lock_guard<std::mutex> Lock(StopMu);
   }
+  {
+    std::lock_guard<std::mutex> Lock(QueueMu);
+  }
   StopCv.notify_all();
   QueueCv.notify_all();
+  if (WakeFds[1] >= 0) {
+    char Byte = 0;
+    ssize_t Written = ::write(WakeFds[1], &Byte, 1);
+    (void)Written; // a full pipe is already readable
+  }
 }
 
 void FacileServer::Impl::joinAll() {

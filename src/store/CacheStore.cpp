@@ -174,7 +174,7 @@ bool validateArenas(const ActionCache::BaseArenas &A, uint32_t NumActions,
       Err = "key span out of pool bounds";
       return false;
     }
-    if (R.Hash != hashBytes(A.KeyPool + R.Ofs, R.Len)) {
+    if (R.Hash != hashKey(A.KeyPool + R.Ofs, R.Len)) {
       Err = "key hash mismatch";
       return false;
     }

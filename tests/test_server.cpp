@@ -33,6 +33,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -1163,6 +1166,45 @@ TEST_F(ServerTest, DrainRequestFinishesInFlightAndStops) {
   Server->wait(); // drain completes on its own; no requestShutdown needed
   Client C2;
   EXPECT_FALSE(C2.connectTcp(Server->port()));
+}
+
+TEST(ServerLifecycle, RepeatedStartStopNeverHangs) {
+  // A shutdown that sets Stop and notifies the queue's condition variable
+  // without ordering itself against the workers' predicate tests can leave
+  // a worker asleep forever, and then wait() blocks in joinAll. The window
+  // is a worker just starting up, so stop each server as soon as it has
+  // started. The window is nanoseconds wide (a lost wake-up hangs this
+  // loop about once in ten runs), so CI repeats it. A hang cannot be
+  // joined, so the watchdog reports it and aborts rather than stalling.
+  constexpr int Rounds = 2000;
+  std::atomic<int> Done{0};
+  std::promise<std::string> Result;
+  std::future<std::string> Finished = Result.get_future();
+  std::thread Runner([&] {
+    std::string Err;
+    for (int I = 0; I != Rounds; ++I) {
+      ServerOptions O;
+      O.Workers = 4;
+      FacileServer S{std::move(O)};
+      if (!S.start(&Err))
+        break;
+      S.requestShutdown();
+      S.wait();
+      Done.fetch_add(1, std::memory_order_relaxed);
+    }
+    Result.set_value(Err);
+  });
+  if (Finished.wait_for(std::chrono::seconds(60)) !=
+      std::future_status::ready) {
+    std::fprintf(stderr,
+                 "RepeatedStartStopNeverHangs: server stop hung after %d of "
+                 "%d rounds\n",
+                 Done.load(), Rounds);
+    std::abort();
+  }
+  Runner.join();
+  EXPECT_EQ(Finished.get(), "");
+  EXPECT_EQ(Done.load(), Rounds);
 }
 
 TEST(ServerUnixSocket, LiveSocketRefusedStaleSocketRebound) {
