@@ -33,9 +33,9 @@ template <typename Fn> void forEachUse(const Inst &I, Fn F) {
 class Analyzer {
 public:
   Analyzer(LoweredProgram &LP, std::vector<bool> *DynArrays,
-           std::vector<bool> *DynLocalArrays)
+           std::vector<bool> *DynLocalArrays, std::vector<bool> *KeyStatic)
       : F(LP.Step), Globals(LP.Globals), DynArrays(*DynArrays),
-        DynLocalArrays(*DynLocalArrays) {}
+        DynLocalArrays(*DynLocalArrays), KeyStatic(*KeyStatic) {}
 
   BtaStats run() {
     computeCrossSlots();
@@ -49,6 +49,7 @@ public:
       ++Stats.ArrayRestarts;
     }
     labelInstructions();
+    classifyKeyStatic();
     insertSyncs();
     return Stats;
   }
@@ -58,6 +59,7 @@ private:
   std::vector<GlobalVar> &Globals;
   std::vector<bool> &DynArrays;
   std::vector<bool> &DynLocalArrays;
+  std::vector<bool> &KeyStatic;
   BtaStats Stats;
 
   // Cross-block slots get dense indices into the per-block entry states;
@@ -314,6 +316,39 @@ private:
     }
   }
 
+  //===-- key-static classification ---------------------------------------------
+  /// Reachable Ret blocks with the scalar-global state just before their
+  /// terminator, in the walk scratch.
+  template <typename Fn> void forEachRetExit(Fn Visit) {
+    for (uint32_t B = 0; B != F.Blocks.size(); ++B) {
+      if (Entry[B].empty() || F.Blocks[B].terminator().Opcode != Op::Ret)
+        continue;
+      loadState(Entry[B]);
+      std::vector<Inst> &Insts = F.Blocks[B].Insts;
+      for (size_t K = 0; K + 1 < Insts.size(); ++K)
+        transfer(Insts[K]);
+      Visit(Insts);
+    }
+  }
+
+  /// An init global is key-static when it is rt-static at every reachable
+  /// Ret: its value at step end is fixed by the key and the recorded path,
+  /// so the End node's next key already holds it and no flush is needed.
+  /// An init array is key-static unless the restart loop demoted it.
+  void classifyKeyStatic() {
+    KeyStatic.assign(Globals.size(), false);
+    for (size_t G = 0; G != Globals.size(); ++G)
+      KeyStatic[G] = Globals[G].IsInit && !(Globals[G].IsArray && DynArrays[G]);
+    forEachRetExit([&](const std::vector<Inst> &) {
+      for (uint32_t G = 0; G != Globals.size(); ++G)
+        if (!Globals[G].IsArray && globalBT(G) != Stat)
+          KeyStatic[G] = false;
+    });
+    for (size_t G = 0; G != Globals.size(); ++G)
+      if (KeyStatic[G])
+        Stats.KeyStaticWords += Globals[G].IsArray ? Globals[G].Size : 1;
+  }
+
   //===-- sync insertion -------------------------------------------------------------
   Inst syncSlotInst(SlotId S) {
     Inst I;
@@ -338,19 +373,15 @@ private:
   }
 
   void insertSyncs() {
-    // 1. Flush every rt-static scalar global and rt-static array before
-    //    Ret, so the next step's key (and any external observer) sees the
-    //    up-to-date store.
-    for (uint32_t B = 0; B != F.Blocks.size(); ++B) {
-      if (Entry[B].empty() || F.Blocks[B].terminator().Opcode != Op::Ret)
-        continue;
-      loadState(Entry[B]);
-      std::vector<Inst> &Insts = F.Blocks[B].Insts;
-      // Apply transfers up to (not including) the terminator.
-      for (size_t K = 0; K + 1 < Insts.size(); ++K)
-        transfer(Insts[K]);
+    // 1. Flush every rt-static scalar global and rt-static array that is
+    //    not key-static before Ret, so the next step's key (and any
+    //    external observer) sees the up-to-date store. Key-static globals
+    //    are restored from the step's next key instead (Simulation.h).
+    forEachRetExit([&](std::vector<Inst> &Insts) {
       std::vector<Inst> Flushes;
       for (uint32_t G = 0; G != Globals.size(); ++G) {
+        if (KeyStatic[G])
+          continue;
         if (Globals[G].IsArray) {
           if (!DynArrays[G])
             Flushes.push_back(syncArrayInst(G));
@@ -360,7 +391,7 @@ private:
       }
       Stats.SyncInsts += static_cast<unsigned>(Flushes.size());
       Insts.insert(Insts.end() - 1, Flushes.begin(), Flushes.end());
-    }
+    });
 
     // 2. Split every edge that demotes an rt-static slot or scalar global
     //    to dynamic, materialising the value on the edge.
@@ -419,7 +450,9 @@ private:
 
 BtaStats facile::annotateStepFunction(LoweredProgram &LP,
                                       std::vector<bool> *DynArrays,
-                                      std::vector<bool> *DynLocalArrays) {
-  Analyzer A(LP, DynArrays, DynLocalArrays);
+                                      std::vector<bool> *DynLocalArrays,
+                                      std::vector<bool> *KeyStatic) {
+  std::vector<bool> Unused;
+  Analyzer A(LP, DynArrays, DynLocalArrays, KeyStatic ? KeyStatic : &Unused);
   return A.run();
 }

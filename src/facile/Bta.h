@@ -24,8 +24,12 @@
 ///
 /// Where a merge demotes an rt-static slot or global to dynamic, the edge
 /// is split and a Sync instruction materialises the memoized value into
-/// dynamic state; every rt-static global is similarly flushed before Ret
-/// (the paper's §6.3-item-3 rt-static→dynamic flush).
+/// dynamic state. Before Ret, rt-static globals are flushed the same way
+/// (the paper's §6.3-item-3 rt-static→dynamic flush) — except *key-static*
+/// ones: `init` globals rt-static at every reachable Ret. Their end-of-step
+/// value is fixed by the key and the recorded path, so the End node's next
+/// key already holds it; the runtime restores them from that key instead
+/// and compares only the other key words along the INDEX chain.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,6 +49,7 @@ struct BtaStats {
   unsigned SyncInsts = 0;
   unsigned SplitEdges = 0;
   unsigned ArrayRestarts = 0;
+  unsigned KeyStaticWords = 0; ///< key words of key-static init globals
 };
 
 /// Runs BTA over \p LP in place: labels every instruction (Inst::Dynamic,
@@ -53,9 +58,12 @@ struct BtaStats {
 ///
 /// \p DynArrays / \p DynLocalArrays receive one flag per global / local
 /// array: true when the array is dynamic (lives in the runtime store).
+/// \p KeyStatic, when non-null, receives one flag per global: true for
+/// key-static init globals, which get no Ret flush.
 BtaStats annotateStepFunction(LoweredProgram &LP,
                               std::vector<bool> *DynArrays,
-                              std::vector<bool> *DynLocalArrays);
+                              std::vector<bool> *DynLocalArrays,
+                              std::vector<bool> *KeyStatic = nullptr);
 
 } // namespace facile
 

@@ -257,6 +257,12 @@ std::string facile::emitSlowSimulatorC(const CompiledProgram &P) {
           }
           break;
         case Op::Ret:
+          // Key-static init globals have no flush: their static cells
+          // become the dynamic store here, unrecorded.
+          for (size_t G = 0; G != P.Globals.size(); ++G)
+            if (P.KeyStatic[G])
+              Out += strFormat("  write_back_key_static(%s);\n",
+                               P.Globals[G].Name.c_str());
           Out += "  memoize_next_key();\n  return;\n";
           break;
         default:

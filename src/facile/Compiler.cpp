@@ -43,7 +43,8 @@ facile::compileFacile(std::string_view Source, DiagnosticEngine &Diag,
     }
   }
 
-  Out.Bta = annotateStepFunction(*LP, &Out.DynArrays, &Out.DynLocalArrays);
+  Out.Bta = annotateStepFunction(*LP, &Out.DynArrays, &Out.DynLocalArrays,
+                                 &Out.KeyStatic);
   if (Opts.VerifyIr) {
     std::string E = verifyStepFunction(LP->Step, LP->Globals, LP->Externs,
                                        /*PostBta=*/true);

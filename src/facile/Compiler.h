@@ -51,6 +51,9 @@ struct CompiledProgram {
   std::vector<ir::ExternFn> Externs;
   std::vector<bool> DynArrays;      ///< per global: dynamic array class
   std::vector<bool> DynLocalArrays; ///< per local array
+  /// Per global: an init global rt-static at every Ret (Bta.h). It gets no
+  /// Ret flush; the runtime keeps its value in the step's key instead.
+  std::vector<bool> KeyStatic;
   ActionTable Actions;
   BtaStats Bta;
   PassPipelineStats Passes;         ///< zeroed when RunPasses was off

@@ -475,8 +475,9 @@ ActionCache::FlatImage ActionCache::compactImage(uint64_t KeepThreshold,
       Dst.OnValue[0] = Dst.OnValue[1] = ActionNode::NoNode;
       if (Dst.K == ActionNode::Kind::End)
         Dst.NextKey = remapKey(Src.NextKey);
-      // Re-home the seal's link tag: node indices (and the head's key id)
-      // change under compaction; the data xor and identity mix do not.
+      // Re-home the seal: node indices (and the head's key id) change the
+      // link tag, a remapped NextKey the identity mix; the data xor stays.
+      const uint64_t Rehome = identityMix(Src) ^ identityMix(Dst);
       uint64_t OldTag, NewTag;
       if (W.ParentNew == ActionNode::NoNode) {
         C.Head = NewIdx;
@@ -491,7 +492,7 @@ ActionCache::FlatImage ActionCache::compactImage(uint64_t KeepThreshold,
         OldTag = edgeTag(W.ParentOld, W.Edge);
         NewTag = edgeTag(W.ParentNew, W.Edge);
       }
-      Img.Seals.push_back(nodeSeal(W.Old) ^ OldTag ^ NewTag);
+      Img.Seals.push_back(nodeSeal(W.Old) ^ OldTag ^ NewTag ^ Rehome);
       if (Src.K == ActionNode::Kind::Plain &&
           Src.Next != ActionNode::NoNode)
         Work.push_back({Src.Next, W.Old, NewIdx, -1});

@@ -189,6 +189,10 @@ public:
     uint64_t PeakBytes = 0;
     uint64_t ProbeTotal = 0; ///< key-table probes beyond the home slot
     uint64_t ProbeMax = 0;   ///< longest probe sequence seen
+    /// Steps that followed the previous step's End node to their key
+    /// (hits) or found its dynamic key words changed and re-interned.
+    uint64_t IndexChainHits = 0;
+    uint64_t IndexChainMisses = 0;
 
     /// Pushes the bookkeeping counters into \p Sink (RuntimeMetrics.cpp).
     /// peak_bytes is appended by ActionCache::exportMetrics after the
@@ -239,7 +243,6 @@ public:
   KeyId internKey(const char *Data, size_t Len);
 
   /// True when interned key \p K has exactly the bytes [\p Data, \p Len).
-  /// This is the INDEX-chain verification: one memcmp, no hashing.
   bool keyEquals(KeyId K, const char *Data, size_t Len) const {
     return keyLen(K) == Len && std::memcmp(keyData(K), Data, Len) == 0;
   }
@@ -442,11 +445,15 @@ public:
     return (static_cast<uint64_t>(Parent) << 2) |
            static_cast<uint64_t>(Edge + 2); // Edge -1/0/1 -> 1/2/3, head 0
   }
-  /// The node-identity component of a seal: fields replay dispatches on.
+  /// The node-identity component of a seal: fields replay dispatches on,
+  /// plus the End node's NextKey. The INDEX chain compares only the
+  /// dynamic key words against NextKey and the key-static rest is restored
+  /// from it, so a NextKey flipped onto another key must fail the seal.
   static uint64_t identityMix(const ActionNode &N) {
     return hashCombine(
-        hashCombine(FNVOffset, static_cast<uint32_t>(N.ActionId)),
-        static_cast<uint64_t>(N.K));
+        hashCombine(hashCombine(FNVOffset, static_cast<uint32_t>(N.ActionId)),
+                    static_cast<uint64_t>(N.K)),
+        N.NextKey);
   }
 
   /// Closes node \p I's seal: the placeholder-data xor accumulated since
@@ -536,6 +543,9 @@ public:
   size_t entryCount() const { return Entries.size(); }
   EvictionPolicy policy() const { return Policy; }
   const Stats &stats() const { return S; }
+  void noteIndexChain(bool Hit) {
+    ++(Hit ? S.IndexChainHits : S.IndexChainMisses);
+  }
 
   //===-- Compaction ----------------------------------------------------------
 

@@ -79,6 +79,8 @@ void ActionCache::exportMetrics(telemetry::MetricSink &Sink) const {
   Sink.counter("base_nodes", baseNodeCount());
   Sink.counter("base_bytes", baseBytes());
   Sink.counter("overlay_bytes", overlayBytes());
+  Sink.counter("index_chain_hits", S.IndexChainHits);
+  Sink.counter("index_chain_misses", S.IndexChainMisses);
 }
 
 void ActionCache::registerMetrics(telemetry::MetricsRegistry &R,

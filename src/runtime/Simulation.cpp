@@ -114,8 +114,12 @@ void Simulation::initState() {
     StatLocalArrays[L].assign(Prog.Step.LocalArrays[L].Size, 0);
   }
   Externs.resize(Prog.Externs.size());
-  for (uint32_t G : Prog.InitGlobals)
-    KeyWidth += 8 * (Prog.Globals[G].IsArray ? Prog.Globals[G].Size : 1);
+  for (uint32_t G : Prog.InitGlobals) {
+    uint32_t Words = Prog.Globals[G].IsArray ? Prog.Globals[G].Size : 1;
+    (Prog.KeyStatic[G] ? KeyStaticFields : ChainFields)
+        .push_back({G, static_cast<uint32_t>(KeyWidth), Words});
+    KeyWidth += 8 * Words;
+  }
   KeyBuf.reserve(KeyWidth);
   // Last: the backend factory snapshots state pointers built above.
   Backend = makeExecBackend(*this, Opts.Backend);
@@ -134,6 +138,7 @@ bool Simulation::tryGetGlobal(const std::string &Name, int64_t &Out) const {
   auto It = Prog.GlobalIndex.find(Name);
   if (It == Prog.GlobalIndex.end() || Prog.Globals[It->second].IsArray)
     return false;
+  materialize();
   Out = DynGlobals[It->second];
   return true;
 }
@@ -142,8 +147,12 @@ bool Simulation::trySetGlobal(const std::string &Name, int64_t Value) {
   auto It = Prog.GlobalIndex.find(Name);
   if (It == Prog.GlobalIndex.end() || Prog.Globals[It->second].IsArray)
     return false;
+  materialize();
   DynGlobals[It->second] = Value;
   StatGlobals[It->second] = Value;
+  // The chain compares only dynamic key words; a host write may change a
+  // key-static one.
+  PendingEndNode = ActionNode::NoNode;
   return true;
 }
 
@@ -164,6 +173,7 @@ int64_t Simulation::getGlobalElem(const std::string &Name,
   auto It = Prog.GlobalIndex.find(Name);
   if (It == Prog.GlobalIndex.end() || !Prog.Globals[It->second].IsArray)
     fatal("getGlobalElem: unknown array global");
+  materialize();
   return DynArrays[It->second][Index % Prog.Globals[It->second].Size];
 }
 
@@ -173,8 +183,10 @@ void Simulation::setGlobalElem(const std::string &Name, uint32_t Index,
   if (It == Prog.GlobalIndex.end() || !Prog.Globals[It->second].IsArray)
     fatal("setGlobalElem: unknown array global");
   uint32_t I = Index % Prog.Globals[It->second].Size;
+  materialize();
   DynArrays[It->second][I] = Value;
   StatArrays[It->second][I] = Value;
+  PendingEndNode = ActionNode::NoNode;
 }
 
 //===----------------------------------------------------------------------===//
@@ -183,7 +195,7 @@ void Simulation::setGlobalElem(const std::string &Name, uint32_t Index,
 
 void Simulation::serializeKeyInto(std::string &Out) const {
   // Arrays are contiguous int64 storage, so whole arrays append with one
-  // memcpy — this runs on every step and dominates the replay overhead.
+  // memcpy. Runs at the end of recorded steps and on INDEX-chain misses.
   Out.clear();
   for (uint32_t G : Prog.InitGlobals) {
     if (Prog.Globals[G].IsArray) {
@@ -220,6 +232,45 @@ void Simulation::copyInitDynToStatic() {
   }
 }
 
+void Simulation::materialize() const {
+  if (StateKey == NoId)
+    return;
+  Simulation &Self = const_cast<Simulation &>(*this);
+  const char *Data = Cache.keyData(StateKey);
+  for (const KeyField &F : KeyStaticFields) {
+    int64_t *Dst = Prog.Globals[F.Global].IsArray
+                       ? Self.DynArrays[F.Global].data()
+                       : &Self.DynGlobals[F.Global];
+    std::memcpy(Dst, Data + F.Ofs, F.Words * 8);
+  }
+  Self.StateKey = NoId;
+}
+
+void Simulation::writeBackKeyStatic() {
+  for (const KeyField &F : KeyStaticFields) {
+    if (Prog.Globals[F.Global].IsArray)
+      std::memcpy(DynArrays[F.Global].data(), StatArrays[F.Global].data(),
+                  F.Words * 8);
+    else
+      DynGlobals[F.Global] = StatGlobals[F.Global];
+  }
+  StateKey = NoId;
+}
+
+bool Simulation::chainMatches(KeyId Next) const {
+  if (!keyUsable(Next))
+    return false;
+  const char *Data = Cache.keyData(Next);
+  for (const KeyField &F : ChainFields) {
+    const int64_t *Src = Prog.Globals[F.Global].IsArray
+                             ? DynArrays[F.Global].data()
+                             : &DynGlobals[F.Global];
+    if (std::memcmp(Data + F.Ofs, Src, F.Words * 8) != 0)
+      return false;
+  }
+  return true;
+}
+
 //===----------------------------------------------------------------------===//
 // Faults
 //===----------------------------------------------------------------------===//
@@ -249,6 +300,7 @@ const char *facile::rt::faultKindName(FaultKind K) {
 void Simulation::raiseFault(FaultKind Kind, const char *Detail) {
   if (Fault) // the first fault of a step wins; later ones are cascade
     return;
+  materialize(); // the host reads a current store after any fault
   Fault.Kind = Kind;
   Fault.Step = S.Steps;
   Fault.Pc = PcGlobal == NoId ? 0 : static_cast<uint64_t>(DynGlobals[PcGlobal]);
@@ -406,6 +458,7 @@ bool readArrays(snapshot::Reader &R,
 } // namespace
 
 void Simulation::serializeState(snapshot::Writer &W) const {
+  materialize();
   W.u64(S.Steps);
   W.u64(S.FastSteps);
   W.u64(S.Misses);
@@ -479,6 +532,7 @@ bool Simulation::deserializeState(snapshot::Reader &R) {
   StatGlobals = std::move(NewStatGlobals);
   StatArrays = std::move(NewStatArrays);
   StatLocalArrays = std::move(NewStatLocalArrays);
+  StateKey = NoId; // the loaded dynamic store is current
   // The INDEX chain points into the action cache of the *previous* run;
   // re-intern from scratch on the next step. The bypass heuristic is
   // transient and restarts observation from a fresh window.
@@ -499,6 +553,7 @@ void Simulation::serializeCache(snapshot::Writer &W) const {
 
 bool Simulation::deserializeCache(snapshot::Reader &R) {
   uint32_t NumActions = static_cast<uint32_t>(Plan->ActionOfs.size() - 1);
+  materialize(); // before the key pool is replaced
   if (!Cache.deserialize(R, NumActions))
     return false;
   // deserialize() privatizes: the loaded image is owned, any base dropped.
@@ -528,6 +583,7 @@ bool Simulation::attachCacheBase(const ActionCache::BaseArenas &B,
       return false;
     }
   }
+  materialize();
   if (!Cache.attachBase(B)) {
     if (Err)
       *Err = "cache is not empty; attach before the first step";
@@ -542,6 +598,7 @@ bool Simulation::attachCacheBase(const ActionCache::BaseArenas &B,
 void Simulation::detachCacheBase() {
   if (!Cache.hasBase())
     return;
+  materialize();
   Cache.detachBase();
   CacheBaseKeepalive.reset();
   PendingEndNode = ActionNode::NoNode;
@@ -555,6 +612,7 @@ void Simulation::evictCacheNow() {
     flushTraceSpan();
     Tracer->instant("cache", "evict", "bytes", Cache.bytes());
   }
+  materialize();
   Cache.evict();
   PendingEndNode = ActionNode::NoNode;
   Backend->onCacheRebuilt();
@@ -609,23 +667,25 @@ StepEngine Simulation::step() {
 
   ProfArmed = Profiler && Profiler->armStep();
 
-  serializeKeyInto(KeyBuf);
-
-  // INDEX chain: verify the previous step's recorded next key against the
-  // actual init globals with one memcmp against the interned bytes; on a
-  // match the hash-and-probe interning is skipped (paper Figure 9,
-  // INDEX_ACTION).
+  // INDEX chain (paper Figure 9, INDEX_ACTION): the previous step's End
+  // node names this step's key. Only its non-key-static words are checked
+  // against the dynamic store; on a match the key is neither serialized
+  // nor interned. A miss serializes the materialized store and interns.
   KeyId Key = NoId;
   if (PendingEndNode != ActionNode::NoNode) {
     // Const access: the chained End node may live in a read-only store base.
     KeyId Next = std::as_const(Cache).node(PendingEndNode).NextKey;
-    if (Next != NoId && Next < Cache.keyCount() &&
-        Cache.keyEquals(Next, KeyBuf.data(), KeyBuf.size()))
-      Key = Next;
     PendingEndNode = ActionNode::NoNode;
+    const bool Hit = chainMatches(Next);
+    Cache.noteIndexChain(Hit);
+    if (Hit)
+      Key = Next;
   }
-  if (Key == NoId)
+  if (Key == NoId) {
+    materialize();
+    serializeKeyInto(KeyBuf);
     Key = Cache.internKey(KeyBuf.data(), KeyBuf.size());
+  }
   EntryId Entry = Cache.lookup(Key);
 
   StepEngine Engine = StepEngine::Faulted;
@@ -635,10 +695,18 @@ StepEngine Simulation::step() {
     Engine = StepEngine::Slow;
   } else {
     switch (Backend->replay(Entry, Key)) {
-    case ReplayResult::Replayed:
+    case ReplayResult::Replayed: {
       ++S.FastSteps;
       Engine = StepEngine::Fast;
+      // Replay never flushes key-static globals: their values are the End
+      // node's next key (its seal covers NextKey under guards).
+      KeyId Next = std::as_const(Cache).node(PendingEndNode).NextKey;
+      if (keyUsable(Next))
+        StateKey = Next;
+      else
+        raiseFault(FaultKind::CacheCorrupt, "end node names no valid key");
       break;
+    }
     case ReplayResult::Recovered:
       Engine = StepEngine::FastThenSlow;
       break;
@@ -664,6 +732,7 @@ StepEngine Simulation::step() {
       flushTraceSpan();
       Tracer->instant("cache", "evict", "bytes", Cache.bytes());
     }
+    materialize();
     Cache.evict();
     PendingEndNode = ActionNode::NoNode;
     Backend->onCacheRebuilt();

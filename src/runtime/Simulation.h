@@ -302,8 +302,13 @@ public:
   /// white-box tests; production code never writes through these. Counts
   /// as an out-of-band mutation: the cache's epoch is bumped so every
   /// derived view (verification marks, compiled entry traces) re-verifies
-  /// against whatever the caller changed.
+  /// against whatever the caller changed. Key-static values are
+  /// materialized first and the INDEX chain is dropped, so a NextKey the
+  /// caller rewrites is caught by the End node's seal when replay next
+  /// walks it, never followed unverified.
   ActionCache &mutableCache() {
+    materialize();
+    PendingEndNode = ActionNode::NoNode;
     Cache.noteExternalMutation();
     return Cache;
   }
@@ -411,6 +416,21 @@ private:
   void serializeKeyInto(std::string &Out) const;
   void seedStaticFromKey(KeyId Key);
   void copyInitDynToStatic();
+  /// Copies the key-static words of StateKey into the dynamic store and
+  /// clears StateKey; a no-op when the store is already current. Logically
+  /// const — the store takes on values the key already defines — so const
+  /// readers (host getters, serializeState) call it too.
+  void materialize() const;
+  /// runSlow at Ret: the slow simulator's static cells of key-static
+  /// globals become the dynamic store (unrecorded), which is current then.
+  void writeBackKeyStatic();
+  /// \p K is an interned key of this program's key width.
+  bool keyUsable(KeyId K) const {
+    return K < Cache.keyCount() && Cache.keyLen(K) == KeyWidth;
+  }
+  /// INDEX-chain check: the non-key-static words of interned key \p Next
+  /// equal the dynamic store's.
+  bool chainMatches(KeyId Next) const;
   /// Dispatches an extern call. False means an ExternFailure fault was
   /// raised (unregistered handler, injected failure, or the handler
   /// returned nullopt); \p Out is untouched then.
@@ -495,10 +515,24 @@ private:
   uint64_t WinEvictBase = 0;  ///< cache clears+evictions at window start
 
   /// INDEX chaining (paper Figure 9): the End node reached by the previous
-  /// step. When its recorded NextKey's bytes match the current init
-  /// globals (one memcmp against the interned key), the hash-and-probe
-  /// interning of the current key is skipped entirely.
+  /// step. When its recorded NextKey's non-key-static words match the
+  /// dynamic store, the step's key is NextKey: neither serialization nor
+  /// hash-and-probe interning runs. Key-static words need no compare —
+  /// the recorded path that reached the End node fixed them.
   uint32_t PendingEndNode = ActionNode::NoNode;
+  /// Where key-static init globals (CompiledProgram::KeyStatic) live after
+  /// a replayed step: the key it ended on. Replay never flushes them, so
+  /// their dynamic-store words are stale until materialize() copies them
+  /// back; NoId means the dynamic store is current.
+  KeyId StateKey = NoId;
+  /// One init global's words in the serialized key.
+  struct KeyField {
+    uint32_t Global;
+    uint32_t Ofs; ///< byte offset in the key
+    uint32_t Words;
+  };
+  std::vector<KeyField> KeyStaticFields; ///< restored by materialize()
+  std::vector<KeyField> ChainFields;     ///< compared by chainMatches()
   std::string KeyBuf;  ///< reused per-step key buffer
   size_t KeyWidth = 0; ///< serialized key size, fixed per program
 };

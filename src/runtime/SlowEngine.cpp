@@ -59,10 +59,14 @@ void Simulation::runSlow(EntryId Rec, const ReplayedStep *Recovery) {
     raiseFault(Kind, Detail);
   };
 
+  // Recovery seeds from the key and leaves the dynamic store alone: the
+  // replayed prefix may already have written demoted globals there, and
+  // key-static ones are written back at Ret.
   if (Recovering) {
     assert(Rec == Recovery->Entry && "recovery must extend the missed entry");
     seedStaticFromKey(Recovery->Key);
   } else {
+    materialize();
     copyInitDynToStatic();
   }
 
@@ -108,9 +112,11 @@ void Simulation::runSlow(EntryId Rec, const ReplayedStep *Recovery) {
     if (Edge >= 0)
       PrevEdge = Edge;
   };
-  // A Ret block's node ends the step: it names the next step's key and
-  // arms the INDEX chain.
+  // Ret ends the step in every mode: key-static globals, which have no
+  // flush, take their static values in the dynamic store. A Ret block's
+  // node then names the next step's key and arms the INDEX chain.
   auto endNode = [&](uint32_t NodeIdx) {
+    writeBackKeyStatic();
     if (NodeIdx == ActionNode::NoNode)
       return;
     serializeKeyInto(KeyBuf);

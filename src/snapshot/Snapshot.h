@@ -47,8 +47,9 @@
 namespace facile {
 namespace snapshot {
 
-/// Bumped whenever the container or any payload layout changes.
-inline constexpr uint32_t FormatVersion = 2;
+/// Bumped whenever the container or any payload layout changes. Version
+/// 3: node seals fold in the End node's NextKey (ActionCache::identityMix).
+inline constexpr uint32_t FormatVersion = 3;
 
 /// What a container holds.
 enum class PayloadKind : uint32_t {

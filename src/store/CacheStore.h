@@ -57,10 +57,11 @@
 namespace facile {
 namespace store {
 
-/// Bumped whenever the header, section table, any arena layout or the key
-/// hash changes. Version 2: key records and the probe table hold hashKey
-/// (xxHash64) values; version 1 held FNV-1a.
-inline constexpr uint32_t StoreVersion = 2;
+/// Bumped whenever the header, section table, any arena layout, the key
+/// hash or the seal derivation changes. Version 2: key records and the
+/// probe table hold hashKey (xxHash64) values; version 1 held FNV-1a.
+/// Version 3: node seals fold in the End node's NextKey.
+inline constexpr uint32_t StoreVersion = 3;
 
 /// Section tags (ASCII fourcc, little-endian in the table).
 inline constexpr uint32_t SecNodes = 0x45444f4eu;      // "NODE"

@@ -8,10 +8,14 @@
 //===----------------------------------------------------------------------===//
 
 #include "src/facile/Compiler.h"
+#include "tests/KeyStaticMix.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace facile;
+using facile::testprog::keyStaticMixSource;
 
 namespace {
 
@@ -42,6 +46,17 @@ std::string compileErr(const char *Source) {
   auto P = compileFacile(Source, Diag);
   EXPECT_FALSE(P.has_value()) << "expected a compile error";
   return Diag.str();
+}
+
+/// Counts instructions with \p Opcode (and global id \p Id, unless ~0u).
+unsigned countOps(const CompiledProgram &P, ir::Op Opcode,
+                  uint32_t Id = ~0u) {
+  unsigned N = 0;
+  for (const ir::Block &B : P.Step.Blocks)
+    for (const ir::Inst &I : B.Insts)
+      if (I.Opcode == Opcode && (Id == ~0u || I.Id == Id))
+        ++N;
+  return N;
 }
 
 /// Counts dynamic / rt-static instructions over the whole step function.
@@ -157,22 +172,19 @@ TEST(CompilerErrors, TokenWidthMustBe32) {
 //===----------------------------------------------------------------------===//
 
 TEST(Bta, PureRtStaticProgramHasNoDynamicBodyCode) {
-  // Everything depends only on the init global: only the final flush
-  // (SyncGlobal) is dynamic.
+  // Everything depends only on the init global, which is rt-static at Ret:
+  // it is key-static, so not even a Ret flush is dynamic — the next key
+  // carries its value.
   CompiledProgram P = compileOk(R"(
     init val pc = 100;
     fun main() { pc = pc + 4; }
   )");
   auto [Dyn, Stat] = countLabels(P);
   EXPECT_GT(Stat, 0u);
-  // Dynamic instructions: exactly the rt-static->dynamic flush of `pc`.
-  unsigned Syncs = 0;
-  for (const ir::Block &B : P.Step.Blocks)
-    for (const ir::Inst &I : B.Insts)
-      if (I.Opcode == ir::Op::SyncGlobal)
-        ++Syncs;
-  EXPECT_EQ(Syncs, 1u);
-  EXPECT_EQ(Dyn, 1u);
+  EXPECT_EQ(Dyn, 0u);
+  EXPECT_EQ(countOps(P, ir::Op::SyncGlobal), 0u);
+  EXPECT_TRUE(P.KeyStatic[P.GlobalIndex.at("pc")]);
+  EXPECT_EQ(P.Bta.KeyStaticWords, 1u);
 }
 
 TEST(Bta, NonInitGlobalIsDynamicAtEntry) {
@@ -294,13 +306,46 @@ TEST(Bta, InitArrayStaysRtStaticWhenAccessedStatically) {
   )");
   uint32_t QIdx = P.GlobalIndex.at("q");
   EXPECT_FALSE(P.DynArrays[QIdx]);
-  // The whole-array flush must appear before Ret.
-  unsigned ArraySyncs = 0;
-  for (const ir::Block &B : P.Step.Blocks)
-    for (const ir::Inst &I : B.Insts)
-      if (I.Opcode == ir::Op::SyncArray)
-        ++ArraySyncs;
-  EXPECT_EQ(ArraySyncs, 1u);
+  // An rt-static init array is key-static: no whole-array flush at Ret.
+  EXPECT_TRUE(P.KeyStatic[QIdx]);
+  EXPECT_TRUE(P.KeyStatic[P.GlobalIndex.at("n")]);
+  EXPECT_EQ(countOps(P, ir::Op::SyncArray), 0u);
+  EXPECT_EQ(countOps(P, ir::Op::SyncGlobal), 0u);
+  EXPECT_EQ(P.Bta.KeyStaticWords, 9u);
+}
+
+// Every Ret-flush case in one program (also run end to end in
+// Runtime2.KeyStaticMixedProgramMatchesAcrossEngines).
+TEST(Bta, RetFlushSkipsOnlyKeyStaticInitGlobals) {
+  CompiledProgram P = compileOk(keyStaticMixSource());
+  auto Id = [&](const char *Name) { return P.GlobalIndex.at(Name); };
+  // Key-static: rt-static at Ret, so neither gets a flush.
+  EXPECT_TRUE(P.KeyStatic[Id("n")]);
+  EXPECT_TRUE(P.KeyStatic[Id("q")]);
+  EXPECT_EQ(countOps(P, ir::Op::SyncGlobal, Id("n")), 0u);
+  EXPECT_EQ(countOps(P, ir::Op::SyncArray, Id("q")), 0u);
+  // pc is rt-static on one path into Ret and dynamic on the other: it keeps
+  // its sync on the rt-static edge and stays in the chain compare.
+  EXPECT_FALSE(P.KeyStatic[Id("pc")]);
+  EXPECT_EQ(countOps(P, ir::Op::SyncGlobal, Id("pc")), 1u);
+  // The demoted init array lives in the dynamic store (its stores write
+  // there directly, nothing to flush) and stays in the chain compare.
+  EXPECT_TRUE(P.DynArrays[Id("d")]);
+  EXPECT_FALSE(P.KeyStatic[Id("d")]);
+  EXPECT_EQ(countOps(P, ir::Op::SyncArray, Id("d")), 0u);
+  // A non-init global rt-static at Ret is still flushed there.
+  EXPECT_FALSE(P.KeyStatic[Id("last")]);
+  const ir::Block &RetBlock = *std::find_if(
+      P.Step.Blocks.begin(), P.Step.Blocks.end(), [](const ir::Block &B) {
+        return B.terminator().Opcode == ir::Op::Ret;
+      });
+  unsigned LastFlushes = 0;
+  for (const ir::Inst &I : RetBlock.Insts)
+    if (I.Opcode == ir::Op::SyncGlobal && I.Id == Id("last"))
+      ++LastFlushes;
+  EXPECT_EQ(LastFlushes, 1u);
+  // Only n and q's four words are restored from the key.
+  EXPECT_EQ(P.Bta.KeyStaticWords, 5u);
 }
 
 TEST(Bta, InitArrayDemotedByDynamicStore) {
@@ -464,5 +509,9 @@ TEST(Lowering, IrPrinterProducesText) {
   CompiledProgram P = compileOk("init val pc = 0;\nfun main() { pc = pc; }");
   std::string Text = ir::printStepFunction(P.Step);
   EXPECT_NE(Text.find("ret"), std::string::npos);
+  // pc is key-static (no flush); the non-init global g is flushed at Ret.
+  EXPECT_EQ(Text.find("gsync"), std::string::npos);
+  P = compileOk("val g = 0;\nfun main() { g = 1; }");
+  Text = ir::printStepFunction(P.Step);
   EXPECT_NE(Text.find("gsync"), std::string::npos);
 }

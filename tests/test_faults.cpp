@@ -33,6 +33,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <tuple>
 #include <utility>
 
 using namespace facile;
@@ -369,6 +371,83 @@ TEST(Guards, SealFlipIsCaught) {
     EXPECT_EQ(R.Fault.Kind, FaultKind::CacheCorrupt);
   else
     EXPECT_GT(Sim.stats().CorruptDropped, 0u);
+}
+
+// The INDEX chain compares only the dynamic key words (here pc) against
+// an End node's NextKey and restores the key-static rest (n) from it, so a
+// NextKey flipped onto another valid key with the same pc would silently
+// resume from the wrong n. The End node's seal covers NextKey: a guarded
+// replay that reaches a flipped node is absorbed or faults, and the flip
+// is never followed.
+TEST(Guards, FlippedNextKeyIsCaughtBySeal) {
+  CompiledProgram P = compileOk(R"(
+    init val pc = 0;
+    init val n = 0;
+    fun main() {
+      val t = mem_ld(2097152);
+      mem_st(2097152, t + 1);
+      if (t % 3 == 0) mem_st(2097156, mem_ld(2097156) + n);
+      retire(1);
+      pc = mem_ld(2097168); // dynamic at Ret, and the same every step
+      n = (n + 1) % 3;
+    }
+  )");
+  ASSERT_FALSE(P.KeyStatic[P.GlobalIndex.at("pc")]);
+  ASSERT_TRUE(P.KeyStatic[P.GlobalIndex.at("n")]);
+  isa::TargetImage Img = emptyImage();
+  auto State = [](const Simulation &Sim) {
+    return std::make_tuple(Sim.memory().digest(), Sim.getGlobal("pc"),
+                           Sim.getGlobal("n"), Sim.stats().RetiredTotal);
+  };
+  // The reference state after every step: a flipped link that is
+  // followed shows up as a mismatch at the very step that follows it.
+  Simulation Ref(P, Img);
+  std::vector<decltype(State(Ref))> RefStates;
+  for (int I = 0; I != 100; ++I) {
+    Ref.step();
+    RefStates.push_back(State(Ref));
+  }
+
+  // One End node per trial, so that in some trial the flipped node is the
+  // one the next step chains from.
+  unsigned Trials = 0;
+  for (uint32_t Victim = 0;; ++Victim) {
+    Simulation Sim(P, Img);
+    Sim.run(40);
+    ASSERT_GT(Sim.stats().FastSteps, 0u);
+    ActionCache &C = Sim.mutableCache();
+    if (Victim == C.nodeCount())
+      break;
+    ActionNode &N = C.node(Victim);
+    if (N.K != ActionNode::Kind::End)
+      continue;
+    // Key layout: pc's word, then n's.
+    auto Word = [&](KeyId K, unsigned W) {
+      int64_t V;
+      std::memcpy(&V, C.keyData(K) + 8 * W, 8);
+      return V;
+    };
+    KeyId Alias = NoId;
+    for (KeyId K = 0; K != C.keyCount() && Alias == NoId; ++K)
+      if (Word(K, 0) == Word(N.NextKey, 0) && Word(K, 1) != Word(N.NextKey, 1))
+        Alias = K;
+    if (Alias == NoId)
+      continue;
+    N.NextKey = Alias;
+    ++Trials;
+
+    SCOPED_TRACE(Victim);
+    for (size_t Step = 40; Step != RefStates.size(); ++Step) {
+      if (Sim.step() == StepEngine::Faulted) {
+        EXPECT_EQ(Sim.fault().Kind, FaultKind::CacheCorrupt);
+        EXPECT_NE(Sim.fault().Detail.find("seal"), std::string::npos);
+        break;
+      }
+      ASSERT_EQ(State(Sim), RefStates[Step]) << "step " << Step;
+    }
+    EXPECT_TRUE(Sim.faulted() || Sim.stats().CorruptDropped > 0);
+  }
+  EXPECT_GE(Trials, 2u);
 }
 
 TEST(Guards, StepLimitFaultsAndResumes) {

@@ -3,6 +3,7 @@
 // Second batch of runtime tests: dynamic-condition loops (unrolled into
 // result-test chains), local arrays on both sides of the binding-time
 // divide, chain invalidation when the host perturbs state between steps,
+// key-static init globals (restored from the step's key, not flushed),
 // and stepping discipline around halts.
 //
 //===----------------------------------------------------------------------===//
@@ -10,10 +11,13 @@
 #include "src/facile/Compiler.h"
 #include "src/isa/Assembler.h"
 #include "src/runtime/Simulation.h"
+#include "src/snapshot/Serializer.h"
+#include "tests/KeyStaticMix.h"
 
 #include <gtest/gtest.h>
 
 using namespace facile;
+using facile::testprog::keyStaticMixSource;
 using namespace facile::rt;
 
 namespace {
@@ -29,7 +33,122 @@ CompiledProgram compileOk(const char *Source) {
 
 isa::TargetImage emptyImage() { return *isa::assemble("main:\n halt\n"); }
 
+/// A pure function of its argument, so replays see the recorded results
+/// except where the argument differs.
+int64_t probe(const int64_t *A, size_t) { return (A[0] * 7 + 3) % 11; }
+
+/// Every global of the mixed program plus the step counters it drives.
+std::vector<int64_t> mixState(const Simulation &Sim) {
+  std::vector<int64_t> Out;
+  for (const char *G : {"pc", "n", "last"})
+    Out.push_back(Sim.getGlobal(G));
+  for (const char *A : {"q", "d"})
+    for (uint32_t E = 0; E != 4; ++E)
+      Out.push_back(Sim.getGlobalElem(A, E));
+  Out.push_back(static_cast<int64_t>(Sim.stats().Steps));
+  return Out;
+}
+
 } // namespace
+
+TEST(Runtime2, KeyStaticMixedProgramMatchesAcrossEngines) {
+  CompiledProgram P = compileOk(keyStaticMixSource());
+  isa::TargetImage Img = emptyImage();
+  // The state after every step, under one engine configuration.
+  auto Trace = [&](bool Memo, BackendKind Backend, uint64_t *FastSteps) {
+    Simulation::Options Opts;
+    Opts.Memoize = Memo;
+    Opts.Backend = Backend;
+    Opts.JitThreshold = 1;
+    Simulation Sim(P, Img, Opts);
+    Sim.registerExtern("probe", probe);
+    std::vector<std::vector<int64_t>> States;
+    for (int I = 0; I != 600; ++I) {
+      Sim.step();
+      States.push_back(mixState(Sim));
+    }
+    *FastSteps = Sim.stats().FastSteps;
+    return States;
+  };
+  uint64_t Fast = 0;
+  auto Ref = Trace(false, BackendKind::Interpret, &Fast);
+  EXPECT_EQ(Fast, 0u);
+  for (BackendKind B : {BackendKind::Interpret, BackendKind::Jit}) {
+    EXPECT_EQ(Trace(false, B, &Fast), Ref) << backendKindName(B);
+    EXPECT_EQ(Trace(true, B, &Fast), Ref) << backendKindName(B);
+    EXPECT_GT(Fast, 300u) << backendKindName(B);
+  }
+}
+
+TEST(Runtime2, HostWritesToKeyStaticGlobalsBreakTheChain) {
+  // n and q are restored from the key, not compared along the INDEX
+  // chain; a host write to either between steps must still change the
+  // next step's key. Memo on and off stay bit-identical.
+  CompiledProgram P = compileOk(keyStaticMixSource());
+  ASSERT_TRUE(P.KeyStatic[P.GlobalIndex.at("n")]);
+  ASSERT_TRUE(P.KeyStatic[P.GlobalIndex.at("q")]);
+  isa::TargetImage Img = emptyImage();
+  auto Run = [&](bool Memo) {
+    Simulation::Options Opts;
+    Opts.Memoize = Memo;
+    Simulation Sim(P, Img, Opts);
+    Sim.registerExtern("probe", probe);
+    std::vector<std::vector<int64_t>> States;
+    for (int I = 0; I != 400; ++I) {
+      if (I % 50 == 49) {
+        Sim.setGlobal("n", (I / 50) % 5);
+        Sim.setGlobalElem("q", I % 4, (I / 50) % 3);
+      }
+      Sim.step();
+      States.push_back(mixState(Sim));
+    }
+    if (Memo)
+      EXPECT_GT(Sim.stats().FastSteps, 200u);
+    return States;
+  };
+  EXPECT_EQ(Run(true), Run(false));
+}
+
+TEST(Runtime2, ReadsAfterReplayReturnTheKeysValues) {
+  // Right after a replayed step the key-static globals' dynamic store is
+  // stale; getGlobal, getGlobalElem and serializeState must see the values
+  // of the key the step ended on.
+  CompiledProgram P = compileOk(keyStaticMixSource());
+  isa::TargetImage Img = emptyImage();
+  Simulation::Options RefOpts;
+  RefOpts.Memoize = false;
+  Simulation Ref(P, Img, RefOpts);
+  Simulation Sim(P, Img);
+  Ref.registerExtern("probe", probe);
+  Sim.registerExtern("probe", probe);
+  unsigned Checked = 0;
+  for (int I = 0; I != 300; ++I) {
+    Ref.step();
+    if (Sim.step() != StepEngine::Fast)
+      continue;
+    // Each reader goes first after its own replayed steps (the first read
+    // brings the whole store up to date).
+    switch (Checked++ % 3) {
+    case 0:
+      EXPECT_EQ(Sim.getGlobal("n"), Ref.getGlobal("n"));
+      break;
+    case 1:
+      EXPECT_EQ(Sim.getGlobalElem("q", I % 4), Ref.getGlobalElem("q", I % 4));
+      break;
+    default: {
+      // A copy restored from serializeState reads like the reference.
+      snapshot::Writer W;
+      Sim.serializeState(W);
+      Simulation Copy(P, Img);
+      snapshot::Reader R(W.buffer().data(), W.size());
+      ASSERT_TRUE(Copy.deserializeState(R));
+      EXPECT_EQ(mixState(Copy), mixState(Ref));
+      break;
+    }
+    }
+  }
+  EXPECT_GT(Checked, 100u);
+}
 
 TEST(Runtime2, DynamicWhileLoopUnrollsIntoResultTests) {
   // The loop bound comes from dynamic memory: each iteration's test is a

@@ -148,6 +148,31 @@ TEST(Container, RejectsWrongMagicKindAndCompat) {
   EXPECT_TRUE(Out.empty()); // untouched on failure
 }
 
+TEST(Container, OlderFormatVersionsAreRefused) {
+  // Version 2 containers carry node seals without the End node's NextKey
+  // (version 1 predates them); both must be refused as a format mismatch.
+  // Header: magic (8) | version u32 at 8 | ... | CRC-32 of the first 28
+  // bytes at 28.
+  std::vector<uint8_t> Img = testContainer();
+  for (uint32_t Old : {1u, 2u}) {
+    std::vector<uint8_t> Bad = Img;
+    std::memcpy(Bad.data() + 8, &Old, 4);
+    const uint32_t Crc = snapshot::crc32(Bad.data(), 28);
+    std::memcpy(Bad.data() + 28, &Crc, 4);
+    std::vector<snapshot::Section> Out;
+    std::string Err;
+    EXPECT_EQ(snapshot::parseContainer(Bad.data(), Bad.size(),
+                                       snapshot::PayloadKind::Checkpoint,
+                                       0x1234, Out, Err),
+              snapshot::LoadStatus::BadFormat);
+    EXPECT_NE(Err.find("unsupported snapshot format version " +
+                       std::to_string(Old)),
+              std::string::npos)
+        << Err;
+    EXPECT_TRUE(Out.empty());
+  }
+}
+
 TEST(Container, EveryTruncationRejected) {
   std::vector<uint8_t> Img = testContainer();
   std::vector<snapshot::Section> Out;

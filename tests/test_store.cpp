@@ -257,10 +257,10 @@ TEST(CacheStore, CorruptionIsRejected) {
 }
 
 TEST(CacheStore, OlderVersionIsRefusedBeforeTheHashCheck) {
-  // Version 1 files hold FNV-1a key hashes, not hashKey values. A file
-  // that says version 1 under a valid header CRC must be refused for its
-  // version, as a diagnosed cold start, and never get as far as the
-  // key-hash check.
+  // Version 1 files hold FNV-1a key hashes, not hashKey values; version 2
+  // files hold node seals without the End node's NextKey. A file that
+  // says either under a valid header CRC must be refused for its version,
+  // as a diagnosed cold start, and never get as far as the key-hash check.
   isa::TargetImage Image = workload::generate(testSpec(), 2);
   FacileSim Builder(SimKind::OutOfOrder, Image);
   Builder.run(kBudget);
@@ -272,35 +272,39 @@ TEST(CacheStore, OlderVersionIsRefusedBeforeTheHashCheck) {
   uint64_t CK = Builder.sim().compatKey();
   uint32_t NA = static_cast<uint32_t>(Builder.sim().actionCount());
   std::string Path = Dir + "/" + store::CacheStoreDir::fileName(CK, 1);
-  std::vector<uint8_t> Bytes = readFileBytes(Path);
-  ASSERT_GT(Bytes.size(), size_t(64));
+  const std::vector<uint8_t> Current = readFileBytes(Path);
+  ASSERT_GT(Current.size(), size_t(64));
 
-  // Header layout (docs/INTERNALS.md): version u32 at 8, CRC-32 of the
-  // first 44 bytes at 44.
-  const uint32_t OldVersion = 1;
-  std::memcpy(Bytes.data() + 8, &OldVersion, 4);
-  const uint32_t Crc = snapshot::crc32(Bytes.data(), 44);
-  std::memcpy(Bytes.data() + 44, &Crc, 4);
-  ASSERT_TRUE(writeFileBytes(Path, Bytes));
+  for (uint32_t OldVersion : {1u, 2u}) {
+    SCOPED_TRACE(OldVersion);
+    // Header layout (docs/INTERNALS.md): version u32 at 8, CRC-32 of the
+    // first 44 bytes at 44.
+    std::vector<uint8_t> Bytes = Current;
+    std::memcpy(Bytes.data() + 8, &OldVersion, 4);
+    const uint32_t Crc = snapshot::crc32(Bytes.data(), 44);
+    std::memcpy(Bytes.data() + 44, &Crc, 4);
+    ASSERT_TRUE(writeFileBytes(Path, Bytes));
 
-  {
+    {
+      store::CacheStoreDir Fresh(Dir);
+      EXPECT_FALSE(Fresh.lookup(CK, NA, &Err));
+      EXPECT_NE(Err.find("unsupported store format version"),
+                std::string::npos)
+          << Err;
+      EXPECT_EQ(Err.find("key hash mismatch"), std::string::npos) << Err;
+    }
+
     store::CacheStoreDir Fresh(Dir);
-    EXPECT_FALSE(Fresh.lookup(CK, NA, &Err));
+    FacileSim Victim(SimKind::OutOfOrder, Image);
+    EXPECT_FALSE(Victim.attachStore(Fresh, &Err));
     EXPECT_NE(Err.find("unsupported store format version"), std::string::npos)
         << Err;
-    EXPECT_EQ(Err.find("key hash mismatch"), std::string::npos) << Err;
+    EXPECT_EQ(Victim.snapshotStats().CorruptInputs, 1u);
+    EXPECT_EQ(Victim.snapshotStats().ColdFallbacks, 1u);
+    EXPECT_FALSE(Victim.snapshotStats().CacheLoaded);
+    Victim.run(kBudget);
+    EXPECT_EQ(Victim.sim().memory().digest(), Builder.sim().memory().digest());
   }
-
-  store::CacheStoreDir Fresh(Dir);
-  FacileSim Victim(SimKind::OutOfOrder, Image);
-  EXPECT_FALSE(Victim.attachStore(Fresh, &Err));
-  EXPECT_NE(Err.find("unsupported store format version"), std::string::npos)
-      << Err;
-  EXPECT_EQ(Victim.snapshotStats().CorruptInputs, 1u);
-  EXPECT_EQ(Victim.snapshotStats().ColdFallbacks, 1u);
-  EXPECT_FALSE(Victim.snapshotStats().CacheLoaded);
-  Victim.run(kBudget);
-  EXPECT_EQ(Victim.sim().memory().digest(), Builder.sim().memory().digest());
   removeTree(Dir);
 }
 

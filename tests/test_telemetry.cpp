@@ -13,6 +13,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "src/sims/SimHarness.h"
+#include "src/support/JsonValue.h"
 #include "src/telemetry/Metrics.h"
 #include "src/telemetry/Profiler.h"
 #include "src/telemetry/Trace.h"
@@ -320,6 +321,36 @@ TEST(TelemetryIntegration, StatsJsonRetainsPreV2KeysForAllSimulators) {
     EXPECT_TRUE(hasKey(Json, "schema_version"));
     for (const char *K : PreV2Keys)
       EXPECT_TRUE(hasKey(Json, K)) << K << " missing in " << Json;
+  }
+}
+
+TEST(TelemetryIntegration, IndexChainCountersAccountForChainedSteps) {
+  // cache.index_chain_hits/misses count the steps that followed an End
+  // node's NextKey (compared on the non-key-static words only) or fell
+  // back to serializing and interning the key.
+  isa::TargetImage Image = workload::generate(testSpec(), 2);
+  for (SimKind Kind :
+       {SimKind::Functional, SimKind::InOrder, SimKind::OutOfOrder}) {
+    SCOPED_TRACE(int(Kind));
+    FacileSim Sim(Kind, Image);
+    Sim.run(60'000);
+    json::Value Stats;
+    std::string Err;
+    ASSERT_TRUE(json::parse(Sim.statsJson(), Stats, Err)) << Err;
+    const json::Value *Cache = Stats.get("cache");
+    ASSERT_TRUE(Cache);
+    ASSERT_TRUE(Cache->get("index_chain_hits"));
+    ASSERT_TRUE(Cache->get("index_chain_misses"));
+    const rt::ActionCache::Stats &C = Sim.sim().cache().stats();
+    EXPECT_EQ(Cache->get("index_chain_hits")->intOr(-1),
+              static_cast<int64_t>(C.IndexChainHits));
+    EXPECT_EQ(Cache->get("index_chain_misses")->intOr(-1),
+              static_cast<int64_t>(C.IndexChainMisses));
+    // Every step but the first follows an armed chain here (no faults,
+    // evictions or bypass trips in a run this short).
+    EXPECT_GT(C.IndexChainHits, 0u);
+    EXPECT_EQ(C.IndexChainHits + C.IndexChainMisses,
+              Sim.sim().stats().Steps - 1);
   }
 }
 

@@ -212,6 +212,13 @@ int main(int Argc, char **Argv) {
     std::printf("actions:                %u\n", P->Actions.numActions());
     std::printf("globals:                %zu (%zu init)\n",
                 P->Globals.size(), P->InitGlobals.size());
+    unsigned KeyWords = 0;
+    for (uint32_t G : P->InitGlobals)
+      KeyWords += P->Globals[G].IsArray ? P->Globals[G].Size : 1;
+    std::printf("key words:              %u (%u key-static, %u compared "
+                "per chained step)\n",
+                KeyWords, P->Bta.KeyStaticWords,
+                KeyWords - P->Bta.KeyStaticWords);
     std::printf("externs:                %zu\n", P->Externs.size());
     return 0;
   }
