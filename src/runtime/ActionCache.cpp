@@ -2,8 +2,6 @@
 
 #include "src/runtime/ActionCache.h"
 
-#include "src/snapshot/Serializer.h"
-
 #include <algorithm>
 #include <cassert>
 
@@ -15,38 +13,28 @@ using namespace facile::rt;
 //===----------------------------------------------------------------------===//
 
 std::vector<uint32_t>
-ActionCache::buildProbeTable(const std::vector<KeyRecord> &Keys) {
+ActionCache::buildProbeTable(const std::vector<KeyRecord> &Keys,
+                             size_t MinSize, KeyId FirstId) {
   // Smallest power of two keeping the load factor below ~2/3.
   size_t NewSize = 64;
   while (NewSize * 2 < (Keys.size() + 1) * 3)
     NewSize *= 2;
+  NewSize = std::max(NewSize, MinSize);
   std::vector<uint32_t> Table(NewSize, NoId);
   size_t Mask = NewSize - 1;
   for (KeyId K = 0; K != Keys.size(); ++K) {
     size_t I = static_cast<size_t>(Keys[K].Hash) & Mask;
     while (Table[I] != NoId)
       I = (I + 1) & Mask;
-    Table[I] = K;
+    Table[I] = FirstId + K;
   }
   return Table;
 }
 
 void ActionCache::growTable() {
-  // Smallest power of two keeping the load factor below ~2/3; never
-  // shrink an already-grown table.
-  size_t NewSize = 64;
-  while (NewSize * 2 < (Keys.size() + 1) * 3)
-    NewSize *= 2;
-  NewSize = std::max(NewSize, Table.size() * 2);
-  Table.assign(NewSize, NoId);
-  size_t Mask = NewSize - 1;
-  // Slots store global ids; only overlay keys live in this table.
-  for (KeyId K = 0; K != Keys.size(); ++K) {
-    size_t I = static_cast<size_t>(Keys[K].Hash) & Mask;
-    while (Table[I] != NoId)
-      I = (I + 1) & Mask;
-    Table[I] = static_cast<KeyId>(Base.NumKeys + K);
-  }
+  // Never shrink an already-grown table. Slots store global ids; only
+  // overlay keys live in this table.
+  Table = buildProbeTable(Keys, Table.size() * 2, Base.NumKeys);
 }
 
 KeyId ActionCache::internKey(const char *Data, size_t Len) {
@@ -234,180 +222,6 @@ void ActionCache::evict() {
 }
 
 //===----------------------------------------------------------------------===//
-// Persistence
-//===----------------------------------------------------------------------===//
-
-void ActionCache::serialize(snapshot::Writer &W) const {
-  W.u64(Tick);
-  // Key pool, base bytes below overlay bytes (charVec wire layout). With
-  // no base attached this is byte-identical to the historical format.
-  W.u64(keyPoolBytes());
-  if (Base.KeyPoolBytes != 0)
-    W.bytes(Base.KeyPool, static_cast<size_t>(Base.KeyPoolBytes));
-  W.bytes(KeyPool.data(), KeyPool.size());
-  W.u64(keyCount());
-  for (KeyId K = 0; K != keyCount(); ++K) {
-    // Global pool offsets: base spans already live below Base.KeyPoolBytes;
-    // overlay spans shift up past them.
-    if (K < Base.NumKeys) {
-      W.u32(Base.Keys[K].Ofs);
-      W.u32(Base.Keys[K].Len);
-    } else {
-      const KeyRecord &R = Keys[K - Base.NumKeys];
-      W.u32(static_cast<uint32_t>(Base.KeyPoolBytes) + R.Ofs);
-      W.u32(R.Len); // hashes are recomputed on load
-    }
-  }
-  W.u32Vec(KeyToEntry);
-  W.u64(Entries.size());
-  for (const CacheEntry &E : Entries) {
-    W.u32(E.Head);
-    W.u32(E.Key);
-    W.u64(E.LastUse);
-  }
-  W.u64(nodeCount());
-  for (uint32_t I = 0; I != nodeCount(); ++I) {
-    const ActionNode &N = node(I);
-    // Edge patches are applied in the written image: a snapshot is a
-    // self-contained merge of base and overlay.
-    uint32_t On0 = N.OnValue[0];
-    uint32_t On1 = N.OnValue[1];
-    if (I < Base.NumNodes && N.K == ActionNode::Kind::Test) {
-      if (On0 == ActionNode::NoNode)
-        On0 = patchedSuccessor(edgeTag(I, 0));
-      if (On1 == ActionNode::NoNode)
-        On1 = patchedSuccessor(edgeTag(I, 1));
-    }
-    W.u32(static_cast<uint32_t>(N.ActionId));
-    W.u8(static_cast<uint8_t>(N.K));
-    W.u32(N.DataOfs);
-    W.u32(N.DataLen);
-    W.u32(N.Next);
-    W.u32(On0);
-    W.u32(On1);
-    W.u32(N.NextKey);
-    W.u64(nodeSeal(I));
-  }
-  // Data pool, base words below overlay words (i64Vec wire layout).
-  W.u64(dataSize());
-  if (Base.DataWords != 0)
-    W.bytes(Base.Data, static_cast<size_t>(Base.DataWords) * 8);
-  W.bytes(DataPool.data(), DataPool.size() * 8);
-}
-
-bool ActionCache::deserialize(snapshot::Reader &R, uint32_t NumActions) {
-  uint64_t NewTick = R.u64();
-
-  std::vector<char> NewKeyPool;
-  if (!R.charVec(NewKeyPool))
-    return false;
-
-  uint64_t NumKeys = R.u64();
-  // Each key record costs 8 serialized bytes; reject counts the input
-  // cannot back before allocating.
-  if (!R.ok() || NumKeys > R.remaining() / 8 || NumKeys >= NoId)
-    return false;
-  std::vector<KeyRecord> NewKeys(static_cast<size_t>(NumKeys));
-  for (KeyRecord &K : NewKeys) {
-    K.Ofs = R.u32();
-    K.Len = R.u32();
-    if (static_cast<uint64_t>(K.Ofs) + K.Len > NewKeyPool.size())
-      return false;
-    K.Hash = hashKey(NewKeyPool.data() + K.Ofs, K.Len);
-  }
-
-  std::vector<EntryId> NewKeyToEntry;
-  if (!R.u32Vec(NewKeyToEntry) || NewKeyToEntry.size() != NewKeys.size())
-    return false;
-
-  uint64_t NumEntries = R.u64();
-  if (!R.ok() || NumEntries > R.remaining() / 16 || NumEntries >= NoId)
-    return false;
-  std::vector<CacheEntry> NewEntries(static_cast<size_t>(NumEntries));
-  for (CacheEntry &E : NewEntries) {
-    E.Head = R.u32();
-    E.Key = R.u32();
-    E.LastUse = R.u64();
-    if (E.Key >= NewKeys.size())
-      return false;
-  }
-
-  uint64_t NumNodes = R.u64();
-  // 29 node bytes plus the 8-byte seal.
-  if (!R.ok() || NumNodes > R.remaining() / 37 ||
-      NumNodes >= ActionNode::NoNode)
-    return false;
-  std::vector<ActionNode> NewNodes(static_cast<size_t>(NumNodes));
-  std::vector<uint64_t> NewSeals(static_cast<size_t>(NumNodes));
-  for (size_t I = 0; I != NewNodes.size(); ++I) {
-    ActionNode &N = NewNodes[I];
-    N.ActionId = static_cast<int32_t>(R.u32());
-    uint8_t K = R.u8();
-    if (K > static_cast<uint8_t>(ActionNode::Kind::End))
-      return false;
-    N.K = static_cast<ActionNode::Kind>(K);
-    N.DataOfs = R.u32();
-    N.DataLen = R.u32();
-    N.Next = R.u32();
-    N.OnValue[0] = R.u32();
-    N.OnValue[1] = R.u32();
-    N.NextKey = R.u32();
-    NewSeals[I] = R.u64();
-  }
-
-  std::vector<int64_t> NewData;
-  if (!R.i64Vec(NewData) || !R.ok())
-    return false;
-
-  // Structural validation: every link in bounds. Replay follows these raw
-  // (no per-step checks), so a single bad index here would be UB later.
-  for (const ActionNode &N : NewNodes) {
-    if (N.ActionId < 0 || static_cast<uint32_t>(N.ActionId) >= NumActions)
-      return false;
-    if (static_cast<uint64_t>(N.DataOfs) + N.DataLen > NewData.size())
-      return false;
-    if (N.Next != ActionNode::NoNode && N.Next >= NewNodes.size())
-      return false;
-    for (int V = 0; V != 2; ++V)
-      if (N.OnValue[V] != ActionNode::NoNode &&
-          N.OnValue[V] >= NewNodes.size())
-        return false;
-    if (N.NextKey != NoId && N.NextKey >= NewKeys.size())
-      return false;
-    // A Plain node's replay unconditionally chases Next; a dangling link
-    // means a half-recorded entry, which only ever exists transiently
-    // while the slow engine holds the step — never in a saved image.
-    if (N.K == ActionNode::Kind::Plain && N.Next == ActionNode::NoNode)
-      return false;
-  }
-  for (const CacheEntry &E : NewEntries)
-    if (E.Head != ActionNode::NoNode && E.Head >= NewNodes.size())
-      return false;
-  for (size_t K = 0; K != NewKeyToEntry.size(); ++K) {
-    EntryId E = NewKeyToEntry[K];
-    if (E == NoId)
-      continue;
-    if (E >= NewEntries.size() || NewEntries[E].Key != K)
-      return false;
-  }
-
-  FlatImage Img;
-  Img.Tick = NewTick;
-  Img.KeyPool = std::move(NewKeyPool);
-  Img.Keys = std::move(NewKeys);
-  Img.KeyToEntry = std::move(NewKeyToEntry);
-  Img.Entries = std::move(NewEntries);
-  Img.Nodes = std::move(NewNodes);
-  Img.Seals = std::move(NewSeals);
-  Img.Data = std::move(NewData);
-  // A loaded snapshot replaces everything, including any attached base:
-  // the cache comes back private and owned (adoptImage drops the base).
-  adoptImage(std::move(Img));
-  notePeak();
-  return true;
-}
-
-//===----------------------------------------------------------------------===//
 // Compaction
 //===----------------------------------------------------------------------===//
 
@@ -527,6 +341,7 @@ void ActionCache::adoptImage(FlatImage Img) {
   Tick = Img.Tick;
   Table.clear();
   growTable();
+  notePeak();
 }
 
 void ActionCache::evictSegmented() {

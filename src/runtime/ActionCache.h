@@ -65,11 +65,6 @@
 
 namespace facile {
 
-namespace snapshot {
-class Writer;
-class Reader;
-} // namespace snapshot
-
 namespace telemetry {
 class MetricSink;
 class MetricsRegistry;
@@ -166,7 +161,7 @@ public:
   /// A self-contained, owned flat image of a cache: the promotion /
   /// compaction output format. Produced by compactImage() without
   /// mutating the cache; consumed by Segmented eviction (adopted in
-  /// place) and by the store writer (written to disk verbatim).
+  /// place) and by store::encodeImage (written to disk verbatim).
   struct FlatImage {
     uint64_t Tick = 0;
     std::vector<char> KeyPool;
@@ -560,10 +555,20 @@ public:
   /// preserve its historical accounting.
   FlatImage compactImage(uint64_t KeepThreshold, bool DropDetached) const;
 
-  /// Builds the open-addressed probe table (power-of-two, load < 2/3) for
-  /// \p Keys exactly as the incremental grower does — the store writer
-  /// persists this so mapping a file costs no rehash.
-  static std::vector<uint32_t> buildProbeTable(const std::vector<KeyRecord> &Keys);
+  /// Builds the open-addressed probe table (power-of-two, load < 2/3, at
+  /// least \p MinSize slots) for \p Keys, whose ids start at \p FirstId.
+  /// The incremental grower uses it, and the store writer persists its
+  /// output so mapping a file costs no rehash.
+  static std::vector<uint32_t>
+  buildProbeTable(const std::vector<KeyRecord> &Keys, size_t MinSize = 0,
+                  KeyId FirstId = 0);
+
+  /// Replaces this cache's contents with \p Img, which must be a valid
+  /// image (compactImage() output, or a cache image store::parseImage
+  /// accepted). The cache comes back owned: any attached base is dropped.
+  /// Statistics are preserved; outstanding EntryIds, KeyIds and node
+  /// indices are invalidated.
+  void adoptImage(FlatImage Img);
 
   //===-- Telemetry ----------------------------------------------------------
 
@@ -576,28 +581,6 @@ public:
   void registerMetrics(telemetry::MetricsRegistry &R,
                        std::string Group) const;
 
-  //===-- Persistence --------------------------------------------------------
-
-  /// Writes the whole cache — key pool, key records, entry list, node
-  /// arena, data pool and the recency clock — flat into \p W. The probe
-  /// table is not written; it is rebuilt deterministically on load. With a
-  /// base attached the base and overlay are written merged (patches
-  /// applied, global ids preserved), so a snapshot of a store-backed
-  /// cache is an ordinary self-contained FACSNAP2 payload; a detached
-  /// cache serializes byte-identically to the pre-base format.
-  void serialize(snapshot::Writer &W) const;
-
-  /// Replaces this cache's contents with a serialized image. \p NumActions
-  /// is the consumer program's action count: every node's ActionId is
-  /// bounds-checked against it (replay indexes the ExecPlan's fast streams
-  /// by ActionId, so an out-of-range id would be an out-of-bounds read).
-  /// All links, key spans and data spans are validated; on any failure the
-  /// cache is left untouched and false is returned. Statistics are
-  /// preserved across the load. Outstanding EntryIds/KeyIds/node indices
-  /// are invalidated on success, and any attached base is dropped — a
-  /// loaded snapshot is always a private, owned cache.
-  bool deserialize(snapshot::Reader &R, uint32_t NumActions);
-
 private:
   void notePeak() {
     size_t B = bytes();
@@ -607,8 +590,6 @@ private:
 
   void growTable();
   void evictSegmented();
-  /// Installs \p Img as this cache's (owned) contents. Drops any base.
-  void adoptImage(FlatImage Img);
   /// Drops the overlay and re-seeds entries/key→entry from the base.
   void resetToBase();
 

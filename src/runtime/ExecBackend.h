@@ -79,7 +79,7 @@ public:
   /// deserializeState() replaced the dynamic-state vectors (their data
   /// pointers moved).
   virtual void onStateReplaced() {}
-  /// The action-cache arenas were rebuilt: eviction, deserializeCache(),
+  /// The action-cache arenas were rebuilt: eviction, adoptCacheImage(),
   /// attachCacheBase() / detachCacheBase().
   virtual void onCacheRebuilt() {}
   /// mutablePlan() handed out a mutable reference to the plan this

@@ -547,20 +547,12 @@ bool Simulation::deserializeState(snapshot::Reader &R) {
   return true;
 }
 
-void Simulation::serializeCache(snapshot::Writer &W) const {
-  Cache.serialize(W);
-}
-
-bool Simulation::deserializeCache(snapshot::Reader &R) {
-  uint32_t NumActions = static_cast<uint32_t>(Plan->ActionOfs.size() - 1);
+void Simulation::adoptCacheImage(ActionCache::FlatImage Img) {
   materialize(); // before the key pool is replaced
-  if (!Cache.deserialize(R, NumActions))
-    return false;
-  // deserialize() privatizes: the loaded image is owned, any base dropped.
+  Cache.adoptImage(std::move(Img));
   CacheBaseKeepalive.reset();
   PendingEndNode = ActionNode::NoNode;
   Backend->onCacheRebuilt();
-  return true;
 }
 
 //===----------------------------------------------------------------------===//
@@ -574,14 +566,6 @@ bool Simulation::attachCacheBase(const ActionCache::BaseArenas &B,
     if (Err)
       *Err = "cannot attach a cache base with memoization disabled";
     return false;
-  }
-  uint32_t NumActions = static_cast<uint32_t>(Plan->ActionOfs.size() - 1);
-  for (uint32_t I = 0; I != B.NumNodes; ++I) {
-    if (B.Nodes[I].ActionId >= NumActions) {
-      if (Err)
-        *Err = "base arenas reference actions beyond this program";
-      return false;
-    }
   }
   materialize();
   if (!Cache.attachBase(B)) {

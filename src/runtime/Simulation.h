@@ -346,13 +346,11 @@ public:
   /// simulation is untouched.
   bool deserializeState(snapshot::Reader &R);
 
-  /// Persistent action cache: save/load the whole cache. Loading resets
-  /// the INDEX chain (the next step re-interns its key) and validates all
-  /// node links against this program's action count; on failure the cache
-  /// is untouched and false is returned. Loading privatizes: any attached
-  /// store base is dropped and the loaded contents are owned outright.
-  void serializeCache(snapshot::Writer &W) const;
-  bool deserializeCache(snapshot::Reader &R);
+  /// Replaces the action cache with \p Img, a validated image (see
+  /// store::parseImage) whose action ids fit this program. Resets the
+  /// INDEX chain (the next step re-interns its key). Privatizes: any
+  /// attached store base is dropped and the image is owned outright.
+  void adoptCacheImage(ActionCache::FlatImage Img);
 
   //===-- Shared cache store -------------------------------------------------
 
@@ -362,8 +360,10 @@ public:
   /// otherwise returns false with a diagnostic in \p Err. \p Keepalive
   /// pins whatever owns the arena memory (e.g. a store mapping) for as
   /// long as the base is attached; the arenas themselves must stay valid
-  /// and unmodified for that lifetime. New recordings land in a private
-  /// copy-on-write overlay; the base is never written.
+  /// and unmodified for that lifetime, and must have passed
+  /// store::parseImage for this program (StoreMap::open runs it). New
+  /// recordings land in a private copy-on-write overlay; the base is
+  /// never written.
   bool attachCacheBase(const ActionCache::BaseArenas &B,
                        std::shared_ptr<const void> Keepalive,
                        std::string *Err = nullptr);

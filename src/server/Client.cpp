@@ -3,6 +3,7 @@
 #include "src/server/Client.h"
 
 #include "src/server/Protocol.h"
+#include "src/snapshot/Snapshot.h"
 #include "src/support/Json.h"
 #include "src/support/StringUtils.h"
 
@@ -350,8 +351,8 @@ bool server::runProtocolSelftest(Client &C, std::string &Err,
   std::string SnapB64 = R.get("bytes_b64") ? R.get("bytes_b64")->str() : "";
   if (!check(!SnapB64.empty(), "snapshot-save returns bytes", Err))
     return false;
-  if (!check(R.get("format") && R.get("format")->str() == "FACSNAP2",
-             "snapshot format is FACSNAP2", Err))
+  if (!check(R.get("format") && R.get("format")->str() == snapshot::Magic,
+             "snapshot format is the container magic", Err))
     return false;
 
   // Run further, then rewind by loading the snapshot back into the same

@@ -24,8 +24,9 @@
 /// under "fault" with ok=true, because the session survives and stays
 /// resumable via the clear-fault verb.
 ///
-/// Snapshot payloads (FACSNAP2 container bytes) cross the wire as base64
-/// in "bytes_b64", so the protocol stays line-delimited text end to end.
+/// Snapshot payloads (snapshot container bytes, src/snapshot/Snapshot.h)
+/// cross the wire as base64 in "bytes_b64", so the protocol stays
+/// line-delimited text end to end.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -222,8 +222,8 @@ struct Spilled {
   rt::Simulation::Options SimOpts;
   std::string PoolKey;
   uint64_t StepDelayUs = 0;
-  std::vector<uint8_t> Checkpoint; ///< FACSNAP2 checkpoint container
-  std::vector<uint8_t> CacheBytes; ///< FACSNAP2 cache container (memoizing)
+  std::vector<uint8_t> Checkpoint; ///< checkpoint container
+  std::vector<uint8_t> CacheBytes; ///< cache image container (memoizing)
   uint64_t Seq = 0;                ///< spill order, oldest dropped first
 
   size_t bytes() const { return Checkpoint.size() + CacheBytes.size(); }
@@ -1397,7 +1397,7 @@ std::string FacileServer::Impl::verbSnapshotSave(const json::Value &Req,
   json::Writer W;
   beginOkResponse(W, Id);
   W.field("kind", std::string_view(Kind));
-  W.field("format", "FACSNAP2");
+  W.field("format", snapshot::Magic);
   W.field("size", static_cast<uint64_t>(Bytes.size()));
   W.field("bytes_b64", base64Encode(Bytes));
   W.endObject();

@@ -76,7 +76,7 @@ struct ServerOptions {
   /// in-flight request for this long ("idle-timeout" error first). 0 off.
   uint64_t ConnIdleTimeoutMs = 300000;
   /// Idle-session reap: a session with no verb for this long is spilled to
-  /// a FACSNAP2 snapshot (checkpoint + cache) and destroyed; a later
+  /// an in-memory snapshot (checkpoint + cache image) and destroyed; a later
   /// create with its "resume_token" restores it warm. 0 disables.
   uint64_t SessionIdleTtlMs = 0;
   /// Byte budget for spilled sessions; the oldest spills are dropped first.
@@ -103,7 +103,7 @@ struct ServerOptions {
   rt::Simulation::Options DefaultSimOptions;
 
   /// When non-empty, a content-addressed action-cache store directory
-  /// (FACSTOR1 files, see src/store/CacheStore.h). Every session created
+  /// (cache images, see src/store/CacheStore.h). Every session created
   /// with memoization enabled attaches the newest compatible generation as
   /// its shared read-only cache base — N sessions over one store map the
   /// file once and record only private overlays. A store miss is a cold

@@ -128,43 +128,25 @@ void FacileSim::wireExterns(SimKind Kind) {
 //===----------------------------------------------------------------------===//
 
 std::vector<uint8_t> FacileSim::checkpointBytes() const {
-  std::vector<snapshot::Section> Sections(4);
-  Sections[0].Tag = snapshot::SecSimState;
-  Sections[1].Tag = snapshot::SecMemory;
-  Sections[2].Tag = snapshot::SecBranchUnit;
-  Sections[3].Tag = snapshot::SecMemHier;
-  {
-    snapshot::Writer W;
-    Sim.serializeState(W);
-    Sections[0].Bytes = W.take();
-  }
-  {
-    snapshot::Writer W;
-    Sim.memory().serialize(W);
-    Sections[1].Bytes = W.take();
-  }
-  {
-    snapshot::Writer W;
-    BU.serialize(W);
-    Sections[2].Bytes = W.take();
-  }
-  {
-    snapshot::Writer W;
-    MH.serialize(W);
-    Sections[3].Bytes = W.take();
-  }
-  return snapshot::buildContainer(snapshot::PayloadKind::Checkpoint,
-                                  Sim.compatKey(), Sections);
+  snapshot::Writer SimW, MemW, BuW, MhW;
+  Sim.serializeState(SimW);
+  Sim.memory().serialize(MemW);
+  BU.serialize(BuW);
+  MH.serialize(MhW);
+  auto section = [](uint32_t Tag, const snapshot::Writer &W) {
+    return snapshot::Section{Tag, W.buffer().data(), W.size()};
+  };
+  return snapshot::buildContainer(
+      snapshot::PayloadKind::Checkpoint, Sim.compatKey(),
+      {section(snapshot::SecSimState, SimW), section(snapshot::SecMemory, MemW),
+       section(snapshot::SecBranchUnit, BuW),
+       section(snapshot::SecMemHier, MhW)});
 }
 
 std::vector<uint8_t> FacileSim::cacheBytes() const {
-  std::vector<snapshot::Section> Sections(1);
-  Sections[0].Tag = snapshot::SecActionCache;
-  snapshot::Writer W;
-  Sim.serializeCache(W);
-  Sections[0].Bytes = W.take();
-  return snapshot::buildContainer(snapshot::PayloadKind::ActionCache,
-                                  Sim.compatKey(), Sections);
+  return store::encodeImage(
+      Sim.cache().compactImage(/*KeepThreshold=*/0, /*DropDetached=*/true),
+      Sim.compatKey());
 }
 
 bool FacileSim::noteLoadFailure(const char *What, const std::string &Detail,
@@ -179,27 +161,17 @@ bool FacileSim::noteLoadFailure(const char *What, const std::string &Detail,
   return false;
 }
 
-namespace {
-
-/// Returns the section tagged \p Tag, or null.
-const snapshot::Section *findSection(const std::vector<snapshot::Section> &S,
-                                     uint32_t Tag) {
-  for (const snapshot::Section &Sec : S)
-    if (Sec.Tag == Tag)
-      return &Sec;
-  return nullptr;
-}
-
-} // namespace
-
 bool FacileSim::loadCheckpointBytes(const std::vector<uint8_t> &Bytes,
                                     std::string *Err) {
   SnapStats.BytesRead += Bytes.size();
-  std::vector<snapshot::Section> Sections;
+  static constexpr uint32_t Tags[] = {
+      snapshot::SecSimState, snapshot::SecMemory, snapshot::SecBranchUnit,
+      snapshot::SecMemHier};
+  snapshot::SectionView Sections[4];
   std::string Detail;
   snapshot::LoadStatus St = snapshot::parseContainer(
       Bytes.data(), Bytes.size(), snapshot::PayloadKind::Checkpoint,
-      Sim.compatKey(), Sections, Detail);
+      Sim.compatKey(), Tags, 4, Sections, Detail);
   if (St != snapshot::LoadStatus::Ok) {
     if (St == snapshot::LoadStatus::CompatMismatch)
       ++SnapStats.CompatMismatches;
@@ -208,54 +180,32 @@ bool FacileSim::loadCheckpointBytes(const std::vector<uint8_t> &Bytes,
     return noteLoadFailure("checkpoint rejected", Detail, Err);
   }
 
-  const snapshot::Section *SimSec =
-      findSection(Sections, snapshot::SecSimState);
-  const snapshot::Section *MemSec = findSection(Sections, snapshot::SecMemory);
-  const snapshot::Section *BuSec =
-      findSection(Sections, snapshot::SecBranchUnit);
-  const snapshot::Section *MhSec = findSection(Sections, snapshot::SecMemHier);
-  if (!SimSec || !MemSec || !BuSec || !MhSec) {
-    ++SnapStats.CorruptInputs;
-    return noteLoadFailure("checkpoint rejected", "missing section", Err);
-  }
-
   // Decode every section into scratch state first, then commit — a payload
-  // that fails halfway must leave the simulation exactly as it was.
+  // that fails halfway must leave the simulation exactly as it was. The
+  // simulation state goes last: deserializeState is itself all-or-nothing,
+  // so after it commits every remaining piece is a plain move/assign.
+  auto reader = [&](int I) {
+    return snapshot::Reader(Sections[I].Data, Sections[I].Len);
+  };
+  auto decode = [&](int I, auto &Into) {
+    snapshot::Reader R = reader(I);
+    return Into.deserialize(R) && R.atEnd();
+  };
   TargetMemory NewMem;
-  {
-    snapshot::Reader R(MemSec->Bytes);
-    if (!NewMem.deserialize(R) || !R.atEnd()) {
-      ++SnapStats.CorruptInputs;
-      return noteLoadFailure("checkpoint rejected", "bad memory section", Err);
-    }
-  }
   BranchUnit NewBU(BU);
-  {
-    snapshot::Reader R(BuSec->Bytes);
-    if (!NewBU.deserialize(R) || !R.atEnd()) {
-      ++SnapStats.CorruptInputs;
-      return noteLoadFailure("checkpoint rejected", "bad branch-unit section",
-                             Err);
-    }
-  }
   MemoryHierarchy NewMH(MH);
-  {
-    snapshot::Reader R(MhSec->Bytes);
-    if (!NewMH.deserialize(R) || !R.atEnd()) {
-      ++SnapStats.CorruptInputs;
-      return noteLoadFailure("checkpoint rejected",
-                             "bad memory-hierarchy section", Err);
-    }
+  const char *Bad = !decode(1, NewMem)  ? "bad memory section"
+                    : !decode(2, NewBU) ? "bad branch-unit section"
+                    : !decode(3, NewMH) ? "bad memory-hierarchy section"
+                                        : nullptr;
+  if (!Bad) {
+    snapshot::Reader R = reader(0);
+    if (!Sim.deserializeState(R) || !R.atEnd())
+      Bad = "bad simulation section";
   }
-  {
-    // Simulation state last: deserializeState is itself all-or-nothing, so
-    // after it commits every remaining piece is a plain move/assign.
-    snapshot::Reader R(SimSec->Bytes);
-    if (!Sim.deserializeState(R) || !R.atEnd()) {
-      ++SnapStats.CorruptInputs;
-      return noteLoadFailure("checkpoint rejected", "bad simulation section",
-                             Err);
-    }
+  if (Bad) {
+    ++SnapStats.CorruptInputs;
+    return noteLoadFailure("checkpoint rejected", Bad, Err);
   }
   Sim.memory() = std::move(NewMem);
   BU = std::move(NewBU);
@@ -271,11 +221,11 @@ bool FacileSim::loadCheckpointBytes(const std::vector<uint8_t> &Bytes,
 bool FacileSim::loadCacheBytes(const std::vector<uint8_t> &Bytes,
                                std::string *Err) {
   SnapStats.BytesRead += Bytes.size();
-  std::vector<snapshot::Section> Sections;
+  rt::ActionCache::BaseArenas View;
   std::string Detail;
-  snapshot::LoadStatus St = snapshot::parseContainer(
-      Bytes.data(), Bytes.size(), snapshot::PayloadKind::ActionCache,
-      Sim.compatKey(), Sections, Detail);
+  snapshot::LoadStatus St =
+      store::parseImage(Bytes.data(), Bytes.size(), Sim.compatKey(),
+                        Sim.actionCount(), View, Detail);
   if (St != snapshot::LoadStatus::Ok) {
     if (St == snapshot::LoadStatus::CompatMismatch)
       ++SnapStats.CompatMismatches;
@@ -283,17 +233,7 @@ bool FacileSim::loadCacheBytes(const std::vector<uint8_t> &Bytes,
       ++SnapStats.CorruptInputs;
     return noteLoadFailure("action cache rejected", Detail, Err);
   }
-  const snapshot::Section *Sec =
-      findSection(Sections, snapshot::SecActionCache);
-  if (!Sec) {
-    ++SnapStats.CorruptInputs;
-    return noteLoadFailure("action cache rejected", "missing section", Err);
-  }
-  snapshot::Reader R(Sec->Bytes);
-  if (!Sim.deserializeCache(R) || !R.atEnd()) {
-    ++SnapStats.CorruptInputs;
-    return noteLoadFailure("action cache rejected", "bad cache section", Err);
-  }
+  Sim.adoptCacheImage(store::ownedImage(View));
   SnapStats.CacheLoaded = true;
   SnapStats.CacheEntriesLoaded = Sim.cache().entryCount();
   SnapStats.CacheNodesLoaded = Sim.cache().nodeCount();
@@ -384,8 +324,7 @@ bool FacileSim::promoteStore(store::CacheStoreDir &Store,
                              uint64_t *OutGeneration, std::string *Err) {
   rt::ActionCache::FlatImage Img =
       Sim.cache().compactImage(/*KeepThreshold=*/0, /*DropDetached=*/true);
-  return Store.promote(Img, Sim.compatKey(), Sim.actionCount(), OutGeneration,
-                       Err);
+  return Store.promote(Img, Sim.compatKey(), OutGeneration, Err);
 }
 
 //===----------------------------------------------------------------------===//

@@ -2,7 +2,6 @@
 
 #include "src/store/CacheStore.h"
 
-#include "src/snapshot/Serializer.h"
 #include "src/support/Hashing.h"
 
 #include <algorithm>
@@ -20,52 +19,29 @@ using namespace facile;
 using namespace facile::rt;
 using namespace facile::store;
 
+//===----------------------------------------------------------------------===//
+// Cache images
+//===----------------------------------------------------------------------===//
+
 namespace {
 
-constexpr char StoreMagic[8] = {'F', 'A', 'C', 'S', 'T', 'O', 'R', '1'};
-constexpr size_t HeaderSize = 64;
-constexpr size_t SectionEntrySize = 32;
-constexpr uint32_t NumSections = 8;
+constexpr uint32_t ImageTags[] = {SecTick,    SecNodes,      SecSeals,
+                                  SecData,    SecKeyPool,    SecKeyRecs,
+                                  SecKeyToEntry, SecEntries, SecKeyTable};
+constexpr size_t NumImageSections = sizeof(ImageTags) / sizeof(ImageTags[0]);
 
-/// Header CRC covers everything before the CRC field itself.
-constexpr size_t HeaderCrcOfs = 44;
-
-void putU32(std::vector<uint8_t> &Buf, size_t Ofs, uint32_t V) {
-  std::memcpy(Buf.data() + Ofs, &V, 4);
+template <typename T>
+snapshot::Section section(uint32_t Tag, const std::vector<T> &V) {
+  return {Tag, V.data(), V.size() * sizeof(T)};
 }
-void putU64(std::vector<uint8_t> &Buf, size_t Ofs, uint64_t V) {
-  std::memcpy(Buf.data() + Ofs, &V, 8);
-}
-uint32_t getU32(const uint8_t *P) {
-  uint32_t V;
-  std::memcpy(&V, P, 4);
-  return V;
-}
-uint64_t getU64(const uint8_t *P) {
-  uint64_t V;
-  std::memcpy(&V, P, 8);
-  return V;
-}
-
-struct SectionDesc {
-  uint32_t Tag;
-  const void *Bytes;
-  uint64_t Len;
-};
 
 } // namespace
 
-//===----------------------------------------------------------------------===//
-// Writer
-//===----------------------------------------------------------------------===//
-
-bool facile::store::writeStoreFile(const std::string &Path,
-                                   const ActionCache::FlatImage &Img,
-                                   uint64_t CompatKey, uint32_t NumActions,
-                                   uint64_t Generation, std::string &Err) {
+std::vector<uint8_t> facile::store::encodeImage(
+    const ActionCache::FlatImage &Img, uint64_t CompatKey) {
   // Stage the nodes with padding bytes forced to zero: the arena is
   // written (and CRC'd) raw, and ActionNode has 3 padding bytes after the
-  // kind whose values memcpy would otherwise leak — store files of equal
+  // kind whose values a copy would otherwise leak — images of equal
   // content must be bit-identical.
   std::vector<ActionNode> Nodes(Img.Nodes.size());
   if (!Nodes.empty())
@@ -84,88 +60,23 @@ bool facile::store::writeStoreFile(const std::string &Path,
     D.NextKey = S.NextKey;
   }
   std::vector<uint32_t> Table = ActionCache::buildProbeTable(Img.Keys);
-
-  const SectionDesc Sections[NumSections] = {
-      {SecNodes, Nodes.data(), Nodes.size() * sizeof(ActionNode)},
-      {SecSeals, Img.Seals.data(), Img.Seals.size() * 8},
-      {SecData, Img.Data.data(), Img.Data.size() * 8},
-      {SecKeyPool, Img.KeyPool.data(), Img.KeyPool.size()},
-      {SecKeyRecs, Img.Keys.data(),
-       Img.Keys.size() * sizeof(ActionCache::KeyRecord)},
-      {SecKeyToEntry, Img.KeyToEntry.data(), Img.KeyToEntry.size() * 4},
-      {SecEntries, Img.Entries.data(), Img.Entries.size() * sizeof(CacheEntry)},
-      {SecKeyTable, Table.data(), Table.size() * 4},
-  };
-
-  size_t TableOfs = HeaderSize;
-  size_t Total = HeaderSize + NumSections * SectionEntrySize;
-  for (const SectionDesc &S : Sections)
-    Total = ((Total + 7) & ~size_t(7)) + S.Len;
-
-  std::vector<uint8_t> Buf(Total, 0);
-  std::memcpy(Buf.data(), StoreMagic, 8);
-  putU32(Buf, 8, StoreVersion);
-  putU32(Buf, 12, NumActions);
-  putU64(Buf, 16, CompatKey);
-  putU64(Buf, 24, Generation);
-  putU64(Buf, 32, Img.Tick);
-  putU32(Buf, 40, NumSections);
-  putU32(Buf, HeaderCrcOfs, snapshot::crc32(Buf.data(), HeaderCrcOfs));
-
-  size_t Ofs = HeaderSize + NumSections * SectionEntrySize;
-  for (uint32_t I = 0; I != NumSections; ++I) {
-    const SectionDesc &S = Sections[I];
-    Ofs = (Ofs + 7) & ~size_t(7);
-    if (S.Len != 0)
-      std::memcpy(Buf.data() + Ofs, S.Bytes, S.Len);
-    size_t E = TableOfs + I * SectionEntrySize;
-    putU32(Buf, E, S.Tag);
-    putU64(Buf, E + 8, Ofs);
-    putU64(Buf, E + 16, S.Len);
-    putU32(Buf, E + 24, snapshot::crc32(Buf.data() + Ofs, S.Len));
-    Ofs += S.Len;
-  }
-
-  // Temporary file + rename: a reader either sees the old generation set
-  // or the complete new file, never a torn write.
-  std::string Tmp =
-      Path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
-  FILE *F = std::fopen(Tmp.c_str(), "wb");
-  if (!F) {
-    Err = "cannot create '" + Tmp + "': " + std::strerror(errno);
-    return false;
-  }
-  bool Ok = Buf.empty() || std::fwrite(Buf.data(), 1, Buf.size(), F) ==
-                               Buf.size();
-  Ok = std::fclose(F) == 0 && Ok;
-  if (!Ok) {
-    Err = "short write to '" + Tmp + "'";
-    ::unlink(Tmp.c_str());
-    return false;
-  }
-  if (std::rename(Tmp.c_str(), Path.c_str()) != 0) {
-    Err = "cannot rename '" + Tmp + "' to '" + Path +
-          "': " + std::strerror(errno);
-    ::unlink(Tmp.c_str());
-    return false;
-  }
-  return true;
-}
-
-//===----------------------------------------------------------------------===//
-// StoreMap
-//===----------------------------------------------------------------------===//
-
-StoreMap::~StoreMap() {
-  if (Map)
-    ::munmap(Map, MapLen);
+  return snapshot::buildContainer(
+      snapshot::PayloadKind::ActionCache, CompatKey,
+      {{SecTick, &Img.Tick, sizeof(Img.Tick)},
+       section(SecNodes, Nodes),
+       section(SecSeals, Img.Seals),
+       section(SecData, Img.Data),
+       section(SecKeyPool, Img.KeyPool),
+       section(SecKeyRecs, Img.Keys),
+       section(SecKeyToEntry, Img.KeyToEntry),
+       section(SecEntries, Img.Entries),
+       section(SecKeyTable, Table)});
 }
 
 namespace {
 
-/// Structural validation of the mapped arenas — the exact rules
-/// ActionCache::deserialize enforces on a loaded snapshot, applied to the
-/// mapping before any replay walks it.
+/// The structural rules replay relies on, applied to the arenas of a
+/// container that passed its CRCs, before any replay walks them.
 bool validateArenas(const ActionCache::BaseArenas &A, uint32_t NumActions,
                     std::string &Err) {
   for (uint32_t K = 0; K != A.NumKeys; ++K) {
@@ -261,168 +172,82 @@ bool validateArenas(const ActionCache::BaseArenas &A, uint32_t NumActions,
 
 } // namespace
 
-std::shared_ptr<const StoreMap> StoreMap::open(const std::string &Path,
+snapshot::LoadStatus facile::store::parseImage(const uint8_t *Data, size_t Len,
                                                uint64_t CompatKey,
                                                uint32_t NumActions,
+                                               ActionCache::BaseArenas &A,
                                                std::string &Err) {
-  int Fd = ::open(Path.c_str(), O_RDONLY);
-  if (Fd < 0) {
-    Err = "cannot open '" + Path + "': " + std::strerror(errno);
-    return nullptr;
-  }
-  struct stat St;
-  if (::fstat(Fd, &St) != 0 || St.st_size < 0) {
-    Err = "cannot stat '" + Path + "'";
-    ::close(Fd);
-    return nullptr;
-  }
-  size_t Len = static_cast<size_t>(St.st_size);
-  if (Len < HeaderSize + NumSections * SectionEntrySize) {
-    Err = "'" + Path + "' is too small to be a store file";
-    ::close(Fd);
-    return nullptr;
-  }
-  void *M = ::mmap(nullptr, Len, PROT_READ, MAP_SHARED, Fd, 0);
-  ::close(Fd); // the mapping keeps the file alive
-  if (M == MAP_FAILED) {
-    Err = "cannot map '" + Path + "': " + std::strerror(errno);
-    return nullptr;
-  }
-
-  // From here every failure unmaps via the owning object.
-  std::shared_ptr<StoreMap> SM(new StoreMap());
-  SM->Map = M;
-  SM->MapLen = Len;
-  SM->FilePath = Path;
-  const uint8_t *B = static_cast<const uint8_t *>(M);
-
-  if (std::memcmp(B, StoreMagic, 8) != 0) {
-    Err = "'" + Path + "' is not a FACSTOR1 store file";
-    return nullptr;
-  }
-  if (getU32(B + 8) != StoreVersion) {
-    Err = "unsupported store format version";
-    return nullptr;
-  }
-  if (snapshot::crc32(B, HeaderCrcOfs) != getU32(B + HeaderCrcOfs)) {
-    Err = "store header CRC mismatch";
-    return nullptr;
-  }
-  SM->NumActionsV = getU32(B + 12);
-  SM->CompatKeyV = getU64(B + 16);
-  SM->GenerationV = getU64(B + 24);
-  SM->Arenas.Tick = getU64(B + 32);
-  if (SM->CompatKeyV != CompatKey) {
-    Err = "store compatibility key mismatch";
-    return nullptr;
-  }
-  if (SM->NumActionsV != NumActions) {
-    Err = "store action count mismatch";
-    return nullptr;
-  }
-  if (getU32(B + 40) != NumSections) {
-    Err = "unexpected store section count";
-    return nullptr;
-  }
-
-  // Locate, bound-check and checksum every section.
-  struct Sec {
-    uint64_t Ofs = 0, Len = 0;
-    bool Seen = false;
-  };
-  Sec ByTag[NumSections];
-  const uint32_t Want[NumSections] = {SecNodes,      SecSeals,   SecData,
-                                      SecKeyPool,    SecKeyRecs, SecKeyToEntry,
-                                      SecEntries,    SecKeyTable};
-  for (uint32_t I = 0; I != NumSections; ++I) {
-    const uint8_t *E = B + HeaderSize + I * SectionEntrySize;
-    uint32_t Tag = getU32(E);
-    uint64_t Ofs = getU64(E + 8);
-    uint64_t SLen = getU64(E + 16);
-    uint32_t Crc = getU32(E + 24);
-    if (Ofs % 8 != 0 || Ofs > Len || SLen > Len - Ofs) {
-      Err = "store section out of file bounds";
-      return nullptr;
-    }
-    if (snapshot::crc32(B + Ofs, static_cast<size_t>(SLen)) != Crc) {
-      Err = "store section CRC mismatch";
-      return nullptr;
-    }
-    for (uint32_t W = 0; W != NumSections; ++W)
-      if (Want[W] == Tag) {
-        if (ByTag[W].Seen) {
-          Err = "duplicate store section";
-          return nullptr;
-        }
-        ByTag[W] = {Ofs, SLen, true};
-      }
-  }
-  for (uint32_t W = 0; W != NumSections; ++W)
-    if (!ByTag[W].Seen) {
-      Err = "missing store section";
-      return nullptr;
-    }
+  snapshot::SectionView V[NumImageSections];
+  snapshot::LoadStatus St = snapshot::parseContainer(
+      Data, Len, snapshot::PayloadKind::ActionCache, CompatKey, ImageTags,
+      NumImageSections, V, Err);
+  if (St != snapshot::LoadStatus::Ok)
+    return St;
 
   // Element-size framing, then the arena views.
-  const Sec &Nd = ByTag[0], &Sl = ByTag[1], &Dt = ByTag[2], &Kp = ByTag[3],
-            &Kr = ByTag[4], &K2 = ByTag[5], &En = ByTag[6], &Kt = ByTag[7];
-  if (Nd.Len % sizeof(ActionNode) != 0 ||
+  const snapshot::SectionView &Tk = V[0], &Nd = V[1], &Sl = V[2], &Dt = V[3],
+                              &Kp = V[4], &Kr = V[5], &K2 = V[6], &En = V[7],
+                              &Kt = V[8];
+  auto corrupt = [&](const char *Why) {
+    Err = Why;
+    return snapshot::LoadStatus::Corrupt;
+  };
+  if (Tk.Len != 8 || Nd.Len % sizeof(ActionNode) != 0 ||
       Kr.Len % sizeof(ActionCache::KeyRecord) != 0 ||
       En.Len % sizeof(CacheEntry) != 0 || Dt.Len % 8 != 0 || K2.Len % 4 != 0 ||
-      Kt.Len % 4 != 0) {
-    Err = "store section length not a multiple of its element size";
-    return nullptr;
-  }
+      Kt.Len % 4 != 0)
+    return corrupt("cache section length not a multiple of its element size");
   uint64_t NumNodes = Nd.Len / sizeof(ActionNode);
   uint64_t NumKeys = Kr.Len / sizeof(ActionCache::KeyRecord);
   uint64_t NumEntries = En.Len / sizeof(CacheEntry);
-  if (NumNodes >= ActionNode::NoNode || NumKeys >= NoId ||
-      NumEntries >= NoId) {
-    Err = "store arena count overflows its id space";
-    return nullptr;
-  }
-  if (Sl.Len != NumNodes * 8) {
-    Err = "seal array does not match the node arena";
-    return nullptr;
-  }
-  if (K2.Len != NumKeys * 4) {
-    Err = "key-to-entry map does not match the key table";
-    return nullptr;
-  }
+  if (NumNodes >= ActionNode::NoNode || NumKeys >= NoId || NumEntries >= NoId)
+    return corrupt("cache arena count overflows its id space");
+  if (Sl.Len != NumNodes * 8)
+    return corrupt("seal array does not match the node arena");
+  if (K2.Len != NumKeys * 4)
+    return corrupt("key-to-entry map does not match the key table");
 
-  ActionCache::BaseArenas &A = SM->Arenas;
-  A.Nodes = reinterpret_cast<const ActionNode *>(B + Nd.Ofs);
+  std::memcpy(&A.Tick, Tk.Data, 8);
+  A.Nodes = reinterpret_cast<const ActionNode *>(Nd.Data);
   A.NumNodes = static_cast<uint32_t>(NumNodes);
-  A.Seals = reinterpret_cast<const uint64_t *>(B + Sl.Ofs);
-  A.Data = reinterpret_cast<const int64_t *>(B + Dt.Ofs);
+  A.Seals = reinterpret_cast<const uint64_t *>(Sl.Data);
+  A.Data = reinterpret_cast<const int64_t *>(Dt.Data);
   A.DataWords = Dt.Len / 8;
-  A.KeyPool = reinterpret_cast<const char *>(B + Kp.Ofs);
+  A.KeyPool = reinterpret_cast<const char *>(Kp.Data);
   A.KeyPoolBytes = Kp.Len;
-  A.Keys = reinterpret_cast<const ActionCache::KeyRecord *>(B + Kr.Ofs);
+  A.Keys = reinterpret_cast<const ActionCache::KeyRecord *>(Kr.Data);
   A.NumKeys = static_cast<uint32_t>(NumKeys);
-  A.Table = reinterpret_cast<const uint32_t *>(B + Kt.Ofs);
+  A.Table = reinterpret_cast<const uint32_t *>(Kt.Data);
   A.TableSize = Kt.Len / 4;
-  A.Entries = reinterpret_cast<const CacheEntry *>(B + En.Ofs);
+  A.Entries = reinterpret_cast<const CacheEntry *>(En.Data);
   A.NumEntries = static_cast<uint32_t>(NumEntries);
-  A.KeyToEntry = reinterpret_cast<const uint32_t *>(B + K2.Ofs);
+  A.KeyToEntry = reinterpret_cast<const uint32_t *>(K2.Data);
+  if (!validateArenas(A, NumActions, Err))
+    return snapshot::LoadStatus::Corrupt;
+  return snapshot::LoadStatus::Ok;
+}
 
-  if (!validateArenas(A, NumActions, Err)) {
-    Err = "'" + Path + "': " + Err;
-    return nullptr;
-  }
-  return SM;
+ActionCache::FlatImage
+facile::store::ownedImage(const ActionCache::BaseArenas &A) {
+  ActionCache::FlatImage Img;
+  Img.Tick = A.Tick;
+  Img.KeyPool.assign(A.KeyPool, A.KeyPool + A.KeyPoolBytes);
+  Img.Keys.assign(A.Keys, A.Keys + A.NumKeys);
+  Img.KeyToEntry.assign(A.KeyToEntry, A.KeyToEntry + A.NumKeys);
+  Img.Entries.assign(A.Entries, A.Entries + A.NumEntries);
+  Img.Nodes.assign(A.Nodes, A.Nodes + A.NumNodes);
+  Img.Seals.assign(A.Seals, A.Seals + A.NumNodes);
+  Img.Data.assign(A.Data, A.Data + A.DataWords);
+  return Img;
 }
 
 //===----------------------------------------------------------------------===//
-// CacheStoreDir
+// StoreMap
 //===----------------------------------------------------------------------===//
 
-std::string CacheStoreDir::fileName(uint64_t CompatKey, uint64_t Generation) {
-  char Buf[64];
-  std::snprintf(Buf, sizeof(Buf), "ac-%016llx-g%06llu.facstore",
-                static_cast<unsigned long long>(CompatKey),
-                static_cast<unsigned long long>(Generation));
-  return Buf;
+StoreMap::~StoreMap() {
+  if (Map)
+    ::munmap(Map, MapLen);
 }
 
 namespace {
@@ -440,6 +265,61 @@ bool parseFileName(const char *Name, uint64_t &Key, uint64_t &Gen) {
 }
 
 } // namespace
+
+std::shared_ptr<const StoreMap> StoreMap::open(const std::string &Path,
+                                               uint64_t CompatKey,
+                                               uint32_t NumActions,
+                                               std::string &Err) {
+  int Fd = ::open(Path.c_str(), O_RDONLY);
+  if (Fd < 0) {
+    Err = "cannot open '" + Path + "': " + std::strerror(errno);
+    return nullptr;
+  }
+  struct stat St;
+  if (::fstat(Fd, &St) != 0 || St.st_size <= 0) {
+    Err = "cannot stat '" + Path + "' or it is empty";
+    ::close(Fd);
+    return nullptr;
+  }
+  size_t Len = static_cast<size_t>(St.st_size);
+  void *M = ::mmap(nullptr, Len, PROT_READ, MAP_SHARED, Fd, 0);
+  ::close(Fd); // the mapping keeps the file alive
+  if (M == MAP_FAILED) {
+    Err = "cannot map '" + Path + "': " + std::strerror(errno);
+    return nullptr;
+  }
+
+  // From here every failure unmaps via the owning object.
+  std::shared_ptr<StoreMap> SM(new StoreMap());
+  SM->Map = M;
+  SM->MapLen = Len;
+  if (parseImage(static_cast<const uint8_t *>(M), Len, CompatKey, NumActions,
+                 SM->Arenas, Err) != snapshot::LoadStatus::Ok) {
+    Err = "'" + Path + "': " + Err;
+    return nullptr;
+  }
+  SM->CompatKeyV = CompatKey;
+  SM->NumActionsV = NumActions;
+  size_t Slash = Path.rfind('/');
+  uint64_t NameKey;
+  if (!parseFileName(Path.c_str() + (Slash == std::string::npos ? 0 : Slash + 1),
+                     NameKey, SM->GenerationV))
+    SM->GenerationV = 0;
+  return SM;
+}
+
+//===----------------------------------------------------------------------===//
+// CacheStoreDir
+//===----------------------------------------------------------------------===//
+
+std::string CacheStoreDir::fileName(uint64_t CompatKey, uint64_t Generation) {
+  char Buf[64];
+  std::snprintf(Buf, sizeof(Buf), "ac-%016llx-g%06llu.facstore",
+                static_cast<unsigned long long>(CompatKey),
+                static_cast<unsigned long long>(Generation));
+  return Buf;
+}
+
 
 uint64_t CacheStoreDir::latestGeneration(uint64_t CompatKey) const {
   DIR *D = ::opendir(Dir.c_str());
@@ -476,8 +356,11 @@ CacheStoreDir::lookup(uint64_t CompatKey, uint32_t NumActions,
     {
       std::lock_guard<std::mutex> Lock(Mu);
       auto It = Maps.find(Name);
+      // A cached mapping was validated for its first consumer's action
+      // count; reuse it only for the same count.
       if (It != Maps.end())
-        if (std::shared_ptr<const StoreMap> M = It->second.lock())
+        if (std::shared_ptr<const StoreMap> M = It->second.lock();
+            M && M->numActions() == NumActions)
           return M;
       std::shared_ptr<const StoreMap> M =
           StoreMap::open(Path, CompatKey, NumActions, OpenErr);
@@ -498,18 +381,23 @@ CacheStoreDir::lookup(uint64_t CompatKey, uint32_t NumActions,
 }
 
 bool CacheStoreDir::promote(const ActionCache::FlatImage &Img,
-                            uint64_t CompatKey, uint32_t NumActions,
-                            uint64_t *OutGeneration, std::string *Err) {
+                            uint64_t CompatKey, uint64_t *OutGeneration,
+                            std::string *Err) {
   if (::mkdir(Dir.c_str(), 0777) != 0 && errno != EEXIST) {
     if (Err)
       *Err = "cannot create store directory '" + Dir +
              "': " + std::strerror(errno);
     return false;
   }
+  std::vector<uint8_t> Bytes = encodeImage(Img, CompatKey);
+  // Picking the generation and renaming the file into place are one step:
+  // two promotes in this process must not both claim latest + 1.
+  static std::mutex PromoteMu;
+  std::lock_guard<std::mutex> Lock(PromoteMu);
   uint64_t Gen = latestGeneration(CompatKey) + 1;
   std::string E;
-  if (!writeStoreFile(Dir + "/" + fileName(CompatKey, Gen), Img, CompatKey,
-                      NumActions, Gen, E)) {
+  if (!snapshot::writeFileBytes(Dir + "/" + fileName(CompatKey, Gen), Bytes,
+                                E)) {
     if (Err)
       *Err = E;
     return false;

@@ -9,37 +9,27 @@
 /// be memory-mapped read-only and shared by any number of processes and
 /// sessions. The action cache is relocatable by construction (every link
 /// is an arena index — see ActionCache.h), so a store file is simply the
-/// arenas in their in-memory layout plus a validated header: mapping one
-/// costs no deserialization, no rehash and no per-session copies of the
-/// node, seal, data or key arenas. Each consumer layers a private
-/// copy-on-write overlay (ActionCache::attachBase) over the mapping; the
-/// base is never written.
+/// arenas in their in-memory layout inside a snapshot container
+/// (Snapshot.h): mapping one costs no deserialization, no rehash and no
+/// per-session copies of the node, seal, data or key arenas. Each consumer
+/// layers a private copy-on-write overlay (ActionCache::attachBase) over
+/// the mapping; the base is never written.
+///
+/// A *cache image* is an ActionCache-kind container with the sections
+/// listed below, in order. It is both what a store file holds and what
+/// FacileSim::cacheBytes() returns, so a saved cache snapshot is a valid
+/// store file and vice versa. parseImage() is the one validator for both:
+/// container checks first, then the structural rules replay relies on
+/// (links, spans, key spans, key→entry consistency, recomputed key hashes,
+/// and the persisted probe table: power-of-two size, every key findable
+/// from its home slot). Any failure is a diagnosed cold start, never UB.
 ///
 /// Files are keyed by Simulation::compatKey() — the hash binding a cache
 /// to the exact compiled program, options, ISA revision and target image —
-/// and carry a monotonically increasing *generation*: promoting a
-/// session's warmed cache writes the next generation beside the old one
-/// (atomic rename), so live mappings of earlier generations stay valid.
-///
-/// FACSTOR1 layout (host-endian; a store file is a local artifact shared
-/// over mmap, not an interchange format — FACSNAP2 snapshots remain the
-/// portable container):
-///
-///   header (64 bytes):
-///     magic "FACSTOR1" (8) | version u32 | action count u32
-///     | compat key u64 | generation u64 | recency tick u64
-///     | section count u32 | header CRC-32 u32 | reserved (16, zero)
-///   section table: per section (32 bytes)
-///     tag u32 | reserved u32 | file offset u64 | byte length u64
-///     | payload CRC-32 u32 | reserved u32
-///   sections: raw arena bytes, each 8-byte aligned in the file
-///
-/// Opening validates everything before a byte reaches the runtime: magic,
-/// version, compat key, header and per-section CRCs, then the same
-/// structural rules ActionCache::deserialize enforces (links, spans, key
-/// spans, key→entry consistency, recomputed key hashes) plus the persisted
-/// probe table (power-of-two size, every key findable from its home slot).
-/// Any failure is a diagnosed cold start, never UB.
+/// and carry a monotonically increasing *generation* in their name:
+/// promoting a session's warmed cache writes the next generation beside
+/// the old one (atomic rename), so live mappings of earlier generations
+/// stay valid.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,23 +37,20 @@
 #define FACILE_STORE_CACHESTORE_H
 
 #include "src/runtime/ActionCache.h"
+#include "src/snapshot/Snapshot.h"
 
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 namespace facile {
 namespace store {
 
-/// Bumped whenever the header, section table, any arena layout, the key
-/// hash or the seal derivation changes. Version 2: key records and the
-/// probe table hold hashKey (xxHash64) values; version 1 held FNV-1a.
-/// Version 3: node seals fold in the End node's NextKey.
-inline constexpr uint32_t StoreVersion = 3;
-
-/// Section tags (ASCII fourcc, little-endian in the table).
+/// Cache image section tags (ASCII fourcc), in file order.
+inline constexpr uint32_t SecTick = 0x4b434954u;       // "TICK"
 inline constexpr uint32_t SecNodes = 0x45444f4eu;      // "NODE"
 inline constexpr uint32_t SecSeals = 0x4c414553u;      // "SEAL"
 inline constexpr uint32_t SecData = 0x41544144u;       // "DATA"
@@ -73,14 +60,23 @@ inline constexpr uint32_t SecKeyToEntry = 0x0045324bu; // "K2E\0"
 inline constexpr uint32_t SecEntries = 0x52544e45u;    // "ENTR"
 inline constexpr uint32_t SecKeyTable = 0x4241544bu;   // "KTAB"
 
-/// Serializes \p Img as a FACSTOR1 file at \p Path (via a temporary file
-/// and atomic rename, so readers never observe a partial write). Every
-/// node's ActionId must already be < \p NumActions — the image comes from
-/// a cache that enforced it. Returns false with \p Err set on I/O failure.
-bool writeStoreFile(const std::string &Path,
-                    const rt::ActionCache::FlatImage &Img, uint64_t CompatKey,
-                    uint32_t NumActions, uint64_t Generation,
-                    std::string &Err);
+/// Encodes \p Img as a cache image bound to \p CompatKey. Equal images
+/// encode to identical bytes.
+std::vector<uint8_t> encodeImage(const rt::ActionCache::FlatImage &Img,
+                                 uint64_t CompatKey);
+
+/// Validates the cache image in [\p Data, \p Data + \p Len) for a
+/// consumer with \p CompatKey and \p NumActions actions, and on success
+/// points \p Out at its arenas (views into \p Data, which must be 8-byte
+/// aligned and outlive them). On failure \p Out is unspecified and \p Err
+/// says why.
+snapshot::LoadStatus parseImage(const uint8_t *Data, size_t Len,
+                                uint64_t CompatKey, uint32_t NumActions,
+                                rt::ActionCache::BaseArenas &Out,
+                                std::string &Err);
+
+/// An owned copy of the arenas \p A views, for ActionCache::adoptImage.
+rt::ActionCache::FlatImage ownedImage(const rt::ActionCache::BaseArenas &A);
 
 /// One validated, read-only mapping of a store file. Immutable and
 /// thread-safe after open; shared as std::shared_ptr<const StoreMap> so a
@@ -92,9 +88,9 @@ public:
   StoreMap &operator=(const StoreMap &) = delete;
   ~StoreMap();
 
-  /// Maps and fully validates \p Path. \p CompatKey and \p NumActions are
-  /// the consumer's — mismatch is a rejection, not a fault. Returns null
-  /// with \p Err set on any failure.
+  /// Maps \p Path and validates it with parseImage(). \p CompatKey and
+  /// \p NumActions are the consumer's — mismatch is a rejection, not a
+  /// fault. Returns null with \p Err set on any failure.
   static std::shared_ptr<const StoreMap> open(const std::string &Path,
                                               uint64_t CompatKey,
                                               uint32_t NumActions,
@@ -105,20 +101,17 @@ public:
   const rt::ActionCache::BaseArenas &arenas() const { return Arenas; }
 
   uint64_t compatKey() const { return CompatKeyV; }
+  /// The generation in the file name (0 when it is not a store name).
   uint64_t generation() const { return GenerationV; }
   uint32_t numActions() const { return NumActionsV; }
-  const std::string &path() const { return FilePath; }
   /// The mapped extent — what N sessions share instead of N copies.
   size_t mappedBytes() const { return MapLen; }
-  /// The first mapped byte (tests check the mapping is PROT_READ).
-  const void *mappedBase() const { return Map; }
 
 private:
   StoreMap() = default;
 
   void *Map = nullptr;
   size_t MapLen = 0;
-  std::string FilePath;
   uint64_t CompatKeyV = 0;
   uint64_t GenerationV = 0;
   uint32_t NumActionsV = 0;
@@ -147,11 +140,11 @@ public:
 
   /// Writes \p Img as the next generation for \p CompatKey (one past the
   /// highest present; 1 when none). Existing mappings are untouched —
-  /// promotion is additive. Creates the directory if needed. On success
+  /// promotion is additive. Creates the directory if needed. Concurrent
+  /// promotes within a process get distinct generations. On success
   /// *\p OutGeneration (when non-null) receives the new generation.
   bool promote(const rt::ActionCache::FlatImage &Img, uint64_t CompatKey,
-               uint32_t NumActions, uint64_t *OutGeneration,
-               std::string *Err);
+               uint64_t *OutGeneration, std::string *Err);
 
   /// Number of distinct live mappings held through this handle — the "N
   /// sessions, one mapping" observability hook (expired cache slots are

@@ -15,8 +15,8 @@
 ///    bit-identical contract and must never change.
 ///  - hashKey (xxHash64, four independent 64-bit lanes) for the action
 ///    cache's key tables, where one ~1.5 KB step key is hashed per recorded
-///    step. Its values are persisted only in FACSTOR1 store files (key
-///    records and probe table), which is why those files carry a version.
+///    step. Its values are persisted in cache images (key records and
+///    probe table), which is why the snapshot container carries a version.
 ///
 //===----------------------------------------------------------------------===//
 

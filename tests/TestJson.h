@@ -6,225 +6,60 @@
 ///
 /// \file
 /// Test-only JSON helpers shared by the suites that check machine-readable
-/// output: a minimal complete JSON recognizer (promoted from
-/// test_snapshot.cpp), key-presence probes, and a Chrome trace-event
-/// validator that checks the structural invariants the tracer promises —
-/// matched B/E pairs and monotonically non-decreasing timestamps.
+/// output. They parse with json::parse (src/support/JsonValue.h), the
+/// parser the server trusts with untrusted input: well-formedness, member
+/// lookup, and a Chrome trace-event validator that checks the structural
+/// invariants the tracer promises — matched B/E pairs and monotonically
+/// non-decreasing timestamps.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef FACILE_TESTS_TESTJSON_H
 #define FACILE_TESTS_TESTJSON_H
 
-#include <cctype>
-#include <cstdint>
-#include <cstdlib>
-#include <cstring>
+#include "src/support/JsonValue.h"
+
 #include <string>
 #include <vector>
 
 namespace facile {
 namespace testjson {
 
-/// Minimal complete JSON recognizer (objects, arrays, strings, numbers,
-/// literals) — enough to reject any malformed emitted JSON.
-class JsonChecker {
-public:
-  explicit JsonChecker(const std::string &S)
-      : P(S.data()), End(S.data() + S.size()) {}
-
-  bool valid() {
-    bool V = value();
-    ws();
-    return V && P == End;
-  }
-
-private:
-  void ws() {
-    while (P != End && (*P == ' ' || *P == '\t' || *P == '\n' || *P == '\r'))
-      ++P;
-  }
-  bool lit(const char *S) {
-    size_t N = std::strlen(S);
-    if (size_t(End - P) < N || std::strncmp(P, S, N) != 0)
-      return false;
-    P += N;
-    return true;
-  }
-  bool string() {
-    if (P == End || *P != '"')
-      return false;
-    for (++P; P != End && *P != '"'; ++P)
-      if (*P == '\\' && ++P == End)
-        return false;
-    if (P == End)
-      return false;
-    ++P;
-    return true;
-  }
-  bool number() {
-    const char *Start = P;
-    if (P != End && *P == '-')
-      ++P;
-    while (P != End && std::isdigit(static_cast<unsigned char>(*P)))
-      ++P;
-    if (P == Start || (*Start == '-' && P == Start + 1))
-      return false;
-    if (P != End && *P == '.') {
-      ++P;
-      if (P == End || !std::isdigit(static_cast<unsigned char>(*P)))
-        return false;
-      while (P != End && std::isdigit(static_cast<unsigned char>(*P)))
-        ++P;
-    }
-    if (P != End && (*P == 'e' || *P == 'E')) {
-      ++P;
-      if (P != End && (*P == '+' || *P == '-'))
-        ++P;
-      if (P == End || !std::isdigit(static_cast<unsigned char>(*P)))
-        return false;
-      while (P != End && std::isdigit(static_cast<unsigned char>(*P)))
-        ++P;
-    }
-    return true;
-  }
-  bool value() {
-    ws();
-    if (P == End)
-      return false;
-    if (*P == '{')
-      return object();
-    if (*P == '[')
-      return array();
-    if (*P == '"')
-      return string();
-    if (lit("true") || lit("false") || lit("null"))
-      return true;
-    return number();
-  }
-  bool object() {
-    ++P;
-    ws();
-    if (P != End && *P == '}') {
-      ++P;
-      return true;
-    }
-    for (;;) {
-      ws();
-      if (!string())
-        return false;
-      ws();
-      if (P == End || *P != ':')
-        return false;
-      ++P;
-      if (!value())
-        return false;
-      ws();
-      if (P != End && *P == ',') {
-        ++P;
-        continue;
-      }
-      if (P != End && *P == '}') {
-        ++P;
-        return true;
-      }
-      return false;
-    }
-  }
-  bool array() {
-    ++P;
-    ws();
-    if (P != End && *P == ']') {
-      ++P;
-      return true;
-    }
-    for (;;) {
-      if (!value())
-        return false;
-      ws();
-      if (P != End && *P == ',') {
-        ++P;
-        continue;
-      }
-      if (P != End && *P == ']') {
-        ++P;
-        return true;
-      }
-      return false;
-    }
-  }
-
-  const char *P;
-  const char *End;
-};
-
 /// True when \p S parses as one complete JSON value.
-inline bool validJson(const std::string &S) { return JsonChecker(S).valid(); }
-
-/// True when \p Json contains a member named \p Key at any nesting level.
-/// Textual probe: member keys in our emitted JSON never contain escapes,
-/// and string *values* never contain an unescaped `"key":` sequence.
-inline bool hasKey(const std::string &Json, const std::string &Key) {
-  return Json.find("\"" + Key + "\":") != std::string::npos;
+inline bool validJson(const std::string &S) {
+  json::Value V;
+  std::string Err;
+  return json::parse(S, V, Err);
 }
 
-/// The slice of a Chrome trace event the validators assert on.
-struct TraceEvent {
-  std::string Ph;   ///< phase: "B", "E", "i", ...
-  std::string Name; ///< event name
-  std::string Cat;  ///< category
-  uint64_t Ts = 0;  ///< microsecond timestamp
-};
+/// True when \p V holds a member named \p Key at any nesting level.
+inline bool hasMember(const json::Value &V, const std::string &Key) {
+  for (const auto &M : V.members())
+    if (M.first == Key || hasMember(M.second, Key))
+      return true;
+  for (const json::Value &E : V.array())
+    if (hasMember(E, Key))
+      return true;
+  return false;
+}
 
-/// Extracts the events from a trace emitted by telemetry::EventTracer,
-/// relying on its fixed member order ("ph", "name", "cat", "ts", ...).
-/// Returns false when the "traceEvents" array is missing or an event
-/// deviates from that shape.
-inline bool parseTraceEvents(const std::string &Json,
-                             std::vector<TraceEvent> &Out) {
-  size_t Pos = Json.find("\"traceEvents\":[");
-  if (Pos == std::string::npos)
-    return false;
-  Pos += std::strlen("\"traceEvents\":[");
-  size_t ArrayEnd = Json.find(']', Pos);
-  if (ArrayEnd == std::string::npos)
-    return false;
-  auto stringAfter = [&](const char *Prefix, size_t &P,
-                         std::string &Dst) -> bool {
-    size_t Start = Json.find(Prefix, P);
-    if (Start == std::string::npos || Start >= ArrayEnd)
-      return false;
-    Start += std::strlen(Prefix);
-    size_t Quote = Json.find('"', Start);
-    if (Quote == std::string::npos)
-      return false;
-    Dst = Json.substr(Start, Quote - Start);
-    P = Quote + 1;
-    return true;
-  };
-  while (true) {
-    size_t Obj = Json.find("{\"ph\":\"", Pos);
-    if (Obj == std::string::npos || Obj >= ArrayEnd)
-      break;
-    TraceEvent E;
-    size_t P = Obj;
-    if (!stringAfter("{\"ph\":\"", P, E.Ph) ||
-        !stringAfter("\"name\":\"", P, E.Name) ||
-        !stringAfter("\"cat\":\"", P, E.Cat))
-      return false;
-    size_t TsPos = Json.find("\"ts\":", P);
-    if (TsPos == std::string::npos || TsPos >= ArrayEnd)
-      return false;
-    E.Ts = std::strtoull(Json.c_str() + TsPos + 5, nullptr, 10);
-    Pos = TsPos + 5;
-    Out.push_back(std::move(E));
-  }
-  return true;
+/// True when \p Json parses and has a member named \p Key at any level.
+inline bool hasKey(const std::string &Json, const std::string &Key) {
+  json::Value V;
+  std::string Err;
+  return json::parse(Json, V, Err) && hasMember(V, Key);
+}
+
+/// The "traceEvents" array of a parsed trace, or null.
+inline const json::Value *traceEvents(const json::Value &Doc) {
+  const json::Value *E = Doc.get("traceEvents");
+  return E && E->isArray() ? E : nullptr;
 }
 
 /// Validates \p Json as a Chrome trace-event file: well-formed JSON, a
-/// "traceEvents" array, every B closed by an E with the same name (spans
-/// never interleave in our single-threaded traces), no dangling opens, and
+/// "traceEvents" array of events with string "ph"/"name"/"cat" and a
+/// numeric "ts", every B closed by an E with the same name (spans never
+/// interleave in our single-threaded traces), no dangling opens, and
 /// non-decreasing timestamps across all events. On failure \p Err (when
 /// given) says which invariant broke.
 inline bool validChromeTrace(const std::string &Json,
@@ -234,26 +69,31 @@ inline bool validChromeTrace(const std::string &Json,
       *Err = Why;
     return false;
   };
-  if (!validJson(Json))
+  json::Value Doc;
+  std::string ParseErr;
+  if (!json::parse(Json, Doc, ParseErr))
     return fail("not well-formed JSON");
-  if (!hasKey(Json, "traceEvents"))
+  const json::Value *Events = traceEvents(Doc);
+  if (!Events)
     return fail("missing traceEvents array");
-  std::vector<TraceEvent> Events;
-  if (!parseTraceEvents(Json, Events))
-    return fail("unparseable event in traceEvents");
   std::vector<std::string> Open;
-  uint64_t LastTs = 0;
-  for (const TraceEvent &E : Events) {
-    if (E.Ts < LastTs)
+  double LastTs = 0;
+  for (const json::Value &E : Events->array()) {
+    const json::Value *Ph = E.get("ph"), *Name = E.get("name"),
+                      *Cat = E.get("cat"), *Ts = E.get("ts");
+    if (!Ph || !Ph->isStr() || !Name || !Name->isStr() || !Cat ||
+        !Cat->isStr() || !Ts || !Ts->isNumber())
+      return fail("unparseable event in traceEvents");
+    if (Ts->doubleOr(0) < LastTs)
       return fail("timestamps not monotonically non-decreasing");
-    LastTs = E.Ts;
-    if (E.Ph == "B") {
-      Open.push_back(E.Name);
-    } else if (E.Ph == "E") {
-      if (Open.empty() || Open.back() != E.Name)
+    LastTs = Ts->doubleOr(0);
+    if (Ph->str() == "B") {
+      Open.push_back(Name->str());
+    } else if (Ph->str() == "E") {
+      if (Open.empty() || Open.back() != Name->str())
         return fail("E event without matching B");
       Open.pop_back();
-    } else if (E.Ph != "i") {
+    } else if (Ph->str() != "i") {
       return fail("unexpected event phase");
     }
   }
@@ -264,12 +104,17 @@ inline bool validChromeTrace(const std::string &Json,
 
 /// Names of all span ("B") events in \p Json, in order.
 inline std::vector<std::string> spanNames(const std::string &Json) {
-  std::vector<TraceEvent> Events;
   std::vector<std::string> Names;
-  if (parseTraceEvents(Json, Events))
-    for (const TraceEvent &E : Events)
-      if (E.Ph == "B")
-        Names.push_back(E.Name);
+  json::Value Doc;
+  std::string Err;
+  if (!json::parse(Json, Doc, Err))
+    return Names;
+  if (const json::Value *Events = traceEvents(Doc))
+    for (const json::Value &E : Events->array()) {
+      const json::Value *Ph = E.get("ph"), *Name = E.get("name");
+      if (Ph && Ph->str() == "B" && Name)
+        Names.push_back(Name->str());
+    }
   return Names;
 }
 

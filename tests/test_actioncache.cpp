@@ -305,8 +305,8 @@ TEST(ActionCache, NodeLinkingShapes) {
 
 TEST(KeyHash, KnownAnswers) {
   // hashKey is xxHash64 with seed 0; the first four values are the
-  // reference implementation's. FACSTOR1 files persist these hashes, so
-  // any change here must bump store::StoreVersion.
+  // reference implementation's. Cache images persist these hashes, so
+  // any change here must bump snapshot::FormatVersion.
   EXPECT_EQ(hashKey("", 0), 0xef46db3751d8e999ULL);
   EXPECT_EQ(hashKey("a", 1), 0xd24ec4f1a98c6e5bULL);
   EXPECT_EQ(hashKey("abc", 3), 0x44bc2cf5ad770999ULL);

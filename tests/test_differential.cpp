@@ -362,7 +362,7 @@ TEST(Differential, StoreBackedMatchesOwnedCache) {
   // The mmap-shared store is a third way to reach the same cache contents:
   // a sim replaying through a read-only base mapping (with its private
   // copy-on-write overlay) must compute exactly what the private
-  // deserialized copy computes, which in turn must equal the
+  // owned copy computes, which in turn must equal the
   // no-memoization oracle. Both warm paths must actually replay
   // (FastSteps > 0), or the comparison is vacuous.
   std::string StoreDirPath = ::testing::TempDir() + "facile_diff_store";

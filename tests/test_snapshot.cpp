@@ -20,6 +20,7 @@
 #include <cctype>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace facile;
@@ -99,71 +100,87 @@ TEST(Serializer, Crc32KnownVector) {
 // Container
 //===----------------------------------------------------------------------===//
 
+const uint8_t kPayload[] = {1, 2, 3, 4, 5};
+const uint32_t kTags[] = {snapshot::SecSimState, snapshot::SecMemory};
+
 std::vector<uint8_t> testContainer(uint64_t Compat = 0x1234) {
-  snapshot::Section S1{snapshot::SecSimState, {1, 2, 3, 4, 5}};
-  snapshot::Section S2{snapshot::SecMemory, {}};
-  return snapshot::buildContainer(snapshot::PayloadKind::Checkpoint, Compat,
-                                  {S1, S2});
+  return snapshot::buildContainer(
+      snapshot::PayloadKind::Checkpoint, Compat,
+      {{snapshot::SecSimState, kPayload, sizeof(kPayload)},
+       {snapshot::SecMemory, nullptr, 0}});
+}
+
+snapshot::LoadStatus parseTest(const std::vector<uint8_t> &Img, size_t Len,
+                               snapshot::PayloadKind Kind, uint64_t Compat,
+                               std::vector<snapshot::SectionView> &Out,
+                               std::string &Err) {
+  snapshot::SectionView V[2];
+  snapshot::LoadStatus St =
+      snapshot::parseContainer(Img.data(), Len, Kind, Compat, kTags, 2, V, Err);
+  if (St == snapshot::LoadStatus::Ok)
+    Out.assign(V, V + 2);
+  return St;
 }
 
 TEST(Container, RoundTrip) {
   std::vector<uint8_t> Img = testContainer();
-  std::vector<snapshot::Section> Out;
+  std::vector<snapshot::SectionView> Out;
   std::string Err;
-  ASSERT_EQ(snapshot::parseContainer(Img.data(), Img.size(),
-                                     snapshot::PayloadKind::Checkpoint, 0x1234,
-                                     Out, Err),
+  ASSERT_EQ(parseTest(Img, Img.size(), snapshot::PayloadKind::Checkpoint,
+                      0x1234, Out, Err),
             snapshot::LoadStatus::Ok)
       << Err;
   ASSERT_EQ(Out.size(), 2u);
-  EXPECT_EQ(Out[0].Tag, snapshot::SecSimState);
-  EXPECT_EQ(Out[0].Bytes, (std::vector<uint8_t>{1, 2, 3, 4, 5}));
-  EXPECT_EQ(Out[1].Tag, snapshot::SecMemory);
-  EXPECT_TRUE(Out[1].Bytes.empty());
+  EXPECT_EQ(std::vector<uint8_t>(Out[0].Data, Out[0].Data + Out[0].Len),
+            (std::vector<uint8_t>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(Out[0].Len, 5u);
+  EXPECT_EQ(Out[1].Len, 0u);
+  // Sections start 8-aligned and the file ends where the last one does.
+  EXPECT_EQ((Out[0].Data - Img.data()) % 8, 0);
+  EXPECT_EQ((Out[1].Data - Img.data()) % 8, 0);
+  EXPECT_EQ(Out[1].Data + Out[1].Len, Img.data() + Img.size());
 }
 
 TEST(Container, RejectsWrongMagicKindAndCompat) {
   std::vector<uint8_t> Img = testContainer();
-  std::vector<snapshot::Section> Out;
+  std::vector<snapshot::SectionView> Out;
   std::string Err;
 
   std::vector<uint8_t> BadMagic = Img;
   BadMagic[0] ^= 0xff;
-  EXPECT_EQ(snapshot::parseContainer(BadMagic.data(), BadMagic.size(),
-                                     snapshot::PayloadKind::Checkpoint, 0x1234,
-                                     Out, Err),
+  EXPECT_EQ(parseTest(BadMagic, BadMagic.size(),
+                      snapshot::PayloadKind::Checkpoint, 0x1234, Out, Err),
             snapshot::LoadStatus::BadFormat);
 
   // Valid container, but the caller wants the other payload kind.
-  EXPECT_EQ(snapshot::parseContainer(Img.data(), Img.size(),
-                                     snapshot::PayloadKind::ActionCache, 0x1234,
-                                     Out, Err),
+  EXPECT_EQ(parseTest(Img, Img.size(), snapshot::PayloadKind::ActionCache,
+                      0x1234, Out, Err),
             snapshot::LoadStatus::BadFormat);
 
   // Valid container produced under a different configuration.
-  EXPECT_EQ(snapshot::parseContainer(Img.data(), Img.size(),
-                                     snapshot::PayloadKind::Checkpoint, 0x9999,
-                                     Out, Err),
+  EXPECT_EQ(parseTest(Img, Img.size(), snapshot::PayloadKind::Checkpoint,
+                      0x9999, Out, Err),
             snapshot::LoadStatus::CompatMismatch);
   EXPECT_TRUE(Out.empty()); // untouched on failure
 }
 
 TEST(Container, OlderFormatVersionsAreRefused) {
-  // Version 2 containers carry node seals without the End node's NextKey
-  // (version 1 predates them); both must be refused as a format mismatch.
-  // Header: magic (8) | version u32 at 8 | ... | CRC-32 of the first 28
-  // bytes at 28.
+  // Versions 1 and 2 carry node seals without the End node's NextKey, and
+  // version 3 was the last with separate snapshot and store formats; all
+  // must be refused as a format mismatch. Header: magic (8) | version u32
+  // at 8 | ... | CRC-32 at 28 of the first 28 bytes and the section table
+  // (24 bytes per section from offset 32).
   std::vector<uint8_t> Img = testContainer();
-  for (uint32_t Old : {1u, 2u}) {
+  for (uint32_t Old : {1u, 2u, 3u}) {
     std::vector<uint8_t> Bad = Img;
     std::memcpy(Bad.data() + 8, &Old, 4);
-    const uint32_t Crc = snapshot::crc32(Bad.data(), 28);
+    const uint32_t Crc = snapshot::crc32(Bad.data() + 32, 2 * 24,
+                                         snapshot::crc32(Bad.data(), 28));
     std::memcpy(Bad.data() + 28, &Crc, 4);
-    std::vector<snapshot::Section> Out;
+    std::vector<snapshot::SectionView> Out;
     std::string Err;
-    EXPECT_EQ(snapshot::parseContainer(Bad.data(), Bad.size(),
-                                       snapshot::PayloadKind::Checkpoint,
-                                       0x1234, Out, Err),
+    EXPECT_EQ(parseTest(Bad, Bad.size(), snapshot::PayloadKind::Checkpoint,
+                        0x1234, Out, Err),
               snapshot::LoadStatus::BadFormat);
     EXPECT_NE(Err.find("unsupported snapshot format version " +
                        std::to_string(Old)),
@@ -175,12 +192,11 @@ TEST(Container, OlderFormatVersionsAreRefused) {
 
 TEST(Container, EveryTruncationRejected) {
   std::vector<uint8_t> Img = testContainer();
-  std::vector<snapshot::Section> Out;
+  std::vector<snapshot::SectionView> Out;
   std::string Err;
   for (size_t Len = 0; Len != Img.size(); ++Len) {
-    EXPECT_NE(snapshot::parseContainer(Img.data(), Len,
-                                       snapshot::PayloadKind::Checkpoint,
-                                       0x1234, Out, Err),
+    EXPECT_NE(parseTest(Img, Len, snapshot::PayloadKind::Checkpoint, 0x1234,
+                        Out, Err),
               snapshot::LoadStatus::Ok)
         << "truncation to " << Len << " bytes parsed";
     EXPECT_TRUE(Out.empty());
@@ -188,25 +204,19 @@ TEST(Container, EveryTruncationRejected) {
 }
 
 TEST(Container, EveryPayloadBitFlipRejected) {
-  // Flips every bit of a small container. CRCs (header and section) catch
-  // everything except flips inside a section tag, which parse but change
-  // the tag — consumers then miss their section, which is also a clean
-  // failure; here we only demand "never Ok with the original sections".
+  // Flips every bit of a small container: the table CRC covers the header
+  // and section table, each payload has its own CRC, and padding must be
+  // zero, so no flip anywhere parses.
   std::vector<uint8_t> Img = testContainer();
   std::string Err;
   for (size_t Bit = 0; Bit != Img.size() * 8; ++Bit) {
     std::vector<uint8_t> Mut = Img;
     Mut[Bit / 8] ^= uint8_t(1u << (Bit % 8));
-    std::vector<snapshot::Section> Out;
-    snapshot::LoadStatus St = snapshot::parseContainer(
-        Mut.data(), Mut.size(), snapshot::PayloadKind::Checkpoint, 0x1234, Out,
-        Err);
-    if (St == snapshot::LoadStatus::Ok) {
-      ASSERT_EQ(Out.size(), 2u);
-      EXPECT_TRUE(Out[0].Tag != snapshot::SecSimState ||
-                  Out[1].Tag != snapshot::SecMemory)
-          << "bit " << Bit << " flipped yet container parsed unchanged";
-    }
+    std::vector<snapshot::SectionView> Out;
+    EXPECT_NE(parseTest(Mut, Mut.size(), snapshot::PayloadKind::Checkpoint,
+                        0x1234, Out, Err),
+              snapshot::LoadStatus::Ok)
+        << "bit " << Bit << " flipped yet the container parsed";
   }
 }
 
@@ -481,22 +491,51 @@ TEST(SnapshotFiles, SaveLoadRoundTripOnDisk) {
   std::remove(CachePath.c_str());
 }
 
+TEST(SnapshotFiles, ConcurrentWritesOfOnePathAllSucceed) {
+  // Each write stages its own temporary, so writers racing on one path
+  // never rename a temporary out from under each other: every write
+  // succeeds and the file ends up whole.
+  std::string Path = ::testing::TempDir() + "/facile_test_concurrent.bin";
+  const std::vector<uint8_t> Bytes(1 << 16, 0x5a);
+  constexpr unsigned Threads = 4, Writes = 50;
+  std::vector<unsigned> Failures(Threads, 0);
+  std::vector<std::thread> Pool;
+  for (unsigned T = 0; T != Threads; ++T)
+    Pool.emplace_back([&, T] {
+      for (unsigned I = 0; I != Writes; ++I) {
+        std::string Err;
+        if (!snapshot::writeFileBytes(Path, Bytes, Err))
+          ++Failures[T];
+      }
+    });
+  for (std::thread &Th : Pool)
+    Th.join();
+  for (unsigned T = 0; T != Threads; ++T)
+    EXPECT_EQ(Failures[T], 0u) << "thread " << T;
+  std::vector<uint8_t> Back;
+  std::string Err;
+  ASSERT_TRUE(snapshot::readFileBytes(Path, Back, Err)) << Err;
+  EXPECT_EQ(Back, Bytes);
+  std::remove(Path.c_str());
+}
+
 //===----------------------------------------------------------------------===//
 // statsJson validity
 //===----------------------------------------------------------------------===//
 
-// The recognizer itself lives in tests/TestJson.h, shared with the
-// telemetry suite; the sanity checks stay here with its original users.
-using testjson::JsonChecker;
+// The tests validate JSON with json::parse (tests/TestJson.h), the parser
+// the server trusts with untrusted input; it must reject every malformed
+// shape the emitters could plausibly produce.
+using testjson::validJson;
 
 TEST(StatsJson, RecognizerSanity) {
-  EXPECT_TRUE(JsonChecker("{\"a\":1,\"b\":[1,2.5,-3e2],\"c\":\"x\"}").valid());
-  EXPECT_TRUE(JsonChecker("{}").valid());
-  EXPECT_FALSE(JsonChecker("{\"a\":}").valid());
-  EXPECT_FALSE(JsonChecker("{\"a\":1,}").valid());
-  EXPECT_FALSE(JsonChecker("{\"a\":1").valid());
-  EXPECT_FALSE(JsonChecker("{'a':1}").valid());
-  EXPECT_FALSE(JsonChecker("{\"a\":01x}").valid());
+  EXPECT_TRUE(validJson("{\"a\":1,\"b\":[1,2.5,-3e2],\"c\":\"x\"}"));
+  EXPECT_TRUE(validJson("{}"));
+  EXPECT_FALSE(validJson("{\"a\":}"));
+  EXPECT_FALSE(validJson("{\"a\":1,}"));
+  EXPECT_FALSE(validJson("{\"a\":1"));
+  EXPECT_FALSE(validJson("{'a':1}"));
+  EXPECT_FALSE(validJson("{\"a\":01x}"));
 }
 
 TEST(StatsJson, EverySimulatorEmitsValidJson) {
@@ -507,15 +546,15 @@ TEST(StatsJson, EverySimulatorEmitsValidJson) {
     FacileSim Sim(Kind, Image);
     // Before any run, after a run, and after a snapshot load (which fills
     // the "snapshot" block with nonzero values).
-    EXPECT_TRUE(JsonChecker(Sim.statsJson()).valid()) << Sim.statsJson();
+    EXPECT_TRUE(validJson(Sim.statsJson())) << Sim.statsJson();
     Sim.run(60'000);
-    EXPECT_TRUE(JsonChecker(Sim.statsJson()).valid()) << Sim.statsJson();
+    EXPECT_TRUE(validJson(Sim.statsJson())) << Sim.statsJson();
 
     FacileSim Warm(Kind, Image);
     std::string Err;
     ASSERT_TRUE(Warm.loadCacheBytes(Sim.cacheBytes(), &Err)) << Err;
     ASSERT_TRUE(Warm.loadCheckpointBytes(Sim.checkpointBytes(), &Err)) << Err;
-    EXPECT_TRUE(JsonChecker(Warm.statsJson()).valid()) << Warm.statsJson();
+    EXPECT_TRUE(validJson(Warm.statsJson())) << Warm.statsJson();
   }
 }
 

@@ -2,7 +2,7 @@
 //
 // The store subsystem's contract, exercised end to end: a promoted action
 // cache comes back bit-identical through a read-only mapping (same
-// replayed results as the private deserialization path), generations pick
+// replayed results as the private owned-copy path), generations pick
 // the newest compatible file, every corruption is a diagnosed cold start,
 // N consumers share one mapping, and — the point of the design — two
 // independent processes over one store file compute identical digests
@@ -11,15 +11,18 @@
 //===----------------------------------------------------------------------===//
 
 #include "src/sims/SimHarness.h"
-#include "src/snapshot/Serializer.h"
+#include "src/snapshot/Snapshot.h"
 #include "src/store/CacheStore.h"
 #include "src/workload/Workloads.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <dirent.h>
@@ -60,29 +63,18 @@ std::string freshDir(const char *Name) {
   return D;
 }
 
+/// The whole file at \p Path; empty when it cannot be read.
 std::vector<uint8_t> readFileBytes(const std::string &Path) {
   std::vector<uint8_t> Bytes;
-  std::FILE *F = std::fopen(Path.c_str(), "rb");
-  if (!F)
-    return Bytes;
-  std::fseek(F, 0, SEEK_END);
-  long N = std::ftell(F);
-  std::fseek(F, 0, SEEK_SET);
-  Bytes.resize(N > 0 ? static_cast<size_t>(N) : 0);
-  if (!Bytes.empty() && std::fread(Bytes.data(), 1, Bytes.size(), F) !=
-                            Bytes.size())
-    Bytes.clear();
-  std::fclose(F);
+  std::string Err;
+  snapshot::readFileBytes(Path, Bytes, Err);
   return Bytes;
 }
 
 bool writeFileBytes(const std::string &Path,
                     const std::vector<uint8_t> &Bytes) {
-  std::FILE *F = std::fopen(Path.c_str(), "wb");
-  if (!F)
-    return false;
-  bool Ok = std::fwrite(Bytes.data(), 1, Bytes.size(), F) == Bytes.size();
-  return std::fclose(F) == 0 && Ok;
+  std::string Err;
+  return snapshot::writeFileBytes(Path, Bytes, Err);
 }
 
 /// Finds the /proc/self/maps permission string of the first mapping whose
@@ -159,18 +151,20 @@ TEST(CacheStore, WriteStoreFileIsDeterministic) {
   rt::ActionCache::FlatImage Img =
       Builder.sim().cache().compactImage(0, /*DropDetached=*/true);
   uint64_t CK = Builder.sim().compatKey();
-  uint32_t NA = static_cast<uint32_t>(Builder.sim().actionCount());
 
-  std::string A = ::testing::TempDir() + "facile_store_det_a.facstore";
-  std::string B = ::testing::TempDir() + "facile_store_det_b.facstore";
+  std::vector<uint8_t> Bytes = store::encodeImage(Img, CK);
+  ASSERT_FALSE(Bytes.empty());
+  EXPECT_EQ(Bytes, store::encodeImage(Img, CK));
+  // One format: a promoted store file and a cache snapshot are these
+  // same bytes.
+  EXPECT_EQ(Builder.cacheBytes(), Bytes);
+  std::string Dir = freshDir("det");
+  store::CacheStoreDir Store(Dir);
   std::string Err;
-  ASSERT_TRUE(store::writeStoreFile(A, Img, CK, NA, 3, Err)) << Err;
-  ASSERT_TRUE(store::writeStoreFile(B, Img, CK, NA, 3, Err)) << Err;
-  std::vector<uint8_t> BytesA = readFileBytes(A);
-  ASSERT_FALSE(BytesA.empty());
-  EXPECT_EQ(BytesA, readFileBytes(B));
-  std::remove(A.c_str());
-  std::remove(B.c_str());
+  ASSERT_TRUE(Builder.promoteStore(Store, nullptr, &Err)) << Err;
+  EXPECT_EQ(readFileBytes(Dir + "/" + store::CacheStoreDir::fileName(CK, 1)),
+            Bytes);
+  removeTree(Dir);
 }
 
 TEST(CacheStore, GenerationsPickLatest) {
@@ -256,11 +250,109 @@ TEST(CacheStore, CorruptionIsRejected) {
   removeTree(Dir);
 }
 
+TEST(CacheStore, EveryByteAndTheLengthAreChecked) {
+  // No byte of a store file is unchecked: each is covered by a CRC or
+  // must be zero, and the file must end where its last section does. So
+  // a flip anywhere in the header, section table or the sampled payload,
+  // a truncation, and appended bytes all make StoreMap::open refuse it.
+  isa::TargetImage Image = workload::generate(testSpec(), 2);
+  FacileSim Builder(SimKind::OutOfOrder, Image);
+  Builder.run(60'000);
+
+  std::string Dir = freshDir("coverage");
+  store::CacheStoreDir Store(Dir);
+  std::string Err;
+  ASSERT_TRUE(Builder.promoteStore(Store, nullptr, &Err)) << Err;
+  uint64_t CK = Builder.sim().compatKey();
+  uint32_t NA = static_cast<uint32_t>(Builder.sim().actionCount());
+  std::string Path = Dir + "/" + store::CacheStoreDir::fileName(CK, 1);
+  const std::vector<uint8_t> Good = readFileBytes(Path);
+  ASSERT_GT(Good.size(), size_t(1024));
+
+  auto opens = [&](const std::vector<uint8_t> &Bytes) {
+    EXPECT_TRUE(writeFileBytes(Path, Bytes));
+    std::string OpenErr;
+    bool Ok = store::StoreMap::open(Path, CK, NA, OpenErr) != nullptr;
+    EXPECT_TRUE(Ok || !OpenErr.empty());
+    return Ok;
+  };
+  std::vector<size_t> Flips;
+  for (size_t I = 0; I != 512; ++I)
+    Flips.push_back(I);
+  for (size_t K = 0; K != 64; ++K)
+    Flips.push_back(512 + (Good.size() - 512) * K / 64);
+  Flips.push_back(Good.size() - 1);
+  for (size_t Pos : Flips) {
+    std::vector<uint8_t> Bad = Good;
+    Bad[Pos] ^= uint8_t(1u << (Pos % 8));
+    EXPECT_FALSE(opens(Bad)) << "flip at byte " << Pos;
+  }
+  for (size_t Extra : {1, 7, 8, 64}) {
+    std::vector<uint8_t> Bad = Good;
+    Bad.resize(Good.size() + Extra, 0);
+    EXPECT_FALSE(opens(Bad)) << Extra << " appended bytes";
+  }
+  for (size_t Len : {size_t(1), size_t(8), size_t(31), size_t(32),
+                     size_t(256), Good.size() / 2, Good.size() - 8,
+                     Good.size() - 1}) {
+    std::vector<uint8_t> Bad(Good.begin(), Good.begin() + Len);
+    EXPECT_FALSE(opens(Bad)) << "truncated to " << Len << " bytes";
+  }
+  EXPECT_TRUE(opens(Good));
+  removeTree(Dir);
+}
+
+TEST(CacheStore, ConcurrentPromotesOfOneKeyGetDistinctGenerations) {
+  // Threads promoting the same compat key at once each get their own
+  // generation, and every one of those files is intact.
+  isa::TargetImage Image = workload::generate(testSpec(), 2);
+  FacileSim Builder(SimKind::OutOfOrder, Image);
+  Builder.run(60'000);
+  uint64_t CK = Builder.sim().compatKey();
+  uint32_t NA = static_cast<uint32_t>(Builder.sim().actionCount());
+
+  std::string Dir = freshDir("concurrent");
+  store::CacheStoreDir Store(Dir);
+  constexpr unsigned Threads = 4, Rounds = 5;
+  std::vector<uint64_t> Gens;
+  for (unsigned R = 0; R != Rounds; ++R) {
+    std::vector<uint64_t> RoundGens(Threads, 0);
+    std::vector<std::string> Errs(Threads);
+    std::vector<int> Ok(Threads, 0);
+    std::atomic<unsigned> Ready{0};
+    std::vector<std::thread> Pool;
+    for (unsigned T = 0; T != Threads; ++T)
+      Pool.emplace_back([&, T] {
+        ++Ready;
+        while (Ready.load() != Threads) {
+        }
+        Ok[T] = Builder.promoteStore(Store, &RoundGens[T], &Errs[T]);
+      });
+    for (std::thread &Th : Pool)
+      Th.join();
+    for (unsigned T = 0; T != Threads; ++T) {
+      EXPECT_TRUE(Ok[T]) << Errs[T];
+      Gens.push_back(RoundGens[T]);
+    }
+  }
+  std::sort(Gens.begin(), Gens.end());
+  for (size_t I = 0; I != Gens.size(); ++I)
+    EXPECT_EQ(Gens[I], I + 1) << "generation handed out twice or skipped";
+  for (uint64_t G = 1; G <= Threads * Rounds; ++G) {
+    std::string Err;
+    EXPECT_TRUE(store::StoreMap::open(
+        Dir + "/" + store::CacheStoreDir::fileName(CK, G), CK, NA, Err))
+        << "generation " << G << ": " << Err;
+  }
+  removeTree(Dir);
+}
+
 TEST(CacheStore, OlderVersionIsRefusedBeforeTheHashCheck) {
   // Version 1 files hold FNV-1a key hashes, not hashKey values; version 2
-  // files hold node seals without the End node's NextKey. A file that
-  // says either under a valid header CRC must be refused for its version,
-  // as a diagnosed cold start, and never get as far as the key-hash check.
+  // files hold node seals without the End node's NextKey; version 3 was
+  // the last with a store-only header. A file that says any of them under
+  // a valid table CRC must be refused for its version, as a diagnosed
+  // cold start, and never get as far as the key-hash check.
   isa::TargetImage Image = workload::generate(testSpec(), 2);
   FacileSim Builder(SimKind::OutOfOrder, Image);
   Builder.run(kBudget);
@@ -275,20 +367,21 @@ TEST(CacheStore, OlderVersionIsRefusedBeforeTheHashCheck) {
   const std::vector<uint8_t> Current = readFileBytes(Path);
   ASSERT_GT(Current.size(), size_t(64));
 
-  for (uint32_t OldVersion : {1u, 2u}) {
+  for (uint32_t OldVersion : {1u, 2u, 3u}) {
     SCOPED_TRACE(OldVersion);
-    // Header layout (docs/INTERNALS.md): version u32 at 8, CRC-32 of the
-    // first 44 bytes at 44.
+    // Container layout (docs/INTERNALS.md): version u32 at 8, CRC-32 at
+    // 28 of the first 28 bytes and the 9-entry, 24-byte section table.
     std::vector<uint8_t> Bytes = Current;
     std::memcpy(Bytes.data() + 8, &OldVersion, 4);
-    const uint32_t Crc = snapshot::crc32(Bytes.data(), 44);
-    std::memcpy(Bytes.data() + 44, &Crc, 4);
+    const uint32_t Crc = snapshot::crc32(Bytes.data() + 32, 9 * 24,
+                                         snapshot::crc32(Bytes.data(), 28));
+    std::memcpy(Bytes.data() + 28, &Crc, 4);
     ASSERT_TRUE(writeFileBytes(Path, Bytes));
 
     {
       store::CacheStoreDir Fresh(Dir);
       EXPECT_FALSE(Fresh.lookup(CK, NA, &Err));
-      EXPECT_NE(Err.find("unsupported store format version"),
+      EXPECT_NE(Err.find("unsupported snapshot format version"),
                 std::string::npos)
           << Err;
       EXPECT_EQ(Err.find("key hash mismatch"), std::string::npos) << Err;
@@ -297,7 +390,7 @@ TEST(CacheStore, OlderVersionIsRefusedBeforeTheHashCheck) {
     store::CacheStoreDir Fresh(Dir);
     FacileSim Victim(SimKind::OutOfOrder, Image);
     EXPECT_FALSE(Victim.attachStore(Fresh, &Err));
-    EXPECT_NE(Err.find("unsupported store format version"), std::string::npos)
+    EXPECT_NE(Err.find("unsupported snapshot format version"), std::string::npos)
         << Err;
     EXPECT_EQ(Victim.snapshotStats().CorruptInputs, 1u);
     EXPECT_EQ(Victim.snapshotStats().ColdFallbacks, 1u);
