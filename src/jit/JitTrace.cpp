@@ -23,7 +23,7 @@ bool JitTraceCache::shouldCompile(uint32_t Entry, uint32_t Threshold,
     S.Visits = 0;
     S.T = Trace();
   }
-  if (codeBytes() >= MaxCodeBytes) {
+  if (BudgetSpent) {
     S.State = NoCompile;
     return false;
   }
@@ -34,9 +34,24 @@ bool JitTraceCache::publish(uint32_t Entry, Trace T,
                             const std::vector<uint8_t> &Code) {
   Slot &S = Slots[Entry]; // sized by shouldCompile
   if (!Arena)
-    Arena = std::make_unique<JitArena>();
+    Arena = std::make_unique<JitArena>(JitArena::Layout::Packed);
+  if (Arena->mappedBytesAfter(Code.size()) > MaxCodeBytes) {
+    // The last chunk is full and the budget has no room for another:
+    // every later candidate stays interpreted without paying a compile.
+    BudgetSpent = true;
+    S.State = NoCompile;
+    return false;
+  }
   const uint8_t *Exec = Arena->publish(Code.data(), Code.size());
   if (!Exec) {
+    if (!Arena->intact()) {
+      // A failed append left earlier traces' pages unexecutable: drop
+      // them all and compile nothing more until the next reset().
+      Slots.clear();
+      Arena.reset();
+      BudgetSpent = true;
+      return false;
+    }
     S.State = NoCompile;
     return false;
   }
@@ -68,5 +83,6 @@ void JitTraceCache::invalidate(uint32_t Entry) {
 void JitTraceCache::reset() {
   Slots.clear();
   Arena.reset(); // single-threaded per session: no trace can be mid-flight
+  BudgetSpent = false;
   ++Resets;
 }

@@ -10,7 +10,12 @@
 /// session), traces are bound to one session's ActionCache — they bake node
 /// span offsets and successor links of that cache's arenas — so the trace
 /// cache is per session and single-threaded, owned by that session's Jit
-/// backend.
+/// backend. That is also what lets trace code share pages: traces are
+/// appended 16-byte aligned into 64 KB chunks of a Packed JitArena, and an
+/// append flips only the tail page(s) read-write and back to read-execute
+/// (never both at once). No other thread can be running this session's
+/// traces during the flip, which the shared per-plan JitCache — one page
+/// per unit, never writable again — cannot assume.
 ///
 /// Validity is epoch-gated: a trace records the cache's mutation epoch at
 /// compile time and is only dispatched while the epoch still matches.
@@ -90,7 +95,8 @@ public:
 
   /// Copies \p Code into executable memory and publishes it as \p Entry's
   /// trace. Returns false (and pins the entry no-compile) when executable
-  /// memory is unavailable or the budget is exhausted.
+  /// memory is unavailable or the code does not fit the budget; the latter
+  /// also pins every later candidate.
   bool publish(uint32_t Entry, Trace T, const std::vector<uint8_t> &Code);
 
   /// Pins \p Entry to the interpreter (inexpressible or over limits).
@@ -108,18 +114,19 @@ public:
   void reset();
 
   uint64_t compiledTraces() const { return Compiled; }
+  /// Packed chunk bytes mapped for trace code.
   uint64_t codeBytes() const { return Arena ? Arena->mappedBytes() : 0; }
   uint64_t resets() const { return Resets; }
 
-  /// Ceiling on executable bytes held; crossing it pins further entries to
-  /// the interpreter instead of growing without bound. Deliberately small:
-  /// traces pay off only on entry-concentrated workloads where a few
-  /// thousand hot entries absorb most replayed steps. Entry-diverse
-  /// workloads (tens of thousands of live entries) get *slower* when fully
-  /// traced — the per-entry code has no icache locality and compile time is
-  /// never amortised — so the budget caps the damage: the first entries to
-  /// prove hot get native code, the long tail stays interpreted.
-  static constexpr uint64_t MaxCodeBytes = 4ull << 20;
+  /// Ceiling on packed chunk bytes held; once a trace no longer fits, every
+  /// further entry is pinned to the interpreter instead of growing without
+  /// bound. Deliberately small: traces pay off only on entry-concentrated
+  /// workloads where the first entries to prove hot absorb most replayed
+  /// steps; the long tail stays interpreted. Measured on replay-fp
+  /// (perfbench, 4-vCPU VM): 1 MB holds ~1.2-1.45 K traces of 660-780 B
+  /// and was the fastest budget; 4 MB packed compiled 4-5 K traces and
+  /// gained nothing, its compile time and icache pressure eating the win.
+  static constexpr uint64_t MaxCodeBytes = 1ull << 20;
 
   /// Growth invalidations tolerated per entry before pinning it to the
   /// interpreter. An entry whose recorded tree keeps growing (a side exit
@@ -139,6 +146,7 @@ private:
   std::unique_ptr<JitArena> Arena;
   uint64_t Compiled = 0;
   uint64_t Resets = 0;
+  bool BudgetSpent = false; ///< MaxCodeBytes reached: compile nothing more
 };
 
 } // namespace jit

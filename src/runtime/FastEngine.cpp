@@ -51,9 +51,10 @@ using namespace facile::ir;
 template <bool Guarded, bool Profiled>
 Simulation::ReplayResult Simulation::runFastImpl(EntryId Entry, KeyId Key) {
   const ExecPlan &P = *Plan;
-  ReplayedStep Rp;
+  ReplayedStep &Rp = ReplayPrefix;
   Rp.Entry = Entry;
   Rp.Key = Key;
+  Rp.Path.clear(); // capacity kept: steady-state replay never allocates
 
   // Raw arena bases: replay never grows the cache, so these stay valid
   // until a miss hands the step to the slow simulator (after which they
@@ -125,7 +126,6 @@ Simulation::ReplayResult Simulation::runFastImpl(EntryId Entry, KeyId Key) {
       // node's pair).
       ExecutedAny = true;
       AnyNative = true;
-      Rp.Path.reserve(X.PathLen);
       for (uint32_t Pi = 0; Pi != X.PathLen; ++Pi) {
         const jit::JitTraceCache::PathItem &It = T->PathPool[X.PathOfs + Pi];
         Rp.Path.push_back({It.Node, It.Value});

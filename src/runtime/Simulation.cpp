@@ -261,12 +261,19 @@ bool Simulation::chainMatches(KeyId Next) const {
   if (!keyUsable(Next))
     return false;
   const char *Data = Cache.keyData(Next);
+  // A word loop rather than memcmp: the compared fields are a word or two
+  // (typically just PC), far below what a libc call per step pays off for.
   for (const KeyField &F : ChainFields) {
     const int64_t *Src = Prog.Globals[F.Global].IsArray
                              ? DynArrays[F.Global].data()
                              : &DynGlobals[F.Global];
-    if (std::memcmp(Data + F.Ofs, Src, F.Words * 8) != 0)
-      return false;
+    const char *Word = Data + F.Ofs;
+    for (uint32_t W = 0; W != F.Words; ++W, Word += 8) {
+      int64_t V;
+      std::memcpy(&V, Word, 8); // key pool bytes carry no word alignment
+      if (V != Src[W])
+        return false;
+    }
   }
   return true;
 }

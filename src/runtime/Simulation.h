@@ -534,6 +534,10 @@ private:
   std::vector<KeyField> KeyStaticFields; ///< restored by materialize()
   std::vector<KeyField> ChainFields;     ///< compared by chainMatches()
   std::string KeyBuf;  ///< reused per-step key buffer
+  /// Reused replay-prefix buffer: runFastImpl clears it at step start and
+  /// keeps its capacity, so a replayed step allocates nothing; only a miss
+  /// reads it (as runSlow's recovery input).
+  ReplayedStep ReplayPrefix;
   size_t KeyWidth = 0; ///< serialized key size, fixed per program
 };
 

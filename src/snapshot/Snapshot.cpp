@@ -162,13 +162,13 @@ LoadStatus parseContainer(const uint8_t *Data, size_t Len, PayloadKind Kind,
   return LoadStatus::Ok;
 }
 
-bool writeFileBytes(const std::string &Path, const std::vector<uint8_t> &Bytes,
-                    std::string &Err) {
+bool writeTempFile(const std::string &Path, const std::vector<uint8_t> &Bytes,
+                   std::string &Tmp, std::string &Err) {
   // A temporary per process and per call: two threads or two processes
   // writing the same path never interleave into one temporary.
   static std::atomic<uint64_t> Serial{0};
-  std::string Tmp = Path + ".tmp." + std::to_string(::getpid()) + "." +
-                    std::to_string(Serial.fetch_add(1));
+  Tmp = Path + ".tmp." + std::to_string(::getpid()) + "." +
+        std::to_string(Serial.fetch_add(1));
   std::FILE *File = std::fopen(Tmp.c_str(), "wb");
   if (!File) {
     Err = "cannot open '" + Tmp + "' for writing: " + std::strerror(errno);
@@ -183,6 +183,14 @@ bool writeFileBytes(const std::string &Path, const std::vector<uint8_t> &Bytes,
     Err = "short write to '" + Tmp + "'";
     return false;
   }
+  return true;
+}
+
+bool writeFileBytes(const std::string &Path, const std::vector<uint8_t> &Bytes,
+                    std::string &Err) {
+  std::string Tmp;
+  if (!writeTempFile(Path, Bytes, Tmp, Err))
+    return false;
   if (std::rename(Tmp.c_str(), Path.c_str()) != 0) {
     Err = "cannot rename '" + Tmp + "' to '" + Path +
           "': " + std::strerror(errno);

@@ -114,10 +114,17 @@ LoadStatus parseContainer(const uint8_t *Data, size_t Len, PayloadKind Kind,
                           uint64_t CompatKey, const uint32_t *Tags,
                           size_t NumTags, SectionView *Out, std::string &Err);
 
-/// Writes \p Bytes to \p Path atomically: to a temporary file named for
-/// this process and call, then renamed over \p Path, so a reader sees the
-/// old file or the complete new one and concurrent writers never share a
-/// temporary. Returns false with \p Err set on I/O failure.
+/// Writes \p Bytes to a fresh temporary file next to \p Path, named for
+/// this process and call so concurrent writers never share one, and
+/// returns its path in \p Tmp. Returns false with \p Err set (and nothing
+/// left behind) on I/O failure.
+bool writeTempFile(const std::string &Path, const std::vector<uint8_t> &Bytes,
+                   std::string &Tmp, std::string &Err);
+
+/// Writes \p Bytes to \p Path atomically: to a temporary file
+/// (writeTempFile), then renamed over \p Path, so a reader sees the old
+/// file or the complete new one. Returns false with \p Err set on I/O
+/// failure.
 bool writeFileBytes(const std::string &Path, const std::vector<uint8_t> &Bytes,
                     std::string &Err);
 

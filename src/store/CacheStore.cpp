@@ -252,6 +252,10 @@ StoreMap::~StoreMap() {
 
 namespace {
 
+/// Generations one promote tries before giving up: far more than the
+/// promoters of one key that can collide at once.
+constexpr int MaxPromoteAttempts = 64;
+
 /// Parses "ac-<16 hex>-g<decimal>.facstore". Returns false otherwise.
 bool parseFileName(const char *Name, uint64_t &Key, uint64_t &Gen) {
   if (std::strncmp(Name, "ac-", 3) != 0)
@@ -390,16 +394,36 @@ bool CacheStoreDir::promote(const ActionCache::FlatImage &Img,
     return false;
   }
   std::vector<uint8_t> Bytes = encodeImage(Img, CompatKey);
-  // Picking the generation and renaming the file into place are one step:
-  // two promotes in this process must not both claim latest + 1.
-  static std::mutex PromoteMu;
-  std::lock_guard<std::mutex> Lock(PromoteMu);
-  uint64_t Gen = latestGeneration(CompatKey) + 1;
-  std::string E;
-  if (!snapshot::writeFileBytes(Dir + "/" + fileName(CompatKey, Gen), Bytes,
-                                E)) {
+  std::string Tmp, E;
+  if (!snapshot::writeTempFile(Dir + "/" + fileName(CompatKey, 0), Bytes, Tmp,
+                               E)) {
     if (Err)
       *Err = E;
+    return false;
+  }
+  // Promotes of one key — from threads or from other processes — can all
+  // pick the same latest + 1. link() never replaces an existing name, so
+  // whoever loses that race moves on to the next generation instead of
+  // silently clobbering the winner's file as a rename would.
+  uint64_t Gen = latestGeneration(CompatKey) + 1;
+  int LinkErrno = EEXIST;
+  for (int Attempt = 0; Attempt != MaxPromoteAttempts; ++Attempt) {
+    const std::string Path = Dir + "/" + fileName(CompatKey, Gen);
+    if (::link(Tmp.c_str(), Path.c_str()) == 0) {
+      LinkErrno = 0;
+      break;
+    }
+    LinkErrno = errno;
+    if (LinkErrno != EEXIST)
+      break;
+    Gen = std::max(Gen, latestGeneration(CompatKey)) + 1;
+  }
+  ::unlink(Tmp.c_str());
+  if (LinkErrno != 0) {
+    if (Err)
+      *Err = "cannot publish a new generation in '" + Dir + "': " +
+             (LinkErrno == EEXIST ? std::string("every candidate was taken")
+                                  : std::strerror(LinkErrno));
     return false;
   }
   if (OutGeneration)

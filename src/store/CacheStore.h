@@ -141,8 +141,10 @@ public:
   /// Writes \p Img as the next generation for \p CompatKey (one past the
   /// highest present; 1 when none). Existing mappings are untouched —
   /// promotion is additive. Creates the directory if needed. Concurrent
-  /// promotes within a process get distinct generations. On success
-  /// *\p OutGeneration (when non-null) receives the new generation.
+  /// promotes of one key, from threads or processes, get distinct
+  /// generations: a file is published with link(), never over another.
+  /// On success *\p OutGeneration (when non-null) receives the new
+  /// generation.
   bool promote(const rt::ActionCache::FlatImage &Img, uint64_t CompatKey,
                uint64_t *OutGeneration, std::string *Err);
 

@@ -347,6 +347,92 @@ TEST(CacheStore, ConcurrentPromotesOfOneKeyGetDistinctGenerations) {
   removeTree(Dir);
 }
 
+TEST(CacheStore, CrossProcessPromotesNeverReplaceAGeneration) {
+  // Forked processes promote distinct images of one compat key at once
+  // (each image tagged by its recency tick), so several pick the same
+  // latest + 1. Every generation a process reports must hold that
+  // process's image: a promote must never replace another's file.
+  isa::TargetImage Image = workload::generate(testSpec(), 2);
+  FacileSim Builder(SimKind::OutOfOrder, Image);
+  Builder.run(60'000);
+  const uint64_t CK = Builder.sim().compatKey();
+  const uint32_t NA = static_cast<uint32_t>(Builder.sim().actionCount());
+  const rt::ActionCache::FlatImage Base =
+      Builder.sim().cache().compactImage(/*KeepThreshold=*/0,
+                                         /*DropDetached=*/true);
+
+  std::string Dir = freshDir("xproc");
+  constexpr unsigned Procs = 4, Rounds = 4;
+  struct Report {
+    uint64_t Tick = 0;
+    uint64_t Gen = 0;
+    uint8_t Ok = 0;
+  };
+  // Children block on Go until the parent closes its write end, so all of
+  // them start promoting together.
+  int Go[2];
+  ASSERT_EQ(::pipe(Go), 0);
+  std::vector<pid_t> Pids;
+  std::vector<int> Results;
+  for (unsigned P = 0; P != Procs; ++P) {
+    int Fds[2];
+    ASSERT_EQ(::pipe(Fds), 0);
+    pid_t Pid = ::fork();
+    ASSERT_GE(Pid, 0);
+    if (Pid == 0) {
+      ::close(Go[1]);
+      ::close(Fds[0]);
+      char C;
+      bool Ok = ::read(Go[0], &C, 1) == 0;
+      store::CacheStoreDir Store(Dir);
+      for (unsigned R = 0; R != Rounds && Ok; ++R) {
+        rt::ActionCache::FlatImage Img = Base;
+        Report Rep;
+        Rep.Tick = Img.Tick = 1000 + P * Rounds + R;
+        std::string Err;
+        Rep.Ok = Store.promote(Img, CK, &Rep.Gen, &Err);
+        Ok = ::write(Fds[1], &Rep, sizeof(Rep)) == sizeof(Rep);
+      }
+      ::_exit(Ok ? 0 : 1);
+    }
+    ::close(Fds[1]);
+    Pids.push_back(Pid);
+    Results.push_back(Fds[0]);
+  }
+  ::close(Go[0]);
+  ::close(Go[1]);
+
+  std::vector<Report> Reports;
+  for (int Fd : Results) {
+    Report Rep;
+    while (::read(Fd, &Rep, sizeof(Rep)) == static_cast<ssize_t>(sizeof(Rep)))
+      Reports.push_back(Rep);
+    ::close(Fd);
+  }
+  for (pid_t Pid : Pids) {
+    int Status = -1;
+    ASSERT_EQ(::waitpid(Pid, &Status, 0), Pid);
+    EXPECT_TRUE(WIFEXITED(Status) && WEXITSTATUS(Status) == 0);
+  }
+  ASSERT_EQ(Reports.size(), Procs * Rounds);
+  std::vector<uint64_t> Gens;
+  for (const Report &Rep : Reports) {
+    SCOPED_TRACE("image " + std::to_string(Rep.Tick));
+    EXPECT_EQ(Rep.Ok, 1);
+    Gens.push_back(Rep.Gen);
+    std::string Err;
+    std::shared_ptr<const store::StoreMap> M = store::StoreMap::open(
+        Dir + "/" + store::CacheStoreDir::fileName(CK, Rep.Gen), CK, NA, Err);
+    ASSERT_TRUE(M) << "generation " << Rep.Gen << ": " << Err;
+    EXPECT_EQ(M->arenas().Tick, Rep.Tick)
+        << "generation " << Rep.Gen << " holds another process's image";
+  }
+  std::sort(Gens.begin(), Gens.end());
+  EXPECT_TRUE(std::adjacent_find(Gens.begin(), Gens.end()) == Gens.end())
+      << "one generation reported twice";
+  removeTree(Dir);
+}
+
 TEST(CacheStore, OlderVersionIsRefusedBeforeTheHashCheck) {
   // Version 1 files hold FNV-1a key hashes, not hashKey values; version 2
   // files hold node seals without the End node's NextKey; version 3 was
