@@ -94,8 +94,9 @@ void BM_PipelineKeyHash(benchmark::State &State) {
 }
 BENCHMARK(BM_PipelineKeyHash);
 
-/// An ooo.fac-shaped step key: 197 int64 words (1,576 B), mostly small
-/// values, with word 100 left for the caller to vary.
+/// A wide step key: 197 int64 words (1,576 B, ooo.fac's key as raw words;
+/// its width-tagged keys are 214 B), mostly small values, with word 100
+/// left for the caller to vary.
 std::vector<int64_t> oooShapedKey() {
   std::vector<int64_t> Key(197);
   for (size_t W = 0; W != Key.size(); ++W)

@@ -7,9 +7,9 @@
 // 108.6 MB); floating-point codes sit in between (5.6-38.3 MB).
 //
 // Absolute sizes scale with run length and with key encoding (the paper
-// compresses its instruction queue below 40 bytes; our Facile keys are
-// uncompressed — see the ablation benches); the *ordering* across
-// benchmarks is the reproduced result.
+// compresses its instruction queue below 40 bytes; our Facile keys pack
+// each field only to whole bytes — see the ablation benches); the
+// *ordering* across benchmarks is the reproduced result.
 //
 //===----------------------------------------------------------------------===//
 

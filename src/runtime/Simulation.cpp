@@ -17,6 +17,7 @@
 #include "src/telemetry/Trace.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
@@ -116,11 +117,18 @@ void Simulation::initState() {
   Externs.resize(Prog.Externs.size());
   for (uint32_t G : Prog.InitGlobals) {
     uint32_t Words = Prog.Globals[G].IsArray ? Prog.Globals[G].Size : 1;
-    (Prog.KeyStatic[G] ? KeyStaticFields : ChainFields)
-        .push_back({G, static_cast<uint32_t>(KeyWidth), Words});
-    KeyWidth += 8 * Words;
+    if (Prog.KeyStatic[G]) {
+      KeyStaticFields.push_back({G, Words, 0});
+      KeyMinLen += 1 + Words;
+      KeyMaxLen += 1 + 8 * Words;
+    } else {
+      ChainFields.push_back({G, Words, KeyHeadLen});
+      KeyHeadLen += 8 * Words;
+    }
   }
-  KeyBuf.reserve(KeyWidth);
+  KeyMinLen += KeyHeadLen;
+  KeyMaxLen += KeyHeadLen;
+  KeyBuf.resize(KeyMaxLen);
   // Last: the backend factory snapshots state pointers built above.
   Backend = makeExecBackend(*this, Opts.Backend);
 }
@@ -193,34 +201,119 @@ void Simulation::setGlobalElem(const std::string &Name, uint32_t Index,
 // Keys
 //===----------------------------------------------------------------------===//
 
-void Simulation::serializeKeyInto(std::string &Out) const {
-  // Arrays are contiguous int64 storage, so whole arrays append with one
-  // memcpy. Runs at the end of recorded steps and on INDEX-chain misses.
-  Out.clear();
-  for (uint32_t G : Prog.InitGlobals) {
-    if (Prog.Globals[G].IsArray) {
-      const std::vector<int64_t> &A = DynArrays[G];
-      Out.append(reinterpret_cast<const char *>(A.data()), A.size() * 8);
-    } else {
-      Out.append(reinterpret_cast<const char *>(&DynGlobals[G]), 8);
-    }
+namespace {
+
+static_assert(std::endian::native == std::endian::little,
+              "key fields are stored as little-endian host words");
+
+/// The narrowest signed width in bytes (1, 2, 4 or 8) that holds each of
+/// the \p N words at \p W. V ^ (V >> 63) is V for V >= 0 and -V - 1
+/// otherwise, and V fits b signed bits iff that is below 2^(b-1); the OR
+/// over the field bounds the largest of them.
+unsigned fieldWidth(const int64_t *W, uint32_t N) {
+  uint64_t M = 0;
+  for (uint32_t I = 0; I != N; ++I)
+    M |= static_cast<uint64_t>(W[I] ^ (W[I] >> 63));
+  return 1 + (M > 0x7f) + 2 * (M > 0x7fff) + 4 * (M > 0x7fffffff);
+}
+
+template <typename T> char *putWords(char *P, const int64_t *W, uint32_t N) {
+  for (uint32_t I = 0; I != N; ++I, P += sizeof(T)) {
+    const T V = static_cast<T>(W[I]);
+    std::memcpy(P, &V, sizeof(T)); // key pool bytes carry no alignment
+  }
+  return P;
+}
+
+template <typename T>
+void getWords(const char *P, int64_t *W, uint32_t N) {
+  for (uint32_t I = 0; I != N; ++I, P += sizeof(T)) {
+    T V;
+    std::memcpy(&V, P, sizeof(T));
+    W[I] = V;
   }
 }
 
-void Simulation::seedStaticFromKey(KeyId Key) {
-  const char *Data = Cache.keyData(Key);
-  size_t Pos = 0;
-  assert(Cache.keyLen(Key) == KeyWidth && "key width mismatch");
-  for (uint32_t G : Prog.InitGlobals) {
-    if (Prog.Globals[G].IsArray) {
-      std::vector<int64_t> &A = StatArrays[G];
-      std::memcpy(A.data(), Data + Pos, A.size() * 8);
-      Pos += A.size() * 8;
-    } else {
-      std::memcpy(&StatGlobals[G], Data + Pos, 8);
-      Pos += 8;
+} // namespace
+
+int64_t *Simulation::storeWords(uint32_t G, bool Static) {
+  if (Prog.Globals[G].IsArray)
+    return (Static ? StatArrays : DynArrays)[G].data();
+  return &(Static ? StatGlobals : DynGlobals)[G];
+}
+
+size_t Simulation::serializeKey() {
+  // Runs at the end of recorded steps and on INDEX-chain misses.
+  char *const Begin = KeyBuf.data();
+  char *P = Begin;
+  for (const KeyField &F : ChainFields) {
+    std::memcpy(P, storeWords(F.Global, false), F.Words * 8);
+    P += F.Words * 8;
+  }
+  for (const KeyField &F : KeyStaticFields) {
+    const int64_t *W = storeWords(F.Global, false);
+    const unsigned Width = fieldWidth(W, F.Words);
+    *P++ = static_cast<char>(Width);
+    switch (Width) {
+    case 1:
+      P = putWords<int8_t>(P, W, F.Words);
+      break;
+    case 2:
+      P = putWords<int16_t>(P, W, F.Words);
+      break;
+    case 4:
+      P = putWords<int32_t>(P, W, F.Words);
+      break;
+    default:
+      P = putWords<int64_t>(P, W, F.Words);
+      break;
     }
   }
+  return static_cast<size_t>(P - Begin);
+}
+
+bool Simulation::decodeKeyFields(KeyId K, bool Static) {
+  const char *const Data = Cache.keyData(K);
+  const size_t Len = Cache.keyLen(K);
+  size_t Pos = KeyHeadLen;
+  for (const KeyField &F : KeyStaticFields) {
+    if (Pos >= Len)
+      return false;
+    const unsigned Width = static_cast<uint8_t>(Data[Pos++]);
+    const size_t Bytes = static_cast<size_t>(F.Words) * Width;
+    if (Len - Pos < Bytes)
+      return false;
+    int64_t *W = storeWords(F.Global, Static);
+    switch (Width) {
+    case 1:
+      getWords<int8_t>(Data + Pos, W, F.Words);
+      break;
+    case 2:
+      getWords<int16_t>(Data + Pos, W, F.Words);
+      break;
+    case 4:
+      getWords<int32_t>(Data + Pos, W, F.Words);
+      break;
+    case 8:
+      getWords<int64_t>(Data + Pos, W, F.Words);
+      break;
+    default:
+      return false;
+    }
+    Pos += Bytes;
+  }
+  return Pos == Len;
+}
+
+bool Simulation::seedStaticFromKey(KeyId Key) {
+  // The field walk checks the whole length, so the head is in bounds
+  // once it succeeds.
+  if (!decodeKeyFields(Key, /*Static=*/true))
+    return false;
+  const char *Data = Cache.keyData(Key);
+  for (const KeyField &F : ChainFields)
+    std::memcpy(storeWords(F.Global, true), Data + F.Ofs, F.Words * 8);
+  return true;
 }
 
 void Simulation::copyInitDynToStatic() {
@@ -236,24 +329,16 @@ void Simulation::materialize() const {
   if (StateKey == NoId)
     return;
   Simulation &Self = const_cast<Simulation &>(*this);
-  const char *Data = Cache.keyData(StateKey);
-  for (const KeyField &F : KeyStaticFields) {
-    int64_t *Dst = Prog.Globals[F.Global].IsArray
-                       ? Self.DynArrays[F.Global].data()
-                       : &Self.DynGlobals[F.Global];
-    std::memcpy(Dst, Data + F.Ofs, F.Words * 8);
-  }
-  Self.StateKey = NoId;
+  const KeyId K = StateKey;
+  Self.StateKey = NoId; // first: raiseFault materializes too
+  if (!Self.decodeKeyFields(K, /*Static=*/false))
+    Self.raiseFault(FaultKind::CacheCorrupt, "step key is malformed");
 }
 
 void Simulation::writeBackKeyStatic() {
-  for (const KeyField &F : KeyStaticFields) {
-    if (Prog.Globals[F.Global].IsArray)
-      std::memcpy(DynArrays[F.Global].data(), StatArrays[F.Global].data(),
-                  F.Words * 8);
-    else
-      DynGlobals[F.Global] = StatGlobals[F.Global];
-  }
+  for (const KeyField &F : KeyStaticFields)
+    std::memcpy(storeWords(F.Global, false), storeWords(F.Global, true),
+                F.Words * 8);
   StateKey = NoId;
 }
 
@@ -308,6 +393,8 @@ void Simulation::raiseFault(FaultKind Kind, const char *Detail) {
   if (Fault) // the first fault of a step wins; later ones are cascade
     return;
   materialize(); // the host reads a current store after any fault
+  if (Fault) // the state key was malformed: that fault stands
+    return;
   Fault.Kind = Kind;
   Fault.Step = S.Steps;
   Fault.Pc = PcGlobal == NoId ? 0 : static_cast<uint64_t>(DynGlobals[PcGlobal]);
@@ -674,8 +761,9 @@ StepEngine Simulation::step() {
   }
   if (Key == NoId) {
     materialize();
-    serializeKeyInto(KeyBuf);
-    Key = Cache.internKey(KeyBuf.data(), KeyBuf.size());
+    if (Fault)
+      return StepEngine::Faulted;
+    Key = Cache.internKey(KeyBuf.data(), serializeKey());
   }
   EntryId Entry = Cache.lookup(Key);
 

@@ -413,20 +413,39 @@ private:
   template <bool Guarded, bool Profiled>
   ReplayResult runFastImpl(EntryId Entry, KeyId Key);
   ReplayResult runFast(EntryId Entry, KeyId Key);
-  void serializeKeyInto(std::string &Out) const;
-  void seedStaticFromKey(KeyId Key);
+  /// Encodes the dynamic store's init globals into KeyBuf (layout at
+  /// KeyField) and returns the key's length.
+  size_t serializeKey();
+  /// Decodes every init global of interned key \p Key into the rt-static
+  /// store. False when the key is malformed (decodeKeyFields).
+  bool seedStaticFromKey(KeyId Key);
+  /// The words of global \p G in the dynamic or rt-static store.
+  int64_t *storeWords(uint32_t G, bool Static);
+  /// Decodes the width-tagged fields of interned key \p K into the
+  /// key-static globals of the dynamic store (\p Static false) or the
+  /// rt-static store. Every width byte and length is checked against the
+  /// key's length, so a malformed key reads nothing out of bounds: false
+  /// on an illegal width, a truncated field or a trailing byte (fields
+  /// before the bad one are already written then).
+  bool decodeKeyFields(KeyId K, bool Static);
   void copyInitDynToStatic();
   /// Copies the key-static words of StateKey into the dynamic store and
   /// clears StateKey; a no-op when the store is already current. Logically
   /// const — the store takes on values the key already defines — so const
-  /// readers (host getters, serializeState) call it too.
+  /// readers (host getters, serializeState) call it too. A malformed
+  /// StateKey raises CacheCorrupt.
   void materialize() const;
   /// runSlow at Ret: the slow simulator's static cells of key-static
   /// globals become the dynamic store (unrecorded), which is current then.
   void writeBackKeyStatic();
-  /// \p K is an interned key of this program's key width.
+  /// \p K is an interned key whose length fits this program's key layout:
+  /// enough for chainMatches to read the head. The fields are checked
+  /// only when decoded.
   bool keyUsable(KeyId K) const {
-    return K < Cache.keyCount() && Cache.keyLen(K) == KeyWidth;
+    if (K >= Cache.keyCount())
+      return false;
+    const uint32_t Len = Cache.keyLen(K);
+    return Len >= KeyMinLen && Len <= KeyMaxLen;
   }
   /// INDEX-chain check: the non-key-static words of interned key \p Next
   /// equal the dynamic store's.
@@ -525,20 +544,27 @@ private:
   /// their dynamic-store words are stale until materialize() copies them
   /// back; NoId means the dynamic store is current.
   KeyId StateKey = NoId;
-  /// One init global's words in the serialized key.
+  /// One init global's words in the serialized key. A key is a head of
+  /// the compared (non-key-static) globals, 8 raw bytes a word at fixed
+  /// offsets, then each key-static global in Prog.InitGlobals order as a
+  /// width byte w in {1, 2, 4, 8} and Words x w little-endian bytes, w the
+  /// narrowest signed width holding every word of the field. One state
+  /// has one encoding, so it interns to one key.
   struct KeyField {
     uint32_t Global;
-    uint32_t Ofs; ///< byte offset in the key
     uint32_t Words;
+    uint32_t Ofs; ///< byte offset in the head (ChainFields only)
   };
   std::vector<KeyField> KeyStaticFields; ///< restored by materialize()
   std::vector<KeyField> ChainFields;     ///< compared by chainMatches()
-  std::string KeyBuf;  ///< reused per-step key buffer
+  std::string KeyBuf; ///< reused per-step key buffer, KeyMaxLen bytes
   /// Reused replay-prefix buffer: runFastImpl clears it at step start and
   /// keeps its capacity, so a replayed step allocates nothing; only a miss
   /// reads it (as runSlow's recovery input).
   ReplayedStep ReplayPrefix;
-  size_t KeyWidth = 0; ///< serialized key size, fixed per program
+  uint32_t KeyHeadLen = 0; ///< bytes of the raw head
+  uint32_t KeyMinLen = 0;  ///< every field at width 1
+  uint32_t KeyMaxLen = 0;  ///< every field at width 8
 };
 
 } // namespace rt

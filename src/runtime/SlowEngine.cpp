@@ -64,9 +64,12 @@ void Simulation::runSlow(EntryId Rec, const ReplayedStep *Recovery) {
   // key-static ones are written back at Ret.
   if (Recovering) {
     assert(Rec == Recovery->Entry && "recovery must extend the missed entry");
-    seedStaticFromKey(Recovery->Key);
+    if (!seedStaticFromKey(Recovery->Key))
+      return fail(FaultKind::CacheCorrupt, "step key is malformed");
   } else {
     materialize();
+    if (Fault) // the state key was malformed
+      return fail(FaultKind::CacheCorrupt, "step key is malformed");
     copyInitDynToStatic();
   }
 
@@ -119,8 +122,7 @@ void Simulation::runSlow(EntryId Rec, const ReplayedStep *Recovery) {
     writeBackKeyStatic();
     if (NodeIdx == ActionNode::NoNode)
       return;
-    serializeKeyInto(KeyBuf);
-    KeyId Next = Cache.internKey(KeyBuf.data(), KeyBuf.size());
+    KeyId Next = Cache.internKey(KeyBuf.data(), serializeKey());
     ActionNode &N = Cache.node(NodeIdx);
     N.K = ActionNode::Kind::End;
     N.NextKey = Next;

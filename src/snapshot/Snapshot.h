@@ -66,7 +66,9 @@ inline constexpr std::string_view Magic = "FACSNAP3";
 /// Bumped whenever the container or any payload layout changes, the key
 /// hash or the seal derivation included. Version 4: checkpoints and cache
 /// images share this container (versions up to 3 were two formats).
-inline constexpr uint32_t FormatVersion = 4;
+/// Version 5: step keys store key-static fields width-tagged (version 4
+/// held raw 8-byte key words).
+inline constexpr uint32_t FormatVersion = 5;
 
 /// What a container holds.
 enum class PayloadKind : uint32_t {

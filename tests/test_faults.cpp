@@ -421,15 +421,14 @@ TEST(Guards, FlippedNextKeyIsCaughtBySeal) {
     ActionNode &N = C.node(Victim);
     if (N.K != ActionNode::Kind::End)
       continue;
-    // Key layout: pc's word, then n's.
-    auto Word = [&](KeyId K, unsigned W) {
-      int64_t V;
-      std::memcpy(&V, C.keyData(K) + 8 * W, 8);
-      return V;
+    // Key layout: pc's raw word (the head), then n's width-tagged field.
+    auto Head = [&](KeyId K) { return std::string(C.keyData(K), 8); };
+    auto Fields = [&](KeyId K) {
+      return std::string(C.keyData(K) + 8, C.keyLen(K) - 8);
     };
     KeyId Alias = NoId;
     for (KeyId K = 0; K != C.keyCount() && Alias == NoId; ++K)
-      if (Word(K, 0) == Word(N.NextKey, 0) && Word(K, 1) != Word(N.NextKey, 1))
+      if (Head(K) == Head(N.NextKey) && Fields(K) != Fields(N.NextKey))
         Alias = K;
     if (Alias == NoId)
       continue;

@@ -323,7 +323,19 @@ TEST(Runtime, EndNodeRecordsNextKey) {
   Sim.step();
   Sim.step();
   Sim.step(); // replay
-  // Peek into the cache: every entry ends in an End node whose NextKey has
-  // the key width of one scalar init global.
-  EXPECT_EQ(Sim.cache().entryCount(), 2u);
+  // Peek into the cache: every entry ends in an End node whose NextKey is
+  // a key of one key-static scalar: its width byte (1) and n's byte.
+  const ActionCache &C = Sim.cache();
+  EXPECT_EQ(C.entryCount(), 2u);
+  unsigned Ends = 0;
+  for (uint32_t I = 0; I != C.nodeCount(); ++I) {
+    const ActionNode &N = C.node(I);
+    if (N.K != ActionNode::Kind::End)
+      continue;
+    ++Ends;
+    ASSERT_LT(N.NextKey, C.keyCount());
+    ASSERT_EQ(C.keyLen(N.NextKey), 2u);
+    EXPECT_EQ(C.keyData(N.NextKey)[0], 1);
+  }
+  EXPECT_EQ(Ends, 2u);
 }

@@ -165,13 +165,14 @@ TEST(Container, RejectsWrongMagicKindAndCompat) {
 }
 
 TEST(Container, OlderFormatVersionsAreRefused) {
-  // Versions 1 and 2 carry node seals without the End node's NextKey, and
-  // version 3 was the last with separate snapshot and store formats; all
-  // must be refused as a format mismatch. Header: magic (8) | version u32
+  // Versions 1 and 2 carry node seals without the End node's NextKey,
+  // version 3 was the last with separate snapshot and store formats, and
+  // version 4 held raw 8-byte key words; all must be refused as a format
+  // mismatch. Header: magic (8) | version u32
   // at 8 | ... | CRC-32 at 28 of the first 28 bytes and the section table
   // (24 bytes per section from offset 32).
   std::vector<uint8_t> Img = testContainer();
-  for (uint32_t Old : {1u, 2u, 3u}) {
+  for (uint32_t Old : {1u, 2u, 3u, 4u}) {
     std::vector<uint8_t> Bad = Img;
     std::memcpy(Bad.data() + 8, &Old, 4);
     const uint32_t Crc = snapshot::crc32(Bad.data() + 32, 2 * 24,

@@ -436,7 +436,8 @@ TEST(CacheStore, CrossProcessPromotesNeverReplaceAGeneration) {
 TEST(CacheStore, OlderVersionIsRefusedBeforeTheHashCheck) {
   // Version 1 files hold FNV-1a key hashes, not hashKey values; version 2
   // files hold node seals without the End node's NextKey; version 3 was
-  // the last with a store-only header. A file that says any of them under
+  // the last with a store-only header; version 4 files hold raw 8-byte key
+  // words, not width-tagged fields. A file that says any of them under
   // a valid table CRC must be refused for its version, as a diagnosed
   // cold start, and never get as far as the key-hash check.
   isa::TargetImage Image = workload::generate(testSpec(), 2);
@@ -453,7 +454,7 @@ TEST(CacheStore, OlderVersionIsRefusedBeforeTheHashCheck) {
   const std::vector<uint8_t> Current = readFileBytes(Path);
   ASSERT_GT(Current.size(), size_t(64));
 
-  for (uint32_t OldVersion : {1u, 2u, 3u}) {
+  for (uint32_t OldVersion : {1u, 2u, 3u, 4u}) {
     SCOPED_TRACE(OldVersion);
     // Container layout (docs/INTERNALS.md): version u32 at 8, CRC-32 at
     // 28 of the first 28 bytes and the 9-entry, 24-byte section table.
