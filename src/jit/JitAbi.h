@@ -79,10 +79,28 @@ struct JitFrame {
   /// +144: the block a slow-step function left from (set on every exit
   /// path, bails included).
   int64_t SlowBlock = 0;
+  /// +152: overlay data pool, refreshed with BaseData before every trace
+  /// call (trace code resolves overlay-side spans off it).
+  const int64_t *OverlayData = nullptr;
 };
+
+/// One node of a trace binding: where descriptor i of a trace shape sits
+/// in one session's cache. Trace code reads only SpanOfs (at +4), as a
+/// word offset off BaseData or OverlayData; Node serves the caller's exit
+/// handling (PendingEndNode, the replayed prefix of a side exit).
+struct TraceBind {
+  uint32_t Node = 0;    ///< global cache node id
+  uint32_t SpanOfs = 0; ///< word offset into the node's side of the pool
+};
+static_assert(sizeof(TraceBind) == 8, "trace code indexes bindings by 8");
 
 /// A compiled action entry point.
 using JitFn = int64_t (*)(const JitFrame *Frame, const int64_t *Span);
+
+/// A compiled trace shape, run over one entry's binding: \p Table holds
+/// one TraceBind per descriptor of the shape. The return value is an index
+/// into the shape's exit table (>= 0) or a bail code (< 0).
+using JitTraceFn = int64_t (*)(const JitFrame *Frame, const TraceBind *Table);
 
 /// The compiled slow-step function of a plan: every block of Plan.Code in
 /// one function, entered at block \p Block through an entry table indexed
@@ -132,21 +150,22 @@ struct JitRuntimeHooks {
 
 /// Per-session JIT view, armed by the Jit ExecBackend and consulted by the
 /// replay loop: the frame, the plan's shared code cache, the session's
-/// private trace cache, the compile trip point and the session-local
-/// counters.
+/// private trace shapes and bindings, the compile trip point and the
+/// session-local counters.
 class JitCache;
 class JitTraceCache;
 struct JitSession {
   JitFrame Frame;
   JitCache *Cache = nullptr;
-  JitTraceCache *Traces = nullptr; ///< per-session compiled entry traces
+  JitTraceCache *Traces = nullptr; ///< per-session trace shapes, bindings
   /// Visits before an action/trace compiles; slow steps before the
   /// plan's slow-step function compiles.
   uint32_t Threshold = 1;
-  uint64_t JitSteps = 0;   ///< steps where >=1 node ran natively
-  uint64_t TraceSteps = 0; ///< steps completed entirely by one trace call
-  uint64_t Bailouts = 0;   ///< structural fallbacks to the interpreter
-  uint64_t SlowCalls = 0;  ///< native slow-step function calls
+  uint64_t JitSteps = 0;       ///< steps where >=1 node ran natively
+  uint64_t TraceSteps = 0;     ///< steps completed entirely by one trace call
+  uint64_t TraceSideExits = 0; ///< trace calls that left at a side exit
+  uint64_t Bailouts = 0;       ///< structural fallbacks to the interpreter
+  uint64_t SlowCalls = 0;      ///< native slow-step function calls
   /// Placeholder capture buffer for recording slow-step variants; sized
   /// once to the function's largest action-block capture.
   std::vector<int64_t> Capture;

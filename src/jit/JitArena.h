@@ -16,14 +16,14 @@
 ///    or freed until arena destruction, so a page that other threads may be
 ///    executing is never writable again — publication is a single
 ///    release-store of the function pointer done by the caller.
-///  - Packed (the per-session JitTraceCache): units are appended 16-byte
-///    aligned into 64 KB chunks. An append flips only the page(s) it
-///    touches read-write, copies, and flips them back to read-execute, so
-///    earlier code sharing the tail page is briefly not executable. That is
-///    legal only because the owner is single-threaded and never appends
-///    while its own code is mid-flight. Packing matters because a trace
-///    averages well under 1 KB: one page each spent ~80 % of the budget
-///    on page rounding.
+///  - Packed (the per-session JitTraceCache's trace shapes): units are
+///    appended 16-byte aligned into 64 KB chunks. An append flips only the
+///    page(s) it touches read-write, copies, and flips them back to
+///    read-execute, so earlier code sharing the tail page is briefly not
+///    executable. That is legal only because the owner is single-threaded
+///    and never appends while its own code is mid-flight. Packing matters
+///    because a trace averages well under 1 KB: one page each spent ~80 %
+///    of the budget on page rounding.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -43,6 +43,8 @@ static_assert(offsetof(JitFrame, StatLocArrays) == 120, "frame layout is ABI");
 static_assert(offsetof(JitFrame, Capture) == 128, "frame layout is ABI");
 static_assert(offsetof(JitFrame, CaptureEnd) == 136, "frame layout is ABI");
 static_assert(offsetof(JitFrame, SlowBlock) == 144, "frame layout is ABI");
+static_assert(offsetof(JitFrame, OverlayData) == 152, "frame layout is ABI");
+static_assert(offsetof(TraceBind, SpanOfs) == 4, "binding layout is ABI");
 
 bool jit::available() {
 #if defined(__x86_64__) && (defined(__unix__) || defined(__APPLE__))
@@ -301,6 +303,16 @@ public:
     rex(true, D, 0, Base);
     u8(0x8D);
     memRM(D, Base, Disp);
+  }
+  void movR32M(unsigned D, unsigned Base, int32_t Disp) {
+    rex(false, D, 0, Base); // mov D32, [Base+Disp] (zero-extends)
+    u8(0x8B);
+    memRM(D, Base, Disp);
+  }
+  void leaIdx8(unsigned D, unsigned Base, unsigned Idx) {
+    rex(true, D, Idx, Base); // lea D, [Base+Idx*8]
+    u8(0x8D);
+    memSIB(D, Base, Idx, 3);
   }
   void movRMIdx8(unsigned D, unsigned Base, unsigned Idx) {
     rex(true, D, Idx, Base); // mov D, [Base+Idx*8]
@@ -1141,18 +1153,19 @@ bool ActionCompiler::compileSlowStep(bool Rec, uint32_t &CaptureWordsOut) {
 }
 
 //===----------------------------------------------------------------------===//
-// Whole-entry trace compilation
+// Trace shape compilation
 //
-// One function per cache entry running the entry's whole recorded node
-// tree: per node a two-instruction span-base setup (the span offset is a
-// compile-time constant of the recording) followed by the same instruction
-// templates as per-action code, then direct-threaded control flow — Test
-// nodes compare the accumulated TestValue and branch straight into the
-// successor's block. Edges with no recorded successor, and End nodes,
-// compile to exit stubs returning the exit's index; the caller maps those
-// back to recovery or end-of-step through TraceExitDesc.
+// One function per trace shape running a whole recorded node tree: per
+// node a three-instruction span setup — the node's word offset loaded from
+// the binding table, scaled onto the base or overlay pool pointer — then
+// the same instruction templates as per-action code, then direct-threaded
+// control flow: Test nodes compare the accumulated TestValue and branch
+// straight into the successor's block. Edges with no recorded successor,
+// and End nodes, compile to exit stubs returning the exit's index; the
+// caller maps those back to recovery or end-of-step through TraceExitDesc
+// and the binding table.
 //
-// Register plan extends the per-action one by rbp = overlay data pool base
+// Register plan extends the per-action one by rbp = binding table
 // (arriving in rsi; callee-saved so helper calls keep it). r13 becomes a
 // per-node span pointer. Prologue: 6 pushes + sub rsp,136 keeps rsp
 // 16-aligned at call sites with the same 128-byte extern scratch.
@@ -1200,7 +1213,7 @@ bool TraceCompiler::compile(const std::vector<TraceNodeDesc> &Nodes,
   A.push(R14);
   A.push(R15);
   A.movRR(RBX, RDI);
-  A.movRR(RBP, RSI); // overlay data pool base
+  A.movRR(RBP, RSI); // binding table
   A.movRM(R12, RBX, 0);
   A.movRM(R14, RBX, 8);
   A.subRI32(RSP, 136); // 8+48+136 ≡ 0 (mod 16) at call sites
@@ -1212,18 +1225,15 @@ bool TraceCompiler::compile(const std::vector<TraceNodeDesc> &Nodes,
     const TraceNodeDesc &N = Nodes[Di];
     BlockStart[Di] = A.size();
 
-    // Point r13 at this node's placeholder span: a fixed offset off the
-    // overlay base register or the frame's base-pool pointer.
-    uint64_t Disp = N.SpanOfs * 8;
-    if (Disp > static_cast<uint64_t>(INT32_MAX))
+    // Point r13 at this node's placeholder span: the bound word offset off
+    // the frame's base- or overlay-pool pointer.
+    if (Di > (static_cast<uint32_t>(INT32_MAX) - 4) / sizeof(TraceBind))
       return false;
-    if (N.BaseSide) {
-      A.movRM(R13, RBX, 88);
-      if (Disp)
-        A.leaRM(R13, R13, static_cast<int32_t>(Disp));
-    } else {
-      A.leaRM(R13, RBP, static_cast<int32_t>(Disp));
-    }
+    A.movR32M(RAX, RBP,
+              static_cast<int32_t>(Di * sizeof(TraceBind) +
+                                   offsetof(TraceBind, SpanOfs)));
+    A.movRM(R13, RBX, N.BaseSide ? 88 : 152);
+    A.leaIdx8(R13, R13, RAX);
     A.xorR32(R15); // TestValue restarts per node, as in the interpreter
 
     uint32_t Words = 0;
@@ -1233,7 +1243,7 @@ bool TraceCompiler::compile(const std::vector<TraceNodeDesc> &Nodes,
       return false; // plan and recording disagree; leave it interpreted
 
     switch (N.Kind) {
-    case 2: { // End: return the exit id; PendingEndNode is baked out-of-band
+    case 2: { // End: return the exit id; the caller reads the bound End node
       A.movRI32(RAX, exitId(Exits, Di, 0, true));
       EndJumps.push_back(A.jmp());
       break;

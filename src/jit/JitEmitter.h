@@ -94,19 +94,22 @@ bool emitSlowStep(const EmitContext &Ctx, bool Guarded, bool Recording,
 /// (the emitter materializes a side exit returning the exit's id).
 inline constexpr uint32_t TraceNoSucc = ~0u;
 
-/// One node of an entry trace, fully resolved by the builder: the action
-/// to run, the node's placeholder span as a compile-time offset off the
-/// right pool base, and successors as *descriptor indices* (the trace is a
-/// tree, emitted in DFS pre-order so Succ[0] is usually the fallthrough).
+/// One node of a trace shape: the action to run, the node's placeholder
+/// span length and pool side, and successors as *descriptor indices* (the
+/// trace is a tree, emitted in DFS pre-order so Succ[0] is usually the
+/// fallthrough). Nothing here names a cache node or span offset — those
+/// come from the binding table the code is called with — so every entry
+/// whose walk yields the same descriptor sequence shares one compiled
+/// shape.
 struct TraceNodeDesc {
   int32_t ActionId = -1;
-  uint32_t CacheNode = 0; ///< global cache node id (for the caller's maps)
-  uint64_t SpanOfs = 0;   ///< word offset into the side's data pool
-  uint32_t DataLen = 0;   ///< recorded span length; must equal the words
-                          ///< the compiled stream consumes
-  bool BaseSide = false;  ///< span lives in the base pool (JitFrame+88)
-  uint8_t Kind = 0;       ///< 0 = Plain, 1 = Test, 2 = End
+  uint32_t DataLen = 0;  ///< recorded span length; must equal the words
+                         ///< the compiled stream consumes
+  bool BaseSide = false; ///< span lives in the base pool (JitFrame+88)
+  uint8_t Kind = 0;      ///< 0 = Plain, 1 = Test, 2 = End
   uint32_t Succ[2] = {TraceNoSucc, TraceNoSucc}; ///< Plain uses Succ[0]
+
+  bool operator==(const TraceNodeDesc &) const = default;
 };
 
 /// One exit of a compiled trace, in exit-id order (the trace's return
@@ -119,13 +122,11 @@ struct TraceExitDesc {
   bool IsEnd = false;
 };
 
-/// Compiles a whole entry trace — the node tree a replay can walk — into
-/// one function with the same signature as a compiled action, where \p
-/// Span is the *overlay data pool base* (per-node spans are fixed offsets
-/// baked at compile time) and the return value is an index into \p Exits
+/// Compiles a trace shape — the node tree a replay can walk — into one
+/// JitTraceFn. Descriptor i's span is read as BaseData or OverlayData plus
+/// Table[i].SpanOfs words; the return value is an index into \p Exits
 /// (>= 0) or a bail code (< 0). Returns false when any node's stream is
-/// inexpressible or consumes a different word count than its recorded
-/// span.
+/// inexpressible or consumes a different word count than its DataLen.
 bool emitTrace(const EmitContext &Ctx, const std::vector<TraceNodeDesc> &Nodes,
                bool Guarded, std::vector<uint8_t> &Code,
                std::vector<TraceExitDesc> &Exits);

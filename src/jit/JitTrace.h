@@ -1,39 +1,48 @@
-//===- JitTrace.h - Per-session compiled entry traces -----------*- C++ -*-===//
+//===- JitTrace.h - Per-session trace shapes and entry bindings -*- C++ -*-===//
 //
 // Part of the Facile reproduction project.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The second JIT tier: whole cache entries compiled to one native call per
-/// replayed step. Unlike the per-action JitCache (per plan, shared by every
-/// session), traces are bound to one session's ActionCache — they bake node
-/// span offsets and successor links of that cache's arenas — so the trace
-/// cache is per session and single-threaded, owned by that session's Jit
-/// backend. That is also what lets trace code share pages: traces are
+/// The second JIT tier: whole cache entries run as one native call per
+/// replayed step. The tier splits code from data the way the paper's
+/// residual simulator splits actions from placeholders:
+///
+///  - A *shape* is compiled code for one exact DFS descriptor sequence —
+///    per node the action id, kind, span length, base/overlay side and
+///    successor slots — plus the guard mode. Shapes are looked up by hash
+///    and compared in full, and reference no cache arena, so they survive
+///    cache rebuilds (eviction, snapshot loads, base attach/detach).
+///  - A *binding* ties one entry to a shape: a run of the flat per-session
+///    table holding one (node id, span word offset) pair per descriptor.
+///    Shape code loads each node's span as pool base + table[i] * 8.
+///    Bindings name cache nodes and are dropped wholesale on a rebuild.
+///
+/// The cache is per session and single-threaded, owned by that session's
+/// Jit backend. That is what lets shape code share pages: shapes are
 /// appended 16-byte aligned into 64 KB chunks of a Packed JitArena, and an
 /// append flips only the tail page(s) read-write and back to read-execute
 /// (never both at once). No other thread can be running this session's
-/// traces during the flip, which the shared per-plan JitCache — one page
-/// per unit, never writable again — cannot assume.
+/// code during the flip, which the shared per-plan JitCache — one page per
+/// unit, never writable again — cannot assume.
 ///
-/// Validity is epoch-gated: a trace records the cache's mutation epoch at
-/// compile time and is only dispatched while the epoch still matches.
+/// Validity is epoch-gated per binding: a binding records the cache's
+/// mutation epoch and is only dispatched while the epoch still matches.
 /// Every out-of-band corruption channel (fault injection) bumps the epoch,
-/// so a trace can never run over state the guarded interpreter would have
-/// re-verified — the step falls back to the interpreter, which performs
-/// the full seal sweep and detects or absorbs the corruption. Arena
-/// rebuilds (eviction, snapshot loads, base attach/detach) invalidate node
-/// ids wholesale; the backend resets the trace cache on those hooks.
+/// so bound code can never run over state the guarded interpreter would
+/// have re-verified — the step falls back to the interpreter, which
+/// performs the full seal sweep and detects or absorbs the corruption.
 ///
-/// A trace exits by returning an index into its exit table: either a clean
-/// end-of-step (the end node's id is baked in the table) or a side exit at
-/// a Test edge that had no recorded successor at compile time. Side exits
-/// carry the full replayed prefix — the (node, value) path from the entry
-/// head — so the caller can hand recovery the exact state an interpreted
-/// walk would have built, or resume interpretation mid-chain when the
-/// successor has been recorded since (a stale trace, queued for lazy
-/// recompilation).
+/// Shape code exits by returning an index into the shape's exit table:
+/// either a clean end-of-step (the End node's id is in the binding) or a
+/// side exit at a Test edge that had no recorded successor when the shape
+/// was compiled. The caller rebuilds a side exit's replayed prefix — the
+/// (node, value) path from the entry head — from the shape's parent links
+/// and the binding, so recovery gets the exact state an interpreted walk
+/// would have built; or it resumes interpretation mid-chain when the
+/// successor has been recorded since (a stale binding, dropped so the
+/// entry re-binds with the new branch included).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,9 +51,11 @@
 
 #include "src/jit/JitAbi.h"
 #include "src/jit/JitArena.h"
+#include "src/jit/JitEmitter.h"
 
 #include <cstdint>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 namespace facile {
@@ -52,101 +63,133 @@ namespace jit {
 
 class JitTraceCache {
 public:
-  /// One step of the replayed prefix reconstructed at a side exit;
-  /// mirrors Simulation::ReplayedStep::Item.
-  struct PathItem {
-    uint32_t Node;
-    int64_t Value;
+  /// Compiled code for one descriptor sequence, shared by every entry
+  /// bound to it.
+  struct Shape {
+    JitTraceFn Fn = nullptr;
+    bool Guarded = false;
+    std::vector<TraceNodeDesc> Nodes; ///< the key, with Guarded
+    std::vector<TraceExitDesc> Exits; ///< indexed by Fn's return value
+    /// Per descriptor: its DFS parent (TraceNoSucc at the head), the
+    /// outcome by which the parent reaches it (Plain edges record 0) and
+    /// its depth below the head — what a side exit needs to rebuild the
+    /// replayed prefix from a binding.
+    struct Link {
+      uint32_t Parent = TraceNoSucc;
+      uint32_t Depth = 0;
+      int64_t Value = 0;
+    };
+    std::vector<Link> Links;
   };
 
-  /// One exit of a compiled trace, indexed by the trace's return value.
-  struct Exit {
-    uint32_t Node = 0;  ///< global cache node id of the exiting node
-    int64_t Value = 0;  ///< test outcome taken at a side exit
-    bool IsEnd = false; ///< clean end-of-step; Node is the End node
-    uint32_t PathOfs = 0; ///< replayed prefix in the trace's PathPool,
-    uint32_t PathLen = 0; ///< exit node included (side exits only)
+  /// A dispatchable binding: the shape and this entry's table.
+  struct Bound {
+    const Shape *S = nullptr;
+    const TraceBind *Table = nullptr;
   };
 
-  struct Trace {
-    JitFn Fn = nullptr;
-    uint64_t Epoch = 0; ///< cache mutation epoch the trace was compiled at
-    std::vector<Exit> Exits;
-    std::vector<PathItem> PathPool;
-  };
-
-  /// The published trace for \p Entry, or null when there is none or the
-  /// cache's mutation epoch moved past it (corruption was injected since;
-  /// the interpreter must re-verify).
-  Trace *find(uint32_t Entry, uint64_t Epoch) {
+  /// The binding of \p Entry, or none when it has none or the cache's
+  /// mutation epoch moved past it (corruption was injected since; the
+  /// interpreter must re-verify).
+  Bound find(uint32_t Entry, uint64_t Epoch) const {
     if (Entry >= Slots.size())
-      return nullptr;
-    Slot &S = Slots[Entry];
-    if (S.State != Published || S.T.Epoch != Epoch)
-      return nullptr;
-    return &S.T;
+      return {};
+    const Slot &S = Slots[Entry];
+    if (!S.Sh || S.Epoch != Epoch)
+      return {};
+    return {S.Sh, Table.data() + S.TableOfs};
   }
 
   /// Counts one replay of \p Entry; true when the entry just crossed
-  /// \p Threshold and the caller should compile it now. Entries marked
-  /// no-compile, already published at the current epoch, or refused by the
-  /// code budget never trip.
+  /// \p Threshold and the caller should walk and bind it now. Entries
+  /// pinned no-compile or already bound at the current epoch never trip.
   bool shouldCompile(uint32_t Entry, uint32_t Threshold, uint64_t Epoch);
 
-  /// Copies \p Code into executable memory and publishes it as \p Entry's
-  /// trace. Returns false (and pins the entry no-compile) when executable
-  /// memory is unavailable or the code does not fit the budget; the latter
-  /// also pins every later candidate.
-  bool publish(uint32_t Entry, Trace T, const std::vector<uint8_t> &Code);
+  /// The compiled shape keyed by exactly (\p Nodes, \p Guarded), or null.
+  const Shape *findShape(const std::vector<TraceNodeDesc> &Nodes,
+                         bool Guarded) const;
 
-  /// Pins \p Entry to the interpreter (inexpressible or over limits).
+  /// True once shape code no longer fits MaxCodeBytes: only entries whose
+  /// shape is already compiled can still bind.
+  bool budgetSpent() const { return BudgetSpent; }
+
+  /// Copies \p Code into executable memory as the shape (\p Nodes,
+  /// \p Guarded), with \p Exits its exit table. Returns null when
+  /// executable memory is unavailable or the code does not fit the budget;
+  /// the latter refuses every later new shape.
+  const Shape *addShape(const std::vector<TraceNodeDesc> &Nodes, bool Guarded,
+                        const std::vector<TraceExitDesc> &Exits,
+                        const std::vector<uint8_t> &Code);
+
+  /// Binds \p Entry to \p S at \p Epoch; \p Nodes holds one pair per
+  /// descriptor of \p S, each verified by the caller.
+  void bind(uint32_t Entry, const Shape &S, const TraceBind *Nodes,
+            uint64_t Epoch);
+
+  /// Pins \p Entry to the interpreter (inexpressible, unverifiable or over
+  /// limits).
   void noCompile(uint32_t Entry);
 
-  /// Drops \p Entry's trace and restarts its visit count: the recording
-  /// grew past the compiled tree (a side exit found a successor), so the
-  /// entry re-trips and recompiles with the new branch included.
+  /// Drops \p Entry's binding and restarts its visit count: the recording
+  /// grew past the bound tree (a side exit found a successor), so the
+  /// entry re-trips and re-binds with the new branch included.
   void invalidate(uint32_t Entry);
 
-  /// Drops every trace and the code arena: the cache arenas were rebuilt
-  /// (eviction, snapshot load, base attach/detach) and every baked node id
-  /// and span offset is garbage. Safe because traces are per session and
-  /// never mid-flight when the owner's hooks run.
-  void reset();
+  /// Drops every binding: the cache arenas were rebuilt (eviction,
+  /// snapshot load, base attach/detach) and every bound node id and span
+  /// offset is garbage. Shapes name no cache node and stay.
+  void dropBindings();
 
+  /// Shapes compiled so far.
   uint64_t compiledTraces() const { return Compiled; }
-  /// Packed chunk bytes mapped for trace code.
+  /// Entries bound so far (re-bindings included).
+  uint64_t bindings() const { return Bindings; }
+  /// Packed chunk bytes mapped for shape code.
   uint64_t codeBytes() const { return Arena ? Arena->mappedBytes() : 0; }
-  uint64_t resets() const { return Resets; }
 
-  /// Ceiling on packed chunk bytes held; once a trace no longer fits, every
-  /// further entry is pinned to the interpreter instead of growing without
-  /// bound. Deliberately small: traces pay off only on entry-concentrated
-  /// workloads where the first entries to prove hot absorb most replayed
-  /// steps; the long tail stays interpreted. Measured on replay-fp
-  /// (perfbench, 4-vCPU VM): 1 MB holds ~1.2-1.45 K traces of 660-780 B
-  /// and was the fastest budget; 4 MB packed compiled 4-5 K traces and
-  /// gained nothing, its compile time and icache pressure eating the win.
+  /// Ceiling on packed chunk bytes held; once a new shape no longer fits,
+  /// entries whose shape is not compiled stay interpreted instead of the
+  /// code growing without bound. One shape serves every entry with the
+  /// same tree: at 1 M instructions and the default threshold, mgrid,
+  /// tomcatv and swim make 1.9-5.9 K bindings to 78-113 shapes in
+  /// 128-192 KB of chunks (at threshold 1, 2.0-9.1 K bindings to 122-197
+  /// shapes in 256-384 KB), so the ceiling only bites on shape-diverse
+  /// runs. Kept at 1 MB, the fastest budget measured when every entry had
+  /// its own trace: it then held ~1.2-1.45 K traces, and 4 MB compiled
+  /// 4-5 K and gained nothing, compile time and icache pressure eating
+  /// the win.
   static constexpr uint64_t MaxCodeBytes = 1ull << 20;
 
   /// Growth invalidations tolerated per entry before pinning it to the
   /// interpreter. An entry whose recorded tree keeps growing (a side exit
-  /// discovers a new successor after each recompile) churns compile time
-  /// and arena bytes for code that is about to be stale again.
+  /// discovers a new successor after each re-bind) churns walk time for a
+  /// binding that is about to be stale again.
   static constexpr uint32_t MaxRecompiles = 3;
 
+  /// Longest descriptor sequence a shape may have.
+  static constexpr uint32_t MaxNodes = 256;
+
 private:
-  enum : uint8_t { Cold = 0, Published = 1, NoCompile = 2 };
   struct Slot {
-    uint8_t State = Cold;
+    const Shape *Sh = nullptr; ///< bound shape; null when unbound
+    uint64_t Epoch = 0;        ///< cache mutation epoch of the binding
+    uint32_t TableOfs = 0;     ///< binding's run in Table
+    uint32_t TableCap = 0;     ///< pairs reserved at TableOfs (reused)
     uint32_t Visits = 0;
     uint32_t Recompiles = 0; ///< growth invalidations so far (churn pin)
-    Trace T;
+    bool Pinned = false;     ///< no-compile: stays interpreted
   };
+  static uint64_t shapeHash(const std::vector<TraceNodeDesc> &Nodes,
+                            bool Guarded);
+
   std::vector<Slot> Slots;
+  std::vector<TraceBind> Table; ///< every binding's pairs, flat
+  /// Compiled shapes by key hash (node-based: shapes never move).
+  std::unordered_multimap<uint64_t, std::unique_ptr<Shape>> Shapes;
   std::unique_ptr<JitArena> Arena;
   uint64_t Compiled = 0;
-  uint64_t Resets = 0;
-  bool BudgetSpent = false; ///< MaxCodeBytes reached: compile nothing more
+  uint64_t Bindings = 0;
+  bool BudgetSpent = false; ///< MaxCodeBytes reached: compile no new shape
 };
 
 } // namespace jit

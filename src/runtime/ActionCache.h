@@ -487,8 +487,8 @@ public:
   void noteExternalMutation() { ++Epoch; }
 
   /// The current mutation epoch. Consumers that cache derived views of the
-  /// arenas (the JIT's compiled entry traces) record this at build time
-  /// and treat any change as wholesale invalidation.
+  /// arenas (the JIT's trace bindings) record this when they bind and
+  /// treat any change as invalidation.
   uint64_t mutationEpoch() const { return Epoch; }
 
   /// True when node \p I already passed seal verification (this epoch and

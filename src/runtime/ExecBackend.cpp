@@ -14,10 +14,11 @@
 #include "src/jit/JitTrace.h"
 #include "src/telemetry/Metrics.h"
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <unordered_set>
 
 using namespace facile;
 using namespace facile::rt;
@@ -72,13 +73,16 @@ void ExecBackend::exportMetrics(telemetry::MetricSink &Sink) const {
   Sink.counter("compiled_actions", 0);
   Sink.counter("compiled_blocks", 0);
   Sink.counter("compiled_traces", 0);
+  Sink.counter("trace_bindings", 0);
   Sink.counter("jit_exec_steps", 0);
   Sink.counter("trace_steps", 0);
+  Sink.counter("trace_side_exits", 0);
   Sink.counter("slow_block_execs", 0);
   Sink.counter("bailouts", 0);
   Sink.counter("code_bytes", 0);
   Sink.counter("trace_code_bytes", 0);
   Sink.counter("slow_compile_us", 0);
+  Sink.counter("trace_compile_us", 0);
 }
 
 //===----------------------------------------------------------------------===//
@@ -109,20 +113,20 @@ public:
 
   Simulation::ReplayResult replay(EntryId Entry, KeyId Key) override {
     // Trace maintenance runs outside the engine: count the replay, and
-    // compile the entry's whole node tree once it proves hot. The engine
-    // then dispatches the published trace (FastEngine.cpp).
+    // bind the entry's whole node tree to a compiled shape once it proves
+    // hot. The engine then dispatches the binding (FastEngine.cpp).
     if (!Disabled)
-      maybeCompileTrace(Entry);
+      maybeBindTrace(Entry);
     return Sim.runFast(Entry, Key);
   }
 
   void onStateReplaced() override { refreshFrame(); }
   void onCacheRebuilt() override {
-    // Per-action code references no cache arena (spans are resolved per
-    // node by the caller and passed in) and survives; entry traces bake
-    // node ids and span offsets of the rebuilt arenas and are dropped
-    // wholesale.
-    Traces.reset();
+    // Per-action and trace shape code reference no cache arena (spans
+    // are resolved by the caller or read from a binding) and survive;
+    // bindings name node ids and span offsets of the rebuilt arenas and
+    // are dropped wholesale.
+    Traces.dropBindings();
     ++CacheRebuilds;
   }
   void onPlanPrivatized() override {
@@ -140,9 +144,13 @@ public:
     Sink.flag("available", true);
     Sink.counter("compiled_actions", Session.Cache->compiledActions());
     Sink.counter("compiled_blocks", Session.Cache->compiledBlocks());
+    // compiled_traces: trace shapes compiled; trace_bindings: entries
+    // bound to one (re-bindings included).
     Sink.counter("compiled_traces", Traces.compiledTraces());
+    Sink.counter("trace_bindings", Traces.bindings());
     Sink.counter("jit_exec_steps", Session.JitSteps);
     Sink.counter("trace_steps", Session.TraceSteps);
+    Sink.counter("trace_side_exits", Session.TraceSideExits);
     // compiled_blocks: blocks the slow-step function covers;
     // slow_block_execs: native slow-step function calls.
     Sink.counter("slow_block_execs", Session.SlowCalls);
@@ -150,11 +158,12 @@ public:
     Sink.counter("code_bytes", Session.Cache->codeBytes());
     Sink.counter("trace_code_bytes", Traces.codeBytes());
     Sink.counter("slow_compile_us", Session.Cache->slowCompileMicros());
+    Sink.counter("trace_compile_us", TraceCompileNs / 1000);
   }
 
   uint64_t compiledActions() const override {
     // Every tier compiles actions to native code — per-action functions,
-    // the slow-step function's blocks, and whole-entry traces. Report the
+    // the slow-step function's blocks, and trace shapes. Report the
     // total; exportMetrics keeps the per-tier breakdown. (At low thresholds the
     // trace tier can absorb every hot entry before a single per-action
     // visit accrues, so the per-action counter alone may read zero on a
@@ -205,11 +214,25 @@ public:
 
 private:
   void refreshFrame();
-  void maybeCompileTrace(EntryId Entry);
-  void compileTrace(EntryId Entry, uint64_t Epoch);
+  void maybeBindTrace(EntryId Entry);
+  void bindTrace(EntryId Entry, uint64_t Epoch);
+  bool walkTrace(EntryId Entry);
 
   jit::JitSession Session;
-  jit::JitTraceCache Traces; ///< per-session: traces bake this cache's ids
+  jit::JitTraceCache Traces; ///< per-session: bindings name this cache's ids
+  /// Buffers of the entry walk, reused across walks.
+  struct Work {
+    uint32_t Node;
+    uint64_t Tag; ///< incoming link tag (seal verification)
+    uint32_t ParentDesc;
+    uint8_t Slot; ///< which Succ[] of the parent this node fills
+  };
+  std::vector<Work> WalkStack;
+  std::vector<jit::TraceNodeDesc> WalkDescs;
+  std::vector<jit::TraceBind> WalkBinds;
+  std::vector<jit::TraceExitDesc> WalkExits;
+  std::vector<uint8_t> WalkCode;
+  uint64_t TraceCompileNs = 0; ///< walking, emitting and publishing
   /// Backing stores for the frame's array-of-pointers indirections.
   std::vector<int64_t *> ArrayPtrs;
   std::vector<int64_t *> LocPtrs;
@@ -275,19 +298,41 @@ void JitBackend::refreshFrame() {
   F.StatLocArrays = StatLocPtrs.data();
 }
 
-void JitBackend::maybeCompileTrace(EntryId Entry) {
+void JitBackend::maybeBindTrace(EntryId Entry) {
   const uint64_t Epoch = Sim.Cache.mutationEpoch();
   if (Traces.shouldCompile(Entry, Session.Threshold, Epoch))
-    compileTrace(Entry, Epoch);
+    bindTrace(Entry, Epoch);
 }
 
-/// Walks \p Entry's recorded node tree, running the guarded interpreter's
-/// full verification over every node it is about to bake (structural
-/// bounds always; the seal sweep when guards are on — compiled code skips
-/// per-node checks, so nothing unverified may be compiled in), and
-/// publishes the emitted trace. Any refusal pins the entry to the
-/// interpreter; nothing here can fault.
-void JitBackend::compileTrace(EntryId Entry, uint64_t Epoch) {
+/// Walks \p Entry and binds it to its shape, compiling the shape first if
+/// no entry had it yet. Any refusal pins the entry to the interpreter;
+/// nothing here can fault.
+void JitBackend::bindTrace(EntryId Entry, uint64_t Epoch) {
+  const auto T0 = std::chrono::steady_clock::now();
+  const jit::JitTraceCache::Shape *Shape = nullptr;
+  if (walkTrace(Entry)) {
+    Shape = Traces.findShape(WalkDescs, Sim.Opts.Guards);
+    if (!Shape && !Traces.budgetSpent() &&
+        jit::emitTrace(Session.Cache->ctx(), WalkDescs, Sim.Opts.Guards,
+                       WalkCode, WalkExits))
+      Shape = Traces.addShape(WalkDescs, Sim.Opts.Guards, WalkExits, WalkCode);
+  }
+  if (Shape)
+    Traces.bind(Entry, *Shape, WalkBinds.data(), Epoch);
+  else
+    Traces.noCompile(Entry);
+  TraceCompileNs += static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - T0)
+          .count());
+}
+
+/// Walks \p Entry's recorded node tree into WalkDescs (the shape key) and
+/// WalkBinds (the binding), running the guarded interpreter's full
+/// verification over every node it is about to bind: structural bounds
+/// always; the seal sweep when guards are on. Shape code skips per-node
+/// checks, so nothing unverified may be bound. False refuses the entry.
+bool JitBackend::walkTrace(EntryId Entry) {
   // Const reference on purpose: ActionCache::node() has a mutable
   // overlay-only overload; the walk must resolve global ids through the
   // base-aware const accessors.
@@ -298,119 +343,77 @@ void JitBackend::compileTrace(EntryId Entry, uint64_t Epoch) {
   const uint64_t BaseD = C.baseDataWords();
   const uint64_t PoolSize = C.dataSize();
   const CacheEntry &E = C.entry(Entry);
+  WalkStack.clear();
+  WalkDescs.clear();
+  WalkBinds.clear();
   if (E.Head == ActionNode::NoNode || E.Key == NoId)
-    return Traces.noCompile(Entry);
+    return false;
 
   // DFS pre-order over the entry's tree. Children of a Test are pushed
   // 1-edge first so the 0-edge becomes the emitted fallthrough. The walk
   // refuses non-trees (a revisited node means a corrupt or exotic graph
-  // the per-exit path tables cannot represent) and caps the node count.
-  constexpr uint32_t MaxNodes = 256;
-  struct Work {
-    uint32_t Node;
-    uint64_t Tag; ///< incoming link tag (seal verification)
-    uint32_t ParentDesc;
-    uint8_t Slot;  ///< which Succ[] of the parent this node fills
-    int64_t Value; ///< the outcome by which the parent reaches this node
-  };
-  std::vector<jit::TraceNodeDesc> Descs;
-  struct Link {
-    uint32_t Parent;
-    int64_t Value;
-  };
-  std::vector<Link> Parents; ///< per desc: DFS parent, for exit paths
-  std::vector<Work> Stack;
-  std::unordered_set<uint32_t> Seen;
-  Stack.push_back({E.Head, ActionCache::headTag(E.Key), jit::TraceNoSucc, 0, 0});
-
-  while (!Stack.empty()) {
-    Work W = Stack.back();
-    Stack.pop_back();
-    if (Descs.size() >= MaxNodes || W.Node >= NumNodes ||
-        !Seen.insert(W.Node).second)
-      return Traces.noCompile(Entry);
+  // the per-exit prefixes cannot represent) and caps the node count.
+  WalkStack.push_back(
+      {E.Head, ActionCache::headTag(E.Key), jit::TraceNoSucc, 0});
+  while (!WalkStack.empty()) {
+    const Work W = WalkStack.back();
+    WalkStack.pop_back();
+    if (WalkDescs.size() >= jit::JitTraceCache::MaxNodes ||
+        W.Node >= NumNodes ||
+        std::any_of(WalkBinds.begin(), WalkBinds.end(),
+                    [&](const jit::TraceBind &B) { return B.Node == W.Node; }))
+      return false;
     const ActionNode &N = C.node(W.Node);
     if (static_cast<uint32_t>(N.ActionId) >= NumActions ||
         static_cast<uint8_t>(N.K) > static_cast<uint8_t>(ActionNode::Kind::End))
-      return Traces.noCompile(Entry);
+      return false;
     const uint64_t Lo = N.DataOfs, Hi = Lo + N.DataLen;
     if (Hi > PoolSize || (Lo < BaseD && Hi > BaseD))
-      return Traces.noCompile(Entry);
+      return false;
     if (Sim.Opts.Guards) {
       // The guarded interpreter's seal check, unconditionally (marks are
-      // an optimization for the per-step loop; compilation is rare). A
+      // an optimization for the per-step loop; binding is rare). A
       // mismatch is left for the interpreter to detect or absorb.
       const int64_t *Span = C.spanData(N.DataOfs);
       uint64_t Xor = 0;
       for (uint32_t Wd = 0; Wd != N.DataLen; ++Wd)
         Xor ^= static_cast<uint64_t>(Span[Wd]);
       if ((Xor ^ ActionCache::identityMix(N) ^ W.Tag) != C.nodeSeal(W.Node))
-        return Traces.noCompile(Entry);
+        return false;
       Sim.Cache.markVerified(W.Node, W.Tag);
     }
-    const uint32_t Di = static_cast<uint32_t>(Descs.size());
+    const uint32_t Di = static_cast<uint32_t>(WalkDescs.size());
     if (W.ParentDesc != jit::TraceNoSucc)
-      Descs[W.ParentDesc].Succ[W.Slot] = Di;
+      WalkDescs[W.ParentDesc].Succ[W.Slot] = Di;
     jit::TraceNodeDesc D;
     D.ActionId = N.ActionId;
-    D.CacheNode = W.Node;
     D.DataLen = N.DataLen;
     D.BaseSide = Lo < BaseD;
-    D.SpanOfs = D.BaseSide ? Lo : Lo - BaseD;
     switch (N.K) {
     case ActionNode::Kind::Plain:
       D.Kind = 0;
       if (N.Next == ActionNode::NoNode)
-        return Traces.noCompile(Entry); // complete entries link Plain nodes
-      Stack.push_back({N.Next, ActionCache::edgeTag(W.Node, -1), Di, 0, 0});
+        return false; // complete entries link Plain nodes
+      WalkStack.push_back({N.Next, ActionCache::edgeTag(W.Node, -1), Di, 0});
       break;
     case ActionNode::Kind::Test:
       D.Kind = 1;
       for (int V = 1; V >= 0; --V) {
         uint32_t Succ = C.testSuccessor(W.Node, V);
         if (Succ != ActionNode::NoNode)
-          Stack.push_back({Succ, ActionCache::edgeTag(W.Node, V), Di,
-                           static_cast<uint8_t>(V), V});
+          WalkStack.push_back({Succ, ActionCache::edgeTag(W.Node, V), Di,
+                               static_cast<uint8_t>(V)});
       }
       break;
     case ActionNode::Kind::End:
       D.Kind = 2;
       break;
     }
-    Descs.push_back(D);
-    Parents.push_back({W.ParentDesc, W.Value});
+    WalkDescs.push_back(D);
+    WalkBinds.push_back(
+        {W.Node, static_cast<uint32_t>(D.BaseSide ? Lo : Lo - BaseD)});
   }
-
-  std::vector<uint8_t> Code;
-  std::vector<jit::TraceExitDesc> ExitDescs;
-  if (!jit::emitTrace(Session.Cache->ctx(), Descs, Sim.Opts.Guards, Code,
-                      ExitDescs))
-    return Traces.noCompile(Entry);
-
-  jit::JitTraceCache::Trace T;
-  T.Epoch = Epoch;
-  T.Exits.reserve(ExitDescs.size());
-  for (const jit::TraceExitDesc &X : ExitDescs) {
-    jit::JitTraceCache::Exit Ex;
-    Ex.Node = Descs[X.Desc].CacheNode;
-    Ex.Value = X.Value;
-    Ex.IsEnd = X.IsEnd;
-    if (!X.IsEnd) {
-      // Bake the replayed prefix an interpreted walk to this exit would
-      // have built: head..exit in order, each with the outcome taken
-      // (Plain edges record 0), the exit node's pair last.
-      std::vector<jit::JitTraceCache::PathItem> Rev;
-      Rev.push_back({Descs[X.Desc].CacheNode, static_cast<int64_t>(X.Value)});
-      for (uint32_t D = X.Desc; Parents[D].Parent != jit::TraceNoSucc;
-           D = Parents[D].Parent)
-        Rev.push_back({Descs[Parents[D].Parent].CacheNode, Parents[D].Value});
-      Ex.PathOfs = static_cast<uint32_t>(T.PathPool.size());
-      Ex.PathLen = static_cast<uint32_t>(Rev.size());
-      T.PathPool.insert(T.PathPool.end(), Rev.rbegin(), Rev.rend());
-    }
-    T.Exits.push_back(Ex);
-  }
-  Traces.publish(Entry, std::move(T), Code);
+  return true;
 }
 
 //===----------------------------------------------------------------------===//

@@ -95,17 +95,20 @@ Simulation::ReplayResult Simulation::runFastImpl(EntryId Entry, KeyId Key) {
   if (Guarded && NodeIdx == ActionNode::NoNode)
     return ReplayResult::CorruptCold;
 
-  // Trace dispatch: when the whole entry is compiled, the step is one
-  // native call. Valid only while the cache's mutation epoch matches the
-  // trace's compile epoch — any injected corruption bumps the epoch, so a
-  // trace never runs over state the guarded interpreter would have
-  // re-verified (compilation itself verified every seal it baked).
-  // Profiled steps stay interpreted so sampling still sees nodes.
+  // Trace dispatch: when the entry is bound to a compiled shape, the step
+  // is one native call over the entry's binding table. Valid only while
+  // the cache's mutation epoch matches the binding's — any injected
+  // corruption bumps the epoch, so bound code never runs over state the
+  // guarded interpreter would have re-verified (binding itself verified
+  // every seal it bound). Profiled steps stay interpreted so sampling
+  // still sees nodes.
   if (!Profiled && Jit && Jit->Traces) {
-    if (jit::JitTraceCache::Trace *T =
-            Jit->Traces->find(Entry, Cache.mutationEpoch())) {
+    if (const jit::JitTraceCache::Bound B =
+            Jit->Traces->find(Entry, Cache.mutationEpoch());
+        B.S) {
       Jit->Frame.BaseData = BData;
-      int64_t R = T->Fn(&Jit->Frame, OData);
+      Jit->Frame.OverlayData = OData;
+      int64_t R = B.S->Fn(&Jit->Frame, B.Table);
       if (R < 0) {
         if (R == jit::BailFetchOob)
           raiseFault(FaultKind::DecodeError,
@@ -113,39 +116,46 @@ Simulation::ReplayResult Simulation::runFastImpl(EntryId Entry, KeyId Key) {
         // BailExternFail: externCall already raised inside the thunk.
         return ReplayResult::Faulted;
       }
-      const jit::JitTraceCache::Exit &X = T->Exits[static_cast<size_t>(R)];
+      const jit::TraceExitDesc &X = B.S->Exits[static_cast<size_t>(R)];
+      const uint32_t XNode = B.Table[X.Desc].Node;
       if (X.IsEnd) {
-        PendingEndNode = X.Node;
+        PendingEndNode = XNode;
         ++Jit->JitSteps;
         ++Jit->TraceSteps;
         return ReplayResult::Replayed;
       }
-      // Side exit at Test node X.Node with outcome X.Value: that edge had
-      // no successor at compile time. Reconstruct the replayed prefix the
-      // interpreter would have built (the baked path ends with the exit
-      // node's pair).
+      // Side exit at Test node XNode with outcome X.Value: that edge had
+      // no successor when the shape was compiled. Rebuild the replayed
+      // prefix the interpreter would have built — head .. exit node, each
+      // with the outcome taken — from the shape's parent links and the
+      // binding, into the kept capacity of the prefix buffer.
       ExecutedAny = true;
       AnyNative = true;
-      for (uint32_t Pi = 0; Pi != X.PathLen; ++Pi) {
-        const jit::JitTraceCache::PathItem &It = T->PathPool[X.PathOfs + Pi];
-        Rp.Path.push_back({It.Node, It.Value});
+      ++Jit->TraceSideExits;
+      const int64_t XValue = X.Value;
+      Rp.Path.resize(B.S->Links[X.Desc].Depth + 1);
+      int64_t V = XValue;
+      for (uint32_t D = X.Desc, Pi = static_cast<uint32_t>(Rp.Path.size());
+           Pi-- != 0; D = B.S->Links[D].Parent) {
+        Rp.Path[Pi] = {B.Table[D].Node, V};
+        V = B.S->Links[D].Value;
       }
-      uint32_t Succ = Cache.testSuccessor(X.Node, static_cast<int>(X.Value));
+      uint32_t Succ = Cache.testSuccessor(XNode, static_cast<int>(XValue));
       if (Succ == ActionNode::NoNode) {
         // Genuine miss: hand recovery the prefix; the recording that
-        // follows grows the entry past the compiled tree, so drop the
-        // trace and let it re-trip with the new branch included.
-        Rp.MissValue = X.Value;
+        // follows grows the entry past the bound tree, so drop the binding
+        // and let the entry re-bind with the new branch included.
+        Rp.MissValue = XValue;
         ++S.Misses;
         runSlow(Entry, &Rp);
         Jit->Traces->invalidate(Entry);
         return Fault ? ReplayResult::Faulted : ReplayResult::Recovered;
       }
-      // Stale trace: the successor was recorded after compilation. Resume
-      // the interpreted walk mid-chain and queue a recompile.
+      // Stale binding: the successor was recorded after binding. Resume
+      // the interpreted walk mid-chain and let the entry re-bind.
       Jit->Traces->invalidate(Entry);
       if (Guarded)
-        IncomingTag = ActionCache::edgeTag(X.Node, static_cast<int>(X.Value));
+        IncomingTag = ActionCache::edgeTag(XNode, static_cast<int>(XValue));
       NodeIdx = Succ;
     }
   }

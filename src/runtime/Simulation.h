@@ -301,7 +301,7 @@ public:
   /// Mutable internals for the fault injector (inject::FaultInjector) and
   /// white-box tests; production code never writes through these. Counts
   /// as an out-of-band mutation: the cache's epoch is bumped so every
-  /// derived view (verification marks, compiled entry traces) re-verifies
+  /// derived view (verification marks, trace bindings) re-verifies
   /// against whatever the caller changed. Key-static values are
   /// materialized first and the INDEX chain is dropped, so a NextKey the
   /// caller rewrites is caught by the End node's seal when replay next

@@ -184,8 +184,9 @@ TEST(FaultCampaign, MemoryFlipsTerminateCleanly) {
       Inj.inject();
     }
     ASSERT_LE(Guard, Steps * 4) << "seed " << Seed << ": hang";
-    if (Sim.faulted())
+    if (Sim.faulted()) {
       EXPECT_NE(Sim.fault().Kind, FaultKind::None) << "seed " << Seed;
+    }
   }
 }
 
@@ -752,13 +753,13 @@ TEST(Bypass, DoesNotTripDuringWarmup) {
 //===----------------------------------------------------------------------===//
 
 // The cache-corruption campaign rerun with Backend=Jit at threshold 1, so
-// compiled actions, block bodies and entry traces are live when arenas are
+// compiled actions, block bodies and trace bindings are live when arenas are
 // flipped. The robustness contract does not weaken under native code: every
 // run still ends clean (bit-identical to the uninjected interpreter
 // reference), absorbed, or with a structured cache/plan fault — never a
 // crash, hang, or silent divergence. Guard pages and the seal sweep have to
 // catch corruption *before* compiled code replays it, and invalidation has
-// to drop any trace or block baked over a rebuilt arena.
+// to drop any binding made over a rebuilt arena.
 TEST(FaultCampaign, JitCacheCorruptionNeverDivergesSilently) {
   if (!facile::jit::available())
     GTEST_SKIP() << "no template-JIT backend on this host";
@@ -844,8 +845,9 @@ TEST(FaultCampaign, JitMemoryFlipsTerminateCleanly) {
       Inj.inject();
     }
     ASSERT_LE(Guard, Steps * 4) << "seed " << Seed << ": hang";
-    if (Sim.faulted())
+    if (Sim.faulted()) {
       EXPECT_NE(Sim.fault().Kind, FaultKind::None) << "seed " << Seed;
+    }
   }
 }
 

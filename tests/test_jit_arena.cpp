@@ -1,11 +1,12 @@
 //===- test_jit_arena.cpp - Packed trace arena and its budget --------------===//
 //
-// Entry traces are appended into shared 64 KB chunks instead of a page
+// Trace shapes are appended into shared 64 KB chunks instead of a page
 // each. Every append re-flips the tail page, so these tests publish many
 // small stubs and hold the arena to its contract: each stub still returns
 // its own value after later appends, no mapping of the process is ever
 // writable and executable at once, codeBytes() reports the mapped chunk
-// bytes, and the trace budget pins entries to the interpreter once spent.
+// bytes, and once the trace budget is spent no new shape compiles while
+// entries of compiled shapes still bind.
 //
 //===----------------------------------------------------------------------===//
 
@@ -71,8 +72,9 @@ TEST(JitArena, PackedUnitsShareChunksAndStayCallable) {
     EXPECT_EQ(A.mappedBytes(), Expected);
     Bytes += Code.size();
     Fns.push_back(P);
-    if (I % 16 == 0)
+    if (I % 16 == 0) {
       ASSERT_EQ(rwxMappings(), RwxBefore) << "after publish " << I;
+    }
   }
   EXPECT_EQ(rwxMappings(), RwxBefore);
   EXPECT_TRUE(A.intact());
@@ -110,40 +112,72 @@ TEST(JitArena, PagePerUnitRoundsEachUnit) {
 TEST(JitTraceCache, BudgetCountsChunksAndPinsEntries) {
   if (!available())
     GTEST_SKIP() << "no template-JIT backend on this host";
+  // One-node shapes told apart by action id; the code is a stub returning
+  // the shape's number, bound to an entry of the same number.
+  auto shapeOf = [](uint32_t I) {
+    std::vector<TraceNodeDesc> Nodes(1);
+    Nodes[0].ActionId = static_cast<int32_t>(I);
+    Nodes[0].Kind = 2;
+    return Nodes;
+  };
+  auto run = [](JitTraceCache::Bound B) { return B.S->Fn(nullptr, B.Table); };
+  const TraceBind Bind;
   JitTraceCache C;
-  std::vector<std::vector<uint8_t>> Codes;
   uint32_t Published = 0;
   uint32_t Entry = 0;
   for (;; ++Entry) {
     ASSERT_TRUE(C.shouldCompile(Entry, 1, 0)) << "entry " << Entry;
     std::vector<uint8_t> Code = stub(static_cast<int32_t>(Entry), 700);
-    if (!C.publish(Entry, JitTraceCache::Trace(), Code))
+    const JitTraceCache::Shape *S = C.addShape(shapeOf(Entry), false, {}, Code);
+    if (!S) {
+      C.noCompile(Entry);
       break;
+    }
+    C.bind(Entry, *S, &Bind, 0);
     ++Published;
-    // Every published trace is found and still returns its own value.
-    ASSERT_NE(C.find(Entry, 0), nullptr);
+    ASSERT_NE(C.find(Entry, 0).S, nullptr);
     ASSERT_LT(Published, 10'000u) << "budget never reached";
   }
+  EXPECT_TRUE(C.budgetSpent());
   EXPECT_EQ(C.compiledTraces(), Published);
+  EXPECT_EQ(C.bindings(), Published);
   // The budget counts whole chunks and is reached exactly.
   EXPECT_EQ(C.codeBytes(), JitTraceCache::MaxCodeBytes);
   EXPECT_EQ(C.codeBytes() % JitArena::ChunkBytes, 0u);
-  // Packing: ~700 B traces, not one 4 KB page each.
+  // Packing: ~700 B shapes, not one 4 KB page each.
   EXPECT_GT(Published, JitTraceCache::MaxCodeBytes / 1024);
-  EXPECT_EQ(C.find(Entry, 0), nullptr);
+  EXPECT_EQ(C.find(Entry, 0).S, nullptr);
   for (uint32_t E = 0; E != Published; ++E) {
-    JitTraceCache::Trace *T = C.find(E, 0);
-    ASSERT_NE(T, nullptr);
-    EXPECT_EQ(T->Fn(nullptr, nullptr), static_cast<int64_t>(E));
+    const JitTraceCache::Bound B = C.find(E, 0);
+    ASSERT_NE(B.S, nullptr);
+    EXPECT_EQ(run(B), static_cast<int64_t>(E));
+    // Keyed by the full descriptor sequence and the guard mode.
+    EXPECT_EQ(C.findShape(shapeOf(E), false), B.S);
+    EXPECT_EQ(C.findShape(shapeOf(E), true), nullptr);
+    // A moved epoch hides the binding until the entry re-binds.
+    EXPECT_EQ(C.find(E, 1).S, nullptr);
   }
-  // Spent: fresh entries and the refused one are pinned to the interpreter.
+  // Spent: the refused entry stays pinned; a later candidate with a new
+  // shape is refused and pinned too, while one whose shape is compiled
+  // still binds.
   EXPECT_FALSE(C.shouldCompile(Entry, 1, 0));
+  ASSERT_TRUE(C.shouldCompile(Entry + 1, 1, 0));
+  EXPECT_EQ(C.addShape(shapeOf(Entry + 1), false, {}, stub(0, 700)), nullptr);
+  C.noCompile(Entry + 1);
   EXPECT_FALSE(C.shouldCompile(Entry + 1, 1, 0));
-  EXPECT_FALSE(C.shouldCompile(Entry + 1, 1, 0));
+  ASSERT_TRUE(C.shouldCompile(Entry + 2, 1, 0));
+  C.bind(Entry + 2, *C.findShape(shapeOf(7), false), &Bind, 0);
+  EXPECT_EQ(run(C.find(Entry + 2, 0)), 7);
   EXPECT_EQ(C.compiledTraces(), Published);
+  EXPECT_EQ(C.codeBytes(), JitTraceCache::MaxCodeBytes);
 
-  // A reset (arena rebuild) frees the chunks and restores the budget.
-  C.reset();
-  EXPECT_EQ(C.codeBytes(), 0u);
-  EXPECT_TRUE(C.shouldCompile(Entry + 1, 1, 0));
+  // Dropping bindings (a cache rebuild) keeps every shape and its chunks;
+  // entries trip afresh and re-bind without compiling.
+  C.dropBindings();
+  EXPECT_EQ(C.find(3, 0).S, nullptr);
+  EXPECT_EQ(C.codeBytes(), JitTraceCache::MaxCodeBytes);
+  ASSERT_TRUE(C.shouldCompile(3, 1, 5));
+  C.bind(3, *C.findShape(shapeOf(3), false), &Bind, 5);
+  EXPECT_EQ(run(C.find(3, 5)), 3);
+  EXPECT_EQ(C.compiledTraces(), Published);
 }

@@ -4,9 +4,10 @@
 // (paper §2, Figure 9). This binary replaces the global operator new with
 // a counting one and holds steady-state replayed steps to zero heap
 // allocations: interpreted replay (guarded and unguarded) and traced
-// replay. A miss recovery whose replayed prefix is shorter than the one
-// before it shows that the reused prefix buffer is cleared per step — a
-// stale tail would desynchronize recovery into a fault or a wrong state.
+// replay, side exits that resume interpreted included. A miss recovery
+// whose replayed prefix is shorter than the one before it shows that the
+// reused prefix buffer is cleared per step — a stale tail would
+// desynchronize recovery into a fault or a wrong state.
 //
 //===----------------------------------------------------------------------===//
 
@@ -137,6 +138,57 @@ TEST(ReplayAlloc, TracedReplayAllocatesNothing) {
     EXPECT_EQ(jitCounter(Sim, "compiled_traces"), CompiledBefore);
     EXPECT_GT(Traced * 2, T.Fast);
     EXPECT_EQ(T.FastAllocs, 0u);
+  }
+}
+
+TEST(ReplayAlloc, TracedSideExitAllocatesNothing) {
+  // A sampled step replays interpreted, and when it misses, recovery
+  // records the new successor without dropping the entry's binding. The
+  // next traced replay down that edge leaves the trace at a side exit,
+  // rebuilds the replayed prefix from the shape's parent links and the
+  // binding, and finds the successor recorded: it resumes interpreted and
+  // completes as a replayed step. Those steps must not allocate either.
+  if (!jit::available())
+    GTEST_SKIP() << "no template-JIT backend on this host";
+  const isa::TargetImage Image = branchyImage();
+  for (bool Guards : {true, false}) {
+    SCOPED_TRACE(Guards ? "guarded" : "unguarded");
+    rt::Simulation::Options O;
+    O.Backend = rt::BackendKind::Jit;
+    O.JitThreshold = 1;
+    O.Guards = Guards;
+    FacileSim Sim(SimKind::OutOfOrder, Image, O);
+    telemetry::ActionProfiler Prof(Sim.sim().actionCount(), 3);
+    Sim.setProfiler(&Prof);
+    Sim.run(30'000); // warm-up: size the prefix buffer
+
+    // Steady-state steps only: binding an entry, compiling a shape or a
+    // per-action function allocates, and is compile work, not replay.
+    auto compileWork = [&] {
+      return jitCounter(Sim, "trace_bindings") +
+             jitCounter(Sim, "compiled_actions");
+    };
+    uint64_t Exits = jitCounter(Sim, "trace_side_exits");
+    uint64_t Work = compileWork();
+    uint64_t FastExits = 0, Fast = 0, FastAllocs = 0;
+    for (unsigned I = 0; I != 20'000 && !Sim.sim().halted(); ++I) {
+      const uint64_t Before = NewCalls.load(std::memory_order_relaxed);
+      const rt::StepEngine E = Sim.sim().step();
+      const uint64_t N = NewCalls.load(std::memory_order_relaxed) - Before;
+      ASSERT_NE(E, rt::StepEngine::Faulted) << Sim.fault().Detail;
+      const uint64_t X = jitCounter(Sim, "trace_side_exits");
+      const uint64_t W = compileWork();
+      if (E == rt::StepEngine::Fast && W == Work) {
+        ++Fast;
+        FastAllocs += N;
+        FastExits += X - Exits;
+      }
+      Exits = X;
+      Work = W;
+    }
+    EXPECT_GT(Fast, 1'000u);
+    EXPECT_GT(FastExits, 0u);
+    EXPECT_EQ(FastAllocs, 0u);
   }
 }
 

@@ -102,8 +102,9 @@ TEST(Runtime2, HostWritesToKeyStaticGlobalsBreakTheChain) {
       Sim.step();
       States.push_back(mixState(Sim));
     }
-    if (Memo)
+    if (Memo) {
       EXPECT_GT(Sim.stats().FastSteps, 200u);
+    }
     return States;
   };
   EXPECT_EQ(Run(true), Run(false));
