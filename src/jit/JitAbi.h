@@ -42,6 +42,8 @@
 namespace facile {
 namespace jit {
 
+struct TraceBind;
+
 /// Per-session execution frame. Field offsets are fixed — the emitter
 /// hard-codes them — and static_asserted in JitEmitter.cpp. The owning
 /// backend must refresh every pointer whenever the session's vectors are
@@ -82,6 +84,39 @@ struct JitFrame {
   /// +152: overlay data pool, refreshed with BaseData before every trace
   /// call (trace code resolves overlay-side spans off it).
   const int64_t *OverlayData = nullptr;
+
+  // Native chaining across replayed steps (the chain stub, see
+  // jit::emitChainStub). The caller stores ChainBudget before every trace
+  // call, and the slot, table and entry views whenever the budget is
+  // non-zero; the other pointers are set once with the rest of the frame.
+
+  /// +160: the session's chain stub; End exits of shape code jump to it.
+  const void *ChainStub = nullptr;
+  /// +168: chain jumps the stub may still take (each takes one); 0 makes
+  /// every End exit return as an unchained trace would.
+  int64_t ChainBudget = 0;
+  /// +176: the entry of the step in flight, written by every chain jump.
+  uint64_t ChainEntry = 0;
+  /// +184: the cache's mutation epoch, read live: a target bound at any
+  /// other epoch is not entered, even when an extern call moved it
+  /// mid-chain.
+  const uint64_t *ChainEpoch = nullptr;
+  /// +192 / +200 / +208: the trace cache's slot array (one TraceSlot-
+  /// headed slot per cache entry), its length, and its binding table.
+  const void *ChainSlots = nullptr;
+  uint64_t ChainSlotCount = 0;
+  const TraceBind *ChainTable = nullptr;
+  /// +216: the action cache's entry array: a chain jump is a lookup hit
+  /// and refreshes the target's recency from the tick at +224.
+  void *ChainEntries = nullptr;
+  uint64_t *ChainTick = nullptr;
+  /// +232: Simulation::Stats::Steps, bumped by every chain jump.
+  uint64_t *Steps = nullptr;
+  /// +240: the Simulation's StateKey, set by every chain jump to the key
+  /// the entered step runs under.
+  uint32_t *StateKey = nullptr;
+  /// +248: TargetMemory's resident-page budget latch.
+  const bool *MemLatch = nullptr;
 };
 
 /// One node of a trace binding: where descriptor i of a trace shape sits
@@ -93,6 +128,31 @@ struct TraceBind {
   uint32_t SpanOfs = 0; ///< word offset into the node's side of the pool
 };
 static_assert(sizeof(TraceBind) == 8, "trace code indexes bindings by 8");
+
+/// The head of one trace-cache slot (one per cache entry), the part the
+/// chain stub reads: the bound shape's code past its prologue, the
+/// binding's generation and epoch, and where its table run starts.
+struct TraceSlot {
+  const uint8_t *Body = nullptr; ///< +0  null when unbound
+  uint64_t Gen = 0;              ///< +8  0 when unbound; never reused
+  uint64_t Epoch = 0;            ///< +16 cache mutation epoch at binding
+  uint32_t TableOfs = 0;         ///< +24 first cell of the binding's run
+  uint32_t TableCap = 0;         ///< +28 cells reserved at TableOfs
+};
+static_assert(sizeof(TraceSlot) == 32, "the chain stub reads slot heads");
+
+/// The chain link of one End descriptor of one binding: what the End
+/// node's NextKey resolved to the first time a step chained through it.
+/// Links sit in the binding's table run after its pairs, one per End
+/// descriptor in exit order, each followed by the NextKey's compared
+/// (non-key-static) words, 8 bytes apiece. An all-zero link is unfilled.
+struct ChainLink {
+  uint32_t Target = 0; ///< +0 the entry NextKey looks up
+  uint32_t Key = 0;    ///< +4 NextKey
+  uint64_t Gen = 0;    ///< +8 Target's binding generation when filled
+};
+static_assert(sizeof(ChainLink) == 2 * sizeof(TraceBind),
+              "links occupy whole table cells");
 
 /// A compiled action entry point.
 using JitFn = int64_t (*)(const JitFrame *Frame, const int64_t *Span);
@@ -166,6 +226,13 @@ struct JitSession {
   uint64_t TraceSideExits = 0; ///< trace calls that left at a side exit
   uint64_t Bailouts = 0;       ///< structural fallbacks to the interpreter
   uint64_t SlowCalls = 0;      ///< native slow-step function calls
+  uint64_t ChainedSteps = 0;   ///< steps entered by a native chain jump
+  /// The trace End exit the last replayed step left through: the entry
+  /// and the exit id whose link the next step fills on an INDEX-chain
+  /// hit. LinkFrom is NoLink when that step ended any other way.
+  static constexpr uint32_t NoLink = ~0u;
+  uint32_t LinkFrom = NoLink;
+  uint32_t LinkExit = 0;
   /// Placeholder capture buffer for recording slow-step variants; sized
   /// once to the function's largest action-block capture.
   std::vector<int64_t> Capture;

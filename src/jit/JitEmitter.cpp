@@ -44,7 +44,24 @@ static_assert(offsetof(JitFrame, Capture) == 128, "frame layout is ABI");
 static_assert(offsetof(JitFrame, CaptureEnd) == 136, "frame layout is ABI");
 static_assert(offsetof(JitFrame, SlowBlock) == 144, "frame layout is ABI");
 static_assert(offsetof(JitFrame, OverlayData) == 152, "frame layout is ABI");
+static_assert(offsetof(JitFrame, ChainStub) == 160, "frame layout is ABI");
+static_assert(offsetof(JitFrame, ChainBudget) == 168, "frame layout is ABI");
+static_assert(offsetof(JitFrame, ChainEntry) == 176, "frame layout is ABI");
+static_assert(offsetof(JitFrame, ChainEpoch) == 184, "frame layout is ABI");
+static_assert(offsetof(JitFrame, ChainSlots) == 192, "frame layout is ABI");
+static_assert(offsetof(JitFrame, ChainSlotCount) == 200, "frame layout is ABI");
+static_assert(offsetof(JitFrame, ChainTable) == 208, "frame layout is ABI");
+static_assert(offsetof(JitFrame, ChainEntries) == 216, "frame layout is ABI");
+static_assert(offsetof(JitFrame, ChainTick) == 224, "frame layout is ABI");
+static_assert(offsetof(JitFrame, Steps) == 232, "frame layout is ABI");
+static_assert(offsetof(JitFrame, StateKey) == 240, "frame layout is ABI");
+static_assert(offsetof(JitFrame, MemLatch) == 248, "frame layout is ABI");
 static_assert(offsetof(TraceBind, SpanOfs) == 4, "binding layout is ABI");
+static_assert(offsetof(TraceSlot, Gen) == 8, "slot layout is ABI");
+static_assert(offsetof(TraceSlot, Epoch) == 16, "slot layout is ABI");
+static_assert(offsetof(TraceSlot, TableOfs) == 24, "slot layout is ABI");
+static_assert(offsetof(ChainLink, Key) == 4, "link layout is ABI");
+static_assert(offsetof(ChainLink, Gen) == 8, "link layout is ABI");
 
 bool jit::available() {
 #if defined(__x86_64__) && (defined(__unix__) || defined(__APPLE__))
@@ -91,6 +108,7 @@ enum Reg : unsigned {
   RDI = 7,
   R8 = 8,
   R10 = 10,
+  R11 = 11,
   R12 = 12,
   R13 = 13,
   R14 = 14,
@@ -359,6 +377,34 @@ public:
     rex(false, 0, 0, R);
     u8(0xFF);
     modRR(4, R);
+  }
+  void jmpM(unsigned Base, int32_t Disp) { // jmp qword [Base+Disp]
+    rex(false, 0, 0, Base);
+    u8(0xFF);
+    memRM(4, Base, Disp);
+  }
+  void movzxR32R16(unsigned D, unsigned S) { // movzx D32, S16
+    rex(false, D, 0, S);
+    u8(0x0F);
+    u8(0xB7);
+    modRR(D, S);
+  }
+  void movzxR32M8(unsigned D, unsigned Base, int32_t Disp) {
+    rex(false, D, 0, Base); // movzx D32, byte [Base+Disp]
+    u8(0x0F);
+    u8(0xB6);
+    memRM(D, Base, Disp);
+  }
+  void movM32R(unsigned Base, int32_t Disp, unsigned S) { // mov [..], S32
+    rex(false, S, 0, Base);
+    u8(0x89);
+    memRM(S, Base, Disp);
+  }
+  void imulRRI(unsigned D, unsigned S, int32_t Imm) { // imul D, S, Imm
+    rex(true, D, 0, S);
+    u8(0x69);
+    modRR(D, S);
+    u32(static_cast<uint32_t>(Imm));
   }
   void movMI8(unsigned Base, int32_t Disp, uint8_t Imm) { // mov byte [..], Imm
     rex(false, 0, 0, Base);
@@ -1176,8 +1222,9 @@ public:
   TraceCompiler(const EmitContext &Ctx, bool Guarded)
       : Ctx(Ctx), Guarded(Guarded), C(Ctx, Guarded, A) {}
 
-  bool compile(const std::vector<TraceNodeDesc> &Nodes,
-               std::vector<uint8_t> &Out, std::vector<TraceExitDesc> &Exits);
+  bool compile(const std::vector<TraceNodeDesc> &Nodes, uint32_t LinkBytes,
+               std::vector<uint8_t> &Out, std::vector<TraceExitDesc> &Exits,
+               uint32_t &BodyOfs);
 
 private:
   const EmitContext &Ctx;
@@ -1201,9 +1248,10 @@ private:
 };
 
 bool TraceCompiler::compile(const std::vector<TraceNodeDesc> &Nodes,
-                            std::vector<uint8_t> &Out,
-                            std::vector<TraceExitDesc> &Exits) {
-  if (Nodes.empty())
+                            uint32_t LinkBytes, std::vector<uint8_t> &Out,
+                            std::vector<TraceExitDesc> &Exits,
+                            uint32_t &BodyOfs) {
+  if (Nodes.empty() || LinkBytes % sizeof(TraceBind) != 0)
     return false;
 
   A.push(RBX);
@@ -1217,9 +1265,12 @@ bool TraceCompiler::compile(const std::vector<TraceNodeDesc> &Nodes,
   A.movRM(R12, RBX, 0);
   A.movRM(R14, RBX, 8);
   A.subRI32(RSP, 136); // 8+48+136 ≡ 0 (mod 16) at call sites
+  BodyOfs = static_cast<uint32_t>(A.size());
 
   std::vector<size_t> BlockStart(Nodes.size(), 0);
   std::vector<size_t> EndJumps; ///< exits still needing the epilogue target
+  std::vector<size_t> ChainJumps; ///< End exits jumping to the chain stub
+  uint32_t Links = 0;           ///< End exits so far: the next link ordinal
 
   for (uint32_t Di = 0; Di != Nodes.size(); ++Di) {
     const TraceNodeDesc &N = Nodes[Di];
@@ -1244,8 +1295,21 @@ bool TraceCompiler::compile(const std::vector<TraceNodeDesc> &Nodes,
 
     switch (N.Kind) {
     case 2: { // End: return the exit id; the caller reads the bound End node
-      A.movRI32(RAX, exitId(Exits, Di, 0, true));
-      EndJumps.push_back(A.jmp());
+      const uint32_t X = exitId(Exits, Di, 0, true);
+      if (LinkBytes == 0) {
+        A.movRI32(RAX, X);
+        EndJumps.push_back(A.jmp());
+        break;
+      }
+      // Chain: the exit id in ax and the table cell of this exit's link,
+      // past the binding's pairs, above it; the stub splits them.
+      Exits[X].Link = Links;
+      const size_t Cell =
+          Nodes.size() + Links++ * (LinkBytes / sizeof(TraceBind));
+      if (X > 0xffff || Cell > 0x7fff)
+        return false;
+      A.movRI32(RAX, X | static_cast<uint32_t>(Cell) << 16);
+      ChainJumps.push_back(A.jmp());
       break;
     }
     case 0: { // Plain
@@ -1275,7 +1339,14 @@ bool TraceCompiler::compile(const std::vector<TraceNodeDesc> &Nodes,
     }
   }
 
-  // Shared epilogue; every exit funnels through it with rax already set.
+  // End exits that may chain leave through the session's stub, which
+  // returns through an epilogue of its own when it does not chain.
+  if (!ChainJumps.empty()) {
+    for (size_t Pos : ChainJumps)
+      A.patchHere(Pos);
+    A.jmpM(RBX, offsetof(JitFrame, ChainStub));
+  }
+  // Shared epilogue; every other exit funnels through it with rax set.
   size_t Epilogue = A.size();
   A.addRI32(RSP, 136);
   A.pop(R15);
@@ -1345,10 +1416,129 @@ bool jit::emitSlowStep(const EmitContext &Ctx, bool Guarded, bool Recording,
 
 bool jit::emitTrace(const EmitContext &Ctx,
                     const std::vector<TraceNodeDesc> &Nodes, bool Guarded,
-                    std::vector<uint8_t> &Code,
-                    std::vector<TraceExitDesc> &Exits) {
+                    uint32_t LinkBytes, std::vector<uint8_t> &Code,
+                    std::vector<TraceExitDesc> &Exits, uint32_t &BodyOfs) {
   if (!available() || !Ctx.Plan || !Ctx.Image || !Ctx.Hooks.Extern)
     return false;
   Exits.clear();
-  return TraceCompiler(Ctx, Guarded).compile(Nodes, Code, Exits);
+  return TraceCompiler(Ctx, Guarded)
+      .compile(Nodes, LinkBytes, Code, Exits, BodyOfs);
+}
+
+bool jit::emitChainStub(const std::vector<ChainWord> &Words,
+                        uint32_t SlotBytes, std::vector<uint8_t> &Code) {
+  if (!available() || Words.size() > MaxChainWords || SlotBytes == 0 ||
+      SlotBytes > (1u << 16))
+    return false;
+  // Entered by a jmp from a shape's End exit, inside that shape's frame:
+  // ax = the exit id, the upper half of eax = the table cell of the
+  // exit's ChainLink, rbx = frame, rbp = binding table, r12/r14 =
+  // slots/globals, rsp 136 bytes below the six saved registers. The stub
+  // points rcx at the link and leaves the exit id alone in rax for the
+  // fallback return. Only scratch registers change before the jump, so
+  // the target body finds the standing register plan with rbp re-pointed
+  // at its own table.
+  Asm A;
+  std::vector<size_t> Fallback;
+  auto stopIf = [&](uint8_t Cc) { Fallback.push_back(A.jcc(Cc)); };
+
+  A.movR32R32(RCX, RAX);
+  A.shrR32Imm(RCX, 16);
+  A.leaIdx8(RCX, RBP, RCX);
+  A.movzxR32R16(RAX, RAX);
+
+  A.movRM(RDX, RBX, offsetof(JitFrame, ChainBudget));
+  A.alu(0x85, RDX, RDX);
+  stopIf(CcLE);
+  A.movRM(RDX, RBX, offsetof(JitFrame, Halt));
+  A.movzxR32M8(RDX, RDX, 0);
+  A.alu(0x85, RDX, RDX);
+  stopIf(CcNE);
+  A.movRM(RDX, RBX, offsetof(JitFrame, MemLatch));
+  A.movzxR32M8(RDX, RDX, 0);
+  A.alu(0x85, RDX, RDX);
+  stopIf(CcNE);
+  // INDEX chain: the dynamic store's compared words against NextKey's.
+  for (size_t K = 0; K != Words.size(); ++K) {
+    const ChainWord &W = Words[K];
+    if (W.Global > (1u << 26) || W.Index > (1u << 26))
+      return false;
+    if (W.Array) {
+      A.movRM(RDX, RBX, offsetof(JitFrame, Arrays));
+      A.movRM(RDX, RDX, static_cast<int32_t>(8 * W.Global));
+      A.movRM(RDX, RDX, static_cast<int32_t>(8 * W.Index));
+    } else {
+      A.movRM(RDX, R14, static_cast<int32_t>(8 * W.Global));
+    }
+    A.movRM(RSI, RCX, static_cast<int32_t>(sizeof(ChainLink) + 8 * K));
+    A.alu(0x39, RDX, RSI); // cmp rdx, rsi
+    stopIf(CcNE);
+  }
+  // The target slot: in range, bound at the link's generation and at the
+  // cache's current epoch. rdx = target entry, rsi = its slot.
+  A.movR32M(RDX, RCX, offsetof(ChainLink, Target));
+  A.movRM(RSI, RBX, offsetof(JitFrame, ChainSlotCount));
+  A.alu(0x39, RDX, RSI);
+  stopIf(CcAE);
+  A.imulRRI(RSI, RDX, static_cast<int32_t>(SlotBytes));
+  A.movRM(RDI, RBX, offsetof(JitFrame, ChainSlots));
+  A.alu(0x01, RSI, RDI); // add rsi, rdi
+  A.movRM(RDI, RSI, offsetof(TraceSlot, Gen));
+  A.movRM(R8, RCX, offsetof(ChainLink, Gen));
+  A.alu(0x39, RDI, R8);
+  stopIf(CcNE);
+  A.movRM(RDI, RSI, offsetof(TraceSlot, Epoch));
+  A.movRM(R8, RBX, offsetof(JitFrame, ChainEpoch));
+  A.movRM(R8, R8, 0);
+  A.alu(0x39, RDI, R8);
+  stopIf(CcNE);
+  A.movRM(RDI, RSI, offsetof(TraceSlot, Body));
+  A.alu(0x85, RDI, RDI);
+  stopIf(CcE);
+  // A detached entry (head NoNode) no longer answers its key's lookup.
+  // r8 = &Entries[target] (16-byte CacheEntry: Head, Key, LastUse).
+  A.movRR(R8, RDX);
+  A.shiftImm(4, R8, 4);
+  A.movRM(R10, RBX, offsetof(JitFrame, ChainEntries));
+  A.alu(0x01, R8, R10);
+  A.movR32M(R10, R8, 0);
+  A.cmpR32I32(R10, 0xFFFFFFFFu);
+  stopIf(CcE);
+
+  // Commit: the step is entered. Nothing below can stop it.
+  A.movRM(R10, RBX, offsetof(JitFrame, ChainTick));
+  A.movRM(R11, R10, 0);
+  A.addRI32(R11, 1);
+  A.movMR(R10, 0, R11);
+  A.movMR(R8, 8, R11); // LastUse = ++Tick, as lookup() does
+  A.movRM(R10, RBX, offsetof(JitFrame, ChainBudget));
+  A.subRI32(R10, 1);
+  A.movMR(RBX, offsetof(JitFrame, ChainBudget), R10);
+  A.movRM(R10, RBX, offsetof(JitFrame, Steps));
+  A.movRM(R11, R10, 0);
+  A.addRI32(R11, 1);
+  A.movMR(R10, 0, R11);
+  A.movRM(R10, RBX, offsetof(JitFrame, StateKey));
+  A.movR32M(R11, RCX, offsetof(ChainLink, Key));
+  A.movM32R(R10, 0, R11);
+  A.movMR(RBX, offsetof(JitFrame, ChainEntry), RDX);
+  A.movR32M(RBP, RSI, offsetof(TraceSlot, TableOfs));
+  A.shiftImm(4, RBP, 3);
+  A.movRM(R10, RBX, offsetof(JitFrame, ChainTable));
+  A.alu(0x01, RBP, R10);
+  A.jmpR(RDI);
+
+  // Fallback: the shape's epilogue, returning the End exit id in rax.
+  for (size_t Pos : Fallback)
+    A.patchHere(Pos);
+  A.addRI32(RSP, 136);
+  A.pop(R15);
+  A.pop(R14);
+  A.pop(R13);
+  A.pop(R12);
+  A.pop(RBP);
+  A.pop(RBX);
+  A.ret();
+  Code = std::move(A.Code);
+  return true;
 }

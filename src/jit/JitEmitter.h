@@ -120,16 +120,50 @@ struct TraceExitDesc {
   uint32_t Desc = 0;
   uint8_t Value = 0;
   bool IsEnd = false;
+  uint32_t Link = 0; ///< End exits: ordinal of the exit's ChainLink
 };
 
 /// Compiles a trace shape — the node tree a replay can walk — into one
 /// JitTraceFn. Descriptor i's span is read as BaseData or OverlayData plus
 /// Table[i].SpanOfs words; the return value is an index into \p Exits
-/// (>= 0) or a bail code (< 0). Returns false when any node's stream is
+/// (>= 0) or a bail code (< 0). With \p LinkBytes non-zero every End exit
+/// leaves through the frame's chain stub instead of returning, with the
+/// exit id in ax and, above it, the table cell of its ChainLink: links
+/// sit \p LinkBytes per End exit after the shape's table pairs.
+/// \p BodyOfs receives the offset of the code past the prologue, where a
+/// chain jump enters. Returns false when any node's stream is
 /// inexpressible or consumes a different word count than its DataLen.
 bool emitTrace(const EmitContext &Ctx, const std::vector<TraceNodeDesc> &Nodes,
-               bool Guarded, std::vector<uint8_t> &Code,
-               std::vector<TraceExitDesc> &Exits);
+               bool Guarded, uint32_t LinkBytes, std::vector<uint8_t> &Code,
+               std::vector<TraceExitDesc> &Exits, uint32_t &BodyOfs);
+
+/// One compared (non-key-static) key word: word \p Index of global
+/// \p Global, an array global when \p Array.
+struct ChainWord {
+  uint32_t Global = 0;
+  uint32_t Index = 0;
+  bool Array = false;
+};
+
+/// Most compared key words the chain stub checks; a program with more
+/// replays without chaining.
+inline constexpr size_t MaxChainWords = 8;
+
+/// Compiles a session's chain stub: the code every End exit of its shapes
+/// jumps to (see emitTrace). It enters the linked step's shape body —
+/// past the prologue, with rbp set to the target's binding table — when
+/// the frame's ChainBudget is positive, *Halt and *MemLatch are clear,
+/// the dynamic store's \p Words equal the link's, and the target slot is
+/// bound at the link's generation and at the cache's current epoch to an
+/// entry that is not detached. Before jumping it takes one from the
+/// budget, counts the step (*Steps), refreshes the target's recency as a
+/// lookup hit would, and stores the target's key (*StateKey) and entry
+/// (ChainEntry). Otherwise it returns the End exit id as the shape would
+/// have.
+/// \p SlotBytes is the stride of the frame's slot array. False when
+/// \p Words has more than MaxChainWords words.
+bool emitChainStub(const std::vector<ChainWord> &Words, uint32_t SlotBytes,
+                   std::vector<uint8_t> &Code);
 
 /// True when this build can emit and run native code (x86-64 with mmap).
 bool available();

@@ -34,6 +34,16 @@
 /// have re-verified — the step falls back to the interpreter, which
 /// performs the full seal sweep and detects or absorbs the corruption.
 ///
+/// Bindings are also where native chaining keeps its state. Each End
+/// descriptor of a binding has a ChainLink (JitAbi.h) in the binding's
+/// table run: the entry its End node's NextKey looked up, that key, its
+/// compared words and the target binding's generation. The runtime fills
+/// a link the first time a step chains through it in C++; from then on
+/// the session's chain stub follows it natively while every check holds.
+/// Links are data in the table, so filling one patches no code; bind()
+/// zeroes a run's links, and every unbind clears the slot's generation,
+/// so a link into a dropped, invalidated or re-bound entry never matches.
+///
 /// Shape code exits by returning an index into the shape's exit table:
 /// either a clean end-of-step (the End node's id is in the binding) or a
 /// side exit at a Test edge that had no recorded successor when the shape
@@ -67,6 +77,8 @@ public:
   /// bound to it.
   struct Shape {
     JitTraceFn Fn = nullptr;
+    const uint8_t *Body = nullptr; ///< Fn past its prologue (chain entry)
+    uint32_t Cells = 0; ///< table cells a binding takes: pairs, then links
     bool Guarded = false;
     std::vector<TraceNodeDesc> Nodes; ///< the key, with Guarded
     std::vector<TraceExitDesc> Exits; ///< indexed by Fn's return value
@@ -95,10 +107,35 @@ public:
     if (Entry >= Slots.size())
       return {};
     const Slot &S = Slots[Entry];
-    if (!S.Sh || S.Epoch != Epoch)
+    if (!S.Sh || S.Native.Epoch != Epoch)
       return {};
-    return {S.Sh, Table.data() + S.TableOfs};
+    return {S.Sh, Table.data() + S.Native.TableOfs};
   }
+
+  /// Emits and publishes the session's chain stub over the compared key
+  /// words \p Words (see jit::emitChainStub); later shapes then chain
+  /// through it. Null — and shapes return at End exits — when the words
+  /// do not fit the stub or no executable memory is available.
+  const void *enableChaining(const std::vector<ChainWord> &Words);
+  /// Bytes of one End descriptor's link plus its compared words; 0 until
+  /// enableChaining succeeds (the LinkBytes shapes are compiled with).
+  uint32_t linkBytes() const { return LinkBytes; }
+
+  /// Points \p F's chain views at the slot array and binding table; they
+  /// move when a slot or binding is added.
+  void exposeChain(JitFrame &F) const {
+    F.ChainSlots = Slots.data();
+    F.ChainSlotCount = Slots.size();
+    F.ChainTable = Table.data();
+  }
+
+  /// Fills the link of End exit \p Exit of \p From's binding: its End
+  /// node NextKey \p Key, whose compared words are the \p Head bytes,
+  /// looks up entry \p To. Does nothing unless both entries are bound at
+  /// \p Epoch and that exit's bound End node is \p EndNode — the node
+  /// whose NextKey the step just chained through.
+  void link(uint32_t From, uint32_t Exit, uint32_t EndNode, uint32_t To,
+            uint32_t Key, const char *Head, uint64_t Epoch);
 
   /// Counts one replay of \p Entry; true when the entry just crossed
   /// \p Threshold and the caller should walk and bind it now. Entries
@@ -114,12 +151,13 @@ public:
   bool budgetSpent() const { return BudgetSpent; }
 
   /// Copies \p Code into executable memory as the shape (\p Nodes,
-  /// \p Guarded), with \p Exits its exit table. Returns null when
-  /// executable memory is unavailable or the code does not fit the budget;
-  /// the latter refuses every later new shape.
+  /// \p Guarded), with \p Exits its exit table and its body at
+  /// \p BodyOfs. Returns null when executable memory is unavailable or the
+  /// code does not fit the budget; the latter refuses every later new
+  /// shape.
   const Shape *addShape(const std::vector<TraceNodeDesc> &Nodes, bool Guarded,
                         const std::vector<TraceExitDesc> &Exits,
-                        const std::vector<uint8_t> &Code);
+                        const std::vector<uint8_t> &Code, uint32_t BodyOfs);
 
   /// Binds \p Entry to \p S at \p Epoch; \p Nodes holds one pair per
   /// descriptor of \p S, each verified by the caller.
@@ -171,24 +209,32 @@ public:
 
 private:
   struct Slot {
+    TraceSlot Native;          ///< what the chain stub reads (JitAbi.h)
     const Shape *Sh = nullptr; ///< bound shape; null when unbound
-    uint64_t Epoch = 0;        ///< cache mutation epoch of the binding
-    uint32_t TableOfs = 0;     ///< binding's run in Table
-    uint32_t TableCap = 0;     ///< pairs reserved at TableOfs (reused)
     uint32_t Visits = 0;
     uint32_t Recompiles = 0; ///< growth invalidations so far (churn pin)
     bool Pinned = false;     ///< no-compile: stays interpreted
   };
   static uint64_t shapeHash(const std::vector<TraceNodeDesc> &Nodes,
                             bool Guarded);
+  /// Drops \p S's binding: no find() and no link reaches it any more.
+  static void unbind(Slot &S) {
+    S.Sh = nullptr;
+    S.Native.Body = nullptr;
+    S.Native.Gen = 0;
+  }
+  /// Maps the executable arena on first use.
+  JitArena &arena();
 
   std::vector<Slot> Slots;
-  std::vector<TraceBind> Table; ///< every binding's pairs, flat
+  std::vector<TraceBind> Table; ///< every binding's pairs and links, flat
   /// Compiled shapes by key hash (node-based: shapes never move).
   std::unordered_multimap<uint64_t, std::unique_ptr<Shape>> Shapes;
   std::unique_ptr<JitArena> Arena;
   uint64_t Compiled = 0;
   uint64_t Bindings = 0;
+  uint64_t LastGen = 0;     ///< binding generations handed out, never reset
+  uint32_t LinkBytes = 0;   ///< see linkBytes()
   bool BudgetSpent = false; ///< MaxCodeBytes reached: compile no new shape
 };
 

@@ -65,6 +65,8 @@ public:
   size_t pageBudget() const { return PageBudget == SIZE_MAX ? 0 : PageBudget; }
   /// Sticky: latched by the first dropped write, cleared explicitly.
   bool budgetExceeded() const { return BudgetHit; }
+  /// Where budgetExceeded() reads from, for native code that checks it.
+  const bool *budgetLatch() const { return &BudgetHit; }
   void clearBudgetExceeded() { BudgetHit = false; }
 
   /// FNV digest of the logical memory contents: non-zero pages hashed in

@@ -541,6 +541,20 @@ public:
   void noteIndexChain(bool Hit) {
     ++(Hit ? S.IndexChainHits : S.IndexChainMisses);
   }
+  /// Counts \p N steps that native code entered by an INDEX-chain hit:
+  /// each one is a chain hit and a lookup hit.
+  void noteChainedHits(uint64_t N) {
+    S.IndexChainHits += N;
+    S.Lookups += N;
+    S.Hits += N;
+  }
+  /// For the native chain stub (JitAbi.h), which refreshes an entered
+  /// entry's recency exactly as lookup() does: the entry table (it moves
+  /// on create() and every rebuild) and the recency tick; and the
+  /// mutation epoch it checks targets against.
+  CacheEntry *entryTable() { return Entries.data(); }
+  uint64_t *recencyTick() { return &Tick; }
+  const uint64_t *epochCounter() const { return &Epoch; }
 
   //===-- Compaction ----------------------------------------------------------
 

@@ -16,12 +16,21 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
 using namespace facile;
 using namespace facile::rt;
+
+// The chain stub refreshes an entered entry's recency in place and stores
+// its key (JitAbi.h, jit::emitChainStub).
+static_assert(offsetof(CacheEntry, Head) == 0 &&
+                  offsetof(CacheEntry, LastUse) == 8 &&
+                  sizeof(CacheEntry) == 16,
+              "the chain stub indexes entries by 16 bytes");
+static_assert(sizeof(KeyId) == 4, "the chain stub stores 32-bit keys");
 
 //===----------------------------------------------------------------------===//
 // BackendKind names
@@ -61,7 +70,8 @@ bool facile::rt::parseBackendKind(const std::string &Name, BackendKind &Out) {
 
 ExecBackend::~ExecBackend() = default;
 
-Simulation::ReplayResult ExecBackend::replay(EntryId Entry, KeyId Key) {
+Simulation::ReplayResult ExecBackend::replay(EntryId Entry, KeyId Key,
+                                             uint32_t) {
   return Sim.runFast(Entry, Key);
 }
 
@@ -83,6 +93,8 @@ void ExecBackend::exportMetrics(telemetry::MetricSink &Sink) const {
   Sink.counter("trace_code_bytes", 0);
   Sink.counter("slow_compile_us", 0);
   Sink.counter("trace_compile_us", 0);
+  Sink.counter("chained_steps", 0);
+  Sink.counter("trace_bind_us", 0);
 }
 
 //===----------------------------------------------------------------------===//
@@ -111,12 +123,22 @@ public:
   const char *name() const override { return "jit"; }
   BackendKind kind() const override { return BackendKind::Jit; }
 
-  Simulation::ReplayResult replay(EntryId Entry, KeyId Key) override {
+  Simulation::ReplayResult replay(EntryId Entry, KeyId Key,
+                                  uint32_t ChainFrom) override {
     // Trace maintenance runs outside the engine: count the replay, and
     // bind the entry's whole node tree to a compiled shape once it proves
-    // hot. The engine then dispatches the binding (FastEngine.cpp).
-    if (!Disabled)
+    // hot. The engine then dispatches the binding (FastEngine.cpp). When
+    // this step chained from the End exit the previous trace left by,
+    // fill that exit's link so the chain stub can follow it natively
+    // (chainMatches already checked keyUsable(Key)).
+    if (!Disabled) {
       maybeBindTrace(Entry);
+      if (ChainFrom != ActionNode::NoNode &&
+          Session.LinkFrom != jit::JitSession::NoLink)
+        Traces.link(Session.LinkFrom, Session.LinkExit, ChainFrom, Entry, Key,
+                    Sim.Cache.keyData(Key), Sim.Cache.mutationEpoch());
+    }
+    Session.LinkFrom = jit::JitSession::NoLink;
     return Sim.runFast(Entry, Key);
   }
 
@@ -159,6 +181,11 @@ public:
     Sink.counter("trace_code_bytes", Traces.codeBytes());
     Sink.counter("slow_compile_us", Session.Cache->slowCompileMicros());
     Sink.counter("trace_compile_us", TraceCompileNs / 1000);
+    // chained_steps: the subset of trace_steps entered by a native chain
+    // jump; trace_bind_us: the part of trace_compile_us spent on entries
+    // whose shape was already compiled (walk, shape lookup, bind).
+    Sink.counter("chained_steps", Session.ChainedSteps);
+    Sink.counter("trace_bind_us", TraceBindNs / 1000);
   }
 
   uint64_t compiledActions() const override {
@@ -171,6 +198,8 @@ public:
     return Session.Cache->compiledActions() + Session.Cache->compiledBlocks() +
            Traces.compiledTraces();
   }
+
+  uint64_t chainedSteps() const override { return Session.ChainedSteps; }
 
   // Runtime-service thunks whose addresses the emitter bakes into code
   // (signatures in JitAbi.h).
@@ -233,6 +262,11 @@ private:
   std::vector<jit::TraceExitDesc> WalkExits;
   std::vector<uint8_t> WalkCode;
   uint64_t TraceCompileNs = 0; ///< walking, emitting and publishing
+  uint64_t TraceBindNs = 0;    ///< of that, binds to compiled shapes
+  /// The compared key words, for the chain stub (emitted with the first
+  /// shape, so a session that never traces maps no code for it).
+  std::vector<jit::ChainWord> ChainWords;
+  bool ChainTried = false;
   /// Backing stores for the frame's array-of-pointers indirections.
   std::vector<int64_t *> ArrayPtrs;
   std::vector<int64_t *> LocPtrs;
@@ -254,6 +288,9 @@ JitBackend::JitBackend(Simulation &Sim, jit::JitCache &Cache)
       T = static_cast<uint32_t>(std::strtoul(Env, nullptr, 10));
   Session.Threshold = T == 0 ? 1 : T;
   Session.Traces = &Traces;
+  for (const Simulation::KeyField &F : Sim.ChainFields)
+    for (uint32_t W = 0; W != F.Words; ++W)
+      ChainWords.push_back({F.Global, W, Sim.Prog.Globals[F.Global].IsArray});
   refreshFrame();
   Sim.JitCtx = &Session;
 }
@@ -285,6 +322,11 @@ void JitBackend::refreshFrame() {
   F.RetiredFast = &Sim.S.RetiredFast;
   F.Cycles = &Sim.S.Cycles;
   F.Halt = &Sim.HaltFlag;
+  F.ChainEpoch = Sim.Cache.epochCounter();
+  F.ChainTick = Sim.Cache.recencyTick();
+  F.Steps = &Sim.S.Steps;
+  F.StateKey = &Sim.StateKey;
+  F.MemLatch = Sim.Mem.budgetLatch();
   // Slow-path state for the compiled slow-step function.
   F.StatSlots = Sim.StatSlots.data();
   F.StatGlobals = Sim.StatGlobals.data();
@@ -310,21 +352,33 @@ void JitBackend::maybeBindTrace(EntryId Entry) {
 void JitBackend::bindTrace(EntryId Entry, uint64_t Epoch) {
   const auto T0 = std::chrono::steady_clock::now();
   const jit::JitTraceCache::Shape *Shape = nullptr;
+  bool Emitted = false;
   if (walkTrace(Entry)) {
     Shape = Traces.findShape(WalkDescs, Sim.Opts.Guards);
-    if (!Shape && !Traces.budgetSpent() &&
-        jit::emitTrace(Session.Cache->ctx(), WalkDescs, Sim.Opts.Guards,
-                       WalkCode, WalkExits))
-      Shape = Traces.addShape(WalkDescs, Sim.Opts.Guards, WalkExits, WalkCode);
+    if (!Shape && !Traces.budgetSpent()) {
+      if (!ChainTried) {
+        ChainTried = true;
+        Session.Frame.ChainStub = Traces.enableChaining(ChainWords);
+      }
+      uint32_t BodyOfs = 0;
+      Emitted = true;
+      if (jit::emitTrace(Session.Cache->ctx(), WalkDescs, Sim.Opts.Guards,
+                         Traces.linkBytes(), WalkCode, WalkExits, BodyOfs))
+        Shape = Traces.addShape(WalkDescs, Sim.Opts.Guards, WalkExits,
+                                WalkCode, BodyOfs);
+    }
   }
   if (Shape)
     Traces.bind(Entry, *Shape, WalkBinds.data(), Epoch);
   else
     Traces.noCompile(Entry);
-  TraceCompileNs += static_cast<uint64_t>(
+  const uint64_t Ns = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - T0)
           .count());
+  TraceCompileNs += Ns;
+  if (Shape && !Emitted)
+    TraceBindNs += Ns;
 }
 
 /// Walks \p Entry's recorded node tree into WalkDescs (the shape key) and

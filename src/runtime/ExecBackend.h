@@ -61,11 +61,13 @@ public:
   virtual BackendKind kind() const = 0;
 
   /// Replays cache entry \p Entry (looked up under \p Key) through the
-  /// fast simulator. The base implementation is the interpreter replay;
-  /// JitBackend keeps it too — native dispatch happens per node inside
-  /// the loop, not per step — but overrides exist for symmetry with
-  /// record() and for future backends.
-  virtual Simulation::ReplayResult replay(EntryId Entry, KeyId Key);
+  /// fast simulator. \p ChainFrom is the End node whose NextKey gave
+  /// \p Key by an INDEX-chain hit, or ActionNode::NoNode. The base
+  /// implementation is the interpreter replay; JitBackend keeps it too —
+  /// native dispatch happens inside the loop — after binding hot entries
+  /// and filling the chain link \p ChainFrom's hit names.
+  virtual Simulation::ReplayResult replay(EntryId Entry, KeyId Key,
+                                          uint32_t ChainFrom);
 
   /// Records one step through the slow simulator (\p Rec may be NoId for
   /// unrecorded slow steps: memoization off, or bypass active).
@@ -97,6 +99,10 @@ public:
   /// interpreter) — the cheap programmatic probe for "did the JIT
   /// actually engage". The metric group keeps the per-tier breakdown.
   virtual uint64_t compiledActions() const { return 0; }
+
+  /// Steps entered by a native chain jump so far (jit.chained_steps; 0 on
+  /// the interpreter).
+  virtual uint64_t chainedSteps() const { return 0; }
 
 protected:
   Simulation &Sim;

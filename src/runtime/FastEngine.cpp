@@ -102,62 +102,82 @@ Simulation::ReplayResult Simulation::runFastImpl(EntryId Entry, KeyId Key) {
   // guarded interpreter would have re-verified (binding itself verified
   // every seal it bound). Profiled steps stay interpreted so sampling
   // still sees nodes.
-  if (!Profiled && Jit && Jit->Traces) {
-    if (const jit::JitTraceCache::Bound B =
-            Jit->Traces->find(Entry, Cache.mutationEpoch());
-        B.S) {
-      Jit->Frame.BaseData = BData;
-      Jit->Frame.OverlayData = OData;
-      int64_t R = B.S->Fn(&Jit->Frame, B.Table);
-      if (R < 0) {
-        if (R == jit::BailFetchOob)
-          raiseFault(FaultKind::DecodeError,
-                     "instruction fetch outside the text segment");
-        // BailExternFail: externCall already raised inside the thunk.
-        return ReplayResult::Faulted;
-      }
-      const jit::TraceExitDesc &X = B.S->Exits[static_cast<size_t>(R)];
-      const uint32_t XNode = B.Table[X.Desc].Node;
-      if (X.IsEnd) {
-        PendingEndNode = XNode;
-        ++Jit->JitSteps;
-        ++Jit->TraceSteps;
-        return ReplayResult::Replayed;
-      }
-      // Side exit at Test node XNode with outcome X.Value: that edge had
-      // no successor when the shape was compiled. Rebuild the replayed
-      // prefix the interpreter would have built — head .. exit node, each
-      // with the outcome taken — from the shape's parent links and the
-      // binding, into the kept capacity of the prefix buffer.
-      ExecutedAny = true;
-      AnyNative = true;
-      ++Jit->TraceSideExits;
-      const int64_t XValue = X.Value;
-      Rp.Path.resize(B.S->Links[X.Desc].Depth + 1);
-      int64_t V = XValue;
-      for (uint32_t D = X.Desc, Pi = static_cast<uint32_t>(Rp.Path.size());
-           Pi-- != 0; D = B.S->Links[D].Parent) {
-        Rp.Path[Pi] = {B.Table[D].Node, V};
-        V = B.S->Links[D].Value;
-      }
-      uint32_t Succ = Cache.testSuccessor(XNode, static_cast<int>(XValue));
-      if (Succ == ActionNode::NoNode) {
-        // Genuine miss: hand recovery the prefix; the recording that
-        // follows grows the entry past the bound tree, so drop the binding
-        // and let the entry re-bind with the new branch included.
-        Rp.MissValue = XValue;
-        ++S.Misses;
-        runSlow(Entry, &Rp);
-        Jit->Traces->invalidate(Entry);
-        return Fault ? ReplayResult::Faulted : ReplayResult::Recovered;
-      }
-      // Stale binding: the successor was recorded after binding. Resume
-      // the interpreted walk mid-chain and let the entry re-bind.
-      Jit->Traces->invalidate(Entry);
-      if (Guarded)
-        IncomingTag = ActionCache::edgeTag(XNode, static_cast<int>(XValue));
-      NodeIdx = Succ;
+  //
+  // Under run(), an End exit may chain natively into the next step's
+  // bound shape (INTERNALS.md, "Chaining"): the stub counts each such step
+  // and keeps StateKey, and the call returns with the last step's exit,
+  // so from here on Entry and the replayed prefix name that step.
+  const uint64_t Epoch = Cache.mutationEpoch();
+  if (jit::JitTraceCache::Bound B;
+      !Profiled && Jit && Jit->Traces &&
+      (B = Jit->Traces->find(Entry, Epoch)).S) {
+    jit::JitFrame &F = Jit->Frame;
+    F.BaseData = BData;
+    F.OverlayData = OData;
+    const int64_t Budget = ChainLeft ? chainBudget() : 0;
+    F.ChainBudget = Budget;
+    if (Budget) {
+      F.ChainEntries = Cache.entryTable();
+      Jit->Traces->exposeChain(F);
     }
+    int64_t R = B.S->Fn(&F, B.Table);
+    if (const auto Chained = static_cast<uint64_t>(Budget - F.ChainBudget)) {
+      noteChainedSteps(Chained);
+      Entry = static_cast<EntryId>(F.ChainEntry);
+      Rp.Entry = Entry;
+      Rp.Key = Cache.entry(Entry).Key;
+      B = Jit->Traces->find(Entry, Epoch);
+    }
+    if (R < 0) {
+      if (R == jit::BailFetchOob)
+        raiseFault(FaultKind::DecodeError,
+                   "instruction fetch outside the text segment");
+      // BailExternFail: externCall already raised inside the thunk.
+      return ReplayResult::Faulted;
+    }
+    const jit::TraceExitDesc &X = B.S->Exits[static_cast<size_t>(R)];
+    const uint32_t XNode = B.Table[X.Desc].Node;
+    if (X.IsEnd) {
+      PendingEndNode = XNode;
+      ++Jit->JitSteps;
+      ++Jit->TraceSteps;
+      Jit->LinkFrom = Entry;
+      Jit->LinkExit = static_cast<uint32_t>(R);
+      return ReplayResult::Replayed;
+    }
+    // Side exit at Test node XNode with outcome X.Value: that edge had
+    // no successor when the shape was compiled. Rebuild the replayed
+    // prefix the interpreter would have built — head .. exit node, each
+    // with the outcome taken — from the shape's parent links and the
+    // binding, into the kept capacity of the prefix buffer.
+    ExecutedAny = true;
+    AnyNative = true;
+    ++Jit->TraceSideExits;
+    const int64_t XValue = X.Value;
+    Rp.Path.resize(B.S->Links[X.Desc].Depth + 1);
+    int64_t V = XValue;
+    for (uint32_t D = X.Desc, Pi = static_cast<uint32_t>(Rp.Path.size());
+         Pi-- != 0; D = B.S->Links[D].Parent) {
+      Rp.Path[Pi] = {B.Table[D].Node, V};
+      V = B.S->Links[D].Value;
+    }
+    uint32_t Succ = Cache.testSuccessor(XNode, static_cast<int>(XValue));
+    if (Succ == ActionNode::NoNode) {
+      // Genuine miss: hand recovery the prefix; the recording that
+      // follows grows the entry past the bound tree, so drop the binding
+      // and let the entry re-bind with the new branch included.
+      Rp.MissValue = XValue;
+      ++S.Misses;
+      runSlow(Entry, &Rp);
+      Jit->Traces->invalidate(Entry);
+      return Fault ? ReplayResult::Faulted : ReplayResult::Recovered;
+    }
+    // Stale binding: the successor was recorded after binding. Resume
+    // the interpreted walk mid-chain and let the entry re-bind.
+    Jit->Traces->invalidate(Entry);
+    if (Guarded)
+      IncomingTag = ActionCache::edgeTag(XNode, static_cast<int>(XValue));
+    NodeIdx = Succ;
   }
 
   for (;;) {
@@ -452,6 +472,19 @@ Simulation::ReplayResult Simulation::runFastImpl(EntryId Entry, KeyId Key) {
     }
     }
   }
+}
+
+void Simulation::noteChainedSteps(uint64_t N) {
+  // Each was a chain hit, a lookup hit and a fully traced fast step;
+  // none reached a bypass-window evaluation (chainBudget).
+  S.FastSteps += N;
+  Cache.noteChainedHits(N);
+  if (Opts.AdaptiveBypass)
+    WinSteps += N;
+  JitCtx->JitSteps += N;
+  JitCtx->TraceSteps += N;
+  JitCtx->ChainedSteps += N;
+  StepChained = N;
 }
 
 Simulation::ReplayResult Simulation::runFast(EntryId Entry, KeyId Key) {

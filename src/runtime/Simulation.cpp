@@ -22,6 +22,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <utility>
 
 using namespace facile;
@@ -63,6 +64,8 @@ const char *Simulation::backendName() const { return Backend->name(); }
 uint64_t Simulation::jitCompiledActions() const {
   return Backend->compiledActions();
 }
+
+uint64_t Simulation::chainedSteps() const { return Backend->chainedSteps(); }
 
 ExecPlan &Simulation::mutablePlan() {
   if (!OwnedPlan) {
@@ -750,14 +753,17 @@ StepEngine Simulation::step() {
   // against the dynamic store; on a match the key is neither serialized
   // nor interned. A miss serializes the materialized store and interns.
   KeyId Key = NoId;
+  uint32_t ChainFrom = ActionNode::NoNode;
   if (PendingEndNode != ActionNode::NoNode) {
     // Const access: the chained End node may live in a read-only store base.
     KeyId Next = std::as_const(Cache).node(PendingEndNode).NextKey;
-    PendingEndNode = ActionNode::NoNode;
     const bool Hit = chainMatches(Next);
     Cache.noteIndexChain(Hit);
-    if (Hit)
+    if (Hit) {
       Key = Next;
+      ChainFrom = PendingEndNode;
+    }
+    PendingEndNode = ActionNode::NoNode;
   }
   if (Key == NoId) {
     materialize();
@@ -773,7 +779,7 @@ StepEngine Simulation::step() {
     Backend->record(Entry);
     Engine = StepEngine::Slow;
   } else {
-    switch (Backend->replay(Entry, Key)) {
+    switch (Backend->replay(Entry, Key, ChainFrom)) {
     case ReplayResult::Replayed: {
       ++S.FastSteps;
       Engine = StepEngine::Fast;
@@ -919,13 +925,42 @@ void Simulation::noteBypassWindow(StepEngine Engine) {
   WinEvictBase = EvictNow;
 }
 
+int64_t Simulation::chainBudget() const {
+  // Each bound keeps a chained step off a check step() makes before or
+  // after it; the step that reaches one returns to C++ and makes it.
+  uint64_t B = ChainLeft;
+  if (DeadlineHook) // consulted when a step starts at a multiple
+    B = std::min(B, (DeadlineCheckPeriod - S.Steps % DeadlineCheckPeriod) %
+                        DeadlineCheckPeriod);
+  if (Opts.StepLimit)
+    B = std::min(B, Opts.StepLimit - std::min(Opts.StepLimit, S.Steps));
+  if (Opts.AdaptiveBypass) // evaluated when WinSteps reaches the window
+    B = std::min<uint64_t>(B, Opts.BypassWindow -
+                                  std::min<uint64_t>(Opts.BypassWindow,
+                                                     WinSteps + 1));
+  // An over-budget cache evicts after this step; no step may run first.
+  if (B != 0 && Cache.overBudget())
+    B = 0;
+  return static_cast<int64_t>(
+      std::min<uint64_t>(B, std::numeric_limits<int64_t>::max()));
+}
+
 RunResult Simulation::run(uint64_t MaxSteps) {
   RunResult R;
+  // Only run() lets a replayed step chain natively into the next: it
+  // bounds the chain by the steps it may still take, and counts the
+  // chained ones as completed steps.
+  const bool MayChain = !Tracer && !Profiler;
   while (!HaltFlag && !Fault && R.Steps < MaxSteps) {
-    if (step() == StepEngine::Faulted)
+    ChainLeft = MayChain ? MaxSteps - R.Steps - 1 : 0;
+    StepChained = 0;
+    const StepEngine E = step();
+    R.Steps += StepChained;
+    if (E == StepEngine::Faulted)
       break;
     ++R.Steps;
   }
+  ChainLeft = 0;
   R.Status = Fault  ? RunStatus::Faulted
              : HaltFlag ? RunStatus::Halted
                         : RunStatus::Limit;

@@ -193,6 +193,11 @@ public:
   /// benches and CI smoke checks.
   uint64_t jitCompiledActions() const;
 
+  /// Replayed steps entered by a native chain jump (jit.chained_steps):
+  /// run() lets a traced step jump straight into the next step's trace
+  /// when the INDEX chain holds. Always 0 on the interpreter.
+  uint64_t chainedSteps() const;
+
   /// Installs the handler for extern \p Name. Returns false (installing
   /// nothing) when the name was not declared extern in the program — the
   /// diagnosable path for names arriving from driver flags or config.
@@ -413,6 +418,13 @@ private:
   template <bool Guarded, bool Profiled>
   ReplayResult runFastImpl(EntryId Entry, KeyId Key);
   ReplayResult runFast(EntryId Entry, KeyId Key);
+  /// Chain jumps the next trace call may take: ChainLeft, cut short so no
+  /// chained step reaches a deadline consultation, the step limit or a
+  /// bypass-window evaluation, and 0 while the cache is over budget.
+  int64_t chainBudget() const;
+  /// Accounts \p N steps that ran to completion after native chain jumps
+  /// (their Steps and StateKey are kept by the chain stub itself).
+  void noteChainedSteps(uint64_t N);
   /// Encodes the dynamic store's init globals into KeyBuf (layout at
   /// KeyField) and returns the key's length.
   size_t serializeKey();
@@ -562,6 +574,12 @@ private:
   /// keeps its capacity, so a replayed step allocates nothing; only a miss
   /// reads it (as runSlow's recovery input).
   ReplayedStep ReplayPrefix;
+  /// Native chaining (FastEngine.cpp): steps run() may still take after
+  /// the current one, 0 outside run() and while a tracer or profiler is
+  /// attached (those observe every step); and the steps the current step()
+  /// completed by chain jumps, which run() adds to its count.
+  uint64_t ChainLeft = 0;
+  uint64_t StepChained = 0;
   uint32_t KeyHeadLen = 0; ///< bytes of the raw head
   uint32_t KeyMinLen = 0;  ///< every field at width 1
   uint32_t KeyMaxLen = 0;  ///< every field at width 8

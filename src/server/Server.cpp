@@ -1696,6 +1696,7 @@ std::string FacileServer::Impl::statsJson() {
       Sink.counter("verbs", S->Verbs);
       Sink.counter("steps", Sim.stats().Steps);
       Sink.counter("fast_steps", Sim.stats().FastSteps);
+      Sink.counter("chained_steps", Sim.chainedSteps());
       Sink.counter("retired", Sim.stats().RetiredTotal);
       Sink.counter("cycles", Sim.stats().Cycles);
       Sink.counter("faults", Sim.stats().Faults);

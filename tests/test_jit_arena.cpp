@@ -128,7 +128,7 @@ TEST(JitTraceCache, BudgetCountsChunksAndPinsEntries) {
   for (;; ++Entry) {
     ASSERT_TRUE(C.shouldCompile(Entry, 1, 0)) << "entry " << Entry;
     std::vector<uint8_t> Code = stub(static_cast<int32_t>(Entry), 700);
-    const JitTraceCache::Shape *S = C.addShape(shapeOf(Entry), false, {}, Code);
+    const JitTraceCache::Shape *S = C.addShape(shapeOf(Entry), false, {}, Code, 0);
     if (!S) {
       C.noCompile(Entry);
       break;
@@ -162,7 +162,7 @@ TEST(JitTraceCache, BudgetCountsChunksAndPinsEntries) {
   // still binds.
   EXPECT_FALSE(C.shouldCompile(Entry, 1, 0));
   ASSERT_TRUE(C.shouldCompile(Entry + 1, 1, 0));
-  EXPECT_EQ(C.addShape(shapeOf(Entry + 1), false, {}, stub(0, 700)), nullptr);
+  EXPECT_EQ(C.addShape(shapeOf(Entry + 1), false, {}, stub(0, 700), 0), nullptr);
   C.noCompile(Entry + 1);
   EXPECT_FALSE(C.shouldCompile(Entry + 1, 1, 0));
   ASSERT_TRUE(C.shouldCompile(Entry + 2, 1, 0));
