@@ -3,6 +3,7 @@
 #include "src/runtime/ActionCache.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 using namespace facile;
@@ -37,57 +38,56 @@ void ActionCache::growTable() {
   Table = buildProbeTable(Keys, Table.size() * 2, Base.NumKeys);
 }
 
-KeyId ActionCache::internKey(const char *Data, size_t Len) {
-  uint64_t H = hashKey(Data, Len);
-
+KeyId ActionCache::findKey(const char *Data, size_t Len, uint64_t H) {
   // Level one: the read-only base table (mapped store file). Hits return
   // the base key id; misses fall through to the private overlay table —
-  // the base is immutable, so nothing is ever inserted here.
-  if (HasBase && Base.TableSize != 0) {
-    size_t Mask = static_cast<size_t>(Base.TableSize) - 1;
-    size_t I = static_cast<size_t>(H) & Mask;
-    uint64_t Probes = 0;
-    for (;;) {
-      uint32_t Slot = Base.Table[I];
+  // the base is immutable, so nothing is ever inserted there.
+  uint64_t Probes = 0;
+  KeyId Found = NoId;
+  auto probe = [&](const uint32_t *Tab, size_t Size, const KeyRecord *Recs,
+                   KeyId FirstId, const char *Pool) {
+    const size_t Mask = Size - 1;
+    for (size_t I = static_cast<size_t>(H) & Mask;; I = (I + 1) & Mask) {
+      const uint32_t Slot = Tab[I];
       if (Slot == NoId)
-        break;
-      const KeyRecord &R = Base.Keys[Slot];
+        return false;
+      const KeyRecord &R = Recs[Slot - FirstId];
       if (R.Hash == H && R.Len == Len &&
-          std::memcmp(Base.KeyPool + R.Ofs, Data, Len) == 0) {
-        S.ProbeTotal += Probes;
-        S.ProbeMax = std::max(S.ProbeMax, Probes);
-        return Slot;
+          std::memcmp(Pool + R.Ofs, Data, Len) == 0) {
+        Found = Slot;
+        return true;
       }
-      I = (I + 1) & Mask;
       ++Probes;
     }
+  };
+  auto count = [&] {
     S.ProbeTotal += Probes;
     S.ProbeMax = std::max(S.ProbeMax, Probes);
+    Probes = 0;
+  };
+  if (HasBase && Base.TableSize != 0) {
+    const bool Hit = probe(Base.Table, static_cast<size_t>(Base.TableSize),
+                           Base.Keys, 0, Base.KeyPool);
+    count();
+    if (Hit)
+      return Found;
   }
+  if (!Table.empty()) {
+    probe(Table.data(), Table.size(), Keys.data(), Base.NumKeys,
+          KeyPool.data());
+    count();
+  }
+  return Found;
+}
 
+KeyId ActionCache::insertKey(const char *Data, size_t Len, uint64_t H) {
   // Keep the load factor below ~2/3 so probe sequences stay short.
   if (Table.empty() || (Keys.size() + 1) * 3 > Table.size() * 2)
     growTable();
-
-  size_t Mask = Table.size() - 1;
+  const size_t Mask = Table.size() - 1;
   size_t I = static_cast<size_t>(H) & Mask;
-  uint64_t Probes = 0;
-  for (;;) {
-    uint32_t Slot = Table[I];
-    if (Slot == NoId)
-      break;
-    const KeyRecord &R = Keys[Slot - Base.NumKeys];
-    if (R.Hash == H && R.Len == Len &&
-        std::memcmp(KeyPool.data() + R.Ofs, Data, Len) == 0) {
-      S.ProbeTotal += Probes;
-      S.ProbeMax = std::max(S.ProbeMax, Probes);
-      return Slot;
-    }
+  while (Table[I] != NoId)
     I = (I + 1) & Mask;
-    ++Probes;
-  }
-  S.ProbeTotal += Probes;
-  S.ProbeMax = std::max(S.ProbeMax, Probes);
 
   KeyId K = static_cast<KeyId>(Base.NumKeys + Keys.size());
   KeyRecord R;
@@ -103,6 +103,11 @@ KeyId ActionCache::internKey(const char *Data, size_t Len) {
   return K;
 }
 
+KeyId ActionCache::internKey(const char *Data, size_t Len, uint64_t H) {
+  const KeyId K = findKey(Data, Len, H);
+  return K != NoId ? K : insertKey(Data, Len, H);
+}
+
 //===----------------------------------------------------------------------===//
 // Entries
 //===----------------------------------------------------------------------===//
@@ -114,9 +119,43 @@ EntryId ActionCache::create(KeyId K) {
   Entries.emplace_back();
   Entries.back().Key = K;
   Entries.back().LastUse = ++Tick;
+  BornTick.push_back(Tick);
   KeyToEntry[K] = E;
   notePeak();
   return E;
+}
+
+uint64_t ActionCache::neverHitEntries() const {
+  uint64_t N = 0;
+  for (EntryId E = 0; E != Entries.size(); ++E)
+    N += Entries[E].Head != ActionNode::NoNode && !entryHit(E);
+  return N;
+}
+
+//===----------------------------------------------------------------------===//
+// First-touch filter
+//===----------------------------------------------------------------------===//
+
+size_t ActionCache::filterWords() {
+  unsigned Log2Bits = 12;
+  while (Log2Bits < 24 && (uint64_t(1) << (Log2Bits + 6)) < Budget)
+    ++Log2Bits;
+  SeenShift = 64 - Log2Bits;
+  return (size_t(1) << Log2Bits) / 64;
+}
+
+uint64_t ActionCache::seenKeyBits() const {
+  uint64_t N = 0;
+  for (uint64_t W : Seen)
+    N += static_cast<uint64_t>(std::popcount(W));
+  return N;
+}
+
+void ActionCache::resetEntryHistory() {
+  std::fill(Seen.begin(), Seen.end(), 0);
+  BornTick.resize(Entries.size());
+  for (EntryId E = 0; E != Entries.size(); ++E)
+    BornTick[E] = Entries[E].LastUse;
 }
 
 //===----------------------------------------------------------------------===//
@@ -140,6 +179,7 @@ bool ActionCache::attachBase(const BaseArenas &B) {
   Tick = std::max(Tick, B.Tick);
   ++Epoch;
   PendingXor = 0;
+  resetEntryHistory();
   notePeak();
   return true;
 }
@@ -160,6 +200,7 @@ void ActionCache::detachBase() {
   ++Epoch;
   DataPool.clear();
   PendingXor = 0;
+  resetEntryHistory();
 }
 
 void ActionCache::resetToBase() {
@@ -180,6 +221,7 @@ void ActionCache::resetToBase() {
     Entries.assign(Base.Entries, Base.Entries + Base.NumEntries);
   // BaseVerified survives: the base mapping did not change.
   ++Epoch;
+  resetEntryHistory();
 }
 
 //===----------------------------------------------------------------------===//
@@ -203,6 +245,7 @@ void ActionCache::clear() {
   ++Epoch;
   DataPool.clear();
   PendingXor = 0;
+  resetEntryHistory();
   ++S.Clears;
 }
 
@@ -341,6 +384,7 @@ void ActionCache::adoptImage(FlatImage Img) {
   Tick = Img.Tick;
   Table.clear();
   growTable();
+  resetEntryHistory();
   notePeak();
 }
 

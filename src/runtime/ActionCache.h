@@ -234,8 +234,19 @@ public:
   /// Interns \p Len bytes at \p Data, returning the id of the existing or
   /// freshly created key. Probes the read-only base table first, then the
   /// private overlay table; new keys copy their bytes into the private
-  /// key pool.
-  KeyId internKey(const char *Data, size_t Len);
+  /// key pool. \p Hash, when given, must be hashKey(Data, Len).
+  KeyId internKey(const char *Data, size_t Len) {
+    return internKey(Data, Len, hashKey(Data, Len));
+  }
+  KeyId internKey(const char *Data, size_t Len, uint64_t Hash);
+
+  /// The id of the key with exactly the bytes [\p Data, \p Len), or NoId.
+  /// Probes like internKey (and counts the probes the same way) but never
+  /// interns: a miss leaves the key pool and both tables untouched.
+  KeyId findKey(const char *Data, size_t Len) {
+    return findKey(Data, Len, hashKey(Data, Len));
+  }
+  KeyId findKey(const char *Data, size_t Len, uint64_t Hash);
 
   /// True when interned key \p K has exactly the bytes [\p Data, \p Len).
   bool keyEquals(KeyId K, const char *Data, size_t Len) const {
@@ -269,9 +280,21 @@ public:
     return E;
   }
 
+  /// Counts a lookup of a key that was never interned (findKey missed):
+  /// a lookup without a hit.
+  void noteLookupMiss() { ++S.Lookups; }
+
   /// Creates an (empty) entry for key \p K. The caller records into it.
   /// \p K must not already have an entry.
   EntryId create(KeyId K);
+
+  /// True once entry \p E was hit (looked up, or entered by a chain jump)
+  /// since it was created or loaded: its recency moved past the tick it
+  /// was born with.
+  bool entryHit(EntryId E) const { return Entries[E].LastUse != BornTick[E]; }
+  /// Live entries (recorded, not detached) never hit since they were
+  /// created or loaded.
+  uint64_t neverHitEntries() const;
 
   /// Unmaps entry \p E from its key and drops its head, making its node
   /// graph unreachable (the arena space is reclaimed at the next eviction).
@@ -280,12 +303,41 @@ public:
   /// re-records cold. Entries are private even over a base, so this works
   /// uniformly (a detached base entry's nodes stay in the mapping, merely
   /// unreachable from this session).
+  /// The key is marked in the first-touch filter, so a second-touch
+  /// admission policy re-records it on its next visit too.
   void detachEntry(EntryId E) {
     CacheEntry &C = Entries[E];
     if (C.Key != NoId && C.Key < KeyToEntry.size() && KeyToEntry[C.Key] == E)
       KeyToEntry[C.Key] = NoId;
+    if (C.Key < keyCount())
+      touchKey(keyHash(C.Key));
     C.Head = ActionNode::NoNode;
   }
+
+  //===-- First-touch filter -------------------------------------------------
+  //
+  // One bit per slot of a bitmap indexed by the top bits of a key's
+  // hashKey value: set once a key was seen without being recorded. A
+  // second-touch admission policy (Simulation::step) records a key only
+  // when its bit is already set, so a key seen once never enters the key
+  // pool. Collisions only admit a key early. The bitmap is allocated on
+  // first use, sized from the budget, outside bytes() (it is a fixed
+  // per-session overhead, not cache content) and emptied with the cache:
+  // clear(), evict() and every rebuild. Never persisted.
+
+  /// Marks \p Hash as seen; returns whether it already was.
+  bool touchKey(uint64_t Hash) {
+    if (Seen.empty())
+      Seen.assign(filterWords(), 0);
+    const uint64_t Slot = Hash >> SeenShift;
+    uint64_t &W = Seen[Slot >> 6];
+    const uint64_t Bit = uint64_t(1) << (Slot & 63);
+    const bool Was = (W & Bit) != 0;
+    W |= Bit;
+    return Was;
+  }
+  /// Bits set in the filter (tests and diagnostics).
+  uint64_t seenKeyBits() const;
 
   CacheEntry &entry(EntryId E) { return Entries[E]; }
   const CacheEntry &entry(EntryId E) const { return Entries[E]; }
@@ -603,7 +655,15 @@ private:
   }
 
   void growTable();
+  /// Appends a key known to be absent (findKey missed) at its slot.
+  KeyId insertKey(const char *Data, size_t Len, uint64_t Hash);
   void evictSegmented();
+  /// Empties the first-touch filter and re-bases the entries' birth ticks:
+  /// every rebuild of the entry table calls it.
+  void resetEntryHistory();
+  /// Filter words: one bit per 64 budget bytes, a power of two between
+  /// 2^12 and 2^24 bits; SeenShift picks the matching top hash bits.
+  size_t filterWords();
   /// Drops the overlay and re-seeds entries/key→entry from the base.
   void resetToBase();
 
@@ -625,6 +685,11 @@ private:
   std::vector<uint32_t> Table;      ///< slot -> global KeyId or NoId
 
   std::vector<CacheEntry> Entries;  ///< global (base copied at attach)
+  /// Per entry: its LastUse when created or loaded (entryHit). Not in
+  /// bytes(): bookkeeping, like the verification marks.
+  std::vector<uint64_t> BornTick;
+  std::vector<uint64_t> Seen; ///< the first-touch filter
+  unsigned SeenShift = 64;
   std::vector<ActionNode> NodeArena;
   uint64_t epochMix() const { return Epoch * 0x9e3779b97f4a7c15ULL; }
 

@@ -31,6 +31,14 @@ void Simulation::Stats::exportMetrics(telemetry::MetricSink &Sink) const {
   Sink.gauge("fast_forwarded_pct", fastForwardedPct());
 }
 
+void Simulation::exportAdmissionMetrics(telemetry::MetricSink &Sink) const {
+  Sink.text("mode", SecondTouch ? "second-touch" : "first-touch");
+  Sink.counter("unadmitted_steps", S.UnadmittedSteps);
+  Sink.counter("second_touch_admits", S.SecondTouchAdmits);
+  Sink.counter("mode_switches", S.AdmissionSwitches);
+  Sink.counter("entries_never_hit", Cache.neverHitEntries());
+}
+
 void Simulation::registerMetrics(telemetry::MetricsRegistry &R) const {
   R.add("", [this](telemetry::MetricSink &Sink) { S.exportMetrics(Sink); });
   R.add("fault", [this](telemetry::MetricSink &Sink) {
@@ -48,6 +56,9 @@ void Simulation::registerMetrics(telemetry::MetricsRegistry &R) const {
     Sink.flag("active", BypassActive);
     Sink.counter("activations", S.BypassActivations);
     Sink.counter("bypassed_steps", S.BypassedSteps);
+  });
+  R.add("admission", [this](telemetry::MetricSink &Sink) {
+    exportAdmissionMetrics(Sink);
   });
   R.add("jit", [this](telemetry::MetricSink &Sink) {
     Backend->exportMetrics(Sink);

@@ -638,6 +638,11 @@ bool Simulation::deserializeState(snapshot::Reader &R) {
   BypassTrips = 0;
   WinSteps = WinNonFast = 0;
   WinEvictBase = Cache.stats().Clears + Cache.stats().Evictions;
+  // Admission, like the first-touch filter, is not persisted: a resumed
+  // session starts admitting on first touch with fresh windows.
+  SecondTouch = false;
+  AdmHorizonShift = 0;
+  AdmEpoch = 0;
   // The move-assignments above relocated every dynamic-state vector; a
   // backend holding raw data pointers must re-snapshot them.
   Backend->onStateReplaced();
@@ -751,7 +756,9 @@ StepEngine Simulation::step() {
   // INDEX chain (paper Figure 9, INDEX_ACTION): the previous step's End
   // node names this step's key. Only its non-key-static words are checked
   // against the dynamic store; on a match the key is neither serialized
-  // nor interned. A miss serializes the materialized store and interns.
+  // nor interned. A miss serializes the materialized store and looks the
+  // key up without interning it: a key that is not admitted (below) never
+  // enters the key pool.
   KeyId Key = NoId;
   uint32_t ChainFrom = ActionNode::NoNode;
   if (PendingEndNode != ActionNode::NoNode) {
@@ -765,18 +772,33 @@ StepEngine Simulation::step() {
     }
     PendingEndNode = ActionNode::NoNode;
   }
+  size_t KeyLen = 0;
+  uint64_t KeyHash = 0;
   if (Key == NoId) {
     materialize();
     if (Fault)
       return StepEngine::Faulted;
-    Key = Cache.internKey(KeyBuf.data(), serializeKey());
+    KeyLen = serializeKey();
+    KeyHash = hashKey(KeyBuf.data(), KeyLen);
+    Key = Cache.findKey(KeyBuf.data(), KeyLen, KeyHash);
   }
-  EntryId Entry = Cache.lookup(Key);
+  EntryId Entry = NoId;
+  if (Key != NoId)
+    Entry = Cache.lookup(Key);
+  else
+    Cache.noteLookupMiss();
 
   StepEngine Engine = StepEngine::Faulted;
   if (Entry == NoId) {
-    Entry = Cache.create(Key);
-    Backend->record(Entry);
+    // An interned key's hash is stored with it: a chained key is never
+    // serialized again.
+    if (admitKey(Key == NoId ? KeyHash : Cache.keyHash(Key))) {
+      if (Key == NoId)
+        Key = Cache.internKey(KeyBuf.data(), KeyLen, KeyHash);
+      Entry = Cache.create(Key);
+      noteEntryCreated();
+    }
+    Backend->record(Entry); // NoId: a first touch runs unrecorded
     Engine = StepEngine::Slow;
   } else {
     switch (Backend->replay(Entry, Key, ChainFrom)) {
@@ -802,6 +824,7 @@ StepEngine Simulation::step() {
       ++S.CorruptDropped;
       Cache.detachEntry(Entry);
       Entry = Cache.create(Key);
+      noteEntryCreated();
       Backend->record(Entry);
       Engine = StepEngine::Slow;
       break;
@@ -923,6 +946,55 @@ void Simulation::noteBypassWindow(StepEngine Engine) {
   }
   WinSteps = WinNonFast = 0;
   WinEvictBase = EvictNow;
+}
+
+void Simulation::syncAdmissionWindow() {
+  if (AdmEpoch == Cache.mutationEpoch())
+    return;
+  AdmEpoch = Cache.mutationEpoch();
+  AdmWinFirst = static_cast<EntryId>(Cache.entryCount());
+  AdmMisses = AdmAdmits = 0;
+}
+
+bool Simulation::admitKey(uint64_t Hash) {
+  if (!SecondTouch)
+    return true;
+  syncAdmissionWindow();
+  const bool Admit = Cache.touchKey(Hash);
+  ++(Admit ? S.SecondTouchAdmits : S.UnadmittedSteps);
+  AdmAdmits += Admit;
+  if (++AdmMisses < AdmissionWindow)
+    return Admit;
+  if (AdmAdmits * 100 >= AdmissionWindow * FirstTouchReturnPct) {
+    SecondTouch = false;
+    ++S.AdmissionSwitches;
+    if (AdmHorizonShift < MaxHorizonShift)
+      ++AdmHorizonShift;
+    AdmWinFirst = static_cast<EntryId>(Cache.entryCount());
+  }
+  AdmMisses = AdmAdmits = 0;
+  return Admit;
+}
+
+void Simulation::noteEntryCreated() {
+  if (SecondTouch)
+    return;
+  syncAdmissionWindow();
+  // The window [AdmWinFirst, +AdmissionWindow) is judged once the recur
+  // horizon's entries were created after it: each of its entries had at
+  // least that long to recur.
+  const uint64_t Horizon = uint64_t(2 * AdmissionWindow) << AdmHorizonShift;
+  if (Cache.entryCount() - AdmWinFirst < AdmissionWindow + Horizon)
+    return;
+  uint32_t Hit = 0;
+  for (EntryId E = AdmWinFirst; E != AdmWinFirst + AdmissionWindow; ++E)
+    Hit += Cache.entryHit(E);
+  AdmWinFirst += AdmissionWindow;
+  if (Hit * 100 < AdmissionWindow * SecondTouchEnterPct) {
+    SecondTouch = true;
+    ++S.AdmissionSwitches;
+    AdmMisses = AdmAdmits = 0;
+  }
 }
 
 int64_t Simulation::chainBudget() const {

@@ -150,6 +150,10 @@ public:
     uint64_t CorruptDropped = 0; ///< corrupt entries detached, step ran cold
     uint64_t BypassActivations = 0; ///< adaptive-bypass trips
     uint64_t BypassedSteps = 0;     ///< steps run unrecorded while bypassed
+    // Admission (Simulation::step): session-local, not in checkpoints.
+    uint64_t UnadmittedSteps = 0;  ///< first touches run unrecorded
+    uint64_t SecondTouchAdmits = 0; ///< keys recorded on their second touch
+    uint64_t AdmissionSwitches = 0; ///< first-touch <-> second-touch moves
 
     /// Table 1's metric: fraction of instructions simulated by the fast
     /// simulator.
@@ -243,6 +247,33 @@ public:
   void setStepLimit(uint64_t Limit) { Opts.StepLimit = Limit; }
   bool bypassActive() const { return BypassActive; }
 
+  //===-- Admission ------------------------------------------------------------
+  //
+  // A step whose key has no entry records one — unless the session admits
+  // on second touch: then a key seen for the first time runs the slow
+  // simulator unrecorded and is only marked in the cache's first-touch
+  // filter, and its next miss records it. A session starts admitting on
+  // first touch. It moves to second touch when fewer than
+  // SecondTouchEnterPct % of a window of AdmissionWindow created entries
+  // were hit before the recur horizon's further entries were created; the
+  // horizon starts at 2 x AdmissionWindow entries and doubles (up to
+  // 2^MaxHorizonShift times) each time the session moves back. It moves
+  // back when at least FirstTouchReturnPct % of AdmissionWindow miss steps
+  // were admits (second touches). Both windows count created entries or
+  // miss steps, never steps, so chained (hit) steps cannot reach one. The
+  // constants were fixed from the suite's traffic (docs/INTERNALS.md,
+  // "Admission"); no option sets them.
+
+  static constexpr uint32_t AdmissionWindow = 1024;
+  /// A never-hit recording costs about two unrecorded slow steps, so
+  /// second touch pays once fewer than about half the new keys recur.
+  static constexpr uint32_t SecondTouchEnterPct = 35;
+  /// Each recurring key misses twice under second touch, so 40 % admits
+  /// means about two thirds of the new keys recur.
+  static constexpr uint32_t FirstTouchReturnPct = 40;
+  static constexpr uint32_t MaxHorizonShift = 6;
+  bool secondTouchAdmission() const { return SecondTouch; }
+
   /// Fault-injection hook: consulted before every extern dispatch with the
   /// extern id; returning true fails the call (ExternFailure fault).
   void setExternFaultHook(std::function<bool(uint32_t)> Hook) {
@@ -300,9 +331,13 @@ public:
 
   /// Registers this simulation's canonical metric groups, in statsJson()
   /// schema order: the top-level step counters (empty group), then
-  /// "fault", "guard", "bypass" and "cache". The registry must not
-  /// outlive this simulation (RuntimeMetrics.cpp).
+  /// "fault", "guard", "bypass", "admission", "jit" and "cache". The
+  /// registry must not outlive this simulation (RuntimeMetrics.cpp).
   void registerMetrics(telemetry::MetricsRegistry &R) const;
+  /// The "admission" group: the current mode, unadmitted_steps,
+  /// second_touch_admits, mode_switches and entries_never_hit (live
+  /// entries never hit since they were created or loaded).
+  void exportAdmissionMetrics(telemetry::MetricSink &Sink) const;
   /// Mutable internals for the fault injector (inject::FaultInjector) and
   /// white-box tests; production code never writes through these. Counts
   /// as an out-of-band mutation: the cache's epoch is bumped so every
@@ -468,6 +503,14 @@ private:
   bool externCall(const XInst &I, const int64_t *Args, int64_t &Out);
   /// Per-window bypass accounting, called once per memoized step.
   void noteBypassWindow(StepEngine Engine);
+  /// Admission of a miss step's key with hash \p Hash (no entry yet):
+  /// true records it. Accounts the second-touch window.
+  bool admitKey(uint64_t Hash);
+  /// Accounts one created entry in the first-touch window.
+  void noteEntryCreated();
+  /// Restarts both admission windows when the cache was rebuilt (entry
+  /// ids moved) since they were opened.
+  void syncAdmissionWindow();
   /// Merges this step into the open trace span (Tracer is non-null).
   void noteStepForTrace(StepEngine Engine);
   /// Post-step resource-guard check; may turn \p Engine into Faulted.
@@ -544,6 +587,14 @@ private:
   uint64_t WinSteps = 0;      ///< memoized steps in the current window
   uint64_t WinNonFast = 0;    ///< of those, not fully replayed
   uint64_t WinEvictBase = 0;  ///< cache clears+evictions at window start
+
+  // Admission state machine (see secondTouchAdmission()).
+  bool SecondTouch = false;
+  uint64_t AdmEpoch = 0;      ///< cache mutation epoch the windows belong to
+  EntryId AdmWinFirst = 0;    ///< first entry of the first-touch window
+  uint32_t AdmMisses = 0;     ///< second-touch window: miss steps
+  uint32_t AdmAdmits = 0;     ///< of those, admitted
+  uint32_t AdmHorizonShift = 0; ///< recur horizon: 2 windows << this
 
   /// INDEX chaining (paper Figure 9): the End node reached by the previous
   /// step. When its recorded NextKey's non-key-static words match the

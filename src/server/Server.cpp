@@ -1700,6 +1700,9 @@ std::string FacileServer::Impl::statsJson() {
       Sink.counter("retired", Sim.stats().RetiredTotal);
       Sink.counter("cycles", Sim.stats().Cycles);
       Sink.counter("faults", Sim.stats().Faults);
+      Sink.beginGroup("admission");
+      Sim.exportAdmissionMetrics(Sink);
+      Sink.endGroup();
       Sink.flag("store_attached", static_cast<bool>(S->Sim->storeMapping()));
       if (S->Sim->storeMapping()) {
         Sink.counter("store_generation", S->Sim->storeMapping()->generation());

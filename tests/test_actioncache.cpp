@@ -50,6 +50,139 @@ TEST(ActionCache, LookupMissThenHit) {
   EXPECT_EQ(C.stats().EntriesCreated, 1u);
 }
 
+TEST(ActionCache, FindKeyHitsOverlayWithoutInterning) {
+  ActionCache C(1 << 20);
+  KeyId A = intern(C, "alpha");
+  KeyId B = intern(C, "beta");
+  const uint64_t Interned = C.stats().KeysInterned;
+  EXPECT_EQ(C.findKey("alpha", 5), A);
+  EXPECT_EQ(C.findKey("beta", 4), B);
+  EXPECT_EQ(C.keyCount(), 2u);
+  EXPECT_EQ(C.stats().KeysInterned, Interned);
+}
+
+TEST(ActionCache, FindKeyMissLeavesTheKeyTableAlone) {
+  ActionCache C(1 << 20);
+  // Before any key: the overlay table is not even allocated.
+  const size_t Empty = C.bytes();
+  EXPECT_EQ(C.findKey("nope", 4), NoId);
+  EXPECT_EQ(C.bytes(), Empty);
+  EXPECT_EQ(C.keyCount(), 0u);
+  for (int I = 0; I != 100; ++I)
+    intern(C, "key-" + std::to_string(I));
+  const size_t Keys = C.keyCount(), Pool = C.keyPoolBytes(), B = C.bytes();
+  for (int I = 100; I != 1000; ++I) {
+    std::string K = "key-" + std::to_string(I);
+    EXPECT_EQ(C.findKey(K.data(), K.size()), NoId);
+  }
+  EXPECT_EQ(C.keyCount(), Keys);
+  EXPECT_EQ(C.keyPoolBytes(), Pool);
+  EXPECT_EQ(C.bytes(), B); // the probe table did not grow either
+  EXPECT_EQ(C.stats().KeysInterned, Keys);
+}
+
+TEST(ActionCache, FindKeyCountsProbesLikeInternKey) {
+  // The same probe sequence either way: a cache that finds every key
+  // after interning it counts exactly what interning them again counts.
+  ActionCache Find(64u << 20), Intern(64u << 20);
+  std::vector<std::string> Keys;
+  for (int I = 0; I != 3000; ++I)
+    Keys.push_back("key-" + std::to_string(I));
+  for (const std::string &K : Keys) {
+    intern(Find, K);
+    intern(Intern, K);
+  }
+  const uint64_t Total0 = Find.stats().ProbeTotal;
+  ASSERT_EQ(Total0, Intern.stats().ProbeTotal);
+  for (const std::string &K : Keys) {
+    EXPECT_NE(Find.findKey(K.data(), K.size()), NoId);
+    intern(Intern, K);
+  }
+  EXPECT_GT(Find.stats().ProbeTotal, Total0);
+  EXPECT_EQ(Find.stats().ProbeTotal, Intern.stats().ProbeTotal);
+  EXPECT_EQ(Find.stats().ProbeMax, Intern.stats().ProbeMax);
+  // A miss probes to the first empty slot, as interning a new key does.
+  uint64_t Probed = 0;
+  for (int I = 0; I != 200; ++I) {
+    std::string K = "other-" + std::to_string(I);
+    const uint64_t F0 = Find.stats().ProbeTotal;
+    const uint64_t I0 = Intern.stats().ProbeTotal;
+    EXPECT_EQ(Find.findKey(K.data(), K.size()), NoId);
+    intern(Intern, K);
+    EXPECT_EQ(Find.stats().ProbeTotal - F0, Intern.stats().ProbeTotal - I0);
+    Probed += Find.stats().ProbeTotal - F0;
+    intern(Find, K); // keep the two tables the same shape
+  }
+  EXPECT_GT(Probed, 0u);
+}
+
+TEST(ActionCache, FindKeyHitsTheBaseTable) {
+  // Base keys resolve through the read-only base table, overlay keys
+  // through the private one; a miss in both interns nothing.
+  ActionCache Src(1 << 20);
+  KeyId S0 = intern(Src, "base-0");
+  intern(Src, "base-1");
+  Src.create(S0);
+  ActionCache::FlatImage Img = Src.compactImage(0, /*DropDetached=*/false);
+  std::vector<uint32_t> Table = ActionCache::buildProbeTable(Img.Keys);
+  ActionCache::BaseArenas B;
+  B.KeyPool = Img.KeyPool.data();
+  B.KeyPoolBytes = Img.KeyPool.size();
+  B.Keys = Img.Keys.data();
+  B.NumKeys = static_cast<uint32_t>(Img.Keys.size());
+  B.Table = Table.data();
+  B.TableSize = Table.size();
+  B.Entries = Img.Entries.data();
+  B.NumEntries = static_cast<uint32_t>(Img.Entries.size());
+  B.KeyToEntry = Img.KeyToEntry.data();
+
+  ActionCache C(1 << 20);
+  ASSERT_TRUE(C.attachBase(B));
+  const KeyId Base0 = C.findKey("base-0", 6);
+  ASSERT_NE(Base0, NoId);
+  EXPECT_LT(Base0, C.baseKeyCount());
+  EXPECT_EQ(std::string(C.keyData(Base0), C.keyLen(Base0)), "base-0");
+  KeyId Over = intern(C, "overlay");
+  EXPECT_GE(Over, C.baseKeyCount());
+  EXPECT_EQ(C.findKey("overlay", 7), Over);
+  const size_t Keys = C.keyCount(), Pool = C.keyPoolBytes();
+  EXPECT_EQ(C.findKey("absent", 6), NoId);
+  EXPECT_EQ(C.keyCount(), Keys);
+  EXPECT_EQ(C.keyPoolBytes(), Pool);
+}
+
+TEST(ActionCache, FirstTouchFilterMarksAndClearsWithTheCache) {
+  ActionCache C(1 << 20);
+  const uint64_t H = hashKey("some key", 8);
+  EXPECT_FALSE(C.touchKey(H));
+  EXPECT_TRUE(C.touchKey(H));
+  EXPECT_EQ(C.seenKeyBits(), 1u);
+  C.clear();
+  EXPECT_EQ(C.seenKeyBits(), 0u);
+  EXPECT_FALSE(C.touchKey(H));
+  // A detached (abandoned or corrupt) entry's key is marked, so a
+  // second-touch policy re-records it on its next visit.
+  KeyId K = intern(C, "abandoned");
+  C.detachEntry(C.create(K));
+  EXPECT_TRUE(C.touchKey(C.keyHash(K)));
+}
+
+TEST(ActionCache, EntryHitTracksRecencySinceCreation) {
+  ActionCache C(1 << 20);
+  EntryId A = C.create(intern(C, "a"));
+  EntryId B = C.create(intern(C, "b"));
+  C.entry(A).Head = C.appendNode(0);
+  C.entry(B).Head = C.appendNode(0);
+  EXPECT_FALSE(C.entryHit(A));
+  EXPECT_EQ(C.neverHitEntries(), 2u);
+  EXPECT_EQ(C.lookup(C.entry(A).Key), A);
+  EXPECT_TRUE(C.entryHit(A));
+  EXPECT_FALSE(C.entryHit(B));
+  EXPECT_EQ(C.neverHitEntries(), 1u);
+  C.detachEntry(B); // detached entries are not live
+  EXPECT_EQ(C.neverHitEntries(), 0u);
+}
+
 TEST(ActionCache, InternDeduplicates) {
   ActionCache C(1 << 20);
   KeyId A = intern(C, "same-key");

@@ -7,7 +7,9 @@
 // rest of the system relies on (Hits <= Lookups, bytes() back to zero
 // after a clear, bytes() within budget after every memoized step,
 // PeakBytes monotone) and that the final architectural state matches an
-// unbudgeted memoized run step for step.
+// unbudgeted memoized run step for step. A 4 MB ooo.fac run checks that
+// every clear or compaction empties the first-touch filter of
+// second-touch admission along with the cache.
 //
 //===----------------------------------------------------------------------===//
 
@@ -167,4 +169,46 @@ TEST(CacheStress, RecoveryRerecordsAfterEviction) {
   Sim.sim().run(50'000);
   EXPECT_GT(CS.EntriesCreated, CreatedBefore);
   EXPECT_GT(Sim.sim().stats().FastSteps, FastBefore);
+}
+
+TEST(CacheStress, FirstTouchFilterClearsWithTheCache) {
+  // A branchy ooo.fac run moves to second-touch admission long before a
+  // 4 MB budget fills; every clear (ClearAll) or compaction (Segmented)
+  // after that must empty the first-touch filter with the cache, and the
+  // run must still compute what the unmemoized simulator computes.
+  isa::TargetImage Gcc =
+      workload::generate(*workload::findSpec("gcc"), 1u << 30);
+  for (rt::EvictionPolicy Policy :
+       {rt::EvictionPolicy::ClearAll, rt::EvictionPolicy::Segmented}) {
+    SCOPED_TRACE(Policy == rt::EvictionPolicy::Segmented ? "segmented"
+                                                         : "clearall");
+    rt::Simulation::Options Tiny;
+    Tiny.CacheBudgetBytes = 4u << 20;
+    Tiny.Eviction = Policy;
+    FacileSim Sim(SimKind::OutOfOrder, Gcc, Tiny);
+    const rt::ActionCache &C = Sim.sim().cache();
+    uint64_t Rebuilds = 0, RebuildsWithMarks = 0, Steps = 0;
+    while (Sim.sim().stats().RetiredTotal < 400'000) {
+      const uint64_t Before = C.stats().Clears + C.stats().Evictions;
+      const uint64_t Marks = C.seenKeyBits();
+      Sim.sim().step();
+      ++Steps;
+      if (C.stats().Clears + C.stats().Evictions == Before)
+        continue;
+      ++Rebuilds;
+      RebuildsWithMarks += Marks != 0;
+      EXPECT_EQ(C.seenKeyBits(), 0u);
+    }
+    EXPECT_GT(Sim.sim().stats().UnadmittedSteps, 0u);
+    EXPECT_GT(Rebuilds, 0u);
+    EXPECT_GT(RebuildsWithMarks, 0u); // or the check above saw nothing
+
+    rt::Simulation::Options Off;
+    Off.Memoize = false;
+    FacileSim Ref(SimKind::OutOfOrder, Gcc, Off);
+    Ref.sim().run(Steps);
+    EXPECT_EQ(Sim.sim().stats().RetiredTotal, Ref.sim().stats().RetiredTotal);
+    EXPECT_EQ(Sim.sim().stats().Cycles, Ref.sim().stats().Cycles);
+    EXPECT_EQ(Sim.sim().memory().digest(), Ref.sim().memory().digest());
+  }
 }

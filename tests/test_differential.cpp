@@ -25,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <vector>
 
 #include <dirent.h>
@@ -62,6 +63,11 @@ struct FinalState {
   uint64_t CacheDataWords = 0;
   uint64_t CacheDigest = 0;
   uint64_t SlowBlockExecs = 0; ///< native slow-step function calls
+  // Admission: what second-touch admission ran unrecorded and created.
+  uint64_t UnadmittedSteps = 0;
+  uint64_t AdmissionSwitches = 0;
+  uint64_t EntriesCreated = 0;
+  bool SecondTouch = false;
 
   bool operator==(const FinalState &O) const {
     return Halted == O.Halted && RetiredTotal == O.RetiredTotal &&
@@ -70,11 +76,9 @@ struct FinalState {
   }
 };
 
-FinalState runOne(SimKind Kind, const isa::TargetImage &Image,
-                  rt::Simulation::Options Opts, uint64_t MaxInstrs,
-                  PassMode Mode = PassMode::Optimized) {
-  FacileSim Sim(Kind, Image, Opts, Mode);
-  Sim.run(MaxInstrs);
+/// The observable state of \p Sim after however it was driven.
+FinalState capture(SimKind Kind, const FacileSim &Sim,
+                   PassMode Mode = PassMode::Optimized) {
   FinalState F;
   F.Halted = Sim.sim().halted();
   F.RetiredTotal = Sim.sim().stats().RetiredTotal;
@@ -88,7 +92,11 @@ FinalState runOne(SimKind Kind, const isa::TargetImage &Image,
   F.BackendName = Sim.sim().backendName();
   F.PlaceholderWords = Sim.sim().stats().PlaceholderWords;
   F.BypassedSteps = Sim.sim().stats().BypassedSteps;
+  F.UnadmittedSteps = Sim.sim().stats().UnadmittedSteps;
+  F.AdmissionSwitches = Sim.sim().stats().AdmissionSwitches;
+  F.SecondTouch = Sim.sim().secondTouchAdmission();
   const rt::ActionCache &C = Sim.sim().cache();
+  F.EntriesCreated = C.stats().EntriesCreated;
   F.KeysInterned = C.stats().KeysInterned;
   F.CacheNodes = C.nodeCount();
   F.CacheDataWords = C.dataSize();
@@ -112,6 +120,14 @@ FinalState runOne(SimKind Kind, const isa::TargetImage &Image,
       F.Globals.push_back(Sim.sim().getGlobal(G.Name));
   }
   return F;
+}
+
+FinalState runOne(SimKind Kind, const isa::TargetImage &Image,
+                  rt::Simulation::Options Opts, uint64_t MaxInstrs,
+                  PassMode Mode = PassMode::Optimized) {
+  FacileSim Sim(Kind, Image, Opts, Mode);
+  Sim.run(MaxInstrs);
+  return capture(Kind, Sim, Mode);
 }
 
 const char *kindName(SimKind Kind) {
@@ -457,6 +473,8 @@ FinalState expectJitMatches(SimKind Kind, const isa::TargetImage &Image,
   EXPECT_EQ(J.FastSteps, I.FastSteps);
   EXPECT_EQ(J.Misses, I.Misses);
   EXPECT_EQ(J.BypassedSteps, I.BypassedSteps);
+  EXPECT_EQ(J.UnadmittedSteps, I.UnadmittedSteps);
+  EXPECT_EQ(J.AdmissionSwitches, I.AdmissionSwitches);
   EXPECT_EQ(J.PlaceholderWords, I.PlaceholderWords);
   EXPECT_EQ(J.KeysInterned, I.KeysInterned);
   EXPECT_EQ(J.CacheNodes, I.CacheNodes);
@@ -544,4 +562,170 @@ TEST(Differential, JitSlowStepVariantsMatchInterpreter) {
     EXPECT_GT(J.BypassedSteps, 0u);
     EXPECT_GT(J.PlaceholderWords, 0u);
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Admission: keys recorded on second touch
+//===----------------------------------------------------------------------===//
+//
+// A session moves to second-touch admission when the keys it records stop
+// recurring: a first touch then runs the slow simulator unrecorded. That
+// changes what is recorded and when, never what a step computes. At
+// AdmissionInstrs the branchy suite programs (gcc, go) have moved to
+// second touch, and the loop codes (swim, mgrid) have stayed on first
+// touch.
+
+namespace {
+
+constexpr uint64_t AdmissionInstrs = 300'000;
+
+isa::TargetImage suiteImage(const std::string &Name) {
+  // An effectively unbounded outer loop, as facilesim runs the suite: the
+  // instruction budget ends the run.
+  return workload::generate(*workload::findSpec(Name), 1u << 30);
+}
+
+void expectSameArchitecture(const FinalState &A, const FinalState &B) {
+  EXPECT_EQ(A.Halted, B.Halted);
+  EXPECT_EQ(A.RetiredTotal, B.RetiredTotal);
+  EXPECT_EQ(A.Cycles, B.Cycles);
+  EXPECT_EQ(A.MemDigest, B.MemDigest);
+  EXPECT_EQ(A.Globals, B.Globals);
+}
+
+/// The step accounting and recording two runs of one engine path share.
+void expectSameAccounting(const FinalState &A, const FinalState &B) {
+  EXPECT_EQ(A.Steps, B.Steps);
+  EXPECT_EQ(A.FastSteps, B.FastSteps);
+  EXPECT_EQ(A.Misses, B.Misses);
+  EXPECT_EQ(A.UnadmittedSteps, B.UnadmittedSteps);
+  EXPECT_EQ(A.AdmissionSwitches, B.AdmissionSwitches);
+  EXPECT_EQ(A.EntriesCreated, B.EntriesCreated);
+  EXPECT_EQ(A.KeysInterned, B.KeysInterned);
+  EXPECT_EQ(A.CacheDigest, B.CacheDigest);
+}
+
+class AdmissionSuite : public ::testing::TestWithParam<const char *> {};
+
+} // namespace
+
+TEST_P(AdmissionSuite, MemoOnMatchesMemoOff) {
+  const std::string Name = GetParam();
+  isa::TargetImage Image = suiteImage(Name);
+  rt::Simulation::Options Off;
+  Off.Memoize = false;
+  FinalState Memo = runOne(SimKind::OutOfOrder, Image, {}, AdmissionInstrs);
+  FinalState Slow = runOne(SimKind::OutOfOrder, Image, Off, AdmissionInstrs);
+  expectSameArchitecture(Memo, Slow);
+  EXPECT_GT(Memo.FastSteps, 0u);
+  EXPECT_EQ(Slow.UnadmittedSteps, 0u); // memo off admits nothing
+  if (Name == "gcc" || Name == "go") {
+    EXPECT_GT(Memo.UnadmittedSteps, 0u);
+    EXPECT_GE(Memo.AdmissionSwitches, 1u);
+  }
+  if (Name == "swim" || Name == "mgrid") {
+    EXPECT_EQ(Memo.AdmissionSwitches, 0u);
+    EXPECT_FALSE(Memo.SecondTouch);
+    EXPECT_EQ(Memo.UnadmittedSteps, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Spec95, AdmissionSuite,
+    ::testing::Values("compress", "gcc", "go", "ijpeg", "li", "m88ksim",
+                      "perl", "vortex", "tomcatv", "swim", "su2cor",
+                      "hydro2d", "mgrid", "applu", "turb3d", "apsi", "fpppp",
+                      "wave5"),
+    [](const ::testing::TestParamInfo<const char *> &I) {
+      return std::string(I.param);
+    });
+
+TEST(Admission, JitAtThresholdOneMatchesInterpreter) {
+  if (!jit::available())
+    GTEST_SKIP() << "no template-JIT backend on this host";
+  for (const char *Name : {"gcc", "swim"}) {
+    SCOPED_TRACE(Name);
+    FinalState J = expectJitMatches(SimKind::OutOfOrder, suiteImage(Name), {},
+                                    1, AdmissionInstrs);
+    if (std::string(Name) == "gcc") {
+      EXPECT_GT(J.UnadmittedSteps, 0u);
+    }
+  }
+}
+
+TEST(Admission, ChainedRunMatchesSteppedRun) {
+  // run() lets replayed steps chain natively; driving step() one at a
+  // time never chains. Admission counts miss steps only, so both make the
+  // same decisions at the same steps.
+  constexpr uint64_t Steps = 200'000;
+  for (const char *Name : {"gcc", "swim"}) {
+    SCOPED_TRACE(Name);
+    isa::TargetImage Image = suiteImage(Name);
+    FacileSim Chained(SimKind::OutOfOrder, Image);
+    Chained.sim().run(Steps);
+    FacileSim Stepped(SimKind::OutOfOrder, Image);
+    for (uint64_t I = 0; I != Steps && !Stepped.sim().halted(); ++I)
+      Stepped.sim().step();
+    FinalState C = capture(SimKind::OutOfOrder, Chained);
+    FinalState S = capture(SimKind::OutOfOrder, Stepped);
+    expectSameArchitecture(C, S);
+    expectSameAccounting(C, S);
+    if (std::string(Name) == "gcc") {
+      EXPECT_GT(C.UnadmittedSteps, 0u);
+    }
+    if (jit::available()) {
+      EXPECT_GT(Chained.sim().chainedSteps(), 0u);
+    }
+  }
+}
+
+TEST(Admission, CheckpointResumeMatchesStraightRun) {
+  // The first-touch filter and the admission state are not persisted: a
+  // resumed session starts admitting on first touch. What it computes is
+  // still what the straight run computes.
+  for (const char *Name : {"gcc", "go", "swim"}) {
+    SCOPED_TRACE(Name);
+    isa::TargetImage Image = suiteImage(Name);
+    FinalState Straight =
+        runOne(SimKind::OutOfOrder, Image, {}, AdmissionInstrs);
+    FacileSim First(SimKind::OutOfOrder, Image);
+    First.run(AdmissionInstrs / 2 + 50'000); // past the prologue
+    std::vector<uint8_t> Ckpt = First.checkpointBytes();
+    std::vector<uint8_t> Cache = First.cacheBytes();
+    FacileSim Resumed(SimKind::OutOfOrder, Image);
+    std::string Err;
+    ASSERT_TRUE(Resumed.loadCheckpointBytes(Ckpt, &Err)) << Err;
+    ASSERT_TRUE(Resumed.loadCacheBytes(Cache, &Err)) << Err;
+    EXPECT_FALSE(Resumed.sim().secondTouchAdmission());
+    EXPECT_EQ(Resumed.sim().stats().UnadmittedSteps, 0u);
+    Resumed.run(AdmissionInstrs);
+    expectSameArchitecture(capture(SimKind::OutOfOrder, Resumed), Straight);
+  }
+}
+
+TEST(Admission, StoreWarmRunMatchesMemoOff) {
+  std::string Dir = ::testing::TempDir() + "facile_admission_store";
+  for (const char *Name : {"gcc", "swim"}) {
+    SCOPED_TRACE(Name);
+    isa::TargetImage Image = suiteImage(Name);
+    rt::Simulation::Options Off;
+    Off.Memoize = false;
+    FinalState Oracle = runOne(SimKind::OutOfOrder, Image, Off,
+                               AdmissionInstrs);
+    FacileSim Builder(SimKind::OutOfOrder, Image);
+    Builder.run(AdmissionInstrs / 2);
+    store::CacheStoreDir Store(Dir);
+    std::string Err;
+    ASSERT_TRUE(Builder.promoteStore(Store, nullptr, &Err)) << Err;
+    FacileSim Warm(SimKind::OutOfOrder, Image);
+    ASSERT_TRUE(Warm.attachStore(Store, &Err)) << Err;
+    Warm.run(AdmissionInstrs);
+    FinalState W = capture(SimKind::OutOfOrder, Warm);
+    expectSameArchitecture(W, Oracle);
+    EXPECT_GT(W.FastSteps, 0u);
+    std::remove((Dir + "/" +
+                 store::CacheStoreDir::fileName(Builder.sim().compatKey(), 1))
+                    .c_str());
+  }
+  ::rmdir(Dir.c_str());
 }

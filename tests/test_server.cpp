@@ -490,7 +490,19 @@ TEST_F(ServerTest, StatsExposesDaemonAndSessionGroups) {
   ASSERT_TRUE(Stats && Stats->isObject());
   ASSERT_TRUE(Stats->get("server"));
   EXPECT_GE(Stats->get("server")->get("requests_total")->intOr(0), 2);
-  EXPECT_TRUE(Stats->get("sessions"));
+  ASSERT_TRUE(Stats->get("sessions"));
+  // Each session carries its admission group, as statsJson() does.
+  const json::Value *G = Stats->get("sessions")->get(
+      strFormat("s%lld", static_cast<long long>(S)));
+  ASSERT_TRUE(G && G->get("admission"));
+  const json::Value *Adm = G->get("admission");
+  for (const char *Key : {"mode", "unadmitted_steps", "second_touch_admits",
+                          "mode_switches", "entries_never_hit"}) {
+    SCOPED_TRACE(Key);
+    EXPECT_TRUE(Adm->get(Key));
+  }
+  const std::string Mode = Adm->get("mode")->str();
+  EXPECT_TRUE(Mode == "first-touch" || Mode == "second-touch") << Mode;
 }
 
 //===----------------------------------------------------------------------===//

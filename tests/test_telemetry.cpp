@@ -347,10 +347,52 @@ TEST(TelemetryIntegration, IndexChainCountersAccountForChainedSteps) {
     EXPECT_EQ(Cache->get("index_chain_misses")->intOr(-1),
               static_cast<int64_t>(C.IndexChainMisses));
     // Every step but the first follows an armed chain here (no faults,
-    // evictions or bypass trips in a run this short).
+    // evictions or bypass trips in a run this short), except the step
+    // after each first touch that second-touch admission ran unrecorded:
+    // an unrecorded step names no next key. The last step may be one.
     EXPECT_GT(C.IndexChainHits, 0u);
-    EXPECT_EQ(C.IndexChainHits + C.IndexChainMisses,
-              Sim.sim().stats().Steps - 1);
+    const uint64_t Unadmitted = Sim.sim().stats().UnadmittedSteps;
+    EXPECT_LE(Sim.sim().stats().Steps - 1 - Unadmitted,
+              C.IndexChainHits + C.IndexChainMisses);
+    EXPECT_LE(C.IndexChainHits + C.IndexChainMisses,
+              Sim.sim().stats().Steps - Unadmitted);
+  }
+}
+
+TEST(TelemetryIntegration, AdmissionGroupAccountsForEveryMissStep) {
+  // Every memoized step either replays, recovers, records a created entry
+  // or runs unrecorded as an unadmitted first touch; the admission group
+  // reports the last kind and the policy's state.
+  isa::TargetImage Image = workload::generate(testSpec(), 2);
+  for (SimKind Kind :
+       {SimKind::Functional, SimKind::InOrder, SimKind::OutOfOrder}) {
+    SCOPED_TRACE(int(Kind));
+    FacileSim Sim(Kind, Image);
+    Sim.run(60'000);
+    json::Value Stats;
+    std::string Err;
+    ASSERT_TRUE(json::parse(Sim.statsJson(), Stats, Err)) << Err;
+    const json::Value *Adm = Stats.get("admission");
+    ASSERT_TRUE(Adm);
+    const rt::Simulation::Stats &S = Sim.sim().stats();
+    EXPECT_EQ(Adm->get("mode")->str(), Sim.sim().secondTouchAdmission()
+                                           ? "second-touch"
+                                           : "first-touch");
+    EXPECT_EQ(Adm->get("unadmitted_steps")->intOr(-1),
+              static_cast<int64_t>(S.UnadmittedSteps));
+    EXPECT_EQ(Adm->get("second_touch_admits")->intOr(-1),
+              static_cast<int64_t>(S.SecondTouchAdmits));
+    EXPECT_EQ(Adm->get("mode_switches")->intOr(-1),
+              static_cast<int64_t>(S.AdmissionSwitches));
+    EXPECT_EQ(Adm->get("entries_never_hit")->intOr(-1),
+              static_cast<int64_t>(Sim.sim().cache().neverHitEntries()));
+    EXPECT_LE(Sim.sim().cache().neverHitEntries(),
+              Sim.sim().cache().entryCount());
+    const rt::ActionCache::Stats &C = Sim.sim().cache().stats();
+    EXPECT_EQ(S.Steps, S.FastSteps + S.Misses + C.EntriesCreated +
+                           S.UnadmittedSteps + S.BypassedSteps);
+    // Admits are second touches: each one created an entry.
+    EXPECT_LE(S.SecondTouchAdmits, C.EntriesCreated);
   }
 }
 
