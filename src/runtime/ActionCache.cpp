@@ -80,9 +80,8 @@ KeyId ActionCache::findKey(const char *Data, size_t Len, uint64_t H) {
   return Found;
 }
 
-KeyId ActionCache::insertKey(const char *Data, size_t Len, uint64_t H) {
-  // Keep the load factor below ~2/3 so probe sequences stay short.
-  if (Table.empty() || (Keys.size() + 1) * 3 > Table.size() * 2)
+KeyId ActionCache::internAbsent(const char *Data, size_t Len, uint64_t H) {
+  if (Table.empty())
     growTable();
   const size_t Mask = Table.size() - 1;
   size_t I = static_cast<size_t>(H) & Mask;
@@ -99,13 +98,18 @@ KeyId ActionCache::insertKey(const char *Data, size_t Len, uint64_t H) {
   KeyToEntry.push_back(NoId);
   Table[I] = K;
   ++S.KeysInterned;
+  // Keep the load factor below ~2/3 so probe sequences stay short. The
+  // table grows here, ahead of the next lookup, so findKey never writes
+  // and every lookup probes a table with room for one more key.
+  if ((Keys.size() + 1) * 3 > Table.size() * 2)
+    growTable();
   notePeak();
   return K;
 }
 
 KeyId ActionCache::internKey(const char *Data, size_t Len, uint64_t H) {
   const KeyId K = findKey(Data, Len, H);
-  return K != NoId ? K : insertKey(Data, Len, H);
+  return K != NoId ? K : internAbsent(Data, Len, H);
 }
 
 //===----------------------------------------------------------------------===//

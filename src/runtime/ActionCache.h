@@ -248,6 +248,11 @@ public:
   }
   KeyId findKey(const char *Data, size_t Len, uint64_t Hash);
 
+  /// Interns a key that findKey(\p Data, \p Len, \p Hash) just missed,
+  /// without probing for it again: a new key's probes are counted once,
+  /// by that findKey. Nothing may be interned in between.
+  KeyId internAbsent(const char *Data, size_t Len, uint64_t Hash);
+
   /// True when interned key \p K has exactly the bytes [\p Data, \p Len).
   bool keyEquals(KeyId K, const char *Data, size_t Len) const {
     return keyLen(K) == Len && std::memcmp(keyData(K), Data, Len) == 0;
@@ -655,8 +660,6 @@ private:
   }
 
   void growTable();
-  /// Appends a key known to be absent (findKey missed) at its slot.
-  KeyId insertKey(const char *Data, size_t Len, uint64_t Hash);
   void evictSegmented();
   /// Empties the first-touch filter and re-bases the entries' birth ticks:
   /// every rebuild of the entry table calls it.

@@ -641,7 +641,7 @@ bool Simulation::deserializeState(snapshot::Reader &R) {
   // Admission, like the first-touch filter, is not persisted: a resumed
   // session starts admitting on first touch with fresh windows.
   SecondTouch = false;
-  AdmHorizonShift = 0;
+  AdmSettled = false;
   AdmEpoch = 0;
   // The move-assignments above relocated every dynamic-state vector; a
   // backend holding raw data pointers must re-snapshot them.
@@ -794,7 +794,7 @@ StepEngine Simulation::step() {
     // serialized again.
     if (admitKey(Key == NoId ? KeyHash : Cache.keyHash(Key))) {
       if (Key == NoId)
-        Key = Cache.internKey(KeyBuf.data(), KeyLen, KeyHash);
+        Key = Cache.internAbsent(KeyBuf.data(), KeyLen, KeyHash);
       Entry = Cache.create(Key);
       noteEntryCreated();
     }
@@ -967,24 +967,21 @@ bool Simulation::admitKey(uint64_t Hash) {
     return Admit;
   if (AdmAdmits * 100 >= AdmissionWindow * FirstTouchReturnPct) {
     SecondTouch = false;
+    AdmSettled = true;
     ++S.AdmissionSwitches;
-    if (AdmHorizonShift < MaxHorizonShift)
-      ++AdmHorizonShift;
-    AdmWinFirst = static_cast<EntryId>(Cache.entryCount());
   }
   AdmMisses = AdmAdmits = 0;
   return Admit;
 }
 
 void Simulation::noteEntryCreated() {
-  if (SecondTouch)
+  if (SecondTouch || AdmSettled)
     return;
   syncAdmissionWindow();
-  // The window [AdmWinFirst, +AdmissionWindow) is judged once the recur
+  // The window [AdmWinFirst, +AdmissionWindow) is judged once the
   // horizon's entries were created after it: each of its entries had at
   // least that long to recur.
-  const uint64_t Horizon = uint64_t(2 * AdmissionWindow) << AdmHorizonShift;
-  if (Cache.entryCount() - AdmWinFirst < AdmissionWindow + Horizon)
+  if (Cache.entryCount() - AdmWinFirst < AdmissionWindow + AdmissionHorizon)
     return;
   uint32_t Hit = 0;
   for (EntryId E = AdmWinFirst; E != AdmWinFirst + AdmissionWindow; ++E)

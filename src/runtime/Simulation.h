@@ -255,23 +255,27 @@ public:
   // filter, and its next miss records it. A session starts admitting on
   // first touch. It moves to second touch when fewer than
   // SecondTouchEnterPct % of a window of AdmissionWindow created entries
-  // were hit before the recur horizon's further entries were created; the
-  // horizon starts at 2 x AdmissionWindow entries and doubles (up to
-  // 2^MaxHorizonShift times) each time the session moves back. It moves
-  // back when at least FirstTouchReturnPct % of AdmissionWindow miss steps
-  // were admits (second touches). Both windows count created entries or
-  // miss steps, never steps, so chained (hit) steps cannot reach one. The
-  // constants were fixed from the suite's traffic (docs/INTERNALS.md,
+  // were hit before AdmissionHorizon further entries were created. It
+  // moves back when at least FirstTouchReturnPct % of AdmissionWindow
+  // miss steps were admits (second touches), and then admits on first
+  // touch for the rest of the session: its keys recur, only further
+  // apart than the horizon. Both windows count created entries or miss
+  // steps, never steps, so chained (hit) steps cannot reach one. The
+  // constants were fixed from measured traffic (docs/INTERNALS.md,
   // "Admission"); no option sets them.
 
   static constexpr uint32_t AdmissionWindow = 1024;
-  /// A never-hit recording costs about two unrecorded slow steps, so
-  /// second touch pays once fewer than about half the new keys recur.
+  /// Created entries a window's entries get to be hit in before it is
+  /// judged: long enough that a short loop body (compress) recurs inside
+  /// it, short enough that a run of non-recurring keys moves within the
+  /// first ~5 K of them.
+  static constexpr uint32_t AdmissionHorizon = 4 * AdmissionWindow;
+  /// A never-hit recording costs more than an unrecorded slow step; 35 %
+  /// hits within the horizon leaves margin for keys that recur later.
   static constexpr uint32_t SecondTouchEnterPct = 35;
   /// Each recurring key misses twice under second touch, so 40 % admits
   /// means about two thirds of the new keys recur.
   static constexpr uint32_t FirstTouchReturnPct = 40;
-  static constexpr uint32_t MaxHorizonShift = 6;
   bool secondTouchAdmission() const { return SecondTouch; }
 
   /// Fault-injection hook: consulted before every extern dispatch with the
@@ -594,7 +598,7 @@ private:
   EntryId AdmWinFirst = 0;    ///< first entry of the first-touch window
   uint32_t AdmMisses = 0;     ///< second-touch window: miss steps
   uint32_t AdmAdmits = 0;     ///< of those, admitted
-  uint32_t AdmHorizonShift = 0; ///< recur horizon: 2 windows << this
+  bool AdmSettled = false;    ///< moved back once: first touch for good
 
   /// INDEX chaining (paper Figure 9): the End node reached by the previous
   /// step. When its recorded NextKey's non-key-static words match the

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <set>
 #include <string>
@@ -114,6 +115,56 @@ TEST(ActionCache, FindKeyCountsProbesLikeInternKey) {
     intern(Find, K); // keep the two tables the same shape
   }
   EXPECT_GT(Probed, 0u);
+}
+
+TEST(ActionCache, InternAbsentCountsANewKeysProbesOnce) {
+  // A miss step that records runs findKey and then internAbsent: the new
+  // key's probes are counted once, in the table the lookup saw. The
+  // reference is a plain linear-probing table that grows (doubling, at
+  // least 64 slots) to keep (keys + 1) * 3 <= slots * 2 before each
+  // lookup, as interning counted probes before findKey existed.
+  ActionCache C(64u << 20);
+  std::vector<uint64_t> Hashes; // reference: key id -> hash
+  std::vector<int64_t> Slots;   // reference: slot -> key id or -1
+  uint64_t RefTotal = 0, RefMax = 0;
+  auto refLookup = [&](uint64_t H, int64_t Id) {
+    size_t Size = Slots.empty() ? 64 : Slots.size();
+    while (Size * 2 < (Hashes.size() + 1) * 3)
+      Size *= 2;
+    if (Size != Slots.size()) {
+      Slots.assign(Size, -1);
+      for (size_t K = 0; K != Hashes.size(); ++K) {
+        size_t I = Hashes[K] & (Size - 1);
+        while (Slots[I] != -1)
+          I = (I + 1) & (Size - 1);
+        Slots[I] = static_cast<int64_t>(K);
+      }
+    }
+    uint64_t Probes = 0;
+    size_t I = H & (Size - 1);
+    for (; Slots[I] != -1 && Slots[I] != Id; I = (I + 1) & (Size - 1))
+      ++Probes;
+    RefTotal += Probes;
+    RefMax = std::max(RefMax, Probes);
+    if (Slots[I] == -1) {
+      Slots[I] = static_cast<int64_t>(Hashes.size());
+      Hashes.push_back(H);
+    }
+  };
+  for (int I = 0; I != 3000; ++I) {
+    // Every third lookup revisits an older key (a chain miss that hits).
+    const int Id = I % 3 == 2 ? I / 2 : I;
+    std::string K = "key-" + std::to_string(Id);
+    const uint64_t H = hashKey(K.data(), K.size());
+    KeyId Found = C.findKey(K.data(), K.size(), H);
+    if (Found == NoId)
+      Found = C.internAbsent(K.data(), K.size(), H);
+    refLookup(H, Found);
+    ASSERT_EQ(C.keyCount(), Hashes.size());
+    ASSERT_EQ(C.stats().ProbeTotal, RefTotal) << "at lookup " << I;
+  }
+  EXPECT_GT(RefTotal, 0u);
+  EXPECT_EQ(C.stats().ProbeMax, RefMax);
 }
 
 TEST(ActionCache, FindKeyHitsTheBaseTable) {

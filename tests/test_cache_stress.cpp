@@ -172,10 +172,12 @@ TEST(CacheStress, RecoveryRerecordsAfterEviction) {
 }
 
 TEST(CacheStress, FirstTouchFilterClearsWithTheCache) {
-  // A branchy ooo.fac run moves to second-touch admission long before a
-  // 4 MB budget fills; every clear (ClearAll) or compaction (Segmented)
-  // after that must empty the first-touch filter with the cache, and the
-  // run must still compute what the unmemoized simulator computes.
+  // A branchy ooo.fac run moves to second-touch admission before an 8 MB
+  // budget fills (at 4 MB gcc's cache is rebuilt before a window is
+  // judged, so it never leaves first touch); every clear (ClearAll) or
+  // compaction (Segmented) after that must empty the first-touch filter
+  // with the cache, and the run must still compute what the unmemoized
+  // simulator computes.
   isa::TargetImage Gcc =
       workload::generate(*workload::findSpec("gcc"), 1u << 30);
   for (rt::EvictionPolicy Policy :
@@ -183,7 +185,7 @@ TEST(CacheStress, FirstTouchFilterClearsWithTheCache) {
     SCOPED_TRACE(Policy == rt::EvictionPolicy::Segmented ? "segmented"
                                                          : "clearall");
     rt::Simulation::Options Tiny;
-    Tiny.CacheBudgetBytes = 4u << 20;
+    Tiny.CacheBudgetBytes = 8u << 20;
     Tiny.Eviction = Policy;
     FacileSim Sim(SimKind::OutOfOrder, Gcc, Tiny);
     const rt::ActionCache &C = Sim.sim().cache();

@@ -619,11 +619,20 @@ TEST_P(AdmissionSuite, MemoOnMatchesMemoOff) {
   expectSameArchitecture(Memo, Slow);
   EXPECT_GT(Memo.FastSteps, 0u);
   EXPECT_EQ(Slow.UnadmittedSteps, 0u); // memo off admits nothing
+  // A session moves back to first touch at most once, and stays there.
+  EXPECT_LE(Memo.AdmissionSwitches, 2u);
+  if (Memo.AdmissionSwitches == 2) {
+    EXPECT_FALSE(Memo.SecondTouch);
+  }
   if (Name == "gcc" || Name == "go") {
     EXPECT_GT(Memo.UnadmittedSteps, 0u);
     EXPECT_GE(Memo.AdmissionSwitches, 1u);
   }
-  if (Name == "swim" || Name == "mgrid") {
+  if (Name == "m88ksim") { // its body recurs after the horizon
+    EXPECT_EQ(Memo.AdmissionSwitches, 2u);
+  }
+  // compress's body recurs within the horizon.
+  if (Name == "swim" || Name == "mgrid" || Name == "compress") {
     EXPECT_EQ(Memo.AdmissionSwitches, 0u);
     EXPECT_FALSE(Memo.SecondTouch);
     EXPECT_EQ(Memo.UnadmittedSteps, 0u);
