@@ -130,10 +130,11 @@ int main(int Argc, char **Argv) {
     double TelemetryOverheadPct = (KipsMemoG / KipsMemoGT - 1.0) * 100.0;
     TelemetryOverheads.push_back(TelemetryOverheadPct);
 
-    // Template-JIT configuration: identical work to MemoG/MemoU, with the
-    // hot actions compiled to native code. Threshold 1 compiles on first
-    // replay — the budgets here are far below production run lengths, so
-    // the default warm-up threshold would understate steady-state gain.
+    // Template-JIT configuration: identical work to MemoG/MemoU, with slow
+    // steps and hot entries' replays run as native code. Threshold 1
+    // compiles on first replay — the budgets here are far below
+    // production run lengths, so the default warm-up threshold would
+    // understate steady-state gain.
     double KipsMemoJit = 0.0, JitSpeedup = 0.0;
     bool JitRan = false, JitDigestOk = true;
     if (RunJit) {
@@ -240,8 +241,8 @@ int main(int Argc, char **Argv) {
               MeanTelemetry);
   if (RunJit)
     std::printf("template-JIT backend: geomean %.3fx vs interpreting "
-                "backend over %zu workloads, %llu actions compiled, "
-                "digests %s\n",
+                "backend over %zu workloads, %llu blocks and trace shapes "
+                "compiled, digests %s\n",
                 JitGeomean, JitSpeedups.size(),
                 (unsigned long long)JitCompiledActions,
                 JitDigestsMatch ? "bit-identical" : "MISMATCHED");

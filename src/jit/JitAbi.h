@@ -1,4 +1,4 @@
-//===- JitAbi.h - Contract between compiled actions and the runtime -*- C++ -*-===//
+//===- JitAbi.h - Contract between JIT code and the runtime -----*- C++ -*-===//
 //
 // Part of the Facile reproduction project.
 //
@@ -6,26 +6,16 @@
 ///
 /// \file
 /// The ABI shared by the template JIT (src/jit) and the runtime that calls
-/// into its code (src/runtime/FastEngine.cpp via the Jit ExecBackend).
+/// into its code (src/runtime/FastEngine.cpp and SlowEngine.cpp via the
+/// Jit ExecBackend). Three kinds of code exist: the plan's slow-step
+/// function (JitSlowFn), entry-trace shapes (JitTraceFn) and a session's
+/// chain stub, which End exits of shapes jump through.
 ///
-/// A compiled action is a leaf function
-///
-///   int64_t fn(const JitFrame *Frame, const int64_t *Span)
-///
-/// executing one action's dynamic-only XInst stream natively. \p Span is
-/// the node's placeholder span (resolved by the caller against the cache
-/// arenas, exactly as the interpreter resolves it); the number of words the
-/// stream consumes is a per-action compile-time constant, so the caller
-/// must pre-check `Node.DataLen == JitCache::words(ActionId)` and fall back
-/// to the interpreter on mismatch — that is the structural bailout.
-///
-/// Return value:
-///   >= 0  the action ran to completion; the value is the dynamic-result
-///         TestValue (0/1, or 0 when the action has no Branch)
-///   <  0  a bail code (below). Bails only occur for conditions that are
-///         immediate faults in the interpreter too — never for conditions
-///         the interpreter would recover from — so the caller must never
-///         re-run a bailed node (its side effects already happened).
+/// Return values >= 0 are the function's own (an exit id, a packed slow
+/// exit); values < 0 are bail codes (JitBail). Bails only occur for
+/// conditions that are immediate faults in the interpreter too — never for
+/// conditions the interpreter would recover from — so the caller must
+/// never re-run what bailed (its side effects already happened).
 ///
 /// Everything session-mutable is reached through the JitFrame; everything
 /// immutable per plan/image (text base, array sizes, data pointers of the
@@ -61,8 +51,7 @@ struct JitFrame {
   bool *Halt = nullptr;                  ///< +72
   int64_t ExternRet = 0;                 ///< +80 extern-result scratch
   /// +88: base-layer data pool, refreshed by the caller before every trace
-  /// call (trace code resolves base-side spans off it; action code never
-  /// reads it — the caller resolves the span).
+  /// call (trace code resolves base-side spans off it).
   const int64_t *BaseData = nullptr;
   // Slow-path (complete stream) state, used only by the compiled slow-step
   // function: the recording simulator's private run-time-static state,
@@ -154,9 +143,6 @@ struct ChainLink {
 static_assert(sizeof(ChainLink) == 2 * sizeof(TraceBind),
               "links occupy whole table cells");
 
-/// A compiled action entry point.
-using JitFn = int64_t (*)(const JitFrame *Frame, const int64_t *Span);
-
 /// A compiled trace shape, run over one entry's binding: \p Table holds
 /// one TraceBind per descriptor of the shape. The return value is an index
 /// into the shape's exit table (>= 0) or a bail code (< 0).
@@ -179,7 +165,7 @@ enum SlowExit : int64_t {
   SlowRet = 3,   ///< Ret: the step is over
 };
 
-/// Negative return values of a JitFn or JitSlowFn.
+/// Negative return values of a JitTraceFn or JitSlowFn.
 enum JitBail : int64_t {
   /// Guarded instruction fetch outside the text segment. The caller raises
   /// the same DecodeError fault the guarded interpreter raises mid-node.
@@ -218,13 +204,12 @@ struct JitSession {
   JitFrame Frame;
   JitCache *Cache = nullptr;
   JitTraceCache *Traces = nullptr; ///< per-session trace shapes, bindings
-  /// Visits before an action/trace compiles; slow steps before the
-  /// plan's slow-step function compiles.
+  /// Replays of an entry before it binds to a trace shape; slow steps
+  /// before the plan's slow-step function compiles.
   uint32_t Threshold = 1;
   uint64_t JitSteps = 0;       ///< steps where >=1 node ran natively
   uint64_t TraceSteps = 0;     ///< steps completed entirely by one trace call
   uint64_t TraceSideExits = 0; ///< trace calls that left at a side exit
-  uint64_t Bailouts = 0;       ///< structural fallbacks to the interpreter
   uint64_t SlowCalls = 0;      ///< native slow-step function calls
   uint64_t ChainedSteps = 0;   ///< steps entered by a native chain jump
   /// The trace End exit the last replayed step left through: the entry

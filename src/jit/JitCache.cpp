@@ -1,4 +1,4 @@
-//===- JitCache.cpp - Per-plan compiled-action cache -----------------------===//
+//===- JitCache.cpp - Per-plan slow-step code cache -----------------------===//
 
 #include "src/jit/JitCache.h"
 
@@ -25,68 +25,9 @@ JitCache::JitCache(const CompiledProgram &Prog, const rt::ExecPlan &Plan,
   for (const auto &L : Prog.Step.LocalArrays)
     Ctx.LocArraySizes.push_back(L.Size);
 
-  NumActions = static_cast<uint32_t>(Plan.ActionOfs.size() - 1);
-  GuardedFns = std::make_unique<std::atomic<JitFn>[]>(NumActions);
-  UnguardedFns = std::make_unique<std::atomic<JitFn>[]>(NumActions);
-  Visits = std::make_unique<std::atomic<uint32_t>[]>(NumActions);
-  State = std::make_unique<std::atomic<uint8_t>[]>(NumActions);
-  for (uint32_t A = 0; A != NumActions; ++A) {
-    GuardedFns[A].store(nullptr, std::memory_order_relaxed);
-    UnguardedFns[A].store(nullptr, std::memory_order_relaxed);
-    Visits[A].store(0, std::memory_order_relaxed);
-    State[A].store(Cold, std::memory_order_relaxed);
-  }
-  Words.assign(NumActions, 0);
-
   Ctx.ActionBlocks.reserve(Prog.Actions.Blocks.size());
   for (const ActionBlockInfo &B : Prog.Actions.Blocks)
     Ctx.ActionBlocks.push_back(B.ActionId != ActionBlockInfo::NoAction);
-}
-
-void JitCache::noteVisit(uint32_t Action, uint32_t Threshold) {
-  if (Action >= NumActions ||
-      State[Action].load(std::memory_order_relaxed) != Cold)
-    return;
-  uint32_t Seen = Visits[Action].fetch_add(1, std::memory_order_relaxed) + 1;
-  if (Seen < Threshold)
-    return;
-  std::lock_guard<std::mutex> Lock(Mu);
-  if (State[Action].load(std::memory_order_relaxed) == Cold)
-    compileLocked(Action);
-}
-
-void JitCache::compileLocked(uint32_t Action) {
-  std::vector<uint8_t> GCode, UCode;
-  uint32_t GWords = 0, UWords = 0;
-  if (!emitAction(Ctx, Action, /*Guarded=*/true, GCode, GWords) ||
-      !emitAction(Ctx, Action, /*Guarded=*/false, UCode, UWords)) {
-    State[Action].store(NoCompile, std::memory_order_relaxed);
-    return;
-  }
-  assert(GWords == UWords && "guard variants must agree on span layout");
-
-  // Both variants share one page-rounded W^X chunk, published together.
-  std::vector<uint8_t> Both = GCode;
-  Both.insert(Both.end(), UCode.begin(), UCode.end());
-  const uint8_t *Base = Arena.publish(Both.data(), Both.size());
-  if (!Base) {
-    State[Action].store(NoCompile, std::memory_order_relaxed);
-    return;
-  }
-
-  Words[Action] = GWords;
-  Compiled.fetch_add(1, std::memory_order_relaxed);
-  CodeBytes.fetch_add(Both.size(), std::memory_order_relaxed);
-  // Release: a reader that sees either pointer sees the code bytes, the
-  // protection flip and Words[Action].
-  UnguardedFns[Action].store(
-      reinterpret_cast<JitFn>(
-          reinterpret_cast<uintptr_t>(Base + GCode.size())),
-      std::memory_order_release);
-  GuardedFns[Action].store(
-      reinterpret_cast<JitFn>(reinterpret_cast<uintptr_t>(Base)),
-      std::memory_order_release);
-  State[Action].store(Published, std::memory_order_relaxed);
 }
 
 void JitCache::noteSlowStep(uint32_t Threshold) {

@@ -1,27 +1,23 @@
-//===- JitCache.h - Per-plan compiled-action cache --------------*- C++ -*-===//
+//===- JitCache.h - Per-plan slow-step code cache ---------------*- C++ -*-===//
 //
 // Part of the Facile reproduction project.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The compile queue and code store for one ExecPlan. Like the plan it is
-/// compiled from, a JitCache is shared by every session running that plan
+/// The code store for one ExecPlan: its slow-step function and the emit
+/// context the trace tier compiles against. Like the plan it is compiled
+/// from, a JitCache is shared by every session running that plan
 /// (SharedProgram holds one lazily; owned-plan simulations hold a private
 /// one), so all mutation is thread-safe:
 ///
-///  - visit counters are relaxed atomics bumped from the replay loop and
-///    the slow engine;
+///  - the slow-step counter is a relaxed atomic bumped from the slow
+///    engine;
 ///  - compilation is serialized by a mutex and happens at most once per
-///    action, and once per plan for the slow-step function (success or a
-///    permanent "leave it interpreted" verdict);
+///    plan (success or a permanent "leave it interpreted" verdict);
 ///  - entry points are published by a release store after the W^X arena
-///    flipped the chunk read-execute; the engines acquire-load them, so a
-///    non-null pointer always sees finished code.
-///
-/// Two variants exist per action — guarded and unguarded — differing only
-/// in the Fetch template (bail vs produce-0 on out-of-range addresses),
-/// mirroring the two interpreter instantiations.
+///    flipped the chunk read-execute; the slow engine acquire-loads them,
+///    so a non-null pointer always sees finished code.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,7 +28,6 @@
 #include "src/jit/JitEmitter.h"
 
 #include <atomic>
-#include <memory>
 #include <mutex>
 
 namespace facile {
@@ -49,28 +44,9 @@ public:
   JitCache(const JitCache &) = delete;
   JitCache &operator=(const JitCache &) = delete;
 
-  uint32_t actionCount() const { return NumActions; }
-
   /// The emit context built for this plan — shared with the trace tier so
   /// both compile against identical constants.
   const EmitContext &ctx() const { return Ctx; }
-
-  /// The compiled entry point for \p Action in the given guard mode, or
-  /// null while it is still interpreted.
-  JitFn fn(uint32_t Action, bool Guarded) const {
-    return (Guarded ? GuardedFns : UnguardedFns)[Action].load(
-        std::memory_order_acquire);
-  }
-
-  /// Placeholder words the compiled action consumes. Only meaningful once
-  /// fn() returned non-null (the acquire load orders this read); callers
-  /// must verify a node's DataLen equals this before running native code.
-  uint32_t words(uint32_t Action) const { return Words[Action]; }
-
-  /// Counts one interpreted replay visit; compiles the action once the
-  /// count reaches \p Threshold (sessions may configure different trip
-  /// points over one shared cache — first to trip compiles).
-  void noteVisit(uint32_t Action, uint32_t Threshold);
 
   //===-- Slow-step function -----------------------------------------------
   // The whole slow stream compiles once per plan, into one function per
@@ -91,9 +67,6 @@ public:
   /// count reaches \p Threshold.
   void noteSlowStep(uint32_t Threshold);
 
-  uint64_t compiledActions() const {
-    return Compiled.load(std::memory_order_relaxed);
-  }
   /// Blocks covered by the compiled slow-step function (0 until then).
   uint64_t compiledBlocks() const {
     return CompiledBlocks.load(std::memory_order_relaxed);
@@ -113,23 +86,15 @@ private:
     return (Guarded ? 2u : 0u) + (Recording ? 1u : 0u);
   }
 
-  void compileLocked(uint32_t Action);
   void compileSlowLocked();
 
   EmitContext Ctx;
-  uint32_t NumActions = 0;
-  std::unique_ptr<std::atomic<JitFn>[]> GuardedFns;
-  std::unique_ptr<std::atomic<JitFn>[]> UnguardedFns;
-  std::unique_ptr<std::atomic<uint32_t>[]> Visits;
-  std::unique_ptr<std::atomic<uint8_t>[]> State;
-  std::vector<uint32_t> Words; ///< written under Mu before publication
   std::atomic<JitSlowFn> SlowFns[4]; ///< by variant()
   std::atomic<uint32_t> SlowSteps{0};
   std::atomic<uint8_t> SlowState{Cold};
   uint32_t SlowWords = 0; ///< written under Mu before publication
   std::mutex Mu;
   JitArena Arena;
-  std::atomic<uint64_t> Compiled{0};
   std::atomic<uint64_t> CompiledBlocks{0};
   std::atomic<uint64_t> SlowCompileUs{0};
   std::atomic<uint64_t> CodeBytes{0};

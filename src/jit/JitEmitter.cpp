@@ -448,7 +448,7 @@ public:
 };
 
 //===----------------------------------------------------------------------===//
-// Per-action compilation
+// Action bodies and the slow-step function
 //===----------------------------------------------------------------------===//
 
 class ActionCompiler {
@@ -456,9 +456,7 @@ public:
   ActionCompiler(const EmitContext &Ctx, bool Guarded, Asm &A)
       : Ctx(Ctx), Guarded(Guarded), A(A) {}
 
-  bool compile(uint32_t Action, uint32_t &WordsOut);
-
-  /// Emits just the instruction stream of \p Action at the current code
+  /// Emits the instruction stream of \p Action at the current code
   /// position — no prologue, epilogue or bail stubs. The register
   /// contract is the standing one (rbx/r12/r13/r14/r15); the placeholder
   /// cursor restarts at Span[0], so the caller must point r13 at the
@@ -964,56 +962,6 @@ bool ActionCompiler::emitBody(uint32_t Action, uint32_t &WordsOut) {
   return true;
 }
 
-bool ActionCompiler::compile(uint32_t Action, uint32_t &WordsOut) {
-  const ExecPlan &P = *Ctx.Plan;
-  uint32_t Begin = P.ActionOfs[Action], End = P.ActionOfs[Action + 1];
-  if (Begin == End)
-    return false; // nothing to gain; keep empty actions interpreted
-
-  // Prologue: save callee-saved state, cache the frame pointers, zero the
-  // TestValue accumulator, reserve the extern argument scratch (keeps rsp
-  // 16-aligned at every call site: entry rsp%16==8, +5 pushes, -128).
-  A.push(RBX);
-  A.push(R12);
-  A.push(R13);
-  A.push(R14);
-  A.push(R15);
-  A.movRR(RBX, RDI);
-  A.movRR(R13, RSI);
-  A.movRM(R12, RBX, 0);
-  A.movRM(R14, RBX, 8);
-  A.xorR32(R15);
-  A.subRI32(RSP, 128);
-
-  if (!emitBody(Action, WordsOut))
-    return false;
-
-  A.movRR(RAX, R15);
-  size_t Exit = A.size();
-  A.addRI32(RSP, 128);
-  A.pop(R15);
-  A.pop(R14);
-  A.pop(R13);
-  A.pop(R12);
-  A.pop(RBX);
-  A.ret();
-
-  if (!FetchBails.empty()) {
-    for (size_t Pos : FetchBails)
-      A.patchHere(Pos);
-    A.movRI32s(RAX, static_cast<int32_t>(BailFetchOob));
-    A.patch(A.jmp(), Exit);
-  }
-  if (!ExternBails.empty()) {
-    for (size_t Pos : ExternBails)
-      A.patchHere(Pos);
-    A.movRI32s(RAX, static_cast<int32_t>(BailExternFail));
-    A.patch(A.jmp(), Exit);
-  }
-
-  return true;
-}
-
 bool ActionCompiler::compileSlowStep(bool Rec, uint32_t &CaptureWordsOut) {
   const ExecPlan &P = *Ctx.Plan;
   if (P.BlockOfs.size() < 2)
@@ -1204,15 +1152,15 @@ bool ActionCompiler::compileSlowStep(bool Rec, uint32_t &CaptureWordsOut) {
 // One function per trace shape running a whole recorded node tree: per
 // node a three-instruction span setup — the node's word offset loaded from
 // the binding table, scaled onto the base or overlay pool pointer — then
-// the same instruction templates as per-action code, then direct-threaded
-// control flow: Test nodes compare the accumulated TestValue and branch
-// straight into the successor's block. Edges with no recorded successor,
-// and End nodes, compile to exit stubs returning the exit's index; the
-// caller maps those back to recovery or end-of-step through TraceExitDesc
-// and the binding table.
+// the instruction templates the slow-step function uses, then
+// direct-threaded control flow: Test nodes compare the accumulated
+// TestValue and branch straight into the successor's block. Edges with no
+// recorded successor, and End nodes, compile to exit stubs returning the
+// exit's index; the caller maps those back to recovery or end-of-step
+// through TraceExitDesc and the binding table.
 //
-// Register plan extends the per-action one by rbp = binding table
-// (arriving in rsi; callee-saved so helper calls keep it). r13 becomes a
+// Register plan: the standing one (JitEmitter.h) with rbp = binding table
+// (arriving in rsi; callee-saved so helper calls keep it) and r13 a
 // per-node span pointer. Prologue: 6 pushes + sub rsp,136 keeps rsp
 // 16-aligned at call sites with the same 128-byte extern scratch.
 //===----------------------------------------------------------------------===//
@@ -1389,18 +1337,6 @@ bool TraceCompiler::compile(const std::vector<TraceNodeDesc> &Nodes,
 }
 
 } // namespace
-
-bool jit::emitAction(const EmitContext &Ctx, uint32_t Action, bool Guarded,
-                     std::vector<uint8_t> &Code, uint32_t &WordsOut) {
-  if (!available() || !Ctx.Plan || !Ctx.Image || !Ctx.Hooks.Extern)
-    return false;
-  Asm A;
-  ActionCompiler C(Ctx, Guarded, A);
-  if (!C.compile(Action, WordsOut))
-    return false;
-  Code = std::move(A.Code);
-  return true;
-}
 
 bool jit::emitSlowStep(const EmitContext &Ctx, bool Guarded, bool Recording,
                        std::vector<uint8_t> &Code, uint32_t &CaptureWordsOut) {

@@ -5,25 +5,28 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Copy-and-patch compilation of one action's dynamic-only XInst stream to
-/// native x86-64: one fixed instruction template per XOp, stitched in
-/// stream order with the operand fields patched in as immediates and fixed
+/// Copy-and-patch compilation of the plan's XInst streams to native
+/// x86-64: one fixed instruction template per XOp, stitched in stream
+/// order with the operand fields patched in as immediates and fixed
 /// displacements. There is no IR and no register allocation — the CVC
 /// observation applies: direct emission over a small opcode set already
-/// removes the whole dispatch-and-decode cost that dominates replay.
+/// removes the whole dispatch-and-decode cost that dominates replay. Two
+/// kinds of function use the templates: the plan's slow-step function
+/// (emitSlowStep) and entry-trace shapes (emitTrace), whose End exits
+/// chain through a per-session stub (emitChainStub).
 ///
 /// Register plan (all callee-saved, so helper calls need no spills):
 ///   rbx  JitFrame*              r14  DynGlobals base
 ///   r12  DynSlots base          r15  TestValue accumulator
-///   r13  placeholder Span base
-/// rax/rcx/rdx/rsi/rdi/r8-r11 are per-template scratch. The prologue
-/// reserves 128 bytes of stack for extern argument gathering, keeping rsp
-/// 16-aligned at every call site.
+///   r13  span / capture cursor  rbp  function-specific (see each emitter)
+/// rax/rcx/rdx/rsi/rdi/r8-r11 are per-template scratch. Every prologue
+/// reserves a 128-byte extern argument scratch and keeps rsp 16-aligned at
+/// every call site.
 ///
-/// Placeholder reads compile to fixed `Span[K]` displacements: the number
-/// of words an action consumes is a compile-time constant of the plan
-/// (returned as \p WordsOut), which is what makes the caller's
-/// `DataLen == words` structural precheck sufficient.
+/// Placeholder reads of a fast stream compile to fixed `Span[K]`
+/// displacements: the number of words an action consumes is a
+/// compile-time constant of the plan, so a trace refuses any node whose
+/// recorded DataLen differs from it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -59,23 +62,11 @@ struct EmitContext {
   JitRuntimeHooks Hooks;
 };
 
-/// Compiles action \p Action into \p Code (relocatable: only rip-relative
-/// jumps internal to the function, all external references are absolute
-/// 64-bit immediates). \p Guarded selects the fetch template that bails on
-/// an out-of-range address (mirroring the guarded interpreter's immediate
-/// DecodeError) instead of producing 0. Returns false — emitting nothing
-/// usable — when the stream contains anything the templates cannot express
-/// bit-exactly or any statically invalid operand; the caller then pins the
-/// action to the interpreter. \p WordsOut receives the placeholder words
-/// the compiled stream consumes.
-bool emitAction(const EmitContext &Ctx, uint32_t Action, bool Guarded,
-                std::vector<uint8_t> &Code, uint32_t &WordsOut);
-
 /// Compiles the whole slow stream of the plan — every block of Plan.Code —
 /// into one JitSlowFn (see JitAbi.h) in \p Code: block bodies use the same
-/// templates as actions, run-time-static instructions against the frame's
-/// Stat* state and dynamic ones against the shared state; Jump and Branch
-/// terminators become native jumps between block labels. A \p Recording
+/// templates as trace nodes, run-time-static instructions against the
+/// frame's Stat* state and dynamic ones against the shared state; Jump and
+/// Branch terminators become native jumps between block labels. A \p Recording
 /// variant returns after every action block's terminator and writes every
 /// word the recording interpreter would pushData() for that block — static
 /// operands in placeholder order, memoized sync values — to

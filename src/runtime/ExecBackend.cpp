@@ -3,8 +3,8 @@
 // The two engine-dispatch strategies behind Simulation::step(), plus the
 // runtime-service thunks native code calls out to. The Jit backend owns
 // the per-session jit::JitSession (frame pointers, trip point, counters)
-// and arms Simulation::JitCtx with it; the replay loop in FastEngine.cpp
-// does the actual per-node native dispatch.
+// and arms Simulation::JitCtx with it; the engines call the compiled code
+// (FastEngine.cpp a bound trace, SlowEngine.cpp the slow-step function).
 //
 //===----------------------------------------------------------------------===//
 
@@ -144,8 +144,8 @@ public:
 
   void onStateReplaced() override { refreshFrame(); }
   void onCacheRebuilt() override {
-    // Per-action and trace shape code reference no cache arena (spans
-    // are resolved by the caller or read from a binding) and survive;
+    // Trace shape code references no cache arena (spans are read from a
+    // binding) and survives;
     // bindings name node ids and span offsets of the rebuilt arenas and
     // are dropped wholesale.
     Traces.dropBindings();
@@ -164,7 +164,9 @@ public:
   void exportMetrics(telemetry::MetricSink &Sink) const override {
     Sink.text("backend", name());
     Sink.flag("available", true);
-    Sink.counter("compiled_actions", Session.Cache->compiledActions());
+    // compiled_actions and bailouts read 0 (no code runs per action and
+    // nothing falls back per node); the keys stay for schema readers.
+    Sink.counter("compiled_actions", 0);
     Sink.counter("compiled_blocks", Session.Cache->compiledBlocks());
     // compiled_traces: trace shapes compiled; trace_bindings: entries
     // bound to one (re-bindings included).
@@ -176,7 +178,7 @@ public:
     // compiled_blocks: blocks the slow-step function covers;
     // slow_block_execs: native slow-step function calls.
     Sink.counter("slow_block_execs", Session.SlowCalls);
-    Sink.counter("bailouts", Session.Bailouts);
+    Sink.counter("bailouts", 0);
     Sink.counter("code_bytes", Session.Cache->codeBytes());
     Sink.counter("trace_code_bytes", Traces.codeBytes());
     Sink.counter("slow_compile_us", Session.Cache->slowCompileMicros());
@@ -189,14 +191,8 @@ public:
   }
 
   uint64_t compiledActions() const override {
-    // Every tier compiles actions to native code — per-action functions,
-    // the slow-step function's blocks, and trace shapes. Report the
-    // total; exportMetrics keeps the per-tier breakdown. (At low thresholds the
-    // trace tier can absorb every hot entry before a single per-action
-    // visit accrues, so the per-action counter alone may read zero on a
-    // run that is in fact fully JIT-compiled.)
-    return Session.Cache->compiledActions() + Session.Cache->compiledBlocks() +
-           Traces.compiledTraces();
+    // Both tiers: the slow-step function's blocks and trace shapes.
+    return Session.Cache->compiledBlocks() + Traces.compiledTraces();
   }
 
   uint64_t chainedSteps() const override { return Session.ChainedSteps; }

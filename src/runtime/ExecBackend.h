@@ -7,18 +7,19 @@
 /// \file
 /// The execution-backend seam: one object per Simulation deciding *how*
 /// memoized steps execute. Simulation::step() owns the policy around a step
-/// (keys, INDEX chaining, bypass, eviction, fault framing) and delegates
+/// (keys, INDEX chaining, admission, eviction, fault framing) and delegates
 /// the engine work — record a cold step, replay a cached entry — to its
 /// backend:
 ///
 ///  - InterpretBackend runs the template-specialized interpreter loops
 ///    exactly as before this seam existed; it is the fallback everywhere
 ///    the template JIT cannot run (non-x86-64 hosts, --jit=off).
-///  - JitBackend additionally arms the replay loop with a jit::JitSession:
-///    hot actions (visit count >= Options::JitThreshold) are compiled to
-///    native code by the plan's jit::JitCache and run natively, with a
-///    structural precheck falling back to the interpreter per node and
-///    bail codes mapping onto the same faults the interpreter raises.
+///  - JitBackend additionally arms the engines with a jit::JitSession: the
+///    slow engine calls the plan's compiled slow-step function (built by
+///    the plan's jit::JitCache), and a hot entry (replays >=
+///    Options::JitThreshold) binds to a compiled trace shape that replays
+///    the step in one native call and chains into the next one under
+///    run(). Bail codes map onto the same faults the interpreter raises.
 ///
 /// Both backends record and replay bit-identically — BackendKind, like
 /// Options::Guards, never enters compatKey().
@@ -26,8 +27,8 @@
 /// The three on*() hooks are the invalidation contract (INTERNALS.md "JIT
 /// backend"): compiled code bakes plan and image constants plus raw state
 /// pointers, so the owner must be told when state vectors are replaced
-/// (refresh the frame), when the cache arenas are rebuilt (re-resolved
-/// per node, so only counted), and when the plan is privatized for
+/// (refresh the frame), when the cache arenas are rebuilt (trace bindings
+/// name node ids, so they are dropped), and when the plan is privatized for
 /// mutation (native code for the old plan must never run again).
 ///
 //===----------------------------------------------------------------------===//
@@ -64,13 +65,13 @@ public:
   /// fast simulator. \p ChainFrom is the End node whose NextKey gave
   /// \p Key by an INDEX-chain hit, or ActionNode::NoNode. The base
   /// implementation is the interpreter replay; JitBackend keeps it too —
-  /// native dispatch happens inside the loop — after binding hot entries
+  /// the loop dispatches a bound entry's trace — after binding hot entries
   /// and filling the chain link \p ChainFrom's hit names.
   virtual Simulation::ReplayResult replay(EntryId Entry, KeyId Key,
                                           uint32_t ChainFrom);
 
   /// Records one step through the slow simulator (\p Rec may be NoId for
-  /// unrecorded slow steps: memoization off, or bypass active).
+  /// unrecorded slow steps: memoization off, or an unadmitted first touch).
   virtual void record(EntryId Rec);
 
   //===-- Invalidation hooks -------------------------------------------------
@@ -94,10 +95,10 @@ public:
   /// the statsJson schema is identical across backends.
   virtual void exportMetrics(telemetry::MetricSink &Sink) const;
 
-  /// Action artifacts compiled to native code so far across all tiers
-  /// (per-action functions + slow-step blocks + trace shapes; 0 on the
-  /// interpreter) — the cheap programmatic probe for "did the JIT
-  /// actually engage". The metric group keeps the per-tier breakdown.
+  /// Artifacts compiled to native code so far across both tiers
+  /// (slow-step blocks + trace shapes; 0 on the interpreter) — the cheap
+  /// programmatic probe for "did the JIT actually engage". The metric
+  /// group keeps the per-tier breakdown.
   virtual uint64_t compiledActions() const { return 0; }
 
   /// Steps entered by a native chain jump so far (jit.chained_steps; 0 on

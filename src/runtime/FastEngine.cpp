@@ -36,7 +36,6 @@
 
 #include "src/runtime/Simulation.h"
 
-#include "src/jit/JitCache.h"
 #include "src/jit/JitTrace.h"
 #include "src/telemetry/Profiler.h"
 
@@ -73,12 +72,12 @@ Simulation::ReplayResult Simulation::runFastImpl(EntryId Entry, KeyId Key) {
   uint32_t NodeIdx = Cache.entry(Entry).Head;
   uint64_t IncomingTag = Guarded ? ActionCache::headTag(Key) : 0;
   bool ExecutedAny = false;
-  bool AnyNative = false; ///< >=1 node ran as compiled code this step
+  bool AnyNative = false; ///< a trace ran part of this step
   uint32_t Walked = 0;
   uint64_t ProfNodes = 0; ///< nodes walked this step (Profiled only)
   int64_t ArgBuf[16];
-  // Armed only by the Jit backend; hoisted so the per-node cost of the
-  // Interpret backend is one dead pointer test.
+  // Armed only by the Jit backend; hoisted so the Interpret backend pays
+  // one dead pointer test a step.
   jit::JitSession *const Jit = JitCtx;
 
   // Routes a detected corruption: before any node executed the step can be
@@ -236,38 +235,6 @@ Simulation::ReplayResult Simulation::runFastImpl(EntryId Entry, KeyId Key) {
                          static_cast<uint64_t>(End - IP), N.DataLen);
       ++ProfNodes;
     }
-    // Template-JIT dispatch: hot actions run as native code. The
-    // structural precheck (the node's span is exactly the word count the
-    // code was compiled for) is what lets compiled code index Span with
-    // fixed displacements; a mismatch is a bailout to the interpreter
-    // below, never a divergence. Negative returns are bails for
-    // conditions that fault in the interpreter too (JitAbi.h), so a
-    // bailed node is never re-run.
-    bool Native = false;
-    if (Jit && IP != End) {
-      const uint32_t Action = static_cast<uint32_t>(N.ActionId);
-      if (jit::JitFn Fn = Jit->Cache->fn(Action, Guarded)) {
-        if (N.DataLen == Jit->Cache->words(Action)) {
-          int64_t R = Fn(&Jit->Frame, Span);
-          if (R < 0) {
-            if (R == jit::BailFetchOob)
-              raiseFault(FaultKind::DecodeError,
-                         "instruction fetch outside the text segment");
-            // BailExternFail: externCall already raised inside the thunk.
-            return ReplayResult::Faulted;
-          }
-          TestValue = R;
-          DataPos = N.DataLen;
-          Native = true;
-          AnyNative = true;
-        } else {
-          ++Jit->Bailouts;
-        }
-      } else {
-        Jit->Cache->noteVisit(Action, Jit->Threshold);
-      }
-    }
-    if (!Native)
     for (; IP != End; ++IP) {
       const XInst &I = *IP;
       auto readOperand = [&](uint32_t Slot, unsigned Pos) -> int64_t {
@@ -475,12 +442,9 @@ Simulation::ReplayResult Simulation::runFastImpl(EntryId Entry, KeyId Key) {
 }
 
 void Simulation::noteChainedSteps(uint64_t N) {
-  // Each was a chain hit, a lookup hit and a fully traced fast step;
-  // none reached a bypass-window evaluation (chainBudget).
+  // Each was a chain hit, a lookup hit and a fully traced fast step.
   S.FastSteps += N;
   Cache.noteChainedHits(N);
-  if (Opts.AdaptiveBypass)
-    WinSteps += N;
   JitCtx->JitSteps += N;
   JitCtx->TraceSteps += N;
   JitCtx->ChainedSteps += N;

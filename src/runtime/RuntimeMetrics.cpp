@@ -52,8 +52,9 @@ void Simulation::registerMetrics(telemetry::MetricsRegistry &R) const {
     Sink.counter("faults", S.Faults);
     Sink.counter("corrupt_dropped", S.CorruptDropped);
   });
+  // Kept for statsJson v2 readers: no step bypasses memoization.
   R.add("bypass", [this](telemetry::MetricSink &Sink) {
-    Sink.flag("active", BypassActive);
+    Sink.flag("active", false);
     Sink.counter("activations", S.BypassActivations);
     Sink.counter("bypassed_steps", S.BypassedSteps);
   });

@@ -631,13 +631,8 @@ bool Simulation::deserializeState(snapshot::Reader &R) {
   StatLocalArrays = std::move(NewStatLocalArrays);
   StateKey = NoId; // the loaded dynamic store is current
   // The INDEX chain points into the action cache of the *previous* run;
-  // re-intern from scratch on the next step. The bypass heuristic is
-  // transient and restarts observation from a fresh window.
+  // re-intern from scratch on the next step.
   PendingEndNode = ActionNode::NoNode;
-  BypassActive = false;
-  BypassTrips = 0;
-  WinSteps = WinNonFast = 0;
-  WinEvictBase = Cache.stats().Clears + Cache.stats().Evictions;
   // Admission, like the first-touch filter, is not persisted: a resumed
   // session starts admitting on first touch with fresh windows.
   SecondTouch = false;
@@ -738,19 +733,6 @@ StepEngine Simulation::step() {
     return finishStep(StepEngine::Slow);
   }
 
-  // Adaptive bypass: while tripped, run the slow simulator unrecorded —
-  // the cache is thrashing and recording would only churn it further.
-  if (BypassActive) {
-    if (S.Steps < BypassUntil) {
-      Backend->record(NoId);
-      ++S.BypassedSteps;
-      return finishStep(StepEngine::Slow);
-    }
-    BypassActive = false; // cooldown over: observe a fresh window
-    WinSteps = WinNonFast = 0;
-    WinEvictBase = Cache.stats().Clears + Cache.stats().Evictions;
-  }
-
   ProfArmed = Profiler && Profiler->armStep();
 
   // INDEX chain (paper Figure 9, INDEX_ACTION): the previous step's End
@@ -845,8 +827,6 @@ StepEngine Simulation::step() {
     PendingEndNode = ActionNode::NoNode;
     Backend->onCacheRebuilt();
   }
-  if (Opts.AdaptiveBypass)
-    noteBypassWindow(Engine);
   return finishStep(Engine);
 }
 
@@ -917,37 +897,6 @@ void Simulation::flushTraceSpan() {
   OpenSteps = 0;
 }
 
-void Simulation::noteBypassWindow(StepEngine Engine) {
-  ++WinSteps;
-  if (Engine != StepEngine::Fast)
-    ++WinNonFast;
-  if (WinSteps < Opts.BypassWindow)
-    return;
-  uint64_t EvictNow = Cache.stats().Clears + Cache.stats().Evictions;
-  // Trip only on the thrashing signature: the window was dominated by
-  // non-replayed steps *and* the cache shed weight inside it. The second
-  // condition keeps cold warm-up (100% slow, no evictions) from tripping.
-  if (EvictNow > WinEvictBase &&
-      WinNonFast * 100 >= WinSteps * Opts.BypassTripPct) {
-    BypassActive = true;
-    ++S.BypassActivations;
-    BypassUntil =
-        S.Steps + (Opts.BypassCooldown << std::min<uint32_t>(BypassTrips, 6));
-    if (Tracer) {
-      flushTraceSpan();
-      Tracer->instant("bypass", "trip", "cooldown_steps",
-                      BypassUntil - S.Steps);
-    }
-    if (BypassTrips < 31)
-      ++BypassTrips;
-    PendingEndNode = ActionNode::NoNode;
-  } else if (WinNonFast * 100 <= WinSteps * Opts.BypassHealthyPct) {
-    BypassTrips = 0; // hysteresis: a healthy window forgives past trips
-  }
-  WinSteps = WinNonFast = 0;
-  WinEvictBase = EvictNow;
-}
-
 void Simulation::syncAdmissionWindow() {
   if (AdmEpoch == Cache.mutationEpoch())
     return;
@@ -1003,10 +952,6 @@ int64_t Simulation::chainBudget() const {
                         DeadlineCheckPeriod);
   if (Opts.StepLimit)
     B = std::min(B, Opts.StepLimit - std::min(Opts.StepLimit, S.Steps));
-  if (Opts.AdaptiveBypass) // evaluated when WinSteps reaches the window
-    B = std::min<uint64_t>(B, Opts.BypassWindow -
-                                  std::min<uint64_t>(Opts.BypassWindow,
-                                                     WinSteps + 1));
   // An over-budget cache evicts after this step; no step may run first.
   if (B != 0 && Cache.overBudget())
     B = 0;

@@ -64,7 +64,8 @@ class ExecBackend;
 enum class BackendKind : uint8_t {
   Auto,      ///< Jit where the template JIT is available, else Interpret
   Interpret, ///< the template-specialized interpreter loops only
-  Jit,       ///< native code for hot actions, interpreter for the rest
+  Jit,       ///< native slow steps and traces of hot entries; interpreter
+             ///< for the rest
 };
 
 const char *backendKindName(BackendKind K);
@@ -111,26 +112,14 @@ public:
     /// TargetMemory resident-page cap (MemoryBudgetExceeded). 0 = none.
     size_t MemPageBudget = 0;
 
-    /// Adaptive memoization bypass: when a sliding window of steps shows
-    /// the cache thrashing (mostly non-fast steps *and* at least one
-    /// eviction inside the window), stop recording/replaying for a
-    /// cooldown period and run the slow simulator unrecorded. Repeated
-    /// trips double the cooldown (capped); a healthy window resets the
-    /// escalation.
-    bool AdaptiveBypass = true;
-    uint32_t BypassWindow = 1024;     ///< steps per observation window
-    uint32_t BypassTripPct = 75;      ///< trip: non-fast % at or above this
-    uint32_t BypassHealthyPct = 25;   ///< reset escalation at or below this
-    uint64_t BypassCooldown = 4096;   ///< base bypassed steps per trip
-
     /// Execution backend (ExecBackend.h). Auto resolves to Jit on hosts
     /// where the template JIT runs (x86-64 with mmap; the FACILE_JIT
     /// environment variable overrides Auto), else Interpret. An explicit
     /// Jit request degrades to Interpret when unsupported — never an
     /// error. Does not affect compatKey().
     BackendKind Backend = BackendKind::Auto;
-    /// Interpreted replay visits of an action (or entry trace) before the
-    /// Jit backend compiles it, and slow steps before the plan's slow-step
+    /// Interpreted replays of a cache entry before the Jit backend binds
+    /// it to a trace shape, and slow steps before the plan's slow-step
     /// function compiles. When left at the default, the
     /// FACILE_JIT_THRESHOLD environment variable overrides it
     /// (harness-wide experiments).
@@ -148,8 +137,10 @@ public:
     uint64_t PlaceholderWords = 0;
     uint64_t Faults = 0;         ///< structured faults raised
     uint64_t CorruptDropped = 0; ///< corrupt entries detached, step ran cold
-    uint64_t BypassActivations = 0; ///< adaptive-bypass trips
-    uint64_t BypassedSteps = 0;     ///< steps run unrecorded while bypassed
+    // Checkpoint words kept for the format: no step bypasses memoization,
+    // so both read 0.
+    uint64_t BypassActivations = 0;
+    uint64_t BypassedSteps = 0;
     // Admission (Simulation::step): session-local, not in checkpoints.
     uint64_t UnadmittedSteps = 0;  ///< first touches run unrecorded
     uint64_t SecondTouchAdmits = 0; ///< keys recorded on their second touch
@@ -245,7 +236,6 @@ public:
   /// target state and finds it undecodable).
   void raiseFault(FaultKind Kind, const char *Detail);
   void setStepLimit(uint64_t Limit) { Opts.StepLimit = Limit; }
-  bool bypassActive() const { return BypassActive; }
 
   //===-- Admission ------------------------------------------------------------
   //
@@ -316,7 +306,7 @@ public:
   /// Attaches \p T (null detaches, flushing the open span). Cost while
   /// null: one pointer test per step. Enabled tracing reads the clock only
   /// at engine transitions — consecutive same-engine steps merge into one
-  /// span — plus one read per instant (eviction, fault, bypass trip).
+  /// span — plus one read per instant (eviction, fault).
   void setTracer(telemetry::EventTracer *T);
   telemetry::EventTracer *tracer() const { return Tracer; }
   /// Closes the currently open merged step span, if any. Hosts call this
@@ -458,8 +448,8 @@ private:
   ReplayResult runFastImpl(EntryId Entry, KeyId Key);
   ReplayResult runFast(EntryId Entry, KeyId Key);
   /// Chain jumps the next trace call may take: ChainLeft, cut short so no
-  /// chained step reaches a deadline consultation, the step limit or a
-  /// bypass-window evaluation, and 0 while the cache is over budget.
+  /// chained step reaches a deadline consultation or the step limit, and
+  /// 0 while the cache is over budget.
   int64_t chainBudget() const;
   /// Accounts \p N steps that ran to completion after native chain jumps
   /// (their Steps and StateKey are kept by the chain stub itself).
@@ -505,8 +495,6 @@ private:
   /// raised (unregistered handler, injected failure, or the handler
   /// returned nullopt); \p Out is untouched then.
   bool externCall(const XInst &I, const int64_t *Args, int64_t &Out);
-  /// Per-window bypass accounting, called once per memoized step.
-  void noteBypassWindow(StepEngine Engine);
   /// Admission of a miss step's key with hash \p Hash (no entry yet):
   /// true records it. Accounts the second-touch window.
   bool admitKey(uint64_t Hash);
@@ -583,14 +571,6 @@ private:
   uint8_t OpenKind = NoOpenSpan; ///< StepEngine of the open span
   uint64_t OpenStartUs = 0;
   uint64_t OpenSteps = 0;
-
-  // Adaptive-bypass state machine (Options::AdaptiveBypass).
-  bool BypassActive = false;
-  uint64_t BypassUntil = 0;   ///< lifetime step count to resume memoizing at
-  uint32_t BypassTrips = 0;   ///< consecutive trips (cooldown escalation)
-  uint64_t WinSteps = 0;      ///< memoized steps in the current window
-  uint64_t WinNonFast = 0;    ///< of those, not fully replayed
-  uint64_t WinEvictBase = 0;  ///< cache clears+evictions at window start
 
   // Admission state machine (see secondTouchAdmission()).
   bool SecondTouch = false;

@@ -147,6 +147,28 @@ const json::Value *lineRequestId(const std::string &Line, json::Value &Req) {
   return nullptr;
 }
 
+/// Bounds of create's footprint and budget fields: 4096 K words is 16 MB
+/// of target data, 8x the largest suite workload's; 1024 kernels are 8x
+/// gcc's 120; a budget of 2^20 MB shifts into a byte count without wrap.
+constexpr int64_t MaxDataKWords = 4096;
+constexpr int64_t MaxNumKernels = 1024;
+constexpr int64_t MaxBudgetMb = int64_t(1) << 20;
+
+/// Reads integer member \p Name of \p Obj into \p Out when present. An
+/// empty result accepts; otherwise it is the bad-request message for a
+/// non-integer or a value outside [Lo, Hi].
+std::string readBounded(const json::Value &Obj, const char *Name, int64_t Lo,
+                        int64_t Hi, int64_t &Out) {
+  const json::Value *V = Obj.get(Name);
+  if (!V)
+    return std::string();
+  if (!V->isInt() || V->intOr(0) < Lo || V->intOr(0) > Hi)
+    return strFormat("'%s' must be an integer in [%lld, %lld]", Name,
+                     static_cast<long long>(Lo), static_cast<long long>(Hi));
+  Out = V->intOr(0);
+  return std::string();
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -917,18 +939,21 @@ std::string FacileServer::Impl::verbCreate(const json::Value &Req,
     return errorLine(Id, ErrCode::BadRequest,
                      strFormat("unknown workload '%s'", WorkloadName.c_str()));
   workload::WorkloadSpec Spec = *Found;
-  uint64_t OuterIters = 2;
-  if (const json::Value *V = Req.get("outer_iters")) {
-    if (!V->isInt() || V->intOr(0) <= 0)
-      return errorLine(Id, ErrCode::BadRequest,
-                       "'outer_iters' must be a positive integer");
-    OuterIters = static_cast<uint64_t>(V->intOr(2));
-  }
-  // Optional footprint shrink knobs, mainly for tests and smoke runs.
-  if (const json::Value *V = Req.get("data_kwords"))
-    Spec.DataKWords = static_cast<unsigned>(V->intOr(Spec.DataKWords));
-  if (const json::Value *V = Req.get("num_kernels"))
-    Spec.NumKernels = static_cast<unsigned>(V->intOr(Spec.NumKernels));
+  // The outer count is loaded into a 32-bit register; data_kwords and
+  // num_kernels are footprint knobs, mainly for tests and smoke runs.
+  // Generation splits the data among the kernels, so neither may be 0,
+  // and both are bounded so a request cannot build an outsized image.
+  int64_t OuterIters = 2, DataKWords = Spec.DataKWords,
+          NumKernels = Spec.NumKernels;
+  std::string Bad = readBounded(Req, "outer_iters", 1, 0x7fffffff, OuterIters);
+  if (Bad.empty())
+    Bad = readBounded(Req, "data_kwords", 1, MaxDataKWords, DataKWords);
+  if (Bad.empty())
+    Bad = readBounded(Req, "num_kernels", 1, MaxNumKernels, NumKernels);
+  if (!Bad.empty())
+    return errorLine(Id, ErrCode::BadRequest, Bad);
+  Spec.DataKWords = static_cast<unsigned>(DataKWords);
+  Spec.NumKernels = static_cast<unsigned>(NumKernels);
 
   rt::Simulation::Options SimOpts = Opts.DefaultSimOptions;
   uint64_t StepDelayUs = 0;
@@ -942,18 +967,21 @@ std::string FacileServer::Impl::verbCreate(const json::Value &Req,
           static_cast<uint64_t>(std::max<int64_t>(0, V->intOr(0))), 1u << 20);
     if (const json::Value *V = O->get("memoize"))
       SimOpts.Memoize = V->boolOr(SimOpts.Memoize);
-    if (const json::Value *V = O->get("cache_budget_mb"))
-      SimOpts.CacheBudgetBytes =
-          static_cast<size_t>(V->intOr(256)) << 20;
+    int64_t CacheMb = -1, MemMb = -1; // -1: absent, keep the default
+    Bad = readBounded(*O, "cache_budget_mb", 0, MaxBudgetMb, CacheMb);
+    if (Bad.empty())
+      Bad = readBounded(*O, "mem_budget_mb", 0, MaxBudgetMb, MemMb);
+    if (!Bad.empty())
+      return errorLine(Id, ErrCode::BadRequest, "'options." + Bad.substr(1));
+    if (CacheMb >= 0)
+      SimOpts.CacheBudgetBytes = static_cast<size_t>(CacheMb) << 20;
+    if (MemMb >= 0)
+      SimOpts.MemPageBudget =
+          (static_cast<size_t>(MemMb) << 20) >> TargetMemory::PageBits;
     if (const json::Value *V = O->get("guards"))
       SimOpts.Guards = V->boolOr(SimOpts.Guards);
     if (const json::Value *V = O->get("max_steps"))
       SimOpts.StepLimit = static_cast<uint64_t>(V->intOr(0));
-    if (const json::Value *V = O->get("mem_budget_mb"))
-      SimOpts.MemPageBudget =
-          (static_cast<size_t>(V->intOr(0)) << 20) >> TargetMemory::PageBits;
-    if (const json::Value *V = O->get("adaptive_bypass"))
-      SimOpts.AdaptiveBypass = V->boolOr(SimOpts.AdaptiveBypass);
     if (const json::Value *V = O->get("eviction")) {
       const std::string &E = V->strOr("");
       if (E == "clearall")

@@ -8,8 +8,8 @@
 /// An execution tracer whose output loads directly into Chrome's
 /// about:tracing / Perfetto: spans (emitted as matched "B"/"E" event
 /// pairs) for slow-record vs. fast-replay step batches, instants ("i")
-/// for one-shot happenings — cache evictions, structured faults, bypass
-/// trips, snapshot loads and saves.
+/// for one-shot happenings — cache evictions, structured faults, snapshot
+/// loads and saves.
 ///
 /// Discipline (the same epoch-gating spirit as the guarded replay's
 /// verification marks): the *disabled* tracer costs the runtime exactly

@@ -57,7 +57,6 @@ struct FinalState {
   // itself — node count, data-pool words and a digest of its compacted
   // image (data pool, seals and key pool).
   uint64_t PlaceholderWords = 0;
-  uint64_t BypassedSteps = 0;
   uint64_t KeysInterned = 0;
   uint64_t CacheNodes = 0;
   uint64_t CacheDataWords = 0;
@@ -91,7 +90,6 @@ FinalState capture(SimKind Kind, const FacileSim &Sim,
   F.CompiledActions = Sim.sim().jitCompiledActions();
   F.BackendName = Sim.sim().backendName();
   F.PlaceholderWords = Sim.sim().stats().PlaceholderWords;
-  F.BypassedSteps = Sim.sim().stats().BypassedSteps;
   F.UnadmittedSteps = Sim.sim().stats().UnadmittedSteps;
   F.AdmissionSwitches = Sim.sim().stats().AdmissionSwitches;
   F.SecondTouch = Sim.sim().secondTouchAdmission();
@@ -472,7 +470,6 @@ FinalState expectJitMatches(SimKind Kind, const isa::TargetImage &Image,
   EXPECT_EQ(J.Steps, I.Steps);
   EXPECT_EQ(J.FastSteps, I.FastSteps);
   EXPECT_EQ(J.Misses, I.Misses);
-  EXPECT_EQ(J.BypassedSteps, I.BypassedSteps);
   EXPECT_EQ(J.UnadmittedSteps, I.UnadmittedSteps);
   EXPECT_EQ(J.AdmissionSwitches, I.AdmissionSwitches);
   EXPECT_EQ(J.PlaceholderWords, I.PlaceholderWords);
@@ -491,15 +488,18 @@ FinalState expectJitMatches(SimKind Kind, const isa::TargetImage &Image,
 
 TEST(Differential, JitMatchesInterpreter) {
   // The template-JIT backend is an execution strategy, not a semantics: a
-  // run dispatched through compiled actions, the slow-step function and
-  // entry traces must be bit-identical to the interpreting backend — same
+  // run dispatched through the slow-step function and entry traces must
+  // be bit-identical to the interpreting backend — same
   // architectural state, same memory digest, the same step accounting
   // (Steps, FastSteps, Misses, RetiredTotal, Cycles), and the same
   // recording down to the cache image, since the JIT sits below the
   // memoization layer and never changes which engine a step takes or what
-  // it records. Runs every simulator over both workloads, memo on and off;
-  // memo-off also proves that forcing Backend=Jit with nothing to replay
-  // degrades cleanly instead of erroring.
+  // it records. Runs every simulator over both workloads, memo on and off,
+  // at threshold 1 (everything hot binds at once) and at the default
+  // threshold (an entry's first replays, and what follows a side exit into
+  // a stale binding, run interpreted); memo-off also proves that forcing
+  // Backend=Jit with nothing to replay degrades cleanly instead of
+  // erroring.
   if (!jit::available())
     GTEST_SKIP() << "no template-JIT backend on this host";
   for (SimKind Kind :
@@ -508,17 +508,21 @@ TEST(Differential, JitMatchesInterpreter) {
       isa::TargetImage Image = workload::generate(Spec, 2);
       constexpr uint64_t MaxInstrs = 1'000'000;
       for (bool Memo : {true, false}) {
-        SCOPED_TRACE(std::string(kindName(Kind)) + " on " + Spec.Name +
-                     (Memo ? " (memo on)" : " (memo off)"));
-        rt::Simulation::Options Interp;
-        Interp.Memoize = Memo;
-        // Threshold 1: compile everything hot immediately.
-        FinalState J = expectJitMatches(Kind, Image, Interp, 1, MaxInstrs);
-        if (Memo) {
-          // The comparison is vacuous unless the JIT actually compiled
-          // and the memoized path actually ran.
-          EXPECT_GT(J.CompiledActions, 0u);
-          EXPECT_GT(J.FastSteps, 0u);
+        for (uint32_t Threshold :
+             {1u, rt::Simulation::Options::DefaultJitThreshold}) {
+          SCOPED_TRACE(std::string(kindName(Kind)) + " on " + Spec.Name +
+                       (Memo ? " (memo on)" : " (memo off)") +
+                       " at threshold " + std::to_string(Threshold));
+          rt::Simulation::Options Interp;
+          Interp.Memoize = Memo;
+          FinalState J =
+              expectJitMatches(Kind, Image, Interp, Threshold, MaxInstrs);
+          if (Memo) {
+            // The comparison is vacuous unless the JIT actually compiled
+            // and the memoized path actually ran.
+            EXPECT_GT(J.CompiledActions, 0u);
+            EXPECT_GT(J.FastSteps, 0u);
+          }
         }
       }
     }
@@ -529,9 +533,10 @@ TEST(Differential, JitSlowStepVariantsMatchInterpreter) {
   // Each variant of the compiled slow-step function against the
   // interpreter on ooo.fac over a gcc-shaped (branchy) program: recording
   // at the default threshold, so the first slow steps run interpreted and
-  // the rest native; run-to-Ret with memoization off; and both at once
-  // under a budget small enough to trip the adaptive bypass, whose steps
-  // run unrecorded between recording ones.
+  // the rest native; run-to-Ret with memoization off; recording under a
+  // budget small enough that the cache is cleared every few hundred steps;
+  // and both at once, where second-touch admission runs unadmitted steps
+  // unrecorded between recording ones.
   if (!jit::available())
     GTEST_SKIP() << "no template-JIT backend on this host";
   const workload::WorkloadSpec Gcc = testWorkloads()[1];
@@ -552,14 +557,22 @@ TEST(Differential, JitSlowStepVariantsMatchInterpreter) {
                      200'000);
   }
   {
-    SCOPED_TRACE("tiny budget, bypass");
+    SCOPED_TRACE("tiny budget");
     rt::Simulation::Options Tiny;
     Tiny.CacheBudgetBytes = 64u << 10;
-    Tiny.BypassWindow = 64;
-    Tiny.BypassCooldown = 128;
     FinalState J = expectJitMatches(SimKind::OutOfOrder, Image, Tiny,
                                     DefaultThreshold, 300'000);
-    EXPECT_GT(J.BypassedSteps, 0u);
+    EXPECT_GT(J.PlaceholderWords, 0u);
+  }
+  {
+    // The suite's gcc moves to second touch within 300 K instructions, so
+    // unadmitted first touches run unrecorded between recording steps.
+    SCOPED_TRACE("second touch");
+    const isa::TargetImage Suite =
+        workload::generate(*workload::findSpec("gcc"), 1u << 30);
+    FinalState J = expectJitMatches(SimKind::OutOfOrder, Suite, {},
+                                    DefaultThreshold, 300'000);
+    EXPECT_GT(J.UnadmittedSteps, 0u);
     EXPECT_GT(J.PlaceholderWords, 0u);
   }
 }

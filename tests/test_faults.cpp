@@ -703,58 +703,12 @@ TEST(RecoveryEdges, BackToBackMisses) {
 }
 
 //===----------------------------------------------------------------------===//
-// Adaptive memoization bypass
-//===----------------------------------------------------------------------===//
-
-// A key stream wide enough to thrash a tiny cache budget trips the bypass:
-// record/replay shuts off, steps run slow-unrecorded, and after the
-// cooldown the window re-opens.
-TEST(Bypass, TripsUnderThrashingAndRecovers) {
-  CompiledProgram P = compileOk(R"(
-    init val n = 0;
-    fun main() { n = (n + 1) % 4096; retire(1); }
-  )");
-  isa::TargetImage Img = emptyImage();
-  Simulation::Options Opts;
-  Opts.CacheBudgetBytes = 16 << 10; // thrashes: 4096 keys never fit
-  Opts.BypassWindow = 256;
-  Opts.BypassCooldown = 512;
-  Simulation Sim(P, Img, Opts);
-
-  RunResult R = Sim.run(8'192);
-  ASSERT_EQ(R.Status, RunStatus::Limit);
-  const Simulation::Stats &S = Sim.stats();
-  EXPECT_GT(S.BypassActivations, 0u);
-  EXPECT_GT(S.BypassedSteps, 0u);
-  EXPECT_GT(Sim.cache().stats().Clears + Sim.cache().stats().Evictions, 0u);
-  // Semantics are unchanged by the bypass.
-  EXPECT_EQ(Sim.getGlobal("n"), int64_t(8'192 % 4096));
-}
-
-// A loop that fits its cache must never trip the bypass: misses during
-// cold warm-up don't count without evictions in the same window.
-TEST(Bypass, DoesNotTripDuringWarmup) {
-  CompiledProgram P = compileOk(R"(
-    init val n = 0;
-    fun main() { n = (n + 1) % 64; retire(1); }
-  )");
-  isa::TargetImage Img = emptyImage();
-  Simulation::Options Opts;
-  Opts.BypassWindow = 32; // windows land entirely inside the cold lap
-  Simulation Sim(P, Img, Opts);
-  EXPECT_EQ(Sim.run(1'024).Status, RunStatus::Limit);
-  EXPECT_EQ(Sim.stats().BypassActivations, 0u);
-  EXPECT_EQ(Sim.stats().BypassedSteps, 0u);
-  EXPECT_GT(Sim.stats().FastSteps, 900u);
-}
-
-//===----------------------------------------------------------------------===//
 // Fault injection with the template-JIT backend forced on
 //===----------------------------------------------------------------------===//
 
 // The cache-corruption campaign rerun with Backend=Jit at threshold 1, so
-// compiled actions, block bodies and trace bindings are live when arenas are
-// flipped. The robustness contract does not weaken under native code: every
+// block bodies and trace bindings are live when arenas are flipped. The
+// robustness contract does not weaken under native code: every
 // run still ends clean (bit-identical to the uninjected interpreter
 // reference), absorbed, or with a structured cache/plan fault — never a
 // crash, hang, or silent divergence. Guard pages and the seal sweep have to

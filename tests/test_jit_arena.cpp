@@ -38,7 +38,8 @@ std::vector<uint8_t> stub(int32_t Value, size_t Pad) {
 }
 
 int64_t call(const uint8_t *Code) {
-  JitFn Fn = reinterpret_cast<JitFn>(reinterpret_cast<uintptr_t>(Code));
+  JitTraceFn Fn =
+      reinterpret_cast<JitTraceFn>(reinterpret_cast<uintptr_t>(Code));
   return Fn(nullptr, nullptr);
 }
 

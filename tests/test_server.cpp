@@ -219,7 +219,35 @@ TEST_F(ServerTest, BadCreateArgumentsAreRejected) {
       ErrCode::BadRequest);
   expectError(rpc(C, R"({"id":5,"verb":"create","outer_iters":-3})"),
               ErrCode::BadRequest);
-  // None of those half-created anything.
+  // Fields cast into the workload shape or a budget: a zero kernel count
+  // divided the data footprint by zero (SIGFPE), an outer count past 2^31
+  // failed generation's assert, and a negative budget shifted into a huge
+  // size_t.
+  const char *Hostile[] = {
+      R"("num_kernels":0)",
+      R"("num_kernels":-1)",
+      R"("num_kernels":"8")",
+      R"("num_kernels":1000000)",
+      R"("data_kwords":0)",
+      R"("data_kwords":-5)",
+      R"("data_kwords":4294967296)",
+      R"("data_kwords":1.5)",
+      R"("outer_iters":2147483648)",
+      R"("outer_iters":2.5)",
+      R"("options":{"cache_budget_mb":-1})",
+      R"("options":{"cache_budget_mb":"big"})",
+      R"("options":{"cache_budget_mb":17592186044416})",
+      R"("options":{"mem_budget_mb":-1})",
+  };
+  int64_t Id = 10;
+  for (const char *Field : Hostile) {
+    SCOPED_TRACE(Field);
+    expectError(rpc(C, R"({"id":)" + std::to_string(Id++) +
+                           R"(,"verb":"create","workload":"compress",)" +
+                           Field + "}"),
+                ErrCode::BadRequest);
+  }
+  // None of those half-created anything, and the daemon still serves.
   json::Value R = rpc(C, R"({"id":6,"verb":"stats"})");
   ASSERT_TRUE(isOk(R));
   const json::Value *Srv = R.get("stats") ? R.get("stats")->get("server")

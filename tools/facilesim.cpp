@@ -103,7 +103,7 @@ int main(int Argc, char **Argv) {
              return true;
            });
   P.custom("jit-threshold", "<n>",
-           "replays before an action or entry\ntrace compiles, and slow steps before\nthe slow-path function compiles\n(default 32)",
+           "replays before an entry binds to a\ntrace, and slow steps before the\nslow-step function compiles\n(default 32)",
            [&Opts](const std::string &V, std::string &Err) {
              char *End = nullptr;
              uint64_t N = std::strtoull(V.c_str(), &End, 10);
