@@ -61,7 +61,7 @@ inline uint64_t scaled(uint64_t Budget, double Scale) {
 /// A harness with extra flags registers them on parser() before parse():
 ///
 ///   BenchArgs Args("bench_fig12_facile");
-///   Args.parser().onOff("guards", GuardsOn, "guarded replay");
+///   Args.parser().choice("jit", JitMode, {"on", "off", "auto"}, "...");
 ///   if (int Rc = Args.parse(Argc, Argv); Rc != support::ArgParse::KeepGoing)
 ///     return Rc;
 class BenchArgs {

@@ -31,22 +31,56 @@
 #include "src/telemetry/Trace.h"
 #include "src/workload/Workloads.h"
 
+#include <algorithm>
 #include <cmath>
+#include <optional>
 
 using namespace facile;
 using namespace facile::bench;
 using namespace facile::sims;
 
+namespace {
+
+/// Kips of one configuration over three in-process runs. A single
+/// wall-clock sample of a 0.1-2 s run moves with host load on a shared
+/// machine; the median of three discards one outlier, and the raw
+/// samples go in the JSON.
+struct Kips {
+  double Samples[3] = {0, 0, 0};
+
+  double median() const {
+    double S[3] = {Samples[0], Samples[1], Samples[2]};
+    std::sort(S, S + 3);
+    return S[1];
+  }
+};
+
+/// Times \p Run three times. Each call builds a fresh simulator, runs it
+/// and returns {seconds, instructions retired}.
+template <typename Fn> Kips timeKips(Fn Run) {
+  Kips K;
+  for (double &S : K.Samples) {
+    auto [Seconds, Retired] = Run();
+    S = static_cast<double>(Retired) / Seconds / 1e3;
+  }
+  return K;
+}
+
+/// Runs a fresh FacileSim in \p Slot (replacing the previous one, so the
+/// last run stays inspectable) for \p Budget instructions.
+std::pair<double, uint64_t> runFacile(std::optional<FacileSim> &Slot,
+                                      const isa::TargetImage &Image,
+                                      const rt::Simulation::Options &Opts,
+                                      uint64_t Budget) {
+  Slot.emplace(SimKind::OutOfOrder, Image, Opts);
+  double T = timeIt([&] { Slot->run(Budget); });
+  return {T, Slot->sim().stats().RetiredTotal};
+}
+
+} // namespace
+
 int main(int Argc, char **Argv) {
   BenchArgs Args("bench_fig12_facile");
-  // --guards=off runs the memoized simulator with the guarded execution
-  // layer disabled (no bounds/seal checks on replay); the run always
-  // measures both configurations so the JSON records the guard overhead,
-  // the flag just selects which one the headline memo numbers come from.
-  bool GuardsOn = true;
-  Args.parser().onOff("guards",
-                      GuardsOn, "guarded replay for the headline memo "
-                                "numbers (default on)");
   // --jit=on adds the template-JIT configuration unconditionally (it
   // degrades to the interpreter on unsupported hosts, recorded in the
   // JSON); off skips it; auto (default) runs it when the host supports it.
@@ -71,8 +105,8 @@ int main(int Argc, char **Argv) {
               "memo Kips", "nomemo Kips", "sscalar Kips", "memo/nom",
               "memo/sscal", "vs hand", "jit", "ff%");
 
-  std::vector<double> MemoSpeedups, VsScalar, VsHand, GuardOverheads,
-      TelemetryOverheads, JitSpeedups;
+  std::vector<double> MemoSpeedups, VsScalar, VsHand, TelemetryOverheads,
+      JitSpeedups;
   bool JitDigestsMatch = true;
   uint64_t JitCompiledActions = 0;
   for (const workload::WorkloadSpec &Spec : workload::spec95Suite()) {
@@ -85,99 +119,80 @@ int main(int Argc, char **Argv) {
     // The memoized baselines pin the interpreting backend explicitly:
     // kips_memo keeps meaning what it always meant even on hosts where
     // Auto would resolve to the JIT.
-    rt::Simulation::Options Guarded;
-    Guarded.Guards = true;
-    Guarded.Backend = rt::BackendKind::Interpret;
+    rt::Simulation::Options MemoOpts;
+    MemoOpts.Backend = rt::BackendKind::Interpret;
+    std::optional<FacileSim> Memo;
+    Kips KMemo = timeKips(
+        [&] { return runFacile(Memo, Image, MemoOpts, MemoBudget); });
+    double KipsMemo = KMemo.median();
 
-    // Warm-up: one discarded guarded run per benchmark. First-touch costs
-    // (page faults, allocator growth, the per-process compile cache) used
-    // to land entirely on the first timed configuration and skew the
-    // guarded-vs-unguarded comparison; its raw sample still goes in the
-    // JSON so the discarded data stays inspectable.
-    FacileSim Warmup(SimKind::OutOfOrder, Image, Guarded);
-    double TWarmup = timeIt([&] { Warmup.run(MemoBudget); });
-    double KipsWarmup =
-        static_cast<double>(Warmup.sim().stats().RetiredTotal) / TWarmup / 1e3;
-
-    FacileSim MemoG(SimKind::OutOfOrder, Image, Guarded);
-    double TMemoG = timeIt([&] { MemoG.run(MemoBudget); });
-    double KipsMemoG =
-        static_cast<double>(MemoG.sim().stats().RetiredTotal) / TMemoG / 1e3;
-
-    rt::Simulation::Options Unguarded = Guarded;
-    Unguarded.Guards = false;
-    FacileSim MemoU(SimKind::OutOfOrder, Image, Unguarded);
-    double TMemoU = timeIt([&] { MemoU.run(MemoBudget); });
-    double KipsMemoU =
-        static_cast<double>(MemoU.sim().stats().RetiredTotal) / TMemoU / 1e3;
-
-    // Guard overhead: how much slower the guarded replay runs, in percent.
-    double GuardOverheadPct = (KipsMemoU / KipsMemoG - 1.0) * 100.0;
-    GuardOverheads.push_back(GuardOverheadPct);
-
-    // Telemetry overhead: guarded run with a tracer attached (spans merged
-    // in the ring, never written out) and the profiler attached but
-    // disabled — the cost of carrying the instrumentation, not of using it.
-    FacileSim MemoGT(SimKind::OutOfOrder, Image, Guarded);
-    telemetry::EventTracer Tracer;
-    telemetry::ActionProfiler Prof(MemoGT.sim().actionCount());
-    Prof.setEnabled(false);
-    MemoGT.setTracer(&Tracer);
-    MemoGT.setProfiler(&Prof);
-    double TMemoGT = timeIt([&] { MemoGT.run(MemoBudget); });
-    double KipsMemoGT =
-        static_cast<double>(MemoGT.sim().stats().RetiredTotal) / TMemoGT / 1e3;
-    double TelemetryOverheadPct = (KipsMemoG / KipsMemoGT - 1.0) * 100.0;
+    // Telemetry overhead: a run with a tracer attached (spans merged in
+    // the ring, never written out) and the profiler attached but disabled
+    // — the cost of carrying the instrumentation, not of using it.
+    Kips KTelem = timeKips([&] {
+      FacileSim Sim(SimKind::OutOfOrder, Image, MemoOpts);
+      telemetry::EventTracer Tracer;
+      telemetry::ActionProfiler Prof(Sim.sim().actionCount());
+      Prof.setEnabled(false);
+      Sim.setTracer(&Tracer);
+      Sim.setProfiler(&Prof);
+      double T = timeIt([&] { Sim.run(MemoBudget); });
+      return std::pair{T, Sim.sim().stats().RetiredTotal};
+    });
+    double KipsMemoT = KTelem.median();
+    double TelemetryOverheadPct = (KipsMemo / KipsMemoT - 1.0) * 100.0;
     TelemetryOverheads.push_back(TelemetryOverheadPct);
 
-    // Template-JIT configuration: identical work to MemoG/MemoU, with slow
-    // steps and hot entries' replays run as native code. Threshold 1
-    // compiles on first replay — the budgets here are far below
-    // production run lengths, so the default warm-up threshold would
-    // understate steady-state gain.
+    // Template-JIT configuration: identical work to Memo, with slow steps
+    // and hot entries' replays run as native code. Threshold 1 compiles
+    // on first replay — the budgets here are far below production run
+    // lengths, so the default warm-up threshold would understate
+    // steady-state gain.
+    Kips KJit;
     double KipsMemoJit = 0.0, JitSpeedup = 0.0;
     bool JitRan = false, JitDigestOk = true;
     if (RunJit) {
-      rt::Simulation::Options JitOpts = GuardsOn ? Guarded : Unguarded;
+      rt::Simulation::Options JitOpts = MemoOpts;
       JitOpts.Backend = rt::BackendKind::Jit;
       JitOpts.JitThreshold = 1;
-      FacileSim MemoJ(SimKind::OutOfOrder, Image, JitOpts);
-      double TMemoJ = timeIt([&] { MemoJ.run(MemoBudget); });
-      KipsMemoJit = static_cast<double>(MemoJ.sim().stats().RetiredTotal) /
-                    TMemoJ / 1e3;
-      JitSpeedup = KipsMemoJit / (GuardsOn ? KipsMemoG : KipsMemoU);
-      JitRan = std::string(MemoJ.sim().backendName()) == "jit";
+      std::optional<FacileSim> MemoJ;
+      KJit = timeKips(
+          [&] { return runFacile(MemoJ, Image, JitOpts, MemoBudget); });
+      KipsMemoJit = KJit.median();
+      JitSpeedup = KipsMemoJit / KipsMemo;
+      JitRan = std::string(MemoJ->sim().backendName()) == "jit";
       if (JitRan)
         JitSpeedups.push_back(JitSpeedup);
       // Same budget, same deterministic workload: the final target memory
       // must be bit-identical across backends.
-      FacileSim &Ref = GuardsOn ? MemoG : MemoU;
-      JitDigestOk = MemoJ.sim().memory().digest() ==
-                        Ref.sim().memory().digest() &&
-                    MemoJ.sim().stats().RetiredTotal ==
-                        Ref.sim().stats().RetiredTotal;
+      JitDigestOk = MemoJ->sim().memory().digest() ==
+                        Memo->sim().memory().digest() &&
+                    MemoJ->sim().stats().RetiredTotal ==
+                        Memo->sim().stats().RetiredTotal;
       JitDigestsMatch = JitDigestsMatch && JitDigestOk;
-      JitCompiledActions += MemoJ.sim().jitCompiledActions();
+      JitCompiledActions += MemoJ->sim().jitCompiledActions();
     }
-
-    FacileSim &Memo = GuardsOn ? MemoG : MemoU;
-    double KipsMemo = GuardsOn ? KipsMemoG : KipsMemoU;
 
     rt::Simulation::Options Off;
     Off.Memoize = false;
-    FacileSim NoMemo(SimKind::OutOfOrder, Image, Off);
-    double TNo = timeIt([&] { NoMemo.run(SlowBudget); });
-    double KipsNo =
-        static_cast<double>(NoMemo.sim().stats().RetiredTotal) / TNo / 1e3;
+    std::optional<FacileSim> NoMemo;
+    Kips KNo =
+        timeKips([&] { return runFacile(NoMemo, Image, Off, SlowBudget); });
+    double KipsNo = KNo.median();
 
-    simscalar::SimScalar Scalar(Image);
-    double TSs = timeIt([&] { Scalar.run(ScalarBudget); });
-    double KipsSs = static_cast<double>(Scalar.stats().Retired) / TSs / 1e3;
+    Kips KSs = timeKips([&] {
+      simscalar::SimScalar Scalar(Image);
+      double T = timeIt([&] { Scalar.run(ScalarBudget); });
+      return std::pair{T, Scalar.stats().Retired};
+    });
+    double KipsSs = KSs.median();
 
-    fastsim::FastSim Hand(Image);
-    double THand = timeIt([&] { Hand.run(MemoBudget); });
-    double KipsHand =
-        static_cast<double>(Hand.stats().Retired) / THand / 1e3;
+    Kips KHand = timeKips([&] {
+      fastsim::FastSim Hand(Image);
+      double T = timeIt([&] { Hand.run(MemoBudget); });
+      return std::pair{T, Hand.stats().Retired};
+    });
+    double KipsHand = KHand.median();
 
     double MemoSpeedup = KipsMemo / KipsNo;
     MemoSpeedups.push_back(MemoSpeedup);
@@ -190,22 +205,28 @@ int main(int Argc, char **Argv) {
     std::printf("%-14s %11.0f %12.1f %12.0f %9.2f %9.3f %9.3f %8s %7.3f%%\n",
                 Spec.Name.c_str(), KipsMemo, KipsNo, KipsSs, MemoSpeedup,
                 KipsMemo / KipsSs, KipsMemo / KipsHand, JitCol,
-                Memo.sim().stats().fastForwardedPct());
-    Sink.begin()
-        .field("bench", Spec.Name)
-        .field("kips_memo", KipsMemo)
-        .field("kips_nomemo", KipsNo)
-        .field("kips_memo_guarded", KipsMemoG)
-        .field("kips_memo_unguarded", KipsMemoU)
-        .field("kips_memo_guarded_warmup", KipsWarmup)
-        .field("kips_memo_telemetry", KipsMemoGT)
-        .field("kips_memo_jit", KipsMemoJit)
-        .field("jit_speedup", JitSpeedup)
-        .field("jit_ran", JitRan)
-        .field("jit_digest_match", JitDigestOk)
-        .field("guard_overhead_pct", GuardOverheadPct)
-        .field("telemetry_overhead_pct", TelemetryOverheadPct)
-        .rawField("stats", Memo.statsJson());
+                Memo->sim().stats().fastForwardedPct());
+    json::Writer &W = Sink.begin()
+                          .field("bench", Spec.Name)
+                          .field("kips_memo", KipsMemo)
+                          .field("kips_nomemo", KipsNo)
+                          .field("kips_memo_telemetry", KipsMemoT)
+                          .field("kips_memo_jit", KipsMemoJit)
+                          .field("jit_speedup", JitSpeedup)
+                          .field("jit_ran", JitRan)
+                          .field("jit_digest_match", JitDigestOk)
+                          .field("telemetry_overhead_pct", TelemetryOverheadPct)
+                          .objectField("samples");
+    for (auto [Name, K] :
+         {std::pair{"memo", &KMemo}, std::pair{"telemetry", &KTelem},
+          std::pair{"jit", &KJit}, std::pair{"nomemo", &KNo},
+          std::pair{"sscalar", &KSs}, std::pair{"hand", &KHand}}) {
+      W.arrayField(Name);
+      for (double S : K->Samples)
+        W.value(S);
+      W.endArray();
+    }
+    W.endObject().rawField("stats", Memo->statsJson());
     Sink.commit();
   }
 
@@ -215,7 +236,6 @@ int main(int Argc, char **Argv) {
       Sum += O;
     return V.empty() ? 0.0 : Sum / static_cast<double>(V.size());
   };
-  double MeanOverhead = Mean(GuardOverheads);
   double MeanTelemetry = Mean(TelemetryOverheads);
   // Speedup ratios aggregate geometrically — the workloads' absolute
   // speeds span 20x, and a geomean weights each ratio equally.
@@ -233,9 +253,6 @@ int main(int Argc, char **Argv) {
               "hand-coded %.3fx (paper ~1/6)\n",
               harmonicMean(MemoSpeedups), harmonicMean(VsScalar),
               harmonicMean(VsHand));
-  std::printf("guarded replay overhead: %.2f%% mean across the suite "
-              "(budget: <= 5%%)\n",
-              MeanOverhead);
   std::printf("attached-telemetry overhead: %.2f%% mean across the suite "
               "(budget: <= 1%% at full scale)\n",
               MeanTelemetry);
@@ -250,7 +267,6 @@ int main(int Argc, char **Argv) {
   // line instead of re-averaging the per-benchmark rows.
   Sink.begin()
       .field("summary", true)
-      .field("mean_guard_overhead_pct", MeanOverhead)
       .field("mean_telemetry_overhead_pct", MeanTelemetry)
       .field("hmean_memo_speedup", harmonicMean(MemoSpeedups))
       .field("hmean_vs_simplescalar", harmonicMean(VsScalar))

@@ -167,8 +167,8 @@ enum SlowExit : int64_t {
 
 /// Negative return values of a JitTraceFn or JitSlowFn.
 enum JitBail : int64_t {
-  /// Guarded instruction fetch outside the text segment. The caller raises
-  /// the same DecodeError fault the guarded interpreter raises mid-node.
+  /// Instruction fetch outside the text segment. The caller raises the
+  /// same DecodeError fault the interpreter raises mid-node.
   BailFetchOob = -1,
   /// An extern call failed. The fault was already raised inside the extern
   /// thunk (by Simulation::externCall); the caller just reports Faulted.

@@ -5,7 +5,6 @@
 #include "src/facile/Ir.h"
 
 #include <algorithm>
-#include <cassert>
 #include <chrono>
 
 using namespace facile;
@@ -52,22 +51,19 @@ void JitCache::compileSlowLocked() {
         std::memory_order_relaxed);
     SlowState.store(State, std::memory_order_relaxed);
   };
-  // All four variants or none: a stream that compiles in one shape
-  // compiles in every other (the templates differ only inside Fetch and
-  // the capture stores), and publishing a partial set would let one
-  // session's shape diverge.
-  std::vector<uint8_t> Codes[4];
-  uint32_t CapWords[4] = {0, 0, 0, 0};
-  for (unsigned V = 0; V != 4; ++V)
-    if (!emitSlowStep(Ctx, /*Guarded=*/(V & 2) != 0,
-                      /*Recording=*/(V & 1) != 0, Codes[V], CapWords[V]))
+  // Both functions or neither: a stream that compiles in one shape
+  // compiles in the other (the templates differ only in the capture
+  // stores), and publishing one alone would let one session's shape
+  // diverge.
+  std::vector<uint8_t> Codes[2];
+  uint32_t CapWords[2] = {0, 0};
+  for (unsigned V = 0; V != 2; ++V)
+    if (!emitSlowStep(Ctx, /*Recording=*/V != 0, Codes[V], CapWords[V]))
       return finish(NoCompile);
-  assert(CapWords[1] == CapWords[3] &&
-         "guard variants must agree on capture layout");
 
   std::vector<uint8_t> All;
-  size_t Ofs[4];
-  for (unsigned V = 0; V != 4; ++V) {
+  size_t Ofs[2];
+  for (unsigned V = 0; V != 2; ++V) {
     Ofs[V] = All.size();
     All.insert(All.end(), Codes[V].begin(), Codes[V].end());
   }
@@ -82,7 +78,7 @@ void JitCache::compileSlowLocked() {
   CodeBytes.fetch_add(All.size(), std::memory_order_relaxed);
   // Release: a reader that sees any pointer sees the code bytes, the
   // protection flip and SlowWords.
-  for (unsigned V = 0; V != 4; ++V)
+  for (unsigned V = 0; V != 2; ++V)
     SlowFns[V].store(reinterpret_cast<JitSlowFn>(
                          reinterpret_cast<uintptr_t>(Base + Ofs[V])),
                      std::memory_order_release);

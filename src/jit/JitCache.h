@@ -49,21 +49,20 @@ public:
   const EmitContext &ctx() const { return Ctx; }
 
   //===-- Slow-step function -----------------------------------------------
-  // The whole slow stream compiles once per plan, into one function per
-  // variant — Guarded × Recording — that the slow engine calls on every
-  // cold or unmemoized step. It trips on the plan's slow-step count, and
+  // The whole slow stream compiles once per plan, into two functions —
+  // recording and not — that the slow engine calls on every cold or
+  // unmemoized step. It trips on the plan's slow-step count, and
   // compiles all blocks or none.
 
-  /// The compiled slow-step function for the variant, or null while the
-  /// slow stream is interpreted.
-  JitSlowFn slowFn(bool Guarded, bool Recording) const {
-    return SlowFns[variant(Guarded, Recording)].load(
-        std::memory_order_acquire);
+  /// The compiled slow-step function, or null while the slow stream is
+  /// interpreted.
+  JitSlowFn slowFn(bool Recording) const {
+    return SlowFns[Recording].load(std::memory_order_acquire);
   }
   /// The most placeholder words one recording call can capture.
   /// Meaningful once slowFn() returned non-null.
   uint32_t slowCaptureWords() const { return SlowWords; }
-  /// Counts one interpreted slow step; compiles all four variants once the
+  /// Counts one interpreted slow step; compiles both functions once the
   /// count reaches \p Threshold.
   void noteSlowStep(uint32_t Threshold);
 
@@ -82,14 +81,10 @@ public:
 private:
   enum : uint8_t { Cold = 0, Published = 1, NoCompile = 2 };
 
-  static unsigned variant(bool Guarded, bool Recording) {
-    return (Guarded ? 2u : 0u) + (Recording ? 1u : 0u);
-  }
-
   void compileSlowLocked();
 
   EmitContext Ctx;
-  std::atomic<JitSlowFn> SlowFns[4]; ///< by variant()
+  std::atomic<JitSlowFn> SlowFns[2]; ///< by Recording
   std::atomic<uint32_t> SlowSteps{0};
   std::atomic<uint8_t> SlowState{Cold};
   uint32_t SlowWords = 0; ///< written under Mu before publication

@@ -453,8 +453,7 @@ public:
 
 class ActionCompiler {
 public:
-  ActionCompiler(const EmitContext &Ctx, bool Guarded, Asm &A)
-      : Ctx(Ctx), Guarded(Guarded), A(A) {}
+  ActionCompiler(const EmitContext &Ctx, Asm &A) : Ctx(Ctx), A(A) {}
 
   /// Emits the instruction stream of \p Action at the current code
   /// position — no prologue, epilogue or bail stubs. The register
@@ -474,7 +473,6 @@ public:
 
 private:
   const EmitContext &Ctx;
-  const bool Guarded;
   Asm &A;
   uint32_t K = 0; ///< compile-time placeholder cursor (Span word index)
   bool Slow = false;      ///< emitting slow-stream (complete) block bodies
@@ -773,27 +771,14 @@ bool ActionCompiler::emitInst(const XInst &I, uint32_t FastIdx) {
     size_t J1 = A.jcc(CcB);
     A.cmpR32I32(RCX, Hi);
     size_t J2 = A.jcc(CcAE);
-    if (Guarded) {
-      // Out of range: bail; the caller raises the interpreter's immediate
-      // DecodeError.
-      FetchBails.push_back(J1);
-      FetchBails.push_back(J2);
-      A.subR32I32(RCX, Lo);
-      A.shrR32Imm(RCX, 2);
-      A.movRI64(RDX, reinterpret_cast<uint64_t>(Img.Text.data()));
-      A.movR32MIdx4(RAX, RDX, RCX);
-    } else {
-      // Unguarded fetch() returns 0 out of range and keeps going.
-      A.subR32I32(RCX, Lo);
-      A.shrR32Imm(RCX, 2);
-      A.movRI64(RDX, reinterpret_cast<uint64_t>(Img.Text.data()));
-      A.movR32MIdx4(RAX, RDX, RCX);
-      size_t Done = A.jmp();
-      A.patchHere(J1);
-      A.patchHere(J2);
-      A.xorR32(RAX);
-      A.patchHere(Done);
-    }
+    // Out of range: bail; the caller raises the interpreter's immediate
+    // DecodeError.
+    FetchBails.push_back(J1);
+    FetchBails.push_back(J2);
+    A.subR32I32(RCX, Lo);
+    A.shrR32Imm(RCX, 2);
+    A.movRI64(RDX, reinterpret_cast<uint64_t>(Img.Text.data()));
+    A.movR32MIdx4(RAX, RDX, RCX);
     return storeSlot(I.Dst);
   }
   case XOp::CallExtern: {
@@ -1167,8 +1152,7 @@ bool ActionCompiler::compileSlowStep(bool Rec, uint32_t &CaptureWordsOut) {
 
 class TraceCompiler {
 public:
-  TraceCompiler(const EmitContext &Ctx, bool Guarded)
-      : Ctx(Ctx), Guarded(Guarded), C(Ctx, Guarded, A) {}
+  explicit TraceCompiler(const EmitContext &Ctx) : Ctx(Ctx), C(Ctx, A) {}
 
   bool compile(const std::vector<TraceNodeDesc> &Nodes, uint32_t LinkBytes,
                std::vector<uint8_t> &Out, std::vector<TraceExitDesc> &Exits,
@@ -1176,7 +1160,6 @@ public:
 
 private:
   const EmitContext &Ctx;
-  const bool Guarded;
   Asm A;
   ActionCompiler C;
 
@@ -1338,12 +1321,12 @@ bool TraceCompiler::compile(const std::vector<TraceNodeDesc> &Nodes,
 
 } // namespace
 
-bool jit::emitSlowStep(const EmitContext &Ctx, bool Guarded, bool Recording,
+bool jit::emitSlowStep(const EmitContext &Ctx, bool Recording,
                        std::vector<uint8_t> &Code, uint32_t &CaptureWordsOut) {
   if (!available() || !Ctx.Plan || !Ctx.Image || !Ctx.Hooks.ExternSlow)
     return false;
   Asm A;
-  ActionCompiler C(Ctx, Guarded, A);
+  ActionCompiler C(Ctx, A);
   if (!C.compileSlowStep(Recording, CaptureWordsOut))
     return false;
   Code = std::move(A.Code);
@@ -1351,14 +1334,13 @@ bool jit::emitSlowStep(const EmitContext &Ctx, bool Guarded, bool Recording,
 }
 
 bool jit::emitTrace(const EmitContext &Ctx,
-                    const std::vector<TraceNodeDesc> &Nodes, bool Guarded,
+                    const std::vector<TraceNodeDesc> &Nodes,
                     uint32_t LinkBytes, std::vector<uint8_t> &Code,
                     std::vector<TraceExitDesc> &Exits, uint32_t &BodyOfs) {
   if (!available() || !Ctx.Plan || !Ctx.Image || !Ctx.Hooks.Extern)
     return false;
   Exits.clear();
-  return TraceCompiler(Ctx, Guarded)
-      .compile(Nodes, LinkBytes, Code, Exits, BodyOfs);
+  return TraceCompiler(Ctx).compile(Nodes, LinkBytes, Code, Exits, BodyOfs);
 }
 
 bool jit::emitChainStub(const std::vector<ChainWord> &Words,

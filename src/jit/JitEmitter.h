@@ -78,7 +78,7 @@ struct EmitContext {
 /// contains anything the templates cannot express bit-exactly or any
 /// control transfer leaves the block table; the plan then stays
 /// interpreted.
-bool emitSlowStep(const EmitContext &Ctx, bool Guarded, bool Recording,
+bool emitSlowStep(const EmitContext &Ctx, bool Recording,
                   std::vector<uint8_t> &Code, uint32_t &CaptureWordsOut);
 
 /// Sentinel successor for TraceNodeDesc: control leaves the trace here
@@ -125,7 +125,7 @@ struct TraceExitDesc {
 /// chain jump enters. Returns false when any node's stream is
 /// inexpressible or consumes a different word count than its DataLen.
 bool emitTrace(const EmitContext &Ctx, const std::vector<TraceNodeDesc> &Nodes,
-               bool Guarded, uint32_t LinkBytes, std::vector<uint8_t> &Code,
+               uint32_t LinkBytes, std::vector<uint8_t> &Code,
                std::vector<TraceExitDesc> &Exits, uint32_t &BodyOfs);
 
 /// One compared (non-key-static) key word: word \p Index of global

@@ -30,9 +30,8 @@ bool JitTraceCache::shouldCompile(uint32_t Entry, uint32_t Threshold,
   return ++S.Visits >= Threshold;
 }
 
-uint64_t JitTraceCache::shapeHash(const std::vector<TraceNodeDesc> &Nodes,
-                                  bool Guarded) {
-  uint64_t H = hashCombine(FNVOffset, Guarded);
+uint64_t JitTraceCache::shapeHash(const std::vector<TraceNodeDesc> &Nodes) {
+  uint64_t H = FNVOffset;
   for (const TraceNodeDesc &N : Nodes) {
     H = hashCombine(H, static_cast<uint32_t>(N.ActionId) |
                            static_cast<uint64_t>(N.DataLen) << 32);
@@ -43,11 +42,10 @@ uint64_t JitTraceCache::shapeHash(const std::vector<TraceNodeDesc> &Nodes,
 }
 
 const JitTraceCache::Shape *
-JitTraceCache::findShape(const std::vector<TraceNodeDesc> &Nodes,
-                         bool Guarded) const {
-  auto [I, E] = Shapes.equal_range(shapeHash(Nodes, Guarded));
+JitTraceCache::findShape(const std::vector<TraceNodeDesc> &Nodes) const {
+  auto [I, E] = Shapes.equal_range(shapeHash(Nodes));
   for (; I != E; ++I)
-    if (I->second->Guarded == Guarded && I->second->Nodes == Nodes)
+    if (I->second->Nodes == Nodes)
       return I->second.get();
   return nullptr;
 }
@@ -72,7 +70,7 @@ const void *JitTraceCache::enableChaining(const std::vector<ChainWord> &Words) {
 }
 
 const JitTraceCache::Shape *
-JitTraceCache::addShape(const std::vector<TraceNodeDesc> &Nodes, bool Guarded,
+JitTraceCache::addShape(const std::vector<TraceNodeDesc> &Nodes,
                         const std::vector<TraceExitDesc> &Exits,
                         const std::vector<uint8_t> &Code, uint32_t BodyOfs) {
   if (BudgetSpent || BodyOfs >= Code.size())
@@ -98,7 +96,6 @@ JitTraceCache::addShape(const std::vector<TraceNodeDesc> &Nodes, bool Guarded,
   auto S = std::make_unique<Shape>();
   S->Fn = reinterpret_cast<JitTraceFn>(reinterpret_cast<uintptr_t>(Exec));
   S->Body = Exec + BodyOfs;
-  S->Guarded = Guarded;
   S->Nodes = Nodes;
   S->Exits = Exits;
   const size_t Ends = static_cast<size_t>(
@@ -117,7 +114,7 @@ JitTraceCache::addShape(const std::vector<TraceNodeDesc> &Nodes, bool Guarded,
                      Nodes[D].Kind == 1 ? static_cast<int64_t>(V) : 0};
     }
   const Shape *Out = S.get();
-  Shapes.emplace(shapeHash(Nodes, Guarded), std::move(S));
+  Shapes.emplace(shapeHash(Nodes), std::move(S));
   ++Compiled;
   return Out;
 }

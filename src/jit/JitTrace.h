@@ -11,9 +11,9 @@
 ///
 ///  - A *shape* is compiled code for one exact DFS descriptor sequence —
 ///    per node the action id, kind, span length, base/overlay side and
-///    successor slots — plus the guard mode. Shapes are looked up by hash
-///    and compared in full, and reference no cache arena, so they survive
-///    cache rebuilds (eviction, snapshot loads, base attach/detach).
+///    successor slots. Shapes are looked up by hash and compared in full,
+///    and reference no cache arena, so they survive cache rebuilds
+///    (eviction, snapshot loads, base attach/detach).
 ///  - A *binding* ties one entry to a shape: a run of the flat per-session
 ///    table holding one (node id, span word offset) pair per descriptor.
 ///    Shape code loads each node's span as pool base + table[i] * 8.
@@ -30,7 +30,7 @@
 /// Validity is epoch-gated per binding: a binding records the cache's
 /// mutation epoch and is only dispatched while the epoch still matches.
 /// Every out-of-band corruption channel (fault injection) bumps the epoch,
-/// so bound code can never run over state the guarded interpreter would
+/// so bound code can never run over state the interpreter would
 /// have re-verified — the step falls back to the interpreter, which
 /// performs the full seal sweep and detects or absorbs the corruption.
 ///
@@ -79,8 +79,7 @@ public:
     JitTraceFn Fn = nullptr;
     const uint8_t *Body = nullptr; ///< Fn past its prologue (chain entry)
     uint32_t Cells = 0; ///< table cells a binding takes: pairs, then links
-    bool Guarded = false;
-    std::vector<TraceNodeDesc> Nodes; ///< the key, with Guarded
+    std::vector<TraceNodeDesc> Nodes; ///< the key
     std::vector<TraceExitDesc> Exits; ///< indexed by Fn's return value
     /// Per descriptor: its DFS parent (TraceNoSucc at the head), the
     /// outcome by which the parent reaches it (Plain edges record 0) and
@@ -142,20 +141,18 @@ public:
   /// pinned no-compile or already bound at the current epoch never trip.
   bool shouldCompile(uint32_t Entry, uint32_t Threshold, uint64_t Epoch);
 
-  /// The compiled shape keyed by exactly (\p Nodes, \p Guarded), or null.
-  const Shape *findShape(const std::vector<TraceNodeDesc> &Nodes,
-                         bool Guarded) const;
+  /// The compiled shape keyed by exactly \p Nodes, or null.
+  const Shape *findShape(const std::vector<TraceNodeDesc> &Nodes) const;
 
   /// True once shape code no longer fits MaxCodeBytes: only entries whose
   /// shape is already compiled can still bind.
   bool budgetSpent() const { return BudgetSpent; }
 
-  /// Copies \p Code into executable memory as the shape (\p Nodes,
-  /// \p Guarded), with \p Exits its exit table and its body at
-  /// \p BodyOfs. Returns null when executable memory is unavailable or the
-  /// code does not fit the budget; the latter refuses every later new
-  /// shape.
-  const Shape *addShape(const std::vector<TraceNodeDesc> &Nodes, bool Guarded,
+  /// Copies \p Code into executable memory as the shape \p Nodes, with
+  /// \p Exits its exit table and its body at \p BodyOfs. Returns null
+  /// when executable memory is unavailable or the code does not fit the
+  /// budget; the latter refuses every later new shape.
+  const Shape *addShape(const std::vector<TraceNodeDesc> &Nodes,
                         const std::vector<TraceExitDesc> &Exits,
                         const std::vector<uint8_t> &Code, uint32_t BodyOfs);
 
@@ -215,8 +212,7 @@ private:
     uint32_t Recompiles = 0; ///< growth invalidations so far (churn pin)
     bool Pinned = false;     ///< no-compile: stays interpreted
   };
-  static uint64_t shapeHash(const std::vector<TraceNodeDesc> &Nodes,
-                            bool Guarded);
+  static uint64_t shapeHash(const std::vector<TraceNodeDesc> &Nodes);
   /// Drops \p S's binding: no find() and no link reaches it any more.
   static void unbind(Slot &S) {
     S.Sh = nullptr;

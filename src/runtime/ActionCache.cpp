@@ -233,6 +233,7 @@ void ActionCache::resetToBase() {
 //===----------------------------------------------------------------------===//
 
 void ActionCache::clear() {
+  notePeak();
   if (HasBase) {
     resetToBase();
     ++S.Clears;
@@ -253,27 +254,11 @@ void ActionCache::clear() {
   ++S.Clears;
 }
 
-void ActionCache::evict() {
-  notePeak();
-  // A mapped base cannot be compacted in place; both policies degenerate
-  // to dropping the overlay and re-seeding from the base image.
-  if (!HasBase && Policy == EvictionPolicy::Segmented && Entries.size() >= 2) {
-    evictSegmented();
-    // Compaction keeps the hot half; if even that half exceeds the budget
-    // (one giant working set), fall back to the wholesale clear.
-    if (overBudget())
-      clear();
-    return;
-  }
-  clear();
-}
-
 //===----------------------------------------------------------------------===//
 // Compaction
 //===----------------------------------------------------------------------===//
 
-ActionCache::FlatImage ActionCache::compactImage(uint64_t KeepThreshold,
-                                                 bool DropDetached) const {
+ActionCache::FlatImage ActionCache::compactImage() const {
   FlatImage Img;
   Img.Tick = Tick;
 
@@ -308,9 +293,7 @@ ActionCache::FlatImage ActionCache::compactImage(uint64_t KeepThreshold,
   std::vector<WorkItem> Work;
 
   for (const CacheEntry &E : Entries) {
-    if (E.LastUse < KeepThreshold)
-      continue;
-    if (DropDetached && E.Head == ActionNode::NoNode)
+    if (E.Head == ActionNode::NoNode)
       continue;
     EntryId NewE = static_cast<EntryId>(Img.Entries.size());
     Img.Entries.emplace_back();
@@ -319,8 +302,6 @@ ActionCache::FlatImage ActionCache::compactImage(uint64_t KeepThreshold,
     C.LastUse = E.LastUse;
     Img.KeyToEntry[C.Key] = NewE;
 
-    if (E.Head == ActionNode::NoNode)
-      continue;
     Work.push_back({E.Head, ActionNode::NoNode, ActionNode::NoNode, -1});
     while (!Work.empty()) {
       WorkItem W = Work.back();
@@ -390,20 +371,4 @@ void ActionCache::adoptImage(FlatImage Img) {
   growTable();
   resetEntryHistory();
   notePeak();
-}
-
-void ActionCache::evictSegmented() {
-  // Retain the most-recently-used half: entries whose LastUse is at or
-  // above the median tick.
-  std::vector<uint64_t> Uses;
-  Uses.reserve(Entries.size());
-  for (const CacheEntry &E : Entries)
-    Uses.push_back(E.LastUse);
-  std::nth_element(Uses.begin(), Uses.begin() + Uses.size() / 2, Uses.end());
-  uint64_t Threshold = Uses[Uses.size() / 2];
-
-  FlatImage Img = compactImage(Threshold, /*DropDetached=*/false);
-  S.EvictedEntries += Entries.size() - Img.Entries.size();
-  ++S.Evictions;
-  adoptImage(std::move(Img));
 }

@@ -22,7 +22,7 @@
 ///  - the *seal array*: one 64-bit integrity seal per node, computed for
 ///    free while recording (an xor accumulated as placeholder words are
 ///    pushed, mixed with the node's identity fields and a tag of the link
-///    it hangs from). Guarded replay re-derives the seal from what it
+///    it hangs from). Replay re-derives the seal from what it
 ///    actually read and walked; any flipped byte in a node, its data span
 ///    or the links leading to it surfaces as a mismatch instead of a
 ///    silently divergent step (see Simulation's CacheCorrupt fault).
@@ -40,11 +40,8 @@
 /// Eviction with a base attached degenerates to "reset to base" — the
 /// overlay is dropped, the mapping is untouched.
 ///
-/// Memory is budgeted, with the policy pluggable (EvictionPolicy):
-/// ClearAll is the paper's wholesale clear-on-full, which §6.1-§6.2 report
-/// costs little performance at 1/10 the footprint; Segmented drops the
-/// least-recently-used half of the entries and compacts the survivors into
-/// fresh arenas, trading eviction-time copying for retained hot state.
+/// Memory is budgeted under the paper's wholesale clear-on-full policy,
+/// which §6.1-§6.2 report costs little performance at 1/10 the footprint.
 /// The byte account is derived from the container sizes in one place
 /// (bytes()), and with a base attached counts only the private overlay,
 /// so overBudget() always reflects the real per-session footprint.
@@ -79,12 +76,6 @@ using EntryId = uint32_t;
 /// Sentinel for "no key" / "no entry".
 inline constexpr uint32_t NoId = ~0u;
 
-/// How the cache sheds weight when it exceeds its byte budget.
-enum class EvictionPolicy : uint8_t {
-  ClearAll,  ///< the paper's clear-on-full: drop everything
-  Segmented, ///< drop the least-recently-used half, compact the rest
-};
-
 /// One recorded action. Kind determines which link fields are meaningful.
 /// Links are node-arena indices; NextKey is an interned key id — the node
 /// carries no heap-allocated state.
@@ -114,7 +105,7 @@ static_assert(sizeof(ActionNode) == 32, "replay nodes must stay dense");
 struct CacheEntry {
   uint32_t Head = ActionNode::NoNode; ///< node-arena index of the first node
   KeyId Key = NoId;                   ///< the interned entry key
-  uint64_t LastUse = 0;               ///< recency tick for Segmented eviction
+  uint64_t LastUse = 0;               ///< recency tick (entryHit)
 };
 
 static_assert(sizeof(CacheEntry) == 16, "entries are stored flat on disk");
@@ -160,8 +151,8 @@ public:
 
   /// A self-contained, owned flat image of a cache: the promotion /
   /// compaction output format. Produced by compactImage() without
-  /// mutating the cache; consumed by Segmented eviction (adopted in
-  /// place) and by store::encodeImage (written to disk verbatim).
+  /// mutating the cache; consumed by adoptImage() and by
+  /// store::encodeImage (written to disk verbatim).
   struct FlatImage {
     uint64_t Tick = 0;
     std::vector<char> KeyPool;
@@ -178,9 +169,7 @@ public:
     uint64_t Hits = 0;
     uint64_t EntriesCreated = 0;
     uint64_t KeysInterned = 0;
-    uint64_t Clears = 0;         ///< wholesale clears (ClearAll or fallback)
-    uint64_t Evictions = 0;      ///< Segmented compaction passes
-    uint64_t EvictedEntries = 0; ///< entries dropped by Segmented eviction
+    uint64_t Clears = 0; ///< wholesale clears
     uint64_t PeakBytes = 0;
     uint64_t ProbeTotal = 0; ///< key-table probes beyond the home slot
     uint64_t ProbeMax = 0;   ///< longest probe sequence seen
@@ -195,9 +184,7 @@ public:
     void exportMetrics(telemetry::MetricSink &Sink) const;
   };
 
-  explicit ActionCache(size_t BudgetBytes,
-                       EvictionPolicy Policy = EvictionPolicy::ClearAll)
-      : Budget(BudgetBytes), Policy(Policy) {}
+  explicit ActionCache(size_t BudgetBytes) : Budget(BudgetBytes) {}
 
   //===-- Base layer ---------------------------------------------------------
 
@@ -328,7 +315,7 @@ public:
   // pool. Collisions only admit a key early. The bitmap is allocated on
   // first use, sized from the budget, outside bytes() (it is a fixed
   // per-session overhead, not cache content) and emptied with the cache:
-  // clear(), evict() and every rebuild. Never persisted.
+  // clear() and every rebuild. Never persisted.
 
   /// Marks \p Hash as seen; returns whether it already was.
   bool touchKey(uint64_t Hash) {
@@ -579,21 +566,17 @@ public:
            Patches.size() * (sizeof(uint64_t) + sizeof(uint32_t) + 12);
   }
 
-  /// True when the budget is exhausted; the owner should evict().
+  /// True when the budget is exhausted; the owner should clear().
   bool overBudget() const { return bytes() > Budget; }
 
-  /// Sheds weight per the configured policy. Any outstanding EntryIds,
-  /// KeyIds and node indices become invalid. With a base attached, both
-  /// policies reset to the base image (the mapping cannot be compacted).
-  void evict();
-
-  /// Drops every entry, key and node (the paper's clear-on-full policy).
-  /// With a base attached this resets to the base image instead: the
-  /// overlay is dropped and the entry table re-seeded from the store.
+  /// Notes the peak footprint, then drops every entry, key and node (the
+  /// paper's clear-on-full policy). With a base attached this resets to
+  /// the base image instead: the overlay is dropped and the entry table
+  /// re-seeded from the store. Any outstanding EntryIds, KeyIds and node
+  /// indices become invalid.
   void clear();
 
   size_t entryCount() const { return Entries.size(); }
-  EvictionPolicy policy() const { return Policy; }
   const Stats &stats() const { return S; }
   void noteIndexChain(bool Hit) {
     ++(Hit ? S.IndexChainHits : S.IndexChainMisses);
@@ -615,16 +598,14 @@ public:
 
   //===-- Compaction ----------------------------------------------------------
 
-  /// Copies the live portion of the cache — every entry whose LastUse is
-  /// at or above \p KeepThreshold, with base and overlay merged and edge
-  /// patches applied — into a fresh, self-contained flat image, without
-  /// mutating this cache. Node and key ids are renumbered densely and the
-  /// integrity seals re-homed onto the new link tags (PR 4 rules), so the
-  /// image validates stand-alone. \p DropDetached additionally skips
-  /// entries whose recording was detached (Head == NoNode) — store
-  /// promotion wants no tombstones; Segmented eviction keeps them to
-  /// preserve its historical accounting.
-  FlatImage compactImage(uint64_t KeepThreshold, bool DropDetached) const;
+  /// Copies the live portion of the cache — every entry whose recording
+  /// is not detached, with base and overlay merged and edge patches
+  /// applied — into a fresh, self-contained flat image, without mutating
+  /// this cache. Node and key ids are renumbered densely and the
+  /// integrity seals re-homed onto the new link tags, so the image
+  /// validates stand-alone. Store promotion and snapshot compaction use
+  /// it.
+  FlatImage compactImage() const;
 
   /// Builds the open-addressed probe table (power-of-two, load < 2/3, at
   /// least \p MinSize slots) for \p Keys, whose ids start at \p FirstId.
@@ -660,7 +641,6 @@ private:
   }
 
   void growTable();
-  void evictSegmented();
   /// Empties the first-touch filter and re-bases the entries' birth ticks:
   /// every rebuild of the entry table calls it.
   void resetEntryHistory();
@@ -671,7 +651,6 @@ private:
   void resetToBase();
 
   size_t Budget;
-  EvictionPolicy Policy;
   uint64_t Tick = 0;
 
   // The immutable base layer (all-zero when detached, so every threshold
@@ -698,7 +677,7 @@ private:
 
   std::vector<uint64_t> NodeSeal; ///< parallel to NodeArena
   // Verification scratch (not part of bytes(): a guard overlay, not cache
-  // content — including it would shift eviction behaviour with guards on).
+  // content).
   std::vector<uint64_t> VerifyMark; ///< tag ^ epochMix() when verified
   std::vector<uint8_t> BaseVerified; ///< per base node: seal checked once
   uint64_t Epoch = 1;               ///< current mutation epoch

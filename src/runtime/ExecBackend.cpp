@@ -350,7 +350,7 @@ void JitBackend::bindTrace(EntryId Entry, uint64_t Epoch) {
   const jit::JitTraceCache::Shape *Shape = nullptr;
   bool Emitted = false;
   if (walkTrace(Entry)) {
-    Shape = Traces.findShape(WalkDescs, Sim.Opts.Guards);
+    Shape = Traces.findShape(WalkDescs);
     if (!Shape && !Traces.budgetSpent()) {
       if (!ChainTried) {
         ChainTried = true;
@@ -358,10 +358,9 @@ void JitBackend::bindTrace(EntryId Entry, uint64_t Epoch) {
       }
       uint32_t BodyOfs = 0;
       Emitted = true;
-      if (jit::emitTrace(Session.Cache->ctx(), WalkDescs, Sim.Opts.Guards,
-                         Traces.linkBytes(), WalkCode, WalkExits, BodyOfs))
-        Shape = Traces.addShape(WalkDescs, Sim.Opts.Guards, WalkExits,
-                                WalkCode, BodyOfs);
+      if (jit::emitTrace(Session.Cache->ctx(), WalkDescs, Traces.linkBytes(),
+                         WalkCode, WalkExits, BodyOfs))
+        Shape = Traces.addShape(WalkDescs, WalkExits, WalkCode, BodyOfs);
     }
   }
   if (Shape)
@@ -378,10 +377,10 @@ void JitBackend::bindTrace(EntryId Entry, uint64_t Epoch) {
 }
 
 /// Walks \p Entry's recorded node tree into WalkDescs (the shape key) and
-/// WalkBinds (the binding), running the guarded interpreter's full
-/// verification over every node it is about to bind: structural bounds
-/// always; the seal sweep when guards are on. Shape code skips per-node
-/// checks, so nothing unverified may be bound. False refuses the entry.
+/// WalkBinds (the binding), running the interpreter's full verification
+/// over every node it is about to bind: structural bounds and the seal
+/// sweep. Shape code skips per-node checks, so nothing unverified may be
+/// bound. False refuses the entry.
 bool JitBackend::walkTrace(EntryId Entry) {
   // Const reference on purpose: ActionCache::node() has a mutable
   // overlay-only overload; the walk must resolve global ids through the
@@ -420,18 +419,16 @@ bool JitBackend::walkTrace(EntryId Entry) {
     const uint64_t Lo = N.DataOfs, Hi = Lo + N.DataLen;
     if (Hi > PoolSize || (Lo < BaseD && Hi > BaseD))
       return false;
-    if (Sim.Opts.Guards) {
-      // The guarded interpreter's seal check, unconditionally (marks are
-      // an optimization for the per-step loop; binding is rare). A
-      // mismatch is left for the interpreter to detect or absorb.
-      const int64_t *Span = C.spanData(N.DataOfs);
-      uint64_t Xor = 0;
-      for (uint32_t Wd = 0; Wd != N.DataLen; ++Wd)
-        Xor ^= static_cast<uint64_t>(Span[Wd]);
-      if ((Xor ^ ActionCache::identityMix(N) ^ W.Tag) != C.nodeSeal(W.Node))
-        return false;
-      Sim.Cache.markVerified(W.Node, W.Tag);
-    }
+    // The interpreter's seal check, unconditionally (marks are an
+    // optimization for the per-step loop; binding is rare). A mismatch is
+    // left for the interpreter to detect or absorb.
+    const int64_t *Span = C.spanData(N.DataOfs);
+    uint64_t Xor = 0;
+    for (uint32_t Wd = 0; Wd != N.DataLen; ++Wd)
+      Xor ^= static_cast<uint64_t>(Span[Wd]);
+    if ((Xor ^ ActionCache::identityMix(N) ^ W.Tag) != C.nodeSeal(W.Node))
+      return false;
+    Sim.Cache.markVerified(W.Node, W.Tag);
     const uint32_t Di = static_cast<uint32_t>(WalkDescs.size());
     if (W.ParentDesc != jit::TraceNoSucc)
       WalkDescs[W.ParentDesc].Succ[W.Slot] = Di;

@@ -21,8 +21,8 @@
 ///    the step in one native call and chains into the next one under
 ///    run(). Bail codes map onto the same faults the interpreter raises.
 ///
-/// Both backends record and replay bit-identically — BackendKind, like
-/// Options::Guards, never enters compatKey().
+/// Both backends record and replay bit-identically — BackendKind never
+/// enters compatKey().
 ///
 /// The three on*() hooks are the invalidation contract (INTERNALS.md "JIT
 /// backend"): compiled code bakes plan and image constants plus raw state

@@ -48,7 +48,7 @@ void Simulation::registerMetrics(telemetry::MetricsRegistry &R) const {
     Sink.text("detail", Fault.Detail);
   });
   R.add("guard", [this](telemetry::MetricSink &Sink) {
-    Sink.flag("enabled", Opts.Guards);
+    Sink.flag("enabled", true); // kept for statsJson v2 readers
     Sink.counter("faults", S.Faults);
     Sink.counter("corrupt_dropped", S.CorruptDropped);
   });
@@ -73,8 +73,9 @@ void ActionCache::Stats::exportMetrics(telemetry::MetricSink &Sink) const {
   Sink.counter("entries_created", EntriesCreated);
   Sink.counter("keys_interned", KeysInterned);
   Sink.counter("clears", Clears);
-  Sink.counter("evictions", Evictions);
-  Sink.counter("evicted_entries", EvictedEntries);
+  // Kept for statsJson v2 readers: an over-budget cache is only cleared.
+  Sink.counter("evictions", 0);
+  Sink.counter("evicted_entries", 0);
   Sink.counter("probe_total", ProbeTotal);
   Sink.counter("probe_max", ProbeMax);
 }

@@ -46,13 +46,13 @@ Simulation::Simulation(const CompiledProgram &Prog,
                        const isa::TargetImage &Image, Options Opts)
     : Prog(Prog), Image(Image), Opts(Opts),
       OwnedPlan(std::make_unique<ExecPlan>(buildExecPlan(Prog))),
-      Plan(OwnedPlan.get()), Cache(Opts.CacheBudgetBytes, Opts.Eviction) {
+      Plan(OwnedPlan.get()), Cache(Opts.CacheBudgetBytes) {
   initState();
 }
 
 Simulation::Simulation(const SharedProgram &Shared, Options Opts)
     : Prog(Shared.program()), Image(Shared.image()), Opts(Opts),
-      Plan(&Shared.plan()), Cache(Opts.CacheBudgetBytes, Opts.Eviction) {
+      Plan(&Shared.plan()), Cache(Opts.CacheBudgetBytes) {
   SharedProg = &Shared; // before initState: the backend factory reads it
   initState();
 }
@@ -477,11 +477,13 @@ uint64_t Simulation::compatKey() const {
   uint64_t H = FNVOffset;
   H = hashCombine(H, isa::IsaRevision);
 
-  // Options: a cache persisted under one budget/policy is not replayable
-  // bookkeeping-identically under another.
+  // Options: a cache persisted under one budget is not replayable
+  // bookkeeping-identically under another. The trailing 0 is the
+  // clear-on-full policy's term, kept so existing store files and cache
+  // snapshots still match.
   H = hashCombine(H, Opts.Memoize ? 1 : 0);
   H = hashCombine(H, Opts.CacheBudgetBytes);
-  H = hashCombine(H, static_cast<uint64_t>(Opts.Eviction));
+  H = hashCombine(H, 0);
 
   // The compiled program, via its packed execution form: action ids,
   // placeholder layout and key layout are all derived from it.
@@ -694,7 +696,7 @@ void Simulation::evictCacheNow() {
     Tracer->instant("cache", "evict", "bytes", Cache.bytes());
   }
   materialize();
-  Cache.evict();
+  Cache.clear();
   PendingEndNode = ActionNode::NoNode;
   Backend->onCacheRebuilt();
 }
@@ -706,7 +708,7 @@ void Simulation::evictCacheNow() {
 StepEngine Simulation::step() {
   if (Fault)
     return StepEngine::Faulted; // frozen until clearFault()
-  if (Opts.Guards && !Plan->shapeOk()) {
+  if (!Plan->shapeOk()) {
     raiseFault(FaultKind::PlanCorrupt,
                "execution plan streams are truncated or misframed");
     return StepEngine::Faulted;
@@ -788,7 +790,7 @@ StepEngine Simulation::step() {
       ++S.FastSteps;
       Engine = StepEngine::Fast;
       // Replay never flushes key-static globals: their values are the End
-      // node's next key (its seal covers NextKey under guards).
+      // node's next key (its seal covers NextKey).
       KeyId Next = std::as_const(Cache).node(PendingEndNode).NextKey;
       if (keyUsable(Next))
         StateKey = Next;
@@ -817,16 +819,8 @@ StepEngine Simulation::step() {
   }
   if (Fault)
     return StepEngine::Faulted;
-  if (Cache.overBudget()) {
-    if (Tracer) {
-      flushTraceSpan();
-      Tracer->instant("cache", "evict", "bytes", Cache.bytes());
-    }
-    materialize();
-    Cache.evict();
-    PendingEndNode = ActionNode::NoNode;
-    Backend->onCacheRebuilt();
-  }
+  if (Cache.overBudget())
+    evictCacheNow();
   return finishStep(Engine);
 }
 

@@ -58,9 +58,9 @@ namespace rt {
 
 class ExecBackend;
 
-/// Which execution backend a Simulation uses (ExecBackend.h). Like
-/// Options::Guards this is an execution strategy, not a semantic choice:
-/// both backends step bit-identically and it never enters compatKey().
+/// Which execution backend a Simulation uses (ExecBackend.h). This is an
+/// execution strategy, not a semantic choice: both backends step
+/// bit-identically and it never enters compatKey().
 enum class BackendKind : uint8_t {
   Auto,      ///< Jit where the template JIT is available, else Interpret
   Interpret, ///< the template-specialized interpreter loops only
@@ -93,19 +93,12 @@ class Simulation {
 public:
   struct Options {
     bool Memoize = true; ///< false: slow simulator only, no cache (baseline)
+    /// Over budget the cache is cleared wholesale (paper §6.1).
     size_t CacheBudgetBytes = 256u << 20; ///< paper §6.2's 256 MB default
-    /// What happens when the cache exceeds its budget. ClearAll is the
-    /// paper's policy; Segmented keeps the hot half of the entries.
-    EvictionPolicy Eviction = EvictionPolicy::ClearAll;
 
-    // Guarded execution (none of these affect compatKey(): they change
-    // how defensively the engines run, not what they record).
+    // Resource limits (neither affects compatKey(): they bound a run, not
+    // what it records).
 
-    /// Integrity guards on the replay path: bounds-check node links, data
-    /// spans and opcode legality, and verify each node's seal while
-    /// walking a (possibly loaded-from-disk) cache. Off is only for
-    /// benchmarking trusted in-process caches.
-    bool Guards = true;
     /// Step watchdog: fault with StepLimit once lifetime Steps reaches
     /// this. 0 = unlimited. Resumable: clearFault() + a higher limit.
     uint64_t StepLimit = 0;
@@ -292,8 +285,8 @@ public:
   static constexpr uint64_t DeadlineCheckPeriod = 64;
 
   /// Out-of-band cache eviction preserving the engine invariants: flushes
-  /// the open trace span, runs the configured eviction policy (resetting a
-  /// store-backed cache to its read-only base) and resets the INDEX chain.
+  /// the open trace span, clears the cache (resetting a store-backed
+  /// cache to its read-only base) and resets the INDEX chain.
   /// For host-side resource control (e.g. a daemon bounding aggregate
   /// overlay growth); a no-op on an empty cache.
   void evictCacheNow();
@@ -440,11 +433,10 @@ private:
 
   /// The slow / complete simulator: record and recovery (SlowEngine.cpp).
   void runSlow(EntryId Rec, const ReplayedStep *Recovery);
-  /// The fast / residual simulator: replay (FastEngine.cpp). Guarded is
-  /// Options::Guards and Profiled is this step's sampling decision, both
-  /// lifted to compile-time branches so the unguarded unprofiled replay
-  /// loop stays exactly as tight as before.
-  template <bool Guarded, bool Profiled>
+  /// The fast / residual simulator: replay (FastEngine.cpp). Profiled is
+  /// this step's sampling decision, lifted to a compile-time branch so
+  /// the unprofiled replay loop stays tight.
+  template <bool Profiled>
   ReplayResult runFastImpl(EntryId Entry, KeyId Key);
   ReplayResult runFast(EntryId Entry, KeyId Key);
   /// Chain jumps the next trace call may take: ChainLeft, cut short so no

@@ -39,7 +39,6 @@ using namespace facile::ir;
 void Simulation::runSlow(EntryId Rec, const ReplayedStep *Recovery) {
   const ExecPlan &P = *Plan;
   const bool Record = Rec != NoId;
-  const bool Guards = Opts.Guards;
   const size_t NBlocks =
       std::min(P.BlockOfs.size() - 1, Prog.Actions.Blocks.size());
   bool Recovering = Recovery != nullptr;
@@ -137,10 +136,10 @@ void Simulation::runSlow(EntryId Rec, const ReplayedStep *Recovery) {
   jit::JitSlowFn Native = nullptr;
   if (Jit) {
     jit::JitCache &JC = *Jit->Cache;
-    Native = JC.slowFn(Guards, Record);
+    Native = JC.slowFn(Record);
     if (!Native) {
       JC.noteSlowStep(Jit->Threshold);
-      Native = JC.slowFn(Guards, Record);
+      Native = JC.slowFn(Record);
     }
     if (Native && Record && Jit->Capture.size() < JC.slowCaptureWords()) {
       Jit->Capture.resize(JC.slowCaptureWords());
@@ -273,7 +272,7 @@ void Simulation::runSlow(EntryId Rec, const ReplayedStep *Recovery) {
           break;
         case XOp::Fetch: {
           uint32_t Addr = static_cast<uint32_t>(StatSlots[I.A]);
-          if (Guards && (Addr < Image.TextBase || Addr >= Image.textEnd()))
+          if (Addr < Image.TextBase || Addr >= Image.textEnd())
             return fail(FaultKind::DecodeError,
                         "instruction fetch outside the text segment");
           StatSlots[I.Dst] = Image.fetch(Addr);
@@ -369,7 +368,7 @@ void Simulation::runSlow(EntryId Rec, const ReplayedStep *Recovery) {
       }
       case XOp::Fetch: {
         uint32_t Addr = static_cast<uint32_t>(readOperand(I.A, 0));
-        if (Guards && (Addr < Image.TextBase || Addr >= Image.textEnd()))
+        if (Addr < Image.TextBase || Addr >= Image.textEnd())
           return fail(FaultKind::DecodeError,
                       "instruction fetch outside the text segment");
         DynSlots[I.Dst] = Image.fetch(Addr);
@@ -378,8 +377,7 @@ void Simulation::runSlow(EntryId Rec, const ReplayedStep *Recovery) {
       case XOp::CallExtern: {
         if (I.ArgCount > 16)
           return fail(FaultKind::PlanCorrupt, "extern arity limit exceeded");
-        if (Guards &&
-            static_cast<uint64_t>(I.ArgOfs) + I.ArgCount > P.ArgPool.size())
+        if (static_cast<uint64_t>(I.ArgOfs) + I.ArgCount > P.ArgPool.size())
           return fail(FaultKind::PlanCorrupt,
                       "extern argument span outside the plan's arg pool");
         for (unsigned A = 0; A != I.ArgCount; ++A)
@@ -492,7 +490,7 @@ void Simulation::runSlow(EntryId Rec, const ReplayedStep *Recovery) {
       assert(false && "block without a terminator");
       return fail(FaultKind::PlanCorrupt, "block without a terminator");
     }
-    if (Guards && BB >= NBlocks)
+    if (BB >= NBlocks)
       return fail(FaultKind::PlanCorrupt,
                   "control transfer outside the block table");
   }

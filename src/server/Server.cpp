@@ -27,6 +27,7 @@
 #include <cerrno>
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <cstring>
 #include <deque>
 #include <map>
@@ -967,10 +968,13 @@ std::string FacileServer::Impl::verbCreate(const json::Value &Req,
           static_cast<uint64_t>(std::max<int64_t>(0, V->intOr(0))), 1u << 20);
     if (const json::Value *V = O->get("memoize"))
       SimOpts.Memoize = V->boolOr(SimOpts.Memoize);
-    int64_t CacheMb = -1, MemMb = -1; // -1: absent, keep the default
+    // -1: absent, keep the default. max_steps 0 means no watchdog.
+    int64_t CacheMb = -1, MemMb = -1, MaxSteps = -1;
     Bad = readBounded(*O, "cache_budget_mb", 0, MaxBudgetMb, CacheMb);
     if (Bad.empty())
       Bad = readBounded(*O, "mem_budget_mb", 0, MaxBudgetMb, MemMb);
+    if (Bad.empty())
+      Bad = readBounded(*O, "max_steps", 0, INT64_MAX, MaxSteps);
     if (!Bad.empty())
       return errorLine(Id, ErrCode::BadRequest, "'options." + Bad.substr(1));
     if (CacheMb >= 0)
@@ -978,20 +982,8 @@ std::string FacileServer::Impl::verbCreate(const json::Value &Req,
     if (MemMb >= 0)
       SimOpts.MemPageBudget =
           (static_cast<size_t>(MemMb) << 20) >> TargetMemory::PageBits;
-    if (const json::Value *V = O->get("guards"))
-      SimOpts.Guards = V->boolOr(SimOpts.Guards);
-    if (const json::Value *V = O->get("max_steps"))
-      SimOpts.StepLimit = static_cast<uint64_t>(V->intOr(0));
-    if (const json::Value *V = O->get("eviction")) {
-      const std::string &E = V->strOr("");
-      if (E == "clearall")
-        SimOpts.Eviction = rt::EvictionPolicy::ClearAll;
-      else if (E == "segmented")
-        SimOpts.Eviction = rt::EvictionPolicy::Segmented;
-      else
-        return errorLine(Id, ErrCode::BadRequest,
-                         "'options.eviction' must be clearall|segmented");
-    }
+    if (MaxSteps >= 0)
+      SimOpts.StepLimit = static_cast<uint64_t>(MaxSteps);
   }
   // Execution backend for memoized replay (default auto). Unknown values
   // get their own stable code: a client probing for JIT support can tell

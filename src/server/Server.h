@@ -17,10 +17,10 @@
 ///    mutable state, not a recompilation.
 ///  - **Sessions.** Each session owns one FacileSim: registers, target
 ///    memory, action cache, uarch models, snapshot and telemetry state are
-///    all private. The existing guards/mem-budget/max-steps options act as
-///    per-session resource isolation; a faulted session reports its
-///    SimFault over the wire and stays resumable (clear-fault verb)
-///    without ever disturbing siblings or the daemon.
+///    all private. The mem-budget/max-steps options and the integrity
+///    guards act as per-session resource isolation; a faulted session
+///    reports its SimFault over the wire and stays resumable (clear-fault
+///    verb) without ever disturbing siblings or the daemon.
 ///  - **Fixed worker pool.** Connection readers only frame lines and
 ///    enqueue work; a fixed pool of workers parses, dispatches and
 ///    responds. A per-session mutex serializes verbs on one session; verbs
@@ -98,8 +98,7 @@ struct ServerOptions {
   /// Housekeeping cadence (reaper, overlay bound, drain progress checks).
   uint64_t ReaperPeriodMs = 100;
 
-  /// Session defaults; per-create "options" members override them. Guards
-  /// stay on by default — every session input is untrusted.
+  /// Session defaults; per-create "options" members override them.
   rt::Simulation::Options DefaultSimOptions;
 
   /// When non-empty, a content-addressed action-cache store directory

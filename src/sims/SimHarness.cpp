@@ -144,9 +144,7 @@ std::vector<uint8_t> FacileSim::checkpointBytes() const {
 }
 
 std::vector<uint8_t> FacileSim::cacheBytes() const {
-  return store::encodeImage(
-      Sim.cache().compactImage(/*KeepThreshold=*/0, /*DropDetached=*/true),
-      Sim.compatKey());
+  return store::encodeImage(Sim.cache().compactImage(), Sim.compatKey());
 }
 
 bool FacileSim::noteLoadFailure(const char *What, const std::string &Detail,
@@ -322,9 +320,8 @@ bool FacileSim::attachStore(store::CacheStoreDir &Store, std::string *Err) {
 
 bool FacileSim::promoteStore(store::CacheStoreDir &Store,
                              uint64_t *OutGeneration, std::string *Err) {
-  rt::ActionCache::FlatImage Img =
-      Sim.cache().compactImage(/*KeepThreshold=*/0, /*DropDetached=*/true);
-  return Store.promote(Img, Sim.compatKey(), OutGeneration, Err);
+  return Store.promote(Sim.cache().compactImage(), Sim.compatKey(),
+                       OutGeneration, Err);
 }
 
 //===----------------------------------------------------------------------===//

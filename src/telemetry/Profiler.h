@@ -34,7 +34,7 @@ namespace telemetry {
 class ActionProfiler {
 public:
   /// \p NumActions sizes the per-action table; ids at or above it are
-  /// dropped (defensive: unguarded replay trusts the cache's ids).
+  /// dropped (defensive: replay verifies ids before it profiles them).
   /// \p SamplePeriod of 1 profiles every replayed step.
   explicit ActionProfiler(uint32_t NumActions, uint32_t SamplePeriod = 1)
       : Rows(NumActions), Period(SamplePeriod == 0 ? 1 : SamplePeriod) {}

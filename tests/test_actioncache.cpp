@@ -2,9 +2,9 @@
 //
 // Unit tests for the flat action-cache data layer: the interned key table
 // (collision handling, rehash growth, binary-safe keys), the shared node
-// arena and data pool, derived byte accounting, both eviction policies
-// (clear-on-full and segmented LRU-half compaction), and the key-table
-// hash (hashKey) the interned table is indexed by.
+// arena and data pool, derived byte accounting, clear-on-full eviction,
+// compaction into a flat image, and the key-table hash (hashKey) the
+// interned table is indexed by.
 //
 //===----------------------------------------------------------------------===//
 
@@ -173,8 +173,9 @@ TEST(ActionCache, FindKeyHitsTheBaseTable) {
   ActionCache Src(1 << 20);
   KeyId S0 = intern(Src, "base-0");
   intern(Src, "base-1");
-  Src.create(S0);
-  ActionCache::FlatImage Img = Src.compactImage(0, /*DropDetached=*/false);
+  // A recorded entry: compaction keeps it, and with it its key.
+  Src.entry(Src.create(S0)).Head = Src.appendNode(0);
+  ActionCache::FlatImage Img = Src.compactImage();
   std::vector<uint32_t> Table = ActionCache::buildProbeTable(Img.Keys);
   ActionCache::BaseArenas B;
   B.KeyPool = Img.KeyPool.data();
@@ -337,21 +338,20 @@ TEST(ActionCache, ClearDropsEverything) {
 }
 
 TEST(ActionCache, ClearAllPolicyEvictsWholesale) {
-  ActionCache C(256, EvictionPolicy::ClearAll);
+  ActionCache C(256);
   for (int I = 0; I != 8; ++I)
     C.create(intern(C, "key-" + std::to_string(I)));
   EXPECT_TRUE(C.overBudget());
-  C.evict();
+  C.clear();
   EXPECT_EQ(C.entryCount(), 0u);
   EXPECT_EQ(C.bytes(), 0u);
   EXPECT_EQ(C.stats().Clears, 1u);
-  EXPECT_EQ(C.stats().Evictions, 0u);
 }
 
 namespace {
 
 /// Builds an entry with the Figure 2 shape — plain -> test -> {end, end}
-/// — with one data word per node, for eviction round-trips.
+/// — with one data word per node, for compaction round-trips.
 EntryId buildEntry(ActionCache &C, const std::string &Key, int64_t Tag) {
   EntryId E = C.create(C.internKey(Key.data(), Key.size()));
   uint32_t P = C.appendNode(0);
@@ -378,28 +378,28 @@ EntryId buildEntry(ActionCache &C, const std::string &Key, int64_t Tag) {
 
 } // namespace
 
-TEST(ActionCache, SegmentedEvictionKeepsHotHalf) {
-  ActionCache C(1u << 20, EvictionPolicy::Segmented);
-  for (int I = 0; I != 8; ++I)
-    buildEntry(C, "key-" + std::to_string(I), I * 10);
-  // Touch the last four so they are the hot half.
-  std::vector<std::string> Hot;
-  for (int I = 4; I != 8; ++I) {
-    Hot.push_back("key-" + std::to_string(I));
-    C.lookup(C.internKey(Hot.back().data(), Hot.back().size()));
+TEST(ActionCache, CompactImageKeepsRecordedEntries) {
+  // Compaction (store promotion, cache snapshots) copies every recorded
+  // entry's graph, data and next keys into a fresh image and skips
+  // detached entries.
+  ActionCache Src(1u << 20);
+  std::vector<std::string> Kept;
+  for (int I = 0; I != 8; ++I) {
+    EntryId E = buildEntry(Src, "key-" + std::to_string(I), I * 10);
+    if (I < 4)
+      Src.detachEntry(E);
+    else
+      Kept.push_back("key-" + std::to_string(I));
   }
-  size_t Before = C.bytes();
-  C.evict();
-  EXPECT_EQ(C.stats().Evictions, 1u);
-  EXPECT_EQ(C.stats().EvictedEntries, 4u);
+  ActionCache C(1u << 20);
+  C.adoptImage(Src.compactImage());
   EXPECT_EQ(C.entryCount(), 4u);
-  EXPECT_LT(C.bytes(), Before);
+  EXPECT_LT(C.bytes(), Src.bytes());
 
-  // The hot entries survived with their graphs and data intact.
-  for (size_t I = 0; I != Hot.size(); ++I) {
-    KeyId K = C.internKey(Hot[I].data(), Hot[I].size());
+  for (size_t I = 0; I != Kept.size(); ++I) {
+    KeyId K = C.internKey(Kept[I].data(), Kept[I].size());
     EntryId E = C.lookup(K);
-    ASSERT_NE(E, NoId) << Hot[I];
+    ASSERT_NE(E, NoId) << Kept[I];
     int64_t Tag = static_cast<int64_t>((I + 4) * 10);
     uint32_t P = C.entry(E).Head;
     ASSERT_NE(P, ActionNode::NoNode);
@@ -415,31 +415,17 @@ TEST(ActionCache, SegmentedEvictionKeepsHotHalf) {
       EXPECT_EQ(C.node(End).K, ActionNode::Kind::End);
       EXPECT_EQ(C.data()[C.node(End).DataOfs], Tag + 2 + V);
       // The remapped next key still reads back correctly.
-      std::string NextKey = Hot[I] + "-next";
+      std::string NextKey = Kept[I] + "-next";
       ASSERT_NE(C.node(End).NextKey, NoId);
       EXPECT_TRUE(
           C.keyEquals(C.node(End).NextKey, NextKey.data(), NextKey.size()));
     }
   }
 
-  // Evicted keys miss and can be re-created.
+  // Detached keys miss and can be re-created.
   std::string Cold = "key-0";
-  KeyId K0 = C.internKey(Cold.data(), Cold.size());
-  EXPECT_EQ(C.lookup(K0), NoId);
+  EXPECT_EQ(C.lookup(C.internKey(Cold.data(), Cold.size())), NoId);
   EXPECT_NE(buildEntry(C, "key-0b", 999), NoId);
-}
-
-TEST(ActionCache, SegmentedFallsBackToClearWhenStillOverBudget) {
-  // A budget so small that even the retained half overflows: the evict
-  // must end in a wholesale clear so the budget is honoured.
-  ActionCache C(128, EvictionPolicy::Segmented);
-  for (int I = 0; I != 6; ++I)
-    buildEntry(C, "key-" + std::to_string(I), I);
-  EXPECT_TRUE(C.overBudget());
-  C.evict();
-  EXPECT_FALSE(C.overBudget());
-  EXPECT_EQ(C.entryCount(), 0u);
-  EXPECT_GE(C.stats().Clears, 1u);
 }
 
 TEST(ActionCache, EntryIdsStableAcrossInserts) {

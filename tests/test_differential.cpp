@@ -5,7 +5,7 @@
 // forwarding computes "exactly the same simulated cycle counts"). This
 // suite runs every Facile-written simulator (functional, in-order,
 // out-of-order) over each workload twice — Memoize=true vs Memoize=false —
-// under both eviction policies, and asserts identical final architectural
+// with roomy and tiny cache budgets, and asserts identical final architectural
 // state: every global (scalars and arrays), the target-memory digest,
 // RetiredTotal and Cycles. The memoized runs must also actually
 // fast-forward (fastForwardedPct() > 0), or the comparison is vacuous.
@@ -98,8 +98,7 @@ FinalState capture(SimKind Kind, const FacileSim &Sim,
   F.KeysInterned = C.stats().KeysInterned;
   F.CacheNodes = C.nodeCount();
   F.CacheDataWords = C.dataSize();
-  const rt::ActionCache::FlatImage Flat =
-      C.compactImage(/*KeepThreshold=*/0, /*DropDetached=*/false);
+  const rt::ActionCache::FlatImage Flat = C.compactImage();
   uint64_t H = hashBytes(Flat.Data.data(), Flat.Data.size() * sizeof(int64_t));
   H = hashBytes(Flat.Seals.data(), Flat.Seals.size() * sizeof(uint64_t), H);
   F.CacheDigest = hashBytes(Flat.KeyPool.data(), Flat.KeyPool.size(), H);
@@ -140,14 +139,12 @@ const char *kindName(SimKind Kind) {
   return "?";
 }
 
-/// Memo-on (under \p Policy) vs memo-off over one workload for one sim.
+/// Memo-on vs memo-off over one workload for one sim.
 void expectEquivalent(SimKind Kind, const workload::WorkloadSpec &Spec,
-                      rt::EvictionPolicy Policy, size_t BudgetBytes,
-                      uint64_t MaxInstrs) {
+                      size_t BudgetBytes, uint64_t MaxInstrs) {
   isa::TargetImage Image = workload::generate(Spec, 2);
 
   rt::Simulation::Options On;
-  On.Eviction = Policy;
   On.CacheBudgetBytes = BudgetBytes;
   rt::Simulation::Options Off;
   Off.Memoize = false;
@@ -155,9 +152,7 @@ void expectEquivalent(SimKind Kind, const workload::WorkloadSpec &Spec,
   FinalState Memo = runOne(Kind, Image, On, MaxInstrs);
   FinalState Slow = runOne(Kind, Image, Off, MaxInstrs);
 
-  SCOPED_TRACE(std::string(kindName(Kind)) + " on " + Spec.Name +
-               (Policy == rt::EvictionPolicy::Segmented ? " (segmented)"
-                                                        : " (clearall)"));
+  SCOPED_TRACE(std::string(kindName(Kind)) + " on " + Spec.Name);
   EXPECT_EQ(Memo.Halted, Slow.Halted);
   EXPECT_EQ(Memo.RetiredTotal, Slow.RetiredTotal);
   EXPECT_EQ(Memo.Cycles, Slow.Cycles);
@@ -168,7 +163,7 @@ void expectEquivalent(SimKind Kind, const workload::WorkloadSpec &Spec,
   EXPECT_EQ(Slow.FfPct, 0.0);
 }
 
-/// A budget small enough to force evictions mid-run for \p Kind, but big
+/// A budget small enough to force clears mid-run for \p Kind, but big
 /// enough that entries survive long enough to replay. The OOO simulator's
 /// rt-static state (instruction window, scoreboards) makes its keys and
 /// entries an order of magnitude larger than the functional simulator's.
@@ -191,88 +186,68 @@ std::vector<workload::WorkloadSpec> testWorkloads() {
 
 TEST(Differential, FunctionalMemoOnOff) {
   for (const workload::WorkloadSpec &Spec : testWorkloads())
-    expectEquivalent(SimKind::Functional, Spec, rt::EvictionPolicy::ClearAll,
-                     256u << 20, 3'000'000);
+    expectEquivalent(SimKind::Functional, Spec, 256u << 20, 3'000'000);
 }
 
 TEST(Differential, InOrderMemoOnOff) {
   for (const workload::WorkloadSpec &Spec : testWorkloads())
-    expectEquivalent(SimKind::InOrder, Spec, rt::EvictionPolicy::ClearAll,
-                     256u << 20, 3'000'000);
+    expectEquivalent(SimKind::InOrder, Spec, 256u << 20, 3'000'000);
 }
 
 TEST(Differential, OutOfOrderMemoOnOff) {
   for (const workload::WorkloadSpec &Spec : testWorkloads())
-    expectEquivalent(SimKind::OutOfOrder, Spec, rt::EvictionPolicy::ClearAll,
-                     256u << 20, 3'000'000);
-}
-
-TEST(Differential, SegmentedEvictionPreservesResults) {
-  // A budget small enough to force segmented evictions mid-run: replay
-  // after compaction must still be bit-identical to the slow engine.
-  for (SimKind Kind :
-       {SimKind::Functional, SimKind::InOrder, SimKind::OutOfOrder})
-    for (const workload::WorkloadSpec &Spec : testWorkloads())
-      expectEquivalent(Kind, Spec, rt::EvictionPolicy::Segmented,
-                       tinyBudget(Kind), 1'000'000);
+    expectEquivalent(SimKind::OutOfOrder, Spec, 256u << 20, 3'000'000);
 }
 
 TEST(Differential, ClearAllTinyBudgetPreservesResults) {
-  // Same under the paper's clear-on-full with a tiny budget: constant
-  // clears and re-records must not perturb the architectural state.
+  // The paper's clear-on-full with a tiny budget: constant clears and
+  // re-records must not perturb the architectural state.
   for (SimKind Kind :
        {SimKind::Functional, SimKind::InOrder, SimKind::OutOfOrder})
     for (const workload::WorkloadSpec &Spec : testWorkloads())
-      expectEquivalent(Kind, Spec, rt::EvictionPolicy::ClearAll,
-                       tinyBudget(Kind), 1'000'000);
+      expectEquivalent(Kind, Spec, tinyBudget(Kind), 1'000'000);
 }
 
 TEST(Differential, WarmStartMatchesColdStart) {
   // Warm-starting from a persisted action cache is just more memoization:
   // a run that replays another process's recorded actions must compute the
-  // same final architectural state as a cold run, under both eviction
-  // policies. The warm run must also actually replay (FastSteps > 0 from
-  // entries it never recorded), or the comparison is vacuous.
+  // same final architectural state as a cold run. The warm run must also
+  // actually replay (FastSteps > 0 from entries it never recorded), or the
+  // comparison is vacuous.
   for (SimKind Kind :
        {SimKind::Functional, SimKind::InOrder, SimKind::OutOfOrder}) {
     for (const workload::WorkloadSpec &Spec : testWorkloads()) {
       isa::TargetImage Image = workload::generate(Spec, 2);
       constexpr uint64_t MaxInstrs = 500'000;
-      for (rt::EvictionPolicy Policy :
-           {rt::EvictionPolicy::ClearAll, rt::EvictionPolicy::Segmented}) {
-        SCOPED_TRACE(std::string(kindName(Kind)) + " on " + Spec.Name +
-                     (Policy == rt::EvictionPolicy::Segmented ? " (segmented)"
-                                                              : " (clearall)"));
-        rt::Simulation::Options Opts;
-        Opts.Eviction = Policy;
+      SCOPED_TRACE(std::string(kindName(Kind)) + " on " + Spec.Name);
+      rt::Simulation::Options Opts;
 
-        FinalState Cold = runOne(Kind, Image, Opts, MaxInstrs);
+      FinalState Cold = runOne(Kind, Image, Opts, MaxInstrs);
 
-        FacileSim Builder(Kind, Image, Opts);
-        Builder.run(MaxInstrs);
-        std::vector<uint8_t> CacheSnap = Builder.cacheBytes();
+      FacileSim Builder(Kind, Image, Opts);
+      Builder.run(MaxInstrs);
+      std::vector<uint8_t> CacheSnap = Builder.cacheBytes();
 
-        FacileSim Warm(Kind, Image, Opts);
-        std::string Err;
-        ASSERT_TRUE(Warm.loadCacheBytes(CacheSnap, &Err)) << Err;
-        ASSERT_GT(Warm.snapshotStats().CacheEntriesLoaded, 0u);
-        Warm.run(MaxInstrs);
-        EXPECT_GT(Warm.sim().stats().FastSteps, 0u);
+      FacileSim Warm(Kind, Image, Opts);
+      std::string Err;
+      ASSERT_TRUE(Warm.loadCacheBytes(CacheSnap, &Err)) << Err;
+      ASSERT_GT(Warm.snapshotStats().CacheEntriesLoaded, 0u);
+      Warm.run(MaxInstrs);
+      EXPECT_GT(Warm.sim().stats().FastSteps, 0u);
 
-        FinalState W;
-        W.Halted = Warm.sim().halted();
-        W.RetiredTotal = Warm.sim().stats().RetiredTotal;
-        W.Cycles = Warm.sim().stats().Cycles;
-        W.MemDigest = Warm.sim().memory().digest();
-        for (const ir::GlobalVar &G : simulatorProgram(Kind).Globals) {
-          if (G.IsArray)
-            for (uint32_t E = 0; E != G.Size; ++E)
-              W.Globals.push_back(Warm.sim().getGlobalElem(G.Name, E));
-          else
-            W.Globals.push_back(Warm.sim().getGlobal(G.Name));
-        }
-        EXPECT_EQ(W, Cold);
+      FinalState W;
+      W.Halted = Warm.sim().halted();
+      W.RetiredTotal = Warm.sim().stats().RetiredTotal;
+      W.Cycles = Warm.sim().stats().Cycles;
+      W.MemDigest = Warm.sim().memory().digest();
+      for (const ir::GlobalVar &G : simulatorProgram(Kind).Globals) {
+        if (G.IsArray)
+          for (uint32_t E = 0; E != G.Size; ++E)
+            W.Globals.push_back(Warm.sim().getGlobalElem(G.Name, E));
+        else
+          W.Globals.push_back(Warm.sim().getGlobal(G.Name));
       }
+      EXPECT_EQ(W, Cold);
     }
   }
 }
@@ -280,7 +255,8 @@ TEST(Differential, WarmStartMatchesColdStart) {
 TEST(Differential, PassesOnOffBitIdentical) {
   // The optimization pipeline must be invisible to the architecture: the
   // optimized program (memoized and not) computes the same final state as
-  // the raw lowered IR (memoized and not), under both eviction policies.
+  // the raw lowered IR (memoized and not), the memoized runs under a
+  // budget that clears mid-run.
   for (SimKind Kind :
        {SimKind::Functional, SimKind::InOrder, SimKind::OutOfOrder}) {
     for (const workload::WorkloadSpec &Spec : testWorkloads()) {
@@ -297,22 +273,16 @@ TEST(Differential, PassesOnOffBitIdentical) {
       SCOPED_TRACE(std::string(kindName(Kind)) + " on " + Spec.Name);
       EXPECT_EQ(OptSlow, RawSlow) << "passes changed unmemoized execution";
 
-      for (rt::EvictionPolicy Policy :
-           {rt::EvictionPolicy::ClearAll, rt::EvictionPolicy::Segmented}) {
-        rt::Simulation::Options On;
-        On.Eviction = Policy;
-        On.CacheBudgetBytes = tinyBudget(Kind);
-        FinalState RawMemo =
-            runOne(Kind, Image, On, MaxInstrs, PassMode::Raw);
-        FinalState OptMemo =
-            runOne(Kind, Image, On, MaxInstrs, PassMode::Optimized);
-        SCOPED_TRACE(Policy == rt::EvictionPolicy::Segmented ? "segmented"
-                                                             : "clearall");
-        EXPECT_EQ(OptMemo, RawSlow) << "passes changed memoized execution";
-        EXPECT_EQ(RawMemo, RawSlow) << "memoization broke on raw IR";
-        EXPECT_GT(OptMemo.FfPct, 0.0);
-        EXPECT_GT(RawMemo.FfPct, 0.0);
-      }
+      rt::Simulation::Options On;
+      On.CacheBudgetBytes = tinyBudget(Kind);
+      FinalState RawMemo =
+          runOne(Kind, Image, On, MaxInstrs, PassMode::Raw);
+      FinalState OptMemo =
+          runOne(Kind, Image, On, MaxInstrs, PassMode::Optimized);
+      EXPECT_EQ(OptMemo, RawSlow) << "passes changed memoized execution";
+      EXPECT_EQ(RawMemo, RawSlow) << "memoization broke on raw IR";
+      EXPECT_GT(OptMemo.FfPct, 0.0);
+      EXPECT_GT(RawMemo.FfPct, 0.0);
     }
   }
 }

@@ -575,18 +575,8 @@ TEST(HostApi, TryGlobalAccessorsReportUnknownNames) {
 }
 
 //===----------------------------------------------------------------------===//
-// Recovery edges: miss position × eviction policy
+// Recovery edges: miss position
 //===----------------------------------------------------------------------===//
-
-namespace {
-
-Simulation::Options policyOpts(EvictionPolicy E) {
-  Simulation::Options O;
-  O.Eviction = E;
-  return O;
-}
-
-} // namespace
 
 // Miss on the entry's FIRST Test node: the replayed prefix is empty and
 // recovery must rebuild from the head.
@@ -602,23 +592,21 @@ TEST(RecoveryEdges, MissOnFirstTestNode) {
     }
   )");
   isa::TargetImage Img = emptyImage();
-  for (EvictionPolicy E : {EvictionPolicy::ClearAll, EvictionPolicy::Segmented}) {
-    Simulation Sim(P, Img, policyOpts(E));
-    Sim.step(); // k=0: records the false arm
-    Sim.step(); // k=1: records the false arm
-    Sim.step(); // k=0: fast replay
-    ASSERT_EQ(Sim.stats().FastSteps, 1u);
-    Sim.memory().write32(2097152, 1);
-    EXPECT_EQ(Sim.step(), StepEngine::FastThenSlow); // miss at the head Test
-    EXPECT_EQ(Sim.stats().Misses, 1u);
-    EXPECT_EQ(Sim.memory().read32(2097300), 111u);
-    // Both arms recorded now: flipping back replays without a miss.
-    Sim.memory().write32(2097152, 0);
-    EXPECT_EQ(Sim.step(), StepEngine::Fast);
-    EXPECT_EQ(Sim.memory().read32(2097300), 222u);
-    EXPECT_EQ(Sim.stats().Misses, 1u);
-    EXPECT_FALSE(Sim.faulted());
-  }
+  Simulation Sim(P, Img);
+  Sim.step(); // k=0: records the false arm
+  Sim.step(); // k=1: records the false arm
+  Sim.step(); // k=0: fast replay
+  ASSERT_EQ(Sim.stats().FastSteps, 1u);
+  Sim.memory().write32(2097152, 1);
+  EXPECT_EQ(Sim.step(), StepEngine::FastThenSlow); // miss at the head Test
+  EXPECT_EQ(Sim.stats().Misses, 1u);
+  EXPECT_EQ(Sim.memory().read32(2097300), 111u);
+  // Both arms recorded now: flipping back replays without a miss.
+  Sim.memory().write32(2097152, 0);
+  EXPECT_EQ(Sim.step(), StepEngine::Fast);
+  EXPECT_EQ(Sim.memory().read32(2097300), 222u);
+  EXPECT_EQ(Sim.stats().Misses, 1u);
+  EXPECT_FALSE(Sim.faulted());
 }
 
 // Miss on the LAST Test before the End node: the whole prefix replays,
@@ -636,23 +624,21 @@ TEST(RecoveryEdges, MissImmediatelyBeforeEnd) {
     }
   )");
   isa::TargetImage Img = emptyImage();
-  for (EvictionPolicy E : {EvictionPolicy::ClearAll, EvictionPolicy::Segmented}) {
-    Simulation Sim(P, Img, policyOpts(E));
-    Sim.step();
-    Sim.step();
-    Sim.step();
-    ASSERT_EQ(Sim.stats().FastSteps, 1u);
-    EXPECT_EQ(Sim.memory().read32(2097300), 110u);
-    // First test unchanged, second flips: the miss is the final Test.
-    Sim.memory().write32(2097156, 5);
-    EXPECT_EQ(Sim.step(), StepEngine::FastThenSlow);
-    EXPECT_EQ(Sim.stats().Misses, 1u);
-    EXPECT_EQ(Sim.memory().read32(2097300), 120u);
-    Sim.memory().write32(2097156, 0);
-    EXPECT_EQ(Sim.step(), StepEngine::Fast);
-    EXPECT_EQ(Sim.memory().read32(2097300), 110u);
-    EXPECT_FALSE(Sim.faulted());
-  }
+  Simulation Sim(P, Img);
+  Sim.step();
+  Sim.step();
+  Sim.step();
+  ASSERT_EQ(Sim.stats().FastSteps, 1u);
+  EXPECT_EQ(Sim.memory().read32(2097300), 110u);
+  // First test unchanged, second flips: the miss is the final Test.
+  Sim.memory().write32(2097156, 5);
+  EXPECT_EQ(Sim.step(), StepEngine::FastThenSlow);
+  EXPECT_EQ(Sim.stats().Misses, 1u);
+  EXPECT_EQ(Sim.memory().read32(2097300), 120u);
+  Sim.memory().write32(2097156, 0);
+  EXPECT_EQ(Sim.step(), StepEngine::Fast);
+  EXPECT_EQ(Sim.memory().read32(2097300), 110u);
+  EXPECT_FALSE(Sim.faulted());
 }
 
 // Back-to-back misses on consecutive steps, covering all four path
@@ -670,36 +656,34 @@ TEST(RecoveryEdges, BackToBackMisses) {
     }
   )");
   isa::TargetImage Img = emptyImage();
-  for (EvictionPolicy E : {EvictionPolicy::ClearAll, EvictionPolicy::Segmented}) {
-    Simulation Sim(P, Img, policyOpts(E));
-    Sim.step(); // (0,0): cold record
-    EXPECT_EQ(Sim.memory().read32(2097300), 110u);
+  Simulation Sim(P, Img);
+  Sim.step(); // (0,0): cold record
+  EXPECT_EQ(Sim.memory().read32(2097300), 110u);
 
-    Sim.memory().write32(2097152, 1);
-    EXPECT_EQ(Sim.step(), StepEngine::FastThenSlow); // (1,0): miss #1
-    EXPECT_EQ(Sim.memory().read32(2097300), 210u);
+  Sim.memory().write32(2097152, 1);
+  EXPECT_EQ(Sim.step(), StepEngine::FastThenSlow); // (1,0): miss #1
+  EXPECT_EQ(Sim.memory().read32(2097300), 210u);
 
-    Sim.memory().write32(2097156, 1);
-    EXPECT_EQ(Sim.step(), StepEngine::FastThenSlow); // (1,1): miss #2
-    EXPECT_EQ(Sim.memory().read32(2097300), 220u);
+  Sim.memory().write32(2097156, 1);
+  EXPECT_EQ(Sim.step(), StepEngine::FastThenSlow); // (1,1): miss #2
+  EXPECT_EQ(Sim.memory().read32(2097300), 220u);
 
-    Sim.memory().write32(2097152, 0);
-    EXPECT_EQ(Sim.step(), StepEngine::FastThenSlow); // (0,1): miss #3
-    EXPECT_EQ(Sim.memory().read32(2097300), 120u);
-    EXPECT_EQ(Sim.stats().Misses, 3u);
+  Sim.memory().write32(2097152, 0);
+  EXPECT_EQ(Sim.step(), StepEngine::FastThenSlow); // (0,1): miss #3
+  EXPECT_EQ(Sim.memory().read32(2097300), 120u);
+  EXPECT_EQ(Sim.stats().Misses, 3u);
 
-    // All four paths recorded: cycle them again, all fast, no new misses.
-    const uint32_t Want[4][3] = {
-        {0, 0, 110}, {1, 0, 210}, {1, 1, 220}, {0, 1, 120}};
-    for (const auto &W : Want) {
-      Sim.memory().write32(2097152, W[0]);
-      Sim.memory().write32(2097156, W[1]);
-      EXPECT_EQ(Sim.step(), StepEngine::Fast);
-      EXPECT_EQ(Sim.memory().read32(2097300), W[2]);
-    }
-    EXPECT_EQ(Sim.stats().Misses, 3u);
-    EXPECT_FALSE(Sim.faulted());
+  // All four paths recorded: cycle them again, all fast, no new misses.
+  const uint32_t Want[4][3] = {
+      {0, 0, 110}, {1, 0, 210}, {1, 1, 220}, {0, 1, 120}};
+  for (const auto &W : Want) {
+    Sim.memory().write32(2097152, W[0]);
+    Sim.memory().write32(2097156, W[1]);
+    EXPECT_EQ(Sim.step(), StepEngine::Fast);
+    EXPECT_EQ(Sim.memory().read32(2097300), W[2]);
   }
+  EXPECT_EQ(Sim.stats().Misses, 3u);
+  EXPECT_FALSE(Sim.faulted());
 }
 
 //===----------------------------------------------------------------------===//
@@ -894,7 +878,7 @@ RecordedState recordedState(const Simulation &Sim) {
   R.PlaceholderWords = Sim.stats().PlaceholderWords;
   R.Nodes = Sim.cache().nodeCount();
   R.DataWords = Sim.cache().dataSize();
-  const ActionCache::FlatImage F = Sim.cache().compactImage(0, false);
+  const ActionCache::FlatImage F = Sim.cache().compactImage();
   uint64_t H = hashBytes(F.Data.data(), F.Data.size() * sizeof(int64_t));
   H = hashBytes(F.Seals.data(), F.Seals.size() * sizeof(uint64_t), H);
   R.Digest = hashBytes(F.KeyPool.data(), F.KeyPool.size(), H);

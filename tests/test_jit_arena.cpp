@@ -129,7 +129,7 @@ TEST(JitTraceCache, BudgetCountsChunksAndPinsEntries) {
   for (;; ++Entry) {
     ASSERT_TRUE(C.shouldCompile(Entry, 1, 0)) << "entry " << Entry;
     std::vector<uint8_t> Code = stub(static_cast<int32_t>(Entry), 700);
-    const JitTraceCache::Shape *S = C.addShape(shapeOf(Entry), false, {}, Code, 0);
+    const JitTraceCache::Shape *S = C.addShape(shapeOf(Entry), {}, Code, 0);
     if (!S) {
       C.noCompile(Entry);
       break;
@@ -152,9 +152,11 @@ TEST(JitTraceCache, BudgetCountsChunksAndPinsEntries) {
     const JitTraceCache::Bound B = C.find(E, 0);
     ASSERT_NE(B.S, nullptr);
     EXPECT_EQ(run(B), static_cast<int64_t>(E));
-    // Keyed by the full descriptor sequence and the guard mode.
-    EXPECT_EQ(C.findShape(shapeOf(E), false), B.S);
-    EXPECT_EQ(C.findShape(shapeOf(E), true), nullptr);
+    // Keyed by the full descriptor sequence.
+    EXPECT_EQ(C.findShape(shapeOf(E)), B.S);
+    std::vector<TraceNodeDesc> Longer = shapeOf(E);
+    Longer[0].DataLen = 1;
+    EXPECT_EQ(C.findShape(Longer), nullptr);
     // A moved epoch hides the binding until the entry re-binds.
     EXPECT_EQ(C.find(E, 1).S, nullptr);
   }
@@ -163,11 +165,11 @@ TEST(JitTraceCache, BudgetCountsChunksAndPinsEntries) {
   // still binds.
   EXPECT_FALSE(C.shouldCompile(Entry, 1, 0));
   ASSERT_TRUE(C.shouldCompile(Entry + 1, 1, 0));
-  EXPECT_EQ(C.addShape(shapeOf(Entry + 1), false, {}, stub(0, 700), 0), nullptr);
+  EXPECT_EQ(C.addShape(shapeOf(Entry + 1), {}, stub(0, 700), 0), nullptr);
   C.noCompile(Entry + 1);
   EXPECT_FALSE(C.shouldCompile(Entry + 1, 1, 0));
   ASSERT_TRUE(C.shouldCompile(Entry + 2, 1, 0));
-  C.bind(Entry + 2, *C.findShape(shapeOf(7), false), &Bind, 0);
+  C.bind(Entry + 2, *C.findShape(shapeOf(7)), &Bind, 0);
   EXPECT_EQ(run(C.find(Entry + 2, 0)), 7);
   EXPECT_EQ(C.compiledTraces(), Published);
   EXPECT_EQ(C.codeBytes(), JitTraceCache::MaxCodeBytes);
@@ -178,7 +180,7 @@ TEST(JitTraceCache, BudgetCountsChunksAndPinsEntries) {
   EXPECT_EQ(C.find(3, 0).S, nullptr);
   EXPECT_EQ(C.codeBytes(), JitTraceCache::MaxCodeBytes);
   ASSERT_TRUE(C.shouldCompile(3, 1, 5));
-  C.bind(3, *C.findShape(shapeOf(3), false), &Bind, 5);
+  C.bind(3, *C.findShape(shapeOf(3)), &Bind, 5);
   EXPECT_EQ(run(C.find(3, 5)), 3);
   EXPECT_EQ(C.compiledTraces(), Published);
 }

@@ -164,9 +164,8 @@ TEST(StepKeys, WideFieldsRoundTripOnEveryEngine) {
 
     // Cold = warm: the cache image this run recorded, loaded the way
     // FacileSim::loadCacheBytes loads it, replays to the same states.
-    std::vector<uint8_t> Bytes = store::encodeImage(
-        Memo.cache().compactImage(0, /*DropDetached=*/true),
-        Memo.compatKey());
+    std::vector<uint8_t> Bytes =
+        store::encodeImage(Memo.cache().compactImage(), Memo.compatKey());
     Simulation Warm(P, Img, wideOptions(true, B));
     Warm.registerExtern("probe", probe);
     ActionCache::BaseArenas View;
@@ -313,8 +312,7 @@ TEST(StepKeys, MalformedKeysFaultOrRunCold) {
   FacileSim Builder(SimKind::OutOfOrder, Image);
   Builder.run(kBudget);
   ASSERT_FALSE(Builder.faulted());
-  const ActionCache::FlatImage Base =
-      Builder.sim().cache().compactImage(0, /*DropDetached=*/true);
+  const ActionCache::FlatImage Base = Builder.sim().cache().compactImage();
   const uint64_t CK = Builder.sim().compatKey();
 
   FacileSim Cold(SimKind::OutOfOrder, Image);

@@ -3,11 +3,11 @@
 // The fast simulator should do only the dynamic work of a recorded step
 // (paper §2, Figure 9). This binary replaces the global operator new with
 // a counting one and holds steady-state replayed steps to zero heap
-// allocations: interpreted replay (guarded and unguarded) and traced
-// replay, side exits that resume interpreted included. A miss recovery
-// whose replayed prefix is shorter than the one before it shows that the
-// reused prefix buffer is cleared per step — a stale tail would
-// desynchronize recovery into a fault or a wrong state.
+// allocations: interpreted replay and traced replay, side exits that
+// resume interpreted included. A miss recovery whose replayed prefix is
+// shorter than the one before it shows that the reused prefix buffer is
+// cleared per step — a stale tail would desynchronize recovery into a
+// fault or a wrong state.
 //
 //===----------------------------------------------------------------------===//
 
@@ -101,44 +101,36 @@ uint64_t jitCounter(const FacileSim &Sim, const char *Name) {
 
 TEST(ReplayAlloc, InterpretedReplayAllocatesNothing) {
   const isa::TargetImage Image = loopImage();
-  for (bool Guards : {true, false}) {
-    SCOPED_TRACE(Guards ? "guarded" : "unguarded");
-    rt::Simulation::Options O;
-    O.Backend = rt::BackendKind::Interpret;
-    O.Guards = Guards;
-    FacileSim Sim(SimKind::OutOfOrder, Image, O);
-    Sim.run(200'000); // warm-up: record the loop's entries
-    const Tally T = stepCounting(Sim.sim(), 20'000);
-    ASSERT_FALSE(Sim.faulted());
-    EXPECT_GT(T.Fast, 10'000u);
-    EXPECT_EQ(T.FastAllocs, 0u);
-  }
+  rt::Simulation::Options O;
+  O.Backend = rt::BackendKind::Interpret;
+  FacileSim Sim(SimKind::OutOfOrder, Image, O);
+  Sim.run(200'000); // warm-up: record the loop's entries
+  const Tally T = stepCounting(Sim.sim(), 20'000);
+  ASSERT_FALSE(Sim.faulted());
+  EXPECT_GT(T.Fast, 10'000u);
+  EXPECT_EQ(T.FastAllocs, 0u);
 }
 
 TEST(ReplayAlloc, TracedReplayAllocatesNothing) {
   if (!jit::available())
     GTEST_SKIP() << "no template-JIT backend on this host";
   const isa::TargetImage Image = tightLoopImage();
-  for (bool Guards : {true, false}) {
-    SCOPED_TRACE(Guards ? "guarded" : "unguarded");
-    rt::Simulation::Options O;
-    O.Backend = rt::BackendKind::Jit;
-    O.JitThreshold = 16;
-    O.Guards = Guards;
-    FacileSim Sim(SimKind::OutOfOrder, Image, O);
-    Sim.run(200'000); // warm-up: record and compile the hot entries
-    const uint64_t TracedBefore = jitCounter(Sim, "trace_steps");
-    const uint64_t CompiledBefore = jitCounter(Sim, "compiled_traces");
-    const Tally T = stepCounting(Sim.sim(), 20'000);
-    const uint64_t Traced = jitCounter(Sim, "trace_steps") - TracedBefore;
-    ASSERT_FALSE(Sim.faulted());
-    EXPECT_GT(T.Fast, 10'000u);
-    // Steady state (nothing compiled in the window), and vacuous unless
-    // most replayed steps actually ran as one trace call.
-    EXPECT_EQ(jitCounter(Sim, "compiled_traces"), CompiledBefore);
-    EXPECT_GT(Traced * 2, T.Fast);
-    EXPECT_EQ(T.FastAllocs, 0u);
-  }
+  rt::Simulation::Options O;
+  O.Backend = rt::BackendKind::Jit;
+  O.JitThreshold = 16;
+  FacileSim Sim(SimKind::OutOfOrder, Image, O);
+  Sim.run(200'000); // warm-up: record and compile the hot entries
+  const uint64_t TracedBefore = jitCounter(Sim, "trace_steps");
+  const uint64_t CompiledBefore = jitCounter(Sim, "compiled_traces");
+  const Tally T = stepCounting(Sim.sim(), 20'000);
+  const uint64_t Traced = jitCounter(Sim, "trace_steps") - TracedBefore;
+  ASSERT_FALSE(Sim.faulted());
+  EXPECT_GT(T.Fast, 10'000u);
+  // Steady state (nothing compiled in the window), and vacuous unless
+  // most replayed steps actually ran as one trace call.
+  EXPECT_EQ(jitCounter(Sim, "compiled_traces"), CompiledBefore);
+  EXPECT_GT(Traced * 2, T.Fast);
+  EXPECT_EQ(T.FastAllocs, 0u);
 }
 
 TEST(ReplayAlloc, TracedSideExitAllocatesNothing) {
@@ -151,42 +143,38 @@ TEST(ReplayAlloc, TracedSideExitAllocatesNothing) {
   if (!jit::available())
     GTEST_SKIP() << "no template-JIT backend on this host";
   const isa::TargetImage Image = branchyImage();
-  for (bool Guards : {true, false}) {
-    SCOPED_TRACE(Guards ? "guarded" : "unguarded");
-    rt::Simulation::Options O;
-    O.Backend = rt::BackendKind::Jit;
-    O.JitThreshold = 1;
-    O.Guards = Guards;
-    FacileSim Sim(SimKind::OutOfOrder, Image, O);
-    telemetry::ActionProfiler Prof(Sim.sim().actionCount(), 3);
-    Sim.setProfiler(&Prof);
-    Sim.run(30'000); // warm-up: size the prefix buffer
+  rt::Simulation::Options O;
+  O.Backend = rt::BackendKind::Jit;
+  O.JitThreshold = 1;
+  FacileSim Sim(SimKind::OutOfOrder, Image, O);
+  telemetry::ActionProfiler Prof(Sim.sim().actionCount(), 3);
+  Sim.setProfiler(&Prof);
+  Sim.run(30'000); // warm-up: size the prefix buffer
 
-    // Steady-state steps only: binding an entry or compiling a shape
-    // allocates, and is compile work, not replay.
-    auto compileWork = [&] { return jitCounter(Sim, "trace_bindings"); };
-    uint64_t Exits = jitCounter(Sim, "trace_side_exits");
-    uint64_t Work = compileWork();
-    uint64_t FastExits = 0, Fast = 0, FastAllocs = 0;
-    for (unsigned I = 0; I != 20'000 && !Sim.sim().halted(); ++I) {
-      const uint64_t Before = NewCalls.load(std::memory_order_relaxed);
-      const rt::StepEngine E = Sim.sim().step();
-      const uint64_t N = NewCalls.load(std::memory_order_relaxed) - Before;
-      ASSERT_NE(E, rt::StepEngine::Faulted) << Sim.fault().Detail;
-      const uint64_t X = jitCounter(Sim, "trace_side_exits");
-      const uint64_t W = compileWork();
-      if (E == rt::StepEngine::Fast && W == Work) {
-        ++Fast;
-        FastAllocs += N;
-        FastExits += X - Exits;
-      }
-      Exits = X;
-      Work = W;
+  // Steady-state steps only: binding an entry or compiling a shape
+  // allocates, and is compile work, not replay.
+  auto compileWork = [&] { return jitCounter(Sim, "trace_bindings"); };
+  uint64_t Exits = jitCounter(Sim, "trace_side_exits");
+  uint64_t Work = compileWork();
+  uint64_t FastExits = 0, Fast = 0, FastAllocs = 0;
+  for (unsigned I = 0; I != 20'000 && !Sim.sim().halted(); ++I) {
+    const uint64_t Before = NewCalls.load(std::memory_order_relaxed);
+    const rt::StepEngine E = Sim.sim().step();
+    const uint64_t N = NewCalls.load(std::memory_order_relaxed) - Before;
+    ASSERT_NE(E, rt::StepEngine::Faulted) << Sim.fault().Detail;
+    const uint64_t X = jitCounter(Sim, "trace_side_exits");
+    const uint64_t W = compileWork();
+    if (E == rt::StepEngine::Fast && W == Work) {
+      ++Fast;
+      FastAllocs += N;
+      FastExits += X - Exits;
     }
-    EXPECT_GT(Fast, 1'000u);
-    EXPECT_GT(FastExits, 0u);
-    EXPECT_EQ(FastAllocs, 0u);
+    Exits = X;
+    Work = W;
   }
+  EXPECT_GT(Fast, 1'000u);
+  EXPECT_GT(FastExits, 0u);
+  EXPECT_EQ(FastAllocs, 0u);
 }
 
 TEST(ReplayAlloc, ShorterMissPrefixReusesClearedBuffer) {

@@ -24,6 +24,7 @@
 #include "src/server/Protocol.h"
 #include "src/server/Server.h"
 #include "src/sims/SimHarness.h"
+#include "src/snapshot/Serializer.h"
 #include "src/store/CacheStore.h"
 #include "src/support/StringUtils.h"
 #include "src/workload/Workloads.h"
@@ -35,6 +36,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <future>
 #include <string>
 #include <thread>
@@ -212,9 +214,6 @@ TEST_F(ServerTest, BadCreateArgumentsAreRejected) {
   expectError(rpc(C, R"({"id":2,"verb":"create","workload":"nope"})"),
               ErrCode::BadRequest);
   expectError(
-      rpc(C, R"({"id":3,"verb":"create","options":{"eviction":"lru"}})"),
-      ErrCode::BadRequest);
-  expectError(
       rpc(C, R"({"id":4,"verb":"create","fault_inject":"bogus:1"})"),
       ErrCode::BadRequest);
   expectError(rpc(C, R"({"id":5,"verb":"create","outer_iters":-3})"),
@@ -238,6 +237,10 @@ TEST_F(ServerTest, BadCreateArgumentsAreRejected) {
       R"("options":{"cache_budget_mb":"big"})",
       R"("options":{"cache_budget_mb":17592186044416})",
       R"("options":{"mem_budget_mb":-1})",
+      // A non-integer step limit read as 0 (no watchdog) and a negative
+      // one wrapped to ~2^64: either way the client got no limit.
+      R"("options":{"max_steps":"x"})",
+      R"("options":{"max_steps":-1})",
   };
   int64_t Id = 10;
   for (const char *Field : Hostile) {
@@ -433,6 +436,114 @@ TEST_F(ServerTest, SnapshotLoadRejectsGarbage) {
       static_cast<long long>(S)));
   EXPECT_TRUE(isOk(R));
   EXPECT_EQ(R.get("steps")->intOr(0), 100);
+}
+
+TEST_F(ServerTest, CyclicCacheImageCannotHangAWorker) {
+  // The daemon accepts cache images from clients, so replay's integrity
+  // checks are not optional: a create that asks for "guards":false gets
+  // them anyway (the field is ignored like any unknown one). A cache image
+  // whose Plain node links to itself passes every container and structural
+  // check (cycles are replay's to catch) and must end in a structured
+  // outcome — a cache-corrupt fault or a cold re-record — never a worker
+  // spinning in replay.
+  Client C = connect();
+  const int64_t S = createSession(C, R"(,"options":{"guards":false})");
+  auto req = [&](const char *Fmt, const std::string &Extra = "") {
+    return rpc(C, strFormat(Fmt, static_cast<long long>(S)) + Extra + "}");
+  };
+  ASSERT_TRUE(isOk(req(R"({"id":2,"verb":"step","session":%lld,)"
+                       R"("count":20000)")));
+  json::Value Saved =
+      req(R"({"id":3,"verb":"snapshot-save","session":%lld,"kind":"cache")");
+  ASSERT_TRUE(isOk(Saved));
+  std::vector<uint8_t> Bytes;
+  ASSERT_TRUE(base64Decode(Saved.get("bytes_b64")->str(), Bytes));
+
+  // Container layout (docs/INTERNALS.md): section count u32 at 24, table
+  // CRC-32 at 28 over the first 28 bytes and the 24-byte section entries
+  // (tag, payload CRC-32, offset, length) that start at 32.
+  ASSERT_GE(Bytes.size(), size_t(32));
+  uint32_t NumSections = 0;
+  std::memcpy(&NumSections, Bytes.data() + 24, 4);
+  ASSERT_GE(Bytes.size(), 32 + size_t(NumSections) * 24);
+  auto section = [&](uint32_t Tag, uint8_t *&Crc, uint8_t *&Data,
+                     uint64_t &Len) {
+    for (uint32_t I = 0; I != NumSections; ++I) {
+      uint8_t *E = Bytes.data() + 32 + size_t(I) * 24;
+      uint32_t T;
+      uint64_t Ofs;
+      std::memcpy(&T, E, 4);
+      std::memcpy(&Ofs, E + 8, 8);
+      std::memcpy(&Len, E + 16, 8);
+      if (T == Tag && Ofs + Len <= Bytes.size()) {
+        Crc = E + 4;
+        Data = Bytes.data() + Ofs;
+        return true;
+      }
+    }
+    return false;
+  };
+  uint8_t *NodeCrc = nullptr, *NodeData = nullptr, *EntryCrc = nullptr,
+          *EntryData = nullptr;
+  uint64_t NodeLen = 0, EntryLen = 0;
+  ASSERT_TRUE(section(store::SecNodes, NodeCrc, NodeData, NodeLen));
+  ASSERT_TRUE(section(store::SecEntries, EntryCrc, EntryData, EntryLen));
+  const size_t NumNodes = NodeLen / sizeof(rt::ActionNode);
+  auto node = [&](uint32_t I) {
+    rt::ActionNode N;
+    std::memcpy(&N, NodeData + size_t(I) * sizeof(N), sizeof(N));
+    return N;
+  };
+
+  // The most recently used entry is the one the session is about to
+  // revisit; its first Plain node with a successor becomes the cycle.
+  rt::CacheEntry Hot;
+  for (size_t I = 0; I != EntryLen / sizeof(rt::CacheEntry); ++I) {
+    rt::CacheEntry E;
+    std::memcpy(&E, EntryData + I * sizeof(E), sizeof(E));
+    if (E.Head != rt::ActionNode::NoNode && E.LastUse >= Hot.LastUse)
+      Hot = E;
+  }
+  uint32_t Victim = Hot.Head;
+  for (size_t Walked = 0; Victim < NumNodes && Walked != NumNodes;
+       ++Walked) {
+    const rt::ActionNode N = node(Victim);
+    if (N.K == rt::ActionNode::Kind::Plain && N.Next != rt::ActionNode::NoNode)
+      break;
+    Victim = N.K == rt::ActionNode::Kind::Plain ? N.Next
+             : N.K == rt::ActionNode::Kind::Test
+                 ? (N.OnValue[0] != rt::ActionNode::NoNode ? N.OnValue[0]
+                                                           : N.OnValue[1])
+                 : rt::ActionNode::NoNode;
+  }
+  ASSERT_LT(Victim, NumNodes) << "the hot entry has no linked Plain node";
+  rt::ActionNode Cyclic = node(Victim);
+  Cyclic.Next = Victim;
+  std::memcpy(NodeData + size_t(Victim) * sizeof(Cyclic), &Cyclic,
+              sizeof(Cyclic));
+  const uint32_t PayloadCrc = snapshot::crc32(NodeData, NodeLen);
+  std::memcpy(NodeCrc, &PayloadCrc, 4);
+  const uint32_t TableCrc =
+      snapshot::crc32(Bytes.data() + 32, size_t(NumSections) * 24,
+                      snapshot::crc32(Bytes.data(), 28));
+  std::memcpy(Bytes.data() + 28, &TableCrc, 4);
+
+  ASSERT_TRUE(isOk(req(R"({"id":4,"verb":"snapshot-load","session":%lld,)"
+                       R"("kind":"cache","bytes_b64":")",
+                       base64Encode(Bytes) + "\"")));
+  json::Value R = req(R"({"id":5,"verb":"step","session":%lld,)"
+                      R"("count":20000)");
+  ASSERT_TRUE(isOk(R));
+  json::Value St =
+      req(R"({"id":6,"verb":"inspect","session":%lld,"what":"stats")");
+  ASSERT_TRUE(isOk(St));
+  const int64_t Dropped =
+      St.get("stats")->get("guard")->get("corrupt_dropped")->intOr(0);
+  if (R.get("faulted")->boolOr(false))
+    EXPECT_EQ(R.get("fault")->get("kind")->str(), "cache-corrupt");
+  else
+    EXPECT_GT(Dropped, 0) << "the cycle was never replayed";
+  EXPECT_TRUE(isOk(rpc(C, R"({"id":7,"verb":"ping"})")));
 }
 
 TEST_F(ServerTest, InspectVariants) {

@@ -1,10 +1,10 @@
 //===- test_snapshot.cpp - Snapshot & warm-start subsystem tests -------------===//
 //
 // Covers the snapshot stack bottom-up: the bounds-checked serializer, the
-// checksummed container, action-cache persistence under both eviction
-// policies, checkpoint/resume bit-identity for every simulator, and the
-// robustness contract — truncated, bit-flipped or stale snapshot files
-// must degrade to a clean cold start, never crash or corrupt state (this
+// checksummed container, action-cache persistence, checkpoint/resume
+// bit-identity for every simulator, and the robustness contract —
+// truncated, bit-flipped or stale snapshot files must degrade to a clean
+// cold start, never crash or corrupt state (this
 // binary runs under ASan+UBSan in CI, so "no UB" is machine-checked).
 // Also validates that every simulator's statsJson() is well-formed JSON.
 //
@@ -299,53 +299,38 @@ TEST(SnapshotResume, AllSimsMemoOnOffBothPolicies) {
   for (SimKind Kind :
        {SimKind::Functional, SimKind::InOrder, SimKind::OutOfOrder}) {
     for (bool Memo : {true, false}) {
-      for (rt::EvictionPolicy Policy :
-           {rt::EvictionPolicy::ClearAll, rt::EvictionPolicy::Segmented}) {
-        rt::Simulation::Options Opts;
-        Opts.Memoize = Memo;
-        Opts.Eviction = Policy;
-        SCOPED_TRACE(std::string("sim=") + std::to_string(int(Kind)) +
-                     " memo=" + (Memo ? "on" : "off") +
-                     " policy=" + (Policy == rt::EvictionPolicy::Segmented
-                                       ? "segmented"
-                                       : "clearall"));
-        expectResumeBitIdentical(Kind, Opts);
-      }
+      rt::Simulation::Options Opts;
+      Opts.Memoize = Memo;
+      SCOPED_TRACE(std::string("sim=") + std::to_string(int(Kind)) +
+                   " memo=" + (Memo ? "on" : "off"));
+      expectResumeBitIdentical(Kind, Opts);
     }
   }
 }
 
 TEST(SnapshotCache, RoundTripBothPolicies) {
   isa::TargetImage Image = workload::generate(testSpec(), 2);
-  for (rt::EvictionPolicy Policy :
-       {rt::EvictionPolicy::ClearAll, rt::EvictionPolicy::Segmented}) {
-    SCOPED_TRACE(Policy == rt::EvictionPolicy::Segmented ? "segmented"
-                                                         : "clearall");
-    rt::Simulation::Options Opts;
-    Opts.Eviction = Policy;
+  FacileSim Builder(SimKind::OutOfOrder, Image);
+  Builder.run(300'000);
+  size_t BuiltEntries = Builder.sim().cache().entryCount();
+  ASSERT_GT(BuiltEntries, 0u);
+  std::vector<uint8_t> Bytes = Builder.cacheBytes();
 
-    FacileSim Builder(SimKind::OutOfOrder, Image, Opts);
-    Builder.run(300'000);
-    size_t BuiltEntries = Builder.sim().cache().entryCount();
-    ASSERT_GT(BuiltEntries, 0u);
-    std::vector<uint8_t> Bytes = Builder.cacheBytes();
+  FacileSim Warm(SimKind::OutOfOrder, Image);
+  std::string Err;
+  ASSERT_TRUE(Warm.loadCacheBytes(Bytes, &Err)) << Err;
+  EXPECT_TRUE(Warm.snapshotStats().CacheLoaded);
+  EXPECT_EQ(Warm.snapshotStats().CacheEntriesLoaded, BuiltEntries);
+  EXPECT_EQ(Warm.sim().cache().entryCount(), BuiltEntries);
 
-    FacileSim Warm(SimKind::OutOfOrder, Image, Opts);
-    std::string Err;
-    ASSERT_TRUE(Warm.loadCacheBytes(Bytes, &Err)) << Err;
-    EXPECT_TRUE(Warm.snapshotStats().CacheLoaded);
-    EXPECT_EQ(Warm.snapshotStats().CacheEntriesLoaded, BuiltEntries);
-    EXPECT_EQ(Warm.sim().cache().entryCount(), BuiltEntries);
-
-    // The reloaded cache must replay: the warm run fast-forwards from the
-    // start and computes the same state as a cold run.
-    FacileSim Cold(SimKind::OutOfOrder, Image, Opts);
-    Cold.run(300'000);
-    Warm.run(300'000);
-    EXPECT_GT(Warm.sim().stats().FastSteps, 0u);
-    EXPECT_EQ(finalState(Warm, SimKind::OutOfOrder),
-              finalState(Cold, SimKind::OutOfOrder));
-  }
+  // The reloaded cache must replay: the warm run fast-forwards from the
+  // start and computes the same state as a cold run.
+  FacileSim Cold(SimKind::OutOfOrder, Image);
+  Cold.run(300'000);
+  Warm.run(300'000);
+  EXPECT_GT(Warm.sim().stats().FastSteps, 0u);
+  EXPECT_EQ(finalState(Warm, SimKind::OutOfOrder),
+            finalState(Cold, SimKind::OutOfOrder));
 }
 
 //===----------------------------------------------------------------------===//

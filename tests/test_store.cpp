@@ -148,8 +148,7 @@ TEST(CacheStore, WriteStoreFileIsDeterministic) {
   isa::TargetImage Image = workload::generate(testSpec(), 2);
   FacileSim Builder(SimKind::OutOfOrder, Image);
   Builder.run(kBudget);
-  rt::ActionCache::FlatImage Img =
-      Builder.sim().cache().compactImage(0, /*DropDetached=*/true);
+  rt::ActionCache::FlatImage Img = Builder.sim().cache().compactImage();
   uint64_t CK = Builder.sim().compatKey();
 
   std::vector<uint8_t> Bytes = store::encodeImage(Img, CK);
@@ -357,9 +356,7 @@ TEST(CacheStore, CrossProcessPromotesNeverReplaceAGeneration) {
   Builder.run(60'000);
   const uint64_t CK = Builder.sim().compatKey();
   const uint32_t NA = static_cast<uint32_t>(Builder.sim().actionCount());
-  const rt::ActionCache::FlatImage Base =
-      Builder.sim().cache().compactImage(/*KeepThreshold=*/0,
-                                         /*DropDetached=*/true);
+  const rt::ActionCache::FlatImage Base = Builder.sim().cache().compactImage();
 
   std::string Dir = freshDir("xproc");
   constexpr unsigned Procs = 4, Rounds = 4;

@@ -324,6 +324,25 @@ TEST(TelemetryIntegration, StatsJsonRetainsPreV2KeysForAllSimulators) {
   }
 }
 
+TEST(TelemetryIntegration, RetiredFieldsReadTheirFixedValues) {
+  // guard.enabled, cache.evictions and cache.evicted_entries stay in the
+  // schema for v2 readers: replay's integrity checks always run, and an
+  // over-budget cache is only ever cleared.
+  isa::TargetImage Image = workload::generate(testSpec(), 2);
+  rt::Simulation::Options Tiny;
+  Tiny.CacheBudgetBytes = 64u << 10;
+  FacileSim Sim(SimKind::Functional, Image, Tiny);
+  Sim.run(60'000);
+  json::Value Stats;
+  std::string Err;
+  ASSERT_TRUE(json::parse(Sim.statsJson(), Stats, Err)) << Err;
+  EXPECT_TRUE(Stats.get("guard")->get("enabled")->boolOr(false));
+  const json::Value *Cache = Stats.get("cache");
+  EXPECT_GT(Cache->get("clears")->intOr(0), 0);
+  EXPECT_EQ(Cache->get("evictions")->intOr(-1), 0);
+  EXPECT_EQ(Cache->get("evicted_entries")->intOr(-1), 0);
+}
+
 TEST(TelemetryIntegration, IndexChainCountersAccountForChainedSteps) {
   // cache.index_chain_hits/misses count the steps that followed an End
   // node's NextKey (compared on the non-key-static words only) or fell

@@ -12,7 +12,7 @@
 // run() budgets, a halt, a deadline hook, the step limit, the memory
 // budget latch, an injected extern failure, a thrashing cache rebuilt
 // mid-run, cache rebuilds between runs, and links into entries whose binding
-// changed. Every case runs at threshold 1, guarded and unguarded.
+// changed. Every case runs at threshold 1.
 //
 //===----------------------------------------------------------------------===//
 
@@ -160,19 +160,16 @@ uint64_t driveInLockstep(FacileSim &Run, FacileSim &Step, FacileSim *Interp,
 /// JIT and the step()-driven interpreter. \p Image must outlive them.
 struct Trio {
   FacileSim Run, Step, Interp;
-  Trio(const isa::TargetImage &Image, bool Guards,
+  Trio(const isa::TargetImage &Image,
        rt::Simulation::Options Base = rt::Simulation::Options())
-      : Run(SimKind::OutOfOrder, Image,
-            with(Base, rt::BackendKind::Jit, Guards)),
-        Step(SimKind::OutOfOrder, Image,
-             with(Base, rt::BackendKind::Jit, Guards)),
+      : Run(SimKind::OutOfOrder, Image, with(Base, rt::BackendKind::Jit)),
+        Step(SimKind::OutOfOrder, Image, with(Base, rt::BackendKind::Jit)),
         Interp(SimKind::OutOfOrder, Image,
-               with(Base, rt::BackendKind::Interpret, Guards)) {}
+               with(Base, rt::BackendKind::Interpret)) {}
   static rt::Simulation::Options with(rt::Simulation::Options O,
-                                      rt::BackendKind Backend, bool Guards) {
+                                      rt::BackendKind Backend) {
     O.Backend = Backend;
     O.JitThreshold = 1;
-    O.Guards = Guards;
     return O;
   }
 };
@@ -185,31 +182,29 @@ struct Trio {
 
 TEST(TraceChaining, RunEqualsSteppingAtEveryBudget) {
   REQUIRE_JIT();
-  for (bool Guards : {true, false}) {
-    for (const char *Name : {"loop", "swim", "gcc"}) {
-      SCOPED_TRACE(std::string(Name) + (Guards ? " guarded" : " unguarded"));
-      const isa::TargetImage Image = std::string(Name) == "loop"
-                                         ? loopImage(100'000'000)
-                                         : suiteImage(Name);
-      Trio T(Image, Guards);
-      // run(1) never chains; the rest chain up to one step short of their
-      // size.
-      const uint64_t Before = T.Run.sim().chainedSteps();
-      driveInLockstep(T.Run, T.Step, &T.Interp, 300, {1});
-      EXPECT_EQ(T.Run.sim().chainedSteps(), Before);
-      const uint64_t Chained = driveInLockstep(T.Run, T.Step, &T.Interp,
-                                               30'000, {1, 2, 255, 256});
-      if (HasFailure())
-        return;
-      EXPECT_GT(Chained, 0u);
-      EXPECT_EQ(jitCounter(T.Run, "chained_steps"), Chained);
-      EXPECT_EQ(jitCounter(T.Step, "chained_steps"), 0u);
-      // Chaining is a subset of trace steps.
-      EXPECT_LE(Chained, jitCounter(T.Run, "trace_steps"));
-      if (std::string(Name) == "loop") {
-        // The settled loop chains nearly every step the budgets allow.
-        EXPECT_GT(Chained * 2, T.Run.sim().stats().FastSteps);
-      }
+  for (const char *Name : {"loop", "swim", "gcc"}) {
+    SCOPED_TRACE(std::string(Name));
+    const isa::TargetImage Image = std::string(Name) == "loop"
+                                       ? loopImage(100'000'000)
+                                       : suiteImage(Name);
+    Trio T(Image);
+    // run(1) never chains; the rest chain up to one step short of their
+    // size.
+    const uint64_t Before = T.Run.sim().chainedSteps();
+    driveInLockstep(T.Run, T.Step, &T.Interp, 300, {1});
+    EXPECT_EQ(T.Run.sim().chainedSteps(), Before);
+    const uint64_t Chained = driveInLockstep(T.Run, T.Step, &T.Interp,
+                                             30'000, {1, 2, 255, 256});
+    if (HasFailure())
+      return;
+    EXPECT_GT(Chained, 0u);
+    EXPECT_EQ(jitCounter(T.Run, "chained_steps"), Chained);
+    EXPECT_EQ(jitCounter(T.Step, "chained_steps"), 0u);
+    // Chaining is a subset of trace steps.
+    EXPECT_LE(Chained, jitCounter(T.Run, "trace_steps"));
+    if (std::string(Name) == "loop") {
+      // The settled loop chains nearly every step the budgets allow.
+      EXPECT_GT(Chained * 2, T.Run.sim().stats().FastSteps);
     }
   }
 }
@@ -217,129 +212,115 @@ TEST(TraceChaining, RunEqualsSteppingAtEveryBudget) {
 TEST(TraceChaining, HaltMidChainStopsWhereSteppingDoes) {
   REQUIRE_JIT();
   const isa::TargetImage Image = loopImage(3'000);
-  for (bool Guards : {true, false}) {
-    SCOPED_TRACE(Guards ? "guarded" : "unguarded");
-    Trio T(Image, Guards);
-    const std::vector<uint8_t> Start = T.Run.checkpointBytes();
-    // Two passes over the program from the same checkpoint, each run to
-    // the halt and then stepped past it in C++: the first records every
-    // step, the second replays them, so the halting step runs as a trace
-    // and its End exit gets a link to the step after it.
-    for (int Pass = 0; Pass != 2; ++Pass) {
-      ASSERT_TRUE(T.Run.loadCheckpointBytes(Start));
-      ASSERT_TRUE(T.Step.loadCheckpointBytes(Start));
-      driveInLockstep(T.Run, T.Step, nullptr, ~0ull, {256});
-      ASSERT_TRUE(T.Run.sim().halted());
-      for (int I = 0; I != 4; ++I) {
-        ASSERT_EQ(T.Run.sim().step(), T.Step.sim().step());
-      }
-      expectSame(T.Run, T.Step);
-      ASSERT_FALSE(T.Run.faulted()) << T.Run.fault().Detail;
-    }
-    // Third pass: the halting step is itself entered by a chain jump, and
-    // the stub must stop after it although its link leads on.
+  Trio T(Image);
+  const std::vector<uint8_t> Start = T.Run.checkpointBytes();
+  // Two passes over the program from the same checkpoint, each run to
+  // the halt and then stepped past it in C++: the first records every
+  // step, the second replays them, so the halting step runs as a trace
+  // and its End exit gets a link to the step after it.
+  for (int Pass = 0; Pass != 2; ++Pass) {
     ASSERT_TRUE(T.Run.loadCheckpointBytes(Start));
     ASSERT_TRUE(T.Step.loadCheckpointBytes(Start));
-    const uint64_t Chained = T.Run.sim().chainedSteps();
-    const rt::RunResult R = T.Run.sim().run(1'000'000);
-    EXPECT_EQ(R.Status, rt::RunStatus::Halted);
-    EXPECT_EQ(stepLikeRun(T.Step, 1'000'000), R.Steps);
+    driveInLockstep(T.Run, T.Step, nullptr, ~0ull, {256});
+    ASSERT_TRUE(T.Run.sim().halted());
+    for (int I = 0; I != 4; ++I) {
+      ASSERT_EQ(T.Run.sim().step(), T.Step.sim().step());
+    }
     expectSame(T.Run, T.Step);
-    // One run() call chained almost all of it.
-    EXPECT_GT((T.Run.sim().chainedSteps() - Chained) * 10, R.Steps * 9);
+    ASSERT_FALSE(T.Run.faulted()) << T.Run.fault().Detail;
   }
+  // Third pass: the halting step is itself entered by a chain jump, and
+  // the stub must stop after it although its link leads on.
+  ASSERT_TRUE(T.Run.loadCheckpointBytes(Start));
+  ASSERT_TRUE(T.Step.loadCheckpointBytes(Start));
+  const uint64_t Chained = T.Run.sim().chainedSteps();
+  const rt::RunResult R = T.Run.sim().run(1'000'000);
+  EXPECT_EQ(R.Status, rt::RunStatus::Halted);
+  EXPECT_EQ(stepLikeRun(T.Step, 1'000'000), R.Steps);
+  expectSame(T.Run, T.Step);
+  // One run() call chained almost all of it.
+  EXPECT_GT((T.Run.sim().chainedSteps() - Chained) * 10, R.Steps * 9);
 }
 
 TEST(TraceChaining, DeadlineHookFiresAtTheSameStep) {
   REQUIRE_JIT();
   const isa::TargetImage Image = loopImage(100'000'000);
-  for (bool Guards : {true, false}) {
-    SCOPED_TRACE(Guards ? "guarded" : "unguarded");
-    Trio T(Image, Guards);
-    driveInLockstep(T.Run, T.Step, &T.Interp, 3'000, {256});
-    // A hook that never fires is consulted equally often.
-    uint64_t CallsRun = 0, CallsStep = 0;
-    T.Run.sim().setDeadlineHook([&] { return ++CallsRun > 1'000'000; });
-    T.Step.sim().setDeadlineHook([&] { return ++CallsStep > 1'000'000; });
-    const uint64_t Chained = driveInLockstep(T.Run, T.Step, nullptr, 20'000,
-                                             {256, 255, 100});
-    EXPECT_EQ(CallsRun, CallsStep);
-    EXPECT_GT(CallsRun, 20'000 / rt::Simulation::DeadlineCheckPeriod - 1);
-    // One that fires at its 50th consultation stops both at one step.
-    CallsRun = CallsStep = 0;
-    T.Run.sim().setDeadlineHook([&] { return ++CallsRun == 50; });
-    T.Step.sim().setDeadlineHook([&] { return ++CallsStep == 50; });
-    const uint64_t More =
-        driveInLockstep(T.Run, T.Step, nullptr, 1'000'000, {256});
-    EXPECT_EQ(T.Run.fault().Kind, rt::FaultKind::DeadlineExceeded);
-    EXPECT_EQ(CallsRun, 50u);
-    EXPECT_EQ(CallsStep, 50u);
-    EXPECT_GT(More, Chained);
-  }
+  Trio T(Image);
+  driveInLockstep(T.Run, T.Step, &T.Interp, 3'000, {256});
+  // A hook that never fires is consulted equally often.
+  uint64_t CallsRun = 0, CallsStep = 0;
+  T.Run.sim().setDeadlineHook([&] { return ++CallsRun > 1'000'000; });
+  T.Step.sim().setDeadlineHook([&] { return ++CallsStep > 1'000'000; });
+  const uint64_t Chained = driveInLockstep(T.Run, T.Step, nullptr, 20'000,
+                                           {256, 255, 100});
+  EXPECT_EQ(CallsRun, CallsStep);
+  EXPECT_GT(CallsRun, 20'000 / rt::Simulation::DeadlineCheckPeriod - 1);
+  // One that fires at its 50th consultation stops both at one step.
+  CallsRun = CallsStep = 0;
+  T.Run.sim().setDeadlineHook([&] { return ++CallsRun == 50; });
+  T.Step.sim().setDeadlineHook([&] { return ++CallsStep == 50; });
+  const uint64_t More =
+      driveInLockstep(T.Run, T.Step, nullptr, 1'000'000, {256});
+  EXPECT_EQ(T.Run.fault().Kind, rt::FaultKind::DeadlineExceeded);
+  EXPECT_EQ(CallsRun, 50u);
+  EXPECT_EQ(CallsStep, 50u);
+  EXPECT_GT(More, Chained);
 }
 
 TEST(TraceChaining, StepLimitFaultsAtTheSameStep) {
   REQUIRE_JIT();
   const isa::TargetImage Image = loopImage(100'000'000);
-  for (bool Guards : {true, false}) {
-    SCOPED_TRACE(Guards ? "guarded" : "unguarded");
-    rt::Simulation::Options O;
-    O.StepLimit = 10'007;
-    Trio T(Image, Guards, O);
-    const uint64_t Chained =
-        driveInLockstep(T.Run, T.Step, &T.Interp, 1'000'000, {256, 1000});
-    EXPECT_EQ(T.Run.fault().Kind, rt::FaultKind::StepLimit);
-    EXPECT_GT(Chained, 0u);
-    // Raising the limit resumes both alike.
-    for (FacileSim *S : {&T.Run, &T.Step, &T.Interp}) {
-      S->sim().setStepLimit(20'011);
-      S->sim().clearFault();
-    }
-    driveInLockstep(T.Run, T.Step, &T.Interp, 1'000'000, {999});
-    EXPECT_EQ(T.Run.fault().Kind, rt::FaultKind::StepLimit);
-    EXPECT_EQ(T.Run.fault().Step, 20'011u);
+  rt::Simulation::Options O;
+  O.StepLimit = 10'007;
+  Trio T(Image, O);
+  const uint64_t Chained =
+      driveInLockstep(T.Run, T.Step, &T.Interp, 1'000'000, {256, 1000});
+  EXPECT_EQ(T.Run.fault().Kind, rt::FaultKind::StepLimit);
+  EXPECT_GT(Chained, 0u);
+  // Raising the limit resumes both alike.
+  for (FacileSim *S : {&T.Run, &T.Step, &T.Interp}) {
+    S->sim().setStepLimit(20'011);
+    S->sim().clearFault();
   }
+  driveInLockstep(T.Run, T.Step, &T.Interp, 1'000'000, {999});
+  EXPECT_EQ(T.Run.fault().Kind, rt::FaultKind::StepLimit);
+  EXPECT_EQ(T.Run.fault().Step, 20'011u);
 }
 
 TEST(TraceChaining, MemoryBudgetLatchStopsTheChain) {
   REQUIRE_JIT();
   const isa::TargetImage Image = pageWalkImage();
-  for (bool Guards : {true, false}) {
-    SCOPED_TRACE(Guards ? "guarded" : "unguarded");
-    rt::Simulation::Options O;
-    O.MemPageBudget = 400; // trips a few hundred iterations in
-    Trio T(Image, Guards, O);
-    const uint64_t Chained =
-        driveInLockstep(T.Run, T.Step, &T.Interp, 1'000'000, {256});
-    EXPECT_EQ(T.Run.fault().Kind, rt::FaultKind::MemoryBudgetExceeded);
-    EXPECT_GT(Chained, 0u);
-  }
+  rt::Simulation::Options O;
+  O.MemPageBudget = 400; // trips a few hundred iterations in
+  Trio T(Image, O);
+  const uint64_t Chained =
+      driveInLockstep(T.Run, T.Step, &T.Interp, 1'000'000, {256});
+  EXPECT_EQ(T.Run.fault().Kind, rt::FaultKind::MemoryBudgetExceeded);
+  EXPECT_GT(Chained, 0u);
 }
 
 TEST(TraceChaining, ExternFailureFaultsAtTheSameStepAndPc) {
   REQUIRE_JIT();
-  for (bool Guards : {true, false}) {
-    for (const char *Name : {"loop", "swim"}) {
-      SCOPED_TRACE(std::string(Name) + (Guards ? " guarded" : " unguarded"));
-      const isa::TargetImage Image = std::string(Name) == "loop"
-                                         ? loopImage(100'000'000)
-                                         : suiteImage(Name);
-      Trio T(Image, Guards);
-      driveInLockstep(T.Run, T.Step, &T.Interp, 5'000, {256});
-      // Count extern calls from here; fail the 20,000th in every run.
-      uint64_t Calls[3] = {0, 0, 0};
-      FacileSim *Sims[3] = {&T.Run, &T.Step, &T.Interp};
-      for (int I = 0; I != 3; ++I)
-        Sims[I]->sim().setExternFaultHook(
-            [&Calls, I](uint32_t) { return ++Calls[I] == 20'000; });
-      const uint64_t Before = T.Run.sim().chainedSteps();
-      driveInLockstep(T.Run, T.Step, &T.Interp, 1'000'000, {256});
-      ASSERT_EQ(T.Run.fault().Kind, rt::FaultKind::ExternFailure);
-      EXPECT_GT(T.Run.sim().chainedSteps(), Before);
-      EXPECT_EQ(Calls[0], 20'000u);
-      EXPECT_EQ(Calls[1], 20'000u);
-      EXPECT_EQ(Calls[2], 20'000u);
-    }
+  for (const char *Name : {"loop", "swim"}) {
+    SCOPED_TRACE(std::string(Name));
+    const isa::TargetImage Image = std::string(Name) == "loop"
+                                       ? loopImage(100'000'000)
+                                       : suiteImage(Name);
+    Trio T(Image);
+    driveInLockstep(T.Run, T.Step, &T.Interp, 5'000, {256});
+    // Count extern calls from here; fail the 20,000th in every run.
+    uint64_t Calls[3] = {0, 0, 0};
+    FacileSim *Sims[3] = {&T.Run, &T.Step, &T.Interp};
+    for (int I = 0; I != 3; ++I)
+      Sims[I]->sim().setExternFaultHook(
+          [&Calls, I](uint32_t) { return ++Calls[I] == 20'000; });
+    const uint64_t Before = T.Run.sim().chainedSteps();
+    driveInLockstep(T.Run, T.Step, &T.Interp, 1'000'000, {256});
+    ASSERT_EQ(T.Run.fault().Kind, rt::FaultKind::ExternFailure);
+    EXPECT_GT(T.Run.sim().chainedSteps(), Before);
+    EXPECT_EQ(Calls[0], 20'000u);
+    EXPECT_EQ(Calls[1], 20'000u);
+    EXPECT_EQ(Calls[2], 20'000u);
   }
 }
 
@@ -349,37 +330,31 @@ TEST(TraceChaining, ThrashingCacheStaysInLockstep) {
   // count every step as stepping does.
   REQUIRE_JIT();
   const isa::TargetImage Image = suiteImage("gcc");
-  for (bool Guards : {true, false}) {
-    SCOPED_TRACE(Guards ? "guarded" : "unguarded");
-    rt::Simulation::Options O;
-    O.CacheBudgetBytes = 96 << 10; // thrashes: clears again and again
-    Trio T(Image, Guards, O);
-    const uint64_t Chained = driveInLockstep(T.Run, T.Step, &T.Interp,
-                                             60'000, {256, 77});
-    EXPECT_GT(Chained, 0u);
-    EXPECT_GT(T.Step.sim().cache().stats().Clears, 0u);
-  }
+  rt::Simulation::Options O;
+  O.CacheBudgetBytes = 96 << 10; // thrashes: clears again and again
+  Trio T(Image, O);
+  const uint64_t Chained = driveInLockstep(T.Run, T.Step, &T.Interp,
+                                           60'000, {256, 77});
+  EXPECT_GT(Chained, 0u);
+  EXPECT_GT(T.Step.sim().cache().stats().Clears, 0u);
 }
 
 TEST(TraceChaining, CacheRebuildsBetweenRunsDropEveryLink) {
   REQUIRE_JIT();
   const isa::TargetImage Image = suiteImage("swim");
-  for (bool Guards : {true, false}) {
-    SCOPED_TRACE(Guards ? "guarded" : "unguarded");
-    Trio T(Image, Guards);
-    FacileSim *All[3] = {&T.Run, &T.Step, &T.Interp};
-    uint64_t Chained = driveInLockstep(T.Run, T.Step, &T.Interp, 8'000, {256});
-    for (FacileSim *S : All)
-      S->sim().evictCacheNow();
-    Chained = driveInLockstep(T.Run, T.Step, &T.Interp, 8'000, {256});
-    for (FacileSim *S : All) {
-      const std::vector<uint8_t> Bytes = S->cacheBytes();
-      ASSERT_TRUE(S->loadCacheBytes(Bytes));
-    }
-    const uint64_t More =
-        driveInLockstep(T.Run, T.Step, &T.Interp, 8'000, {256});
-    EXPECT_GT(More, Chained);
+  Trio T(Image);
+  FacileSim *All[3] = {&T.Run, &T.Step, &T.Interp};
+  uint64_t Chained = driveInLockstep(T.Run, T.Step, &T.Interp, 8'000, {256});
+  for (FacileSim *S : All)
+    S->sim().evictCacheNow();
+  Chained = driveInLockstep(T.Run, T.Step, &T.Interp, 8'000, {256});
+  for (FacileSim *S : All) {
+    const std::vector<uint8_t> Bytes = S->cacheBytes();
+    ASSERT_TRUE(S->loadCacheBytes(Bytes));
   }
+  const uint64_t More =
+      driveInLockstep(T.Run, T.Step, &T.Interp, 8'000, {256});
+  EXPECT_GT(More, Chained);
 }
 
 TEST(TraceChaining, StoreMappedBaseAndResetBetweenRuns) {
@@ -394,23 +369,20 @@ TEST(TraceChaining, StoreMappedBaseAndResetBetweenRuns) {
     std::string Err;
     ASSERT_TRUE(Builder.promoteStore(Store, nullptr, &Err)) << Err;
   }
-  for (bool Guards : {true, false}) {
-    SCOPED_TRACE(Guards ? "guarded" : "unguarded");
-    Trio T(Image, Guards);
-    store::CacheStoreDir Store(Dir);
-    for (FacileSim *S : {&T.Run, &T.Step, &T.Interp}) {
-      std::string Err;
-      ASSERT_TRUE(S->attachStore(Store, &Err)) << Err;
-    }
-    const uint64_t Chained =
-        driveInLockstep(T.Run, T.Step, &T.Interp, 30'000, {256});
-    EXPECT_GT(Chained, 0u);
-    // Back to the mapped base: every binding and link is gone.
-    for (FacileSim *S : {&T.Run, &T.Step, &T.Interp})
-      S->sim().evictCacheNow();
-    EXPECT_GT(driveInLockstep(T.Run, T.Step, &T.Interp, 10'000, {256}),
-              Chained);
+  Trio T(Image);
+  store::CacheStoreDir Store(Dir);
+  for (FacileSim *S : {&T.Run, &T.Step, &T.Interp}) {
+    std::string Err;
+    ASSERT_TRUE(S->attachStore(Store, &Err)) << Err;
   }
+  const uint64_t Chained =
+      driveInLockstep(T.Run, T.Step, &T.Interp, 30'000, {256});
+  EXPECT_GT(Chained, 0u);
+  // Back to the mapped base: every binding and link is gone.
+  for (FacileSim *S : {&T.Run, &T.Step, &T.Interp})
+    S->sim().evictCacheNow();
+  EXPECT_GT(driveInLockstep(T.Run, T.Step, &T.Interp, 10'000, {256}),
+            Chained);
   if (DIR *D = ::opendir(Dir.c_str())) {
     while (dirent *E = ::readdir(D))
       if (std::string(E->d_name) != "." && std::string(E->d_name) != "..")
@@ -425,9 +397,9 @@ TEST(TraceChaining, LinksIntoRebuiltOrStaleBindingsAreNotFollowed) {
   // Growth: gcc's entries keep side-exiting into recordings that grow
   // them, so bindings (and the links into them) keep being invalidated.
   const isa::TargetImage Branchy = suiteImage("gcc");
-  for (bool Guards : {true, false}) {
-    SCOPED_TRACE(Guards ? "guarded growth" : "unguarded growth");
-    Trio T(Branchy, Guards);
+  {
+    SCOPED_TRACE("growth");
+    Trio T(Branchy);
     const uint64_t Chained =
         driveInLockstep(T.Run, T.Step, &T.Interp, 40'000, {256});
     EXPECT_GT(Chained, 0u);
@@ -437,11 +409,11 @@ TEST(TraceChaining, LinksIntoRebuiltOrStaleBindingsAreNotFollowed) {
   }
   // Epoch: a seal flipped in the hottest entry moves the cache's epoch;
   // a chain jump into a binding made before it must not happen, so the
-  // guarded run absorbs the corruption exactly as stepping does.
+  // run absorbs the corruption exactly as stepping does.
   const isa::TargetImage Image = loopImage(100'000'000);
-  for (bool Guards : {true, false}) {
-    SCOPED_TRACE(Guards ? "guarded epoch" : "unguarded epoch");
-    Trio T(Image, Guards);
+  {
+    SCOPED_TRACE("epoch");
+    Trio T(Image);
     driveInLockstep(T.Run, T.Step, &T.Interp, 20'000, {256});
     if (HasFailure())
       return;
@@ -458,9 +430,7 @@ TEST(TraceChaining, LinksIntoRebuiltOrStaleBindingsAreNotFollowed) {
     }
     const uint64_t Chained =
         driveInLockstep(T.Run, T.Step, &T.Interp, 20'000, {256});
-    if (Guards) {
-      EXPECT_GT(T.Run.sim().stats().CorruptDropped, 0u);
-    }
+    EXPECT_GT(T.Run.sim().stats().CorruptDropped, 0u);
     EXPECT_GT(Chained, 0u);
   }
 }
@@ -474,33 +444,28 @@ TEST(TraceChaining, EpochMovedMidChainStopsTheChain) {
   // stop there too. (The interpreter would check the flipped node within
   // the same step, so it is not a reference here.)
   const isa::TargetImage Image = loopImage(100'000'000);
-  for (bool Guards : {true, false}) {
-    SCOPED_TRACE(Guards ? "guarded" : "unguarded");
-    Trio T(Image, Guards);
-    driveInLockstep(T.Run, T.Step, nullptr, 20'000, {256});
-    if (HasFailure())
-      return;
-    const rt::ActionCache &C = T.Run.sim().cache();
-    rt::EntryId Hot = 0;
-    for (rt::EntryId E = 1; E != C.entryCount(); ++E)
-      if (C.entry(E).LastUse > C.entry(Hot).LastUse)
-        Hot = E;
-    const uint32_t Head = C.entry(Hot).Head;
-    ASSERT_NE(Head, rt::ActionNode::NoNode);
-    uint64_t Calls[2] = {0, 0};
-    FacileSim *Sims[2] = {&T.Run, &T.Step};
-    for (int I = 0; I != 2; ++I)
-      Sims[I]->sim().setExternFaultHook([&Calls, &Sims, I, Head](uint32_t) {
-        if (++Calls[I] == 500)
-          Sims[I]->sim().mutableCache().mutableSeals()[Head] ^= 1;
-        return false;
-      });
-    const uint64_t Before = T.Run.sim().chainedSteps();
-    driveInLockstep(T.Run, T.Step, nullptr, 20'000, {256});
-    EXPECT_GT(Calls[0], 500u);
-    if (Guards) {
-      EXPECT_GT(T.Run.sim().stats().CorruptDropped, 0u);
-    }
-    EXPECT_GT(T.Run.sim().chainedSteps(), Before);
-  }
+  Trio T(Image);
+  driveInLockstep(T.Run, T.Step, nullptr, 20'000, {256});
+  if (HasFailure())
+    return;
+  const rt::ActionCache &C = T.Run.sim().cache();
+  rt::EntryId Hot = 0;
+  for (rt::EntryId E = 1; E != C.entryCount(); ++E)
+    if (C.entry(E).LastUse > C.entry(Hot).LastUse)
+      Hot = E;
+  const uint32_t Head = C.entry(Hot).Head;
+  ASSERT_NE(Head, rt::ActionNode::NoNode);
+  uint64_t Calls[2] = {0, 0};
+  FacileSim *Sims[2] = {&T.Run, &T.Step};
+  for (int I = 0; I != 2; ++I)
+    Sims[I]->sim().setExternFaultHook([&Calls, &Sims, I, Head](uint32_t) {
+      if (++Calls[I] == 500)
+        Sims[I]->sim().mutableCache().mutableSeals()[Head] ^= 1;
+      return false;
+    });
+  const uint64_t Before = T.Run.sim().chainedSteps();
+  driveInLockstep(T.Run, T.Step, nullptr, 20'000, {256});
+  EXPECT_GT(Calls[0], 500u);
+  EXPECT_GT(T.Run.sim().stats().CorruptDropped, 0u);
+  EXPECT_GT(T.Run.sim().chainedSteps(), Before);
 }

@@ -4,12 +4,11 @@
 // ids, node kinds, span lengths, pool sides and successor slots — and bind
 // per entry through a table of node ids and span offsets. These tests run
 // the JIT at threshold 1, so every replayed entry binds on its first
-// replay, guarded and unguarded, and hold every step to a memo-off run of
-// the same program: entries share shapes; a side exit out of a shared
-// shape hands recovery the prefix an interpreted walk builds; a corrupted
-// node is never bound even when its shape is compiled; and after an
-// eviction the same shapes re-bind without compiling while no stale
-// binding runs.
+// replay, and hold every step to a memo-off run of the same program:
+// entries share shapes; a side exit out of a shared shape hands recovery
+// the prefix an interpreted walk builds; a corrupted node is never bound
+// even when its shape is compiled; and after an eviction the same shapes
+// re-bind without compiling while no stale binding runs.
 //
 //===----------------------------------------------------------------------===//
 
@@ -43,12 +42,10 @@ isa::TargetImage branchyImage() {
   return workload::generate(S, 1u << 30);
 }
 
-rt::Simulation::Options options(rt::BackendKind Backend, bool Guards,
-                                bool Memo = true) {
+rt::Simulation::Options options(rt::BackendKind Backend, bool Memo = true) {
   rt::Simulation::Options O;
   O.Backend = Backend;
   O.JitThreshold = 1;
-  O.Guards = Guards;
   O.Memoize = Memo;
   return O;
 }
@@ -64,8 +61,7 @@ uint64_t jitCounter(const FacileSim &Sim, const char *Name) {
 
 /// Digest of what the cache recorded: data pool, seals and key pool.
 uint64_t cacheDigest(const FacileSim &Sim) {
-  const rt::ActionCache::FlatImage Flat = Sim.sim().cache().compactImage(
-      /*KeepThreshold=*/0, /*DropDetached=*/false);
+  const rt::ActionCache::FlatImage Flat = Sim.sim().cache().compactImage();
   uint64_t H = hashBytes(Flat.Data.data(), Flat.Data.size() * sizeof(int64_t));
   H = hashBytes(Flat.Seals.data(), Flat.Seals.size() * sizeof(uint64_t), H);
   return hashBytes(Flat.KeyPool.data(), Flat.KeyPool.size(), H);
@@ -111,139 +107,123 @@ TEST(TraceShapes, EntriesShareCompiledShapes) {
   if (!jit::available())
     GTEST_SKIP() << "no template-JIT backend on this host";
   const isa::TargetImage Image = loopImage();
-  for (bool Guards : {true, false}) {
-    SCOPED_TRACE(Guards ? "guarded" : "unguarded");
-    FacileSim Jit(SimKind::OutOfOrder, Image,
-                  options(rt::BackendKind::Jit, Guards));
-    FacileSim Ref(SimKind::OutOfOrder, Image,
-                  options(rt::BackendKind::Interpret, Guards, false));
-    lockstep({&Jit, &Ref}, 30'000);
-    if (HasFatalFailure())
-      return;
-    const uint64_t Shapes = jitCounter(Jit, "compiled_traces");
-    const uint64_t Bindings = jitCounter(Jit, "trace_bindings");
-    EXPECT_GT(Shapes, 0u);
-    // Nothing moved the epoch or rebuilt the cache, and a grown entry
-    // re-binds to a larger tree: more bindings than shapes means entries
-    // share shapes. Most do.
-    EXPECT_GT(Bindings, 2 * Shapes);
-    EXPECT_GT(2 * jitCounter(Jit, "trace_steps"), Jit.sim().stats().FastSteps);
-  }
+  FacileSim Jit(SimKind::OutOfOrder, Image,
+                options(rt::BackendKind::Jit));
+  FacileSim Ref(SimKind::OutOfOrder, Image,
+                options(rt::BackendKind::Interpret, false));
+  lockstep({&Jit, &Ref}, 30'000);
+  if (HasFatalFailure())
+    return;
+  const uint64_t Shapes = jitCounter(Jit, "compiled_traces");
+  const uint64_t Bindings = jitCounter(Jit, "trace_bindings");
+  EXPECT_GT(Shapes, 0u);
+  // Nothing moved the epoch or rebuilt the cache, and a grown entry
+  // re-binds to a larger tree: more bindings than shapes means entries
+  // share shapes. Most do.
+  EXPECT_GT(Bindings, 2 * Shapes);
+  EXPECT_GT(2 * jitCounter(Jit, "trace_steps"), Jit.sim().stats().FastSteps);
 }
 
 TEST(TraceShapes, SideExitHandsRecoveryTheInterpretedPrefix) {
   if (!jit::available())
     GTEST_SKIP() << "no template-JIT backend on this host";
   const isa::TargetImage Image = branchyImage();
-  for (bool Guards : {true, false}) {
-    SCOPED_TRACE(Guards ? "guarded" : "unguarded");
-    FacileSim Jit(SimKind::OutOfOrder, Image,
-                  options(rt::BackendKind::Jit, Guards));
-    FacileSim Interp(SimKind::OutOfOrder, Image,
-                     options(rt::BackendKind::Interpret, Guards));
-    FacileSim Ref(SimKind::OutOfOrder, Image,
-                  options(rt::BackendKind::Interpret, Guards, false));
-    lockstep({&Jit, &Interp, &Ref}, 20'000);
-    if (HasFatalFailure())
-      return;
-    // Recovery from every side exit recorded exactly what recovery from
-    // the interpreted walk recorded.
-    EXPECT_EQ(Jit.sim().cache().nodeCount(), Interp.sim().cache().nodeCount());
-    EXPECT_EQ(cacheDigest(Jit), cacheDigest(Interp));
-    EXPECT_GT(Jit.sim().stats().Misses, 0u);
-    EXPECT_GT(jitCounter(Jit, "trace_side_exits"), 0u);
-    EXPECT_GT(jitCounter(Jit, "trace_bindings"),
-              jitCounter(Jit, "compiled_traces"));
-  }
+  FacileSim Jit(SimKind::OutOfOrder, Image,
+                options(rt::BackendKind::Jit));
+  FacileSim Interp(SimKind::OutOfOrder, Image,
+                   options(rt::BackendKind::Interpret));
+  FacileSim Ref(SimKind::OutOfOrder, Image,
+                options(rt::BackendKind::Interpret, false));
+  lockstep({&Jit, &Interp, &Ref}, 20'000);
+  if (HasFatalFailure())
+    return;
+  // Recovery from every side exit recorded exactly what recovery from
+  // the interpreted walk recorded.
+  EXPECT_EQ(Jit.sim().cache().nodeCount(), Interp.sim().cache().nodeCount());
+  EXPECT_EQ(cacheDigest(Jit), cacheDigest(Interp));
+  EXPECT_GT(Jit.sim().stats().Misses, 0u);
+  EXPECT_GT(jitCounter(Jit, "trace_side_exits"), 0u);
+  EXPECT_GT(jitCounter(Jit, "trace_bindings"),
+            jitCounter(Jit, "compiled_traces"));
 }
 
 TEST(TraceShapes, CorruptNodeOfCompiledShapeIsNeverBound) {
   if (!jit::available())
     GTEST_SKIP() << "no template-JIT backend on this host";
   const isa::TargetImage Image = loopImage();
-  for (bool Guards : {true, false}) {
-    SCOPED_TRACE(Guards ? "guarded" : "unguarded");
-    FacileSim Jit(SimKind::OutOfOrder, Image,
-                  options(rt::BackendKind::Jit, Guards));
-    FacileSim Interp(SimKind::OutOfOrder, Image,
-                     options(rt::BackendKind::Interpret, Guards));
-    FacileSim Ref(SimKind::OutOfOrder, Image,
-                  options(rt::BackendKind::Interpret, Guards, false));
-    lockstep({&Jit, &Interp, &Ref}, 20'000);
+  FacileSim Jit(SimKind::OutOfOrder, Image,
+                options(rt::BackendKind::Jit));
+  FacileSim Interp(SimKind::OutOfOrder, Image,
+                   options(rt::BackendKind::Interpret));
+  FacileSim Ref(SimKind::OutOfOrder, Image,
+                options(rt::BackendKind::Interpret, false));
+  lockstep({&Jit, &Interp, &Ref}, 20'000);
+  if (HasFatalFailure())
+    return;
+  // Step until one step ran as a single trace call: the entry it
+  // replayed — the most recently used — is bound, so its shape is
+  // compiled.
+  bool Traced = false;
+  for (unsigned I = 0; I != 100 && !Traced; ++I) {
+    const uint64_t Before = jitCounter(Jit, "trace_steps");
+    lockstep({&Jit, &Interp, &Ref}, 1);
     if (HasFatalFailure())
       return;
-    // Step until one step ran as a single trace call: the entry it
-    // replayed — the most recently used — is bound, so its shape is
-    // compiled.
-    bool Traced = false;
-    for (unsigned I = 0; I != 100 && !Traced; ++I) {
-      const uint64_t Before = jitCounter(Jit, "trace_steps");
-      lockstep({&Jit, &Interp, &Ref}, 1);
-      if (HasFatalFailure())
-        return;
-      Traced = jitCounter(Jit, "trace_steps") != Before;
-    }
-    ASSERT_TRUE(Traced);
-    const rt::ActionCache &C = Jit.sim().cache();
-    ASSERT_GT(C.entryCount(), 0u);
-    rt::EntryId Hot = 0;
-    for (rt::EntryId E = 1; E != C.entryCount(); ++E)
-      if (C.entry(E).LastUse > C.entry(Hot).LastUse)
-        Hot = E;
-    const uint32_t Head = C.entry(Hot).Head;
-    ASSERT_NE(Head, rt::ActionNode::NoNode);
-    ASSERT_EQ(Interp.sim().cache().entry(Hot).Head, Head);
-
-    // Flip the head node's seal in both memoized runs. The epoch moves, so
-    // every binding re-walks; the guarded walk refuses the corrupted entry
-    // although its shape is compiled, and the interpreter absorbs the
-    // step — in both runs alike.
-    Jit.sim().mutableCache().mutableSeals()[Head] ^= 1;
-    Interp.sim().mutableCache().mutableSeals()[Head] ^= 1;
-    const uint64_t Shapes = jitCounter(Jit, "compiled_traces");
-    const uint64_t Bindings = jitCounter(Jit, "trace_bindings");
-    lockstep({&Jit, &Interp, &Ref}, 5'000);
-    if (HasFatalFailure())
-      return;
-    if (Guards) {
-      EXPECT_GT(Jit.sim().stats().CorruptDropped, 0u);
-    } else {
-      EXPECT_EQ(Jit.sim().stats().CorruptDropped, 0u);
-    }
-    // The other entries re-bound to shapes compiled before the flip.
-    EXPECT_GT(jitCounter(Jit, "trace_bindings"),
-              Bindings + jitCounter(Jit, "compiled_traces") - Shapes);
+    Traced = jitCounter(Jit, "trace_steps") != Before;
   }
+  ASSERT_TRUE(Traced);
+  const rt::ActionCache &C = Jit.sim().cache();
+  ASSERT_GT(C.entryCount(), 0u);
+  rt::EntryId Hot = 0;
+  for (rt::EntryId E = 1; E != C.entryCount(); ++E)
+    if (C.entry(E).LastUse > C.entry(Hot).LastUse)
+      Hot = E;
+  const uint32_t Head = C.entry(Hot).Head;
+  ASSERT_NE(Head, rt::ActionNode::NoNode);
+  ASSERT_EQ(Interp.sim().cache().entry(Hot).Head, Head);
+
+  // Flip the head node's seal in both memoized runs. The epoch moves, so
+  // every binding re-walks; the walk refuses the corrupted entry
+  // although its shape is compiled, and the interpreter absorbs the
+  // step — in both runs alike.
+  Jit.sim().mutableCache().mutableSeals()[Head] ^= 1;
+  Interp.sim().mutableCache().mutableSeals()[Head] ^= 1;
+  const uint64_t Shapes = jitCounter(Jit, "compiled_traces");
+  const uint64_t Bindings = jitCounter(Jit, "trace_bindings");
+  lockstep({&Jit, &Interp, &Ref}, 5'000);
+  if (HasFatalFailure())
+    return;
+  EXPECT_GT(Jit.sim().stats().CorruptDropped, 0u);
+  // The other entries re-bound to shapes compiled before the flip.
+  EXPECT_GT(jitCounter(Jit, "trace_bindings"),
+            Bindings + jitCounter(Jit, "compiled_traces") - Shapes);
 }
 
 TEST(TraceShapes, EvictionRebindsShapesWithoutRecompiling) {
   if (!jit::available())
     GTEST_SKIP() << "no template-JIT backend on this host";
   const isa::TargetImage Image = loopImage();
-  for (bool Guards : {true, false}) {
-    SCOPED_TRACE(Guards ? "guarded" : "unguarded");
-    FacileSim Jit(SimKind::OutOfOrder, Image,
-                  options(rt::BackendKind::Jit, Guards));
-    FacileSim Ref(SimKind::OutOfOrder, Image,
-                  options(rt::BackendKind::Interpret, Guards, false));
-    lockstep({&Jit, &Ref}, 30'000);
-    if (HasFatalFailure())
-      return;
-    const uint64_t Shapes = jitCounter(Jit, "compiled_traces");
-    const uint64_t Bindings = jitCounter(Jit, "trace_bindings");
-    const uint64_t Traced = jitCounter(Jit, "trace_steps");
-    ASSERT_GT(Shapes, 0u);
+  FacileSim Jit(SimKind::OutOfOrder, Image,
+                options(rt::BackendKind::Jit));
+  FacileSim Ref(SimKind::OutOfOrder, Image,
+                options(rt::BackendKind::Interpret, false));
+  lockstep({&Jit, &Ref}, 30'000);
+  if (HasFatalFailure())
+    return;
+  const uint64_t Shapes = jitCounter(Jit, "compiled_traces");
+  const uint64_t Bindings = jitCounter(Jit, "trace_bindings");
+  const uint64_t Traced = jitCounter(Jit, "trace_steps");
+  ASSERT_GT(Shapes, 0u);
 
-    // Every node id a binding named is gone. Recording starts over; the
-    // re-recorded entries bind to the shapes already compiled, and every
-    // step still matches the memo-off run, so no stale binding ran.
-    Jit.sim().evictCacheNow();
-    ASSERT_EQ(Jit.sim().cache().entryCount(), 0u);
-    lockstep({&Jit, &Ref}, 30'000);
-    if (HasFatalFailure())
-      return;
-    EXPECT_EQ(jitCounter(Jit, "compiled_traces"), Shapes);
-    EXPECT_GT(jitCounter(Jit, "trace_bindings"), Bindings);
-    EXPECT_GT(jitCounter(Jit, "trace_steps"), Traced);
-  }
+  // Every node id a binding named is gone. Recording starts over; the
+  // re-recorded entries bind to the shapes already compiled, and every
+  // step still matches the memo-off run, so no stale binding ran.
+  Jit.sim().evictCacheNow();
+  ASSERT_EQ(Jit.sim().cache().entryCount(), 0u);
+  lockstep({&Jit, &Ref}, 30'000);
+  if (HasFatalFailure())
+    return;
+  EXPECT_EQ(jitCounter(Jit, "compiled_traces"), Shapes);
+  EXPECT_GT(jitCounter(Jit, "trace_bindings"), Bindings);
+  EXPECT_GT(jitCounter(Jit, "trace_steps"), Traced);
 }

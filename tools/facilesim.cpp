@@ -69,19 +69,6 @@ int main(int Argc, char **Argv) {
                                      << 20;
              return true;
            });
-  P.custom("eviction", "clearall|segmented",
-           "eviction policy (default clearall)",
-           [&Opts](const std::string &V, std::string &Err) {
-             if (V == "clearall")
-               Opts.Eviction = rt::EvictionPolicy::ClearAll;
-             else if (V == "segmented")
-               Opts.Eviction = rt::EvictionPolicy::Segmented;
-             else {
-               Err = "unknown eviction policy '" + V + "'";
-               return false;
-             }
-             return true;
-           });
   bool NoMemo = false;
   P.flag("no-memo", NoMemo, "disable memoization (slow path only)");
   P.custom("jit", "on|off|auto",
@@ -152,9 +139,6 @@ int main(int Argc, char **Argv) {
                  TargetMemory::PageSize);
              return true;
            });
-  P.onOff("guards", Opts.Guards,
-          "guarded execution: bounds and seal\nchecks on replay (default "
-          "on)");
   P.custom("fault-inject", "<spec>",
            "seeded corruption campaign, e.g.\nseed:42,mem:0.01,cache:0.05,\n"
            "extern:0.001,plan:0.0001",
