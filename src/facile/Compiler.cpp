@@ -6,6 +6,7 @@
 #include "src/facile/Sema.h"
 #include "src/support/StringUtils.h"
 
+#include <chrono>
 #include <cstdio>
 
 using namespace facile;
@@ -27,6 +28,18 @@ facile::compileFacile(std::string_view Source, DiagnosticEngine &Diag,
   if (Opts.CaptureIrBeforePasses)
     Out.IrBeforePasses = ir::printStepFunction(LP->Step);
 
+  // The verifier calls outside the pipeline add to its VerifyUs.
+  auto verify = [&](bool PostBta) {
+    auto Start = std::chrono::steady_clock::now();
+    std::string E =
+        verifyStepFunction(LP->Step, LP->Globals, LP->Externs, PostBta);
+    Out.Passes.VerifyUs += static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - Start)
+            .count());
+    return E;
+  };
+
   if (Opts.RunPasses) {
     std::string PassError;
     if (!runPassPipeline(*LP, Out.Passes,
@@ -35,7 +48,7 @@ facile::compileFacile(std::string_view Source, DiagnosticEngine &Diag,
       return std::nullopt;
     }
   } else if (Opts.VerifyIr) {
-    std::string E = verifyStepFunction(LP->Step, LP->Globals, LP->Externs);
+    std::string E = verify(/*PostBta=*/false);
     if (!E.empty()) {
       Diag.error(SourceLoc(),
                  strFormat("IR verifier failed after lowering: %s", E.c_str()));
@@ -46,8 +59,7 @@ facile::compileFacile(std::string_view Source, DiagnosticEngine &Diag,
   Out.Bta = annotateStepFunction(*LP, &Out.DynArrays, &Out.DynLocalArrays,
                                  &Out.KeyStatic);
   if (Opts.VerifyIr) {
-    std::string E = verifyStepFunction(LP->Step, LP->Globals, LP->Externs,
-                                       /*PostBta=*/true);
+    std::string E = verify(/*PostBta=*/true);
     if (!E.empty()) {
       Diag.error(SourceLoc(),
                  strFormat("IR verifier failed after BTA: %s", E.c_str()));

@@ -56,7 +56,7 @@ struct CompiledProgram {
   std::vector<bool> KeyStatic;
   ActionTable Actions;
   BtaStats Bta;
-  PassPipelineStats Passes;         ///< zeroed when RunPasses was off
+  PassPipelineStats Passes;         ///< counters zero when RunPasses was off
   std::string IrBeforePasses;       ///< only with CaptureIrBeforePasses
 
   std::map<std::string, uint32_t> GlobalIndex;

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <chrono>
 #include <deque>
 #include <iterator>
 
@@ -104,6 +105,28 @@ std::vector<uint32_t> refCounts(const StepFunction &F) {
     }
   }
   return Refs;
+}
+
+/// The whole-function slot dataflows (DCE's liveness, the verifier's
+/// definite assignment) keep one bit row of rowWords(NumSlots) 64-bit
+/// words per block, all in one flat array, and meet and compare rows a
+/// word at a time: a block visit costs O(instructions + NumSlots / 64).
+size_t rowWords(uint32_t NumSlots) { return (NumSlots + 63) / 64; }
+bool testSlot(const uint64_t *Row, SlotId S) {
+  return (Row[S / 64] >> (S % 64)) & 1;
+}
+void setSlot(uint64_t *Row, SlotId S) {
+  Row[S / 64] |= uint64_t(1) << (S % 64);
+}
+void clearSlot(uint64_t *Row, SlotId S) {
+  Row[S / 64] &= ~(uint64_t(1) << (S % 64));
+}
+
+uint64_t elapsedUs(std::chrono::steady_clock::time_point Since) {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - Since)
+          .count());
 }
 
 } // namespace
@@ -246,38 +269,40 @@ unsigned facile::eliminateDeadCode(StepFunction &F, PassPipelineStats &Stats) {
   }
 
   // LiveIn per block over all slots.
-  std::vector<std::vector<bool>> LiveIn(NumBlocks,
-                                        std::vector<bool>(F.NumSlots, false));
-  std::deque<uint32_t> Work;
-  std::vector<bool> InWork(NumBlocks, true);
-  for (uint32_t B = 0; B != NumBlocks; ++B)
-    Work.push_back(B);
-
-  std::vector<bool> Live(F.NumSlots);
-  while (!Work.empty()) {
-    uint32_t B = Work.front();
-    Work.pop_front();
-    InWork[B] = false;
-
-    // LiveOut = union of successors' LiveIn.
-    std::fill(Live.begin(), Live.end(), false);
+  const size_t W = rowWords(F.NumSlots);
+  std::vector<uint64_t> LiveIn(NumBlocks * W), Live(W);
+  // Live = LiveOut(B), the union of B's successors' LiveIn.
+  auto liveOut = [&](uint32_t B) {
+    std::fill(Live.begin(), Live.end(), 0);
     uint32_t Succs[2];
     unsigned Count = 0;
     F.successors(B, Succs, &Count);
     for (unsigned K = 0; K != Count; ++K)
-      for (SlotId S = 0; S != F.NumSlots; ++S)
-        if (LiveIn[Succs[K]][S])
-          Live[S] = true;
+      for (size_t I = 0; I != W; ++I)
+        Live[I] |= LiveIn[Succs[K] * W + I];
+  };
+  // Steps Live backwards over \p In.
+  auto transfer = [&](const Inst &In) {
+    if (In.Dst != NoSlot && In.Opcode != Op::SyncSlot)
+      clearSlot(Live.data(), In.Dst);
+    forEachUsedSlot(In, [&](SlotId S) { setSlot(Live.data(), S); });
+  };
 
-    for (size_t I = F.Blocks[B].Insts.size(); I-- > 0;) {
-      const Inst &In = F.Blocks[B].Insts[I];
-      if (In.Dst != NoSlot && In.Opcode != Op::SyncSlot)
-        Live[In.Dst] = false;
-      forEachUsedSlot(In, [&](SlotId S) { Live[S] = true; });
-    }
-
-    if (Live != LiveIn[B]) {
-      LiveIn[B] = Live;
+  std::deque<uint32_t> Work;
+  std::vector<bool> InWork(NumBlocks, true);
+  for (uint32_t B = 0; B != NumBlocks; ++B)
+    Work.push_back(B);
+  while (!Work.empty()) {
+    uint32_t B = Work.front();
+    Work.pop_front();
+    InWork[B] = false;
+    liveOut(B);
+    const std::vector<Inst> &Insts = F.Blocks[B].Insts;
+    for (size_t I = Insts.size(); I-- > 0;)
+      transfer(Insts[I]);
+    uint64_t *Row = LiveIn.data() + B * W;
+    if (!std::equal(Live.begin(), Live.end(), Row)) {
+      std::copy(Live.begin(), Live.end(), Row);
       for (uint32_t P : Preds[B])
         if (!InWork[P]) {
           Work.push_back(P);
@@ -291,37 +316,27 @@ unsigned facile::eliminateDeadCode(StepFunction &F, PassPipelineStats &Stats) {
   // sweep within a block.
   unsigned Removed = 0;
   for (uint32_t B = 0; B != NumBlocks; ++B) {
-    std::fill(Live.begin(), Live.end(), false);
-    uint32_t Succs[2];
-    unsigned Count = 0;
-    F.successors(B, Succs, &Count);
-    for (unsigned K = 0; K != Count; ++K)
-      for (SlotId S = 0; S != F.NumSlots; ++S)
-        if (LiveIn[Succs[K]][S])
-          Live[S] = true;
-
+    liveOut(B);
     std::vector<Inst> &Insts = F.Blocks[B].Insts;
     std::vector<bool> Keep(Insts.size(), true);
     for (size_t I = Insts.size(); I-- > 0;) {
-      Inst &In = Insts[I];
-      if (isPure(In) && In.Dst != NoSlot && !Live[In.Dst]) {
+      const Inst &In = Insts[I];
+      if (isPure(In) && In.Dst != NoSlot && !testSlot(Live.data(), In.Dst)) {
         Keep[I] = false;
         ++Removed;
         continue;
       }
-      if (In.Dst != NoSlot && In.Opcode != Op::SyncSlot)
-        Live[In.Dst] = false;
-      forEachUsedSlot(In, [&](SlotId S) { Live[S] = true; });
+      transfer(In);
     }
     if (Removed != 0) {
-      size_t W = 0;
+      size_t Out = 0;
       for (size_t I = 0; I != Insts.size(); ++I)
         if (Keep[I]) {
-          if (W != I)
-            Insts[W] = std::move(Insts[I]);
-          ++W;
+          if (Out != I)
+            Insts[Out] = std::move(Insts[I]);
+          ++Out;
         }
-      Insts.resize(W);
+      Insts.resize(Out);
     }
   }
   Stats.DeadRemoved += Removed;
@@ -583,54 +598,52 @@ std::string facile::verifyStepFunction(const StepFunction &F,
 
   // Definite assignment: every slot is written before read on every path
   // (lowering guarantees it; BTA's Undef lattice element and the engines'
-  // uninitialised slot files rely on it).
-  {
-    const size_t N = F.Blocks.size();
-    std::vector<std::vector<bool>> In(N);
-    std::deque<uint32_t> Work;
-    std::vector<bool> Queued(N, false);
-    In[0].assign(F.NumSlots, false);
-    Work.push_back(0);
-    Queued[0] = true;
-    std::vector<bool> Defined;
-    std::string Violation;
-    while (!Work.empty()) {
-      uint32_t B = Work.front();
-      Work.pop_front();
-      Queued[B] = false;
-      Defined = In[B];
-      for (size_t I = 0; I != F.Blocks[B].Insts.size(); ++I) {
-        const Inst &Ins = F.Blocks[B].Insts[I];
-        forEachUsedSlot(Ins, [&](SlotId S) {
-          if (!Defined[S] && Violation.empty())
-            Violation = strFormat("b%u[%zu]: slot s%u read before assignment",
-                                  B, I, S);
-        });
-        if (Ins.Dst != NoSlot)
-          Defined[Ins.Dst] = true;
+  // uninitialised slot files rely on it). In[B] is the set assigned on
+  // every path seen so far into B; a block's first visit takes its
+  // predecessor's set whole, later ones intersect.
+  const size_t N = F.Blocks.size(), W = rowWords(F.NumSlots);
+  std::vector<uint64_t> In(N * W), Defined(W);
+  std::vector<bool> Seen(N, false), Queued(N, false);
+  std::deque<uint32_t> Work;
+  Seen[0] = Queued[0] = true;
+  Work.push_back(0);
+  while (!Work.empty()) {
+    uint32_t B = Work.front();
+    Work.pop_front();
+    Queued[B] = false;
+    std::copy_n(In.data() + B * W, W, Defined.begin());
+    const std::vector<Inst> &Insts = F.Blocks[B].Insts;
+    for (size_t I = 0; I != Insts.size(); ++I) {
+      SlotId Unassigned = NoSlot;
+      forEachUsedSlot(Insts[I], [&](SlotId S) {
+        if (Unassigned == NoSlot && !testSlot(Defined.data(), S))
+          Unassigned = S;
+      });
+      if (Unassigned != NoSlot)
+        return strFormat("b%u[%zu]: slot s%u read before assignment", B, I,
+                         Unassigned);
+      if (Insts[I].Dst != NoSlot)
+        setSlot(Defined.data(), Insts[I].Dst);
+    }
+    uint32_t Succs[2];
+    unsigned Count = 0;
+    F.successors(B, Succs, &Count);
+    for (unsigned K = 0; K != Count; ++K) {
+      uint32_t S = Succs[K];
+      uint64_t *Row = In.data() + S * W;
+      bool Changed = !Seen[S];
+      if (Changed) {
+        Seen[S] = true;
+        std::copy(Defined.begin(), Defined.end(), Row);
+      } else {
+        for (size_t I = 0; I != W; ++I) { // meet = intersection
+          Changed |= (Row[I] & ~Defined[I]) != 0;
+          Row[I] &= Defined[I];
+        }
       }
-      if (!Violation.empty())
-        return Violation;
-      uint32_t Succs[2];
-      unsigned Count = 0;
-      F.successors(B, Succs, &Count);
-      for (unsigned K = 0; K != Count; ++K) {
-        uint32_t S = Succs[K];
-        bool Changed = false;
-        if (In[S].empty()) {
-          In[S] = Defined;
-          Changed = true;
-        } else {
-          for (size_t I = 0; I != In[S].size(); ++I)
-            if (In[S][I] && !Defined[I]) {
-              In[S][I] = false; // meet = intersection
-              Changed = true;
-            }
-        }
-        if (Changed && !Queued[S]) {
-          Work.push_back(S);
-          Queued[S] = true;
-        }
+      if (Changed && !Queued[S]) {
+        Work.push_back(S);
+        Queued[S] = true;
       }
     }
   }
@@ -650,12 +663,23 @@ bool facile::runPassPipeline(LoweredProgram &LP, PassPipelineStats &Stats,
   auto verify = [&](const char *PassName) {
     if (!Error)
       return true;
+    auto Start = std::chrono::steady_clock::now();
     std::string E = verifyStepFunction(F, LP.Globals, LP.Externs);
+    Stats.VerifyUs += elapsedUs(Start);
     if (E.empty())
       return true;
     *Error = strFormat("IR verifier failed after %s: %s", PassName,
                        E.c_str());
     return false;
+  };
+  // Runs one pass, then the verifier; false when the verifier fails.
+  using PassFn = unsigned (*)(StepFunction &, PassPipelineStats &);
+  unsigned Changes = 0;
+  auto run = [&](PassFn Pass, const char *PassName) {
+    auto Start = std::chrono::steady_clock::now();
+    Changes += Pass(F, Stats);
+    Stats.PassUs += elapsedUs(Start);
+    return verify(PassName);
   };
 
   if (!verify("lowering"))
@@ -668,18 +692,11 @@ bool facile::runPassPipeline(LoweredProgram &LP, PassPipelineStats &Stats,
   // canonical form, so real programs converge in a handful of rounds.
   constexpr unsigned MaxRounds = 16;
   for (unsigned Round = 0; Round != MaxRounds; ++Round) {
-    unsigned Changes = 0;
-    Changes += foldConstants(F, Stats);
-    if (!verify("foldConstants"))
-      return false;
-    Changes += propagateCopies(F, Stats);
-    if (!verify("propagateCopies"))
-      return false;
-    Changes += eliminateDeadCode(F, Stats);
-    if (!verify("eliminateDeadCode"))
-      return false;
-    Changes += simplifyCfg(F, Stats);
-    if (!verify("simplifyCfg"))
+    Changes = 0;
+    if (!run(foldConstants, "foldConstants") ||
+        !run(propagateCopies, "propagateCopies") ||
+        !run(eliminateDeadCode, "eliminateDeadCode") ||
+        !run(simplifyCfg, "simplifyCfg"))
       return false;
     ++Stats.Rounds;
     if (Changes == 0)

@@ -1214,13 +1214,17 @@ std::string FacileServer::Impl::verbStep(const json::Value &Req,
     DeadlineMs = static_cast<uint64_t>(V->intOr(0));
   }
 
-  uint64_t Ran = 0, Slow = 0, Fast = 0, Recovered = 0;
+  uint64_t Slow = 0, Fast = 0, Recovered = 0;
   rt::Simulation &Sim = S.Sim->sim();
   bool WasFaulted = Sim.faulted();
+  const uint64_t StepsBefore = Sim.stats().Steps;
   const uint64_t DeadlineAt = DeadlineMs == 0 ? 0 : nowMs() + DeadlineMs;
   if (DeadlineAt)
     Sim.setDeadlineHook([DeadlineAt] { return nowMs() >= DeadlineAt; });
-  while (Ran != Count && !Sim.halted() && !Sim.faulted()) {
+  // A Faulted result ends the loop. The watchdog and the deadline fault
+  // before the step runs, so only the step counter says what ran.
+  for (uint64_t Tried = 1; Tried <= Count && !Sim.halted() && !Sim.faulted();
+       ++Tried) {
     switch (Sim.step()) {
     case rt::StepEngine::Slow:
       ++Slow;
@@ -1234,12 +1238,12 @@ std::string FacileServer::Impl::verbStep(const json::Value &Req,
     case rt::StepEngine::Faulted:
       break;
     }
-    ++Ran;
-    if (S.StepDelayUs && (Ran & 63) == 0)
+    if (S.StepDelayUs && (Tried & 63) == 0)
       std::this_thread::sleep_for(std::chrono::microseconds(S.StepDelayUs));
-    if (S.Injector && (Ran & 255) == 0)
+    if (S.Injector && (Tried & 255) == 0)
       S.Injector->inject();
   }
+  const uint64_t Ran = Sim.stats().Steps - StepsBefore;
   if (DeadlineAt)
     Sim.setDeadlineHook(nullptr);
   if (!WasFaulted && Sim.faulted() &&
@@ -1385,13 +1389,19 @@ std::string FacileServer::Impl::verbInspect(const json::Value &Req,
 std::string FacileServer::Impl::verbClearFault(const json::Value &Req,
                                                const json::Value *Id,
                                                Session &S) {
+  // A step-limit fault would re-fire immediately unless the watchdog is
+  // raised; the verb takes the new limit in the same round trip. A bad
+  // limit is rejected before anything changes: the fault and the old
+  // limit both stay.
+  int64_t MaxSteps = -1;
+  std::string Bad = readBounded(Req, "max_steps", 0, INT64_MAX, MaxSteps);
+  if (!Bad.empty())
+    return errorLine(Id, ErrCode::BadRequest, Bad);
   rt::Simulation &Sim = S.Sim->sim();
   bool Was = Sim.faulted();
   Sim.clearFault();
-  // A step-limit fault would re-fire immediately unless the watchdog is
-  // raised; the verb takes the new limit in the same round trip.
-  if (const json::Value *V = Req.get("max_steps"))
-    Sim.setStepLimit(static_cast<uint64_t>(V->intOr(0)));
+  if (MaxSteps >= 0)
+    Sim.setStepLimit(static_cast<uint64_t>(MaxSteps));
   json::Writer W;
   beginOkResponse(W, Id);
   W.field("cleared", Was);

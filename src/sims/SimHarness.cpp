@@ -373,6 +373,9 @@ void FacileSim::registerMetrics(telemetry::MetricsRegistry &R) const {
     Sink.counter("jumps_threaded", P.JumpsThreaded);
     Sink.counter("blocks_merged", P.BlocksMerged);
     Sink.counter("blocks_removed", P.BlocksRemoved);
+    // Wall-clock, unlike every counter above.
+    Sink.counter("pass_us", P.PassUs);
+    Sink.counter("verify_us", P.VerifyUs);
   });
   BU.registerMetrics(R, "branch");
   MH.registerMetrics(R, "mem");

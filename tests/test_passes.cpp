@@ -14,9 +14,13 @@
 #include "src/facile/Passes.h"
 #include "src/isa/Assembler.h"
 #include "src/runtime/Simulation.h"
+#include "src/sims/SimHarness.h"
+#include "src/support/Hashing.h"
+#include "src/support/StringUtils.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <string>
 
@@ -397,6 +401,117 @@ TEST(Verifier, RejectsReadBeforeAssignment) {
   EXPECT_NE(E.find("read before assignment"), std::string::npos) << E;
 }
 
+//===----------------------------------------------------------------------===//
+// Slot dataflows at 64-bit word boundaries
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Slot counts that end a bit row inside, exactly at and just past a
+/// 64-bit word, plus one row of three words.
+constexpr uint32_t BoundarySlotCounts[] = {63, 64, 65, 129};
+
+/// Slots in [2, NumSlots) at or next to a word boundary, and the last one.
+/// Slot 1 is reserved for the loop / branch condition.
+std::vector<SlotId> boundarySlots(uint32_t NumSlots) {
+  std::vector<SlotId> Out;
+  for (SlotId S : {63u, 64u, 127u, 128u, NumSlots - 1})
+    if (S < NumSlots && std::find(Out.begin(), Out.end(), S) == Out.end())
+      Out.push_back(S);
+  return Out;
+}
+
+Inst iLoadGlobal(SlotId D) {
+  Inst I;
+  I.Opcode = Op::LoadGlobal;
+  I.Dst = D;
+  I.Id = 0;
+  return I;
+}
+
+} // namespace
+
+TEST(SlotDataflow, ReadBeforeAssignOnOneArmAtWordBoundaries) {
+  for (uint32_t N : BoundarySlotCounts)
+    for (SlotId X : boundarySlots(N))
+      for (bool AssignOnTrueArm : {true, false}) {
+        SCOPED_TRACE(strFormat("NumSlots %u, slot s%u, %s arm", N, X,
+                               AssignOnTrueArm ? "true" : "false"));
+        std::vector<Inst> Assigns = {iConst(X, 1), iJump(3)};
+        std::vector<Inst> Skips = {iJump(3)};
+        StepFunction F = makeFunction(
+            {{iLoadGlobal(1), iBranch(1, 1, 2)},
+             AssignOnTrueArm ? Assigns : Skips,
+             AssignOnTrueArm ? Skips : Assigns,
+             {iStoreGlobal(0, X), iRet()}},
+            N);
+        EXPECT_EQ(verifyStepFunction(F, oneScalarGlobal(), {}),
+                  strFormat("b3[0]: slot s%u read before assignment", X));
+        // Assigned on both arms, the same read is well-formed.
+        F.Blocks[AssignOnTrueArm ? 2 : 1].Insts = {iConst(X, 2), iJump(3)};
+        expectVerifies(F);
+      }
+}
+
+TEST(SlotDataflow, LoopCarriedValueAtWordBoundarySurvivesDce) {
+  // sX is read at the loop head and redefined at the loop's tail: only the
+  // back-edge keeps the redefinition live.
+  for (uint32_t N : BoundarySlotCounts)
+    for (SlotId X : boundarySlots(N)) {
+      SCOPED_TRACE(strFormat("NumSlots %u, slot s%u", N, X));
+      StepFunction F = makeFunction(
+          {{iConst(X, 3), iJump(1)},
+           {iStoreGlobal(0, X), iLoadGlobal(1),
+            iBin(X, ast::BinOp::Add, X, 1), iBranch(1, 1, 2)},
+           {iRet()}},
+          N);
+      PassPipelineStats Stats;
+      EXPECT_EQ(eliminateDeadCode(F, Stats), 0u);
+      expectVerifies(F);
+      EXPECT_EQ(F.Blocks[0].Insts.size(), 2u);
+      ASSERT_EQ(F.Blocks[1].Insts.size(), 4u);
+      EXPECT_EQ(F.Blocks[1].Insts[2].Opcode, Op::Bin);
+    }
+}
+
+TEST(SlotDataflow, DeadPureChainAboveWordZeroIsRemoved) {
+  // A chain through every boundary slot that feeds nothing; the store's
+  // operand s1 stays. The chain crosses a block edge so its head is only
+  // dead once the tail is gone: the second DCE call removes it.
+  for (uint32_t N : BoundarySlotCounts) {
+    SCOPED_TRACE(strFormat("NumSlots %u", N));
+    std::vector<SlotId> Chain;
+    for (SlotId S : boundarySlots(N))
+      if (S >= 64)
+        Chain.push_back(S);
+    if (Chain.empty())
+      continue; // 63 and 64 slots have no slot >= 64
+    std::vector<Inst> Tail;
+    for (size_t K = 1; K != Chain.size(); ++K)
+      Tail.push_back(iBin(Chain[K], ast::BinOp::Add, Chain[K - 1],
+                          Chain[K - 1]));
+    Tail.push_back(iCopy(Chain.back(), Chain.back()));
+    Tail.push_back(iConst(1, 42));
+    Tail.push_back(iStoreGlobal(0, 1));
+    Tail.push_back(iRet());
+    StepFunction F = makeFunction({{iConst(Chain[0], 7), iJump(1)}, Tail}, N);
+    PassPipelineStats Stats;
+    EXPECT_EQ(eliminateDeadCode(F, Stats), Chain.size());
+    EXPECT_EQ(eliminateDeadCode(F, Stats), 1u);
+    EXPECT_EQ(eliminateDeadCode(F, Stats), 0u);
+    expectVerifies(F);
+    EXPECT_EQ(Stats.DeadRemoved, Chain.size() + 1);
+    EXPECT_EQ(countInsts(F), 4u); // jump, const, store, ret
+  }
+}
+
+TEST(Verifier, TerminatesOnASlotlessCycle) {
+  // With no slots every assigned-set row is empty, so an empty row cannot
+  // mark a block as not yet visited: the cycle must still converge.
+  StepFunction F = makeFunction({{iJump(1)}, {iJump(0)}, {iRet()}}, 0);
+  expectVerifies(F);
+}
+
 TEST(Verifier, RejectsBuiltinArityMismatch) {
   Inst Call;
   Call.Opcode = Op::CallBuiltin;
@@ -481,6 +596,50 @@ TEST(PassPipeline, VerifierRunsPostBtaOnShippedPatterns) {
   std::string E =
       verifyStepFunction(P.Step, P.Globals, P.Externs, /*PostBta=*/true);
   EXPECT_TRUE(E.empty()) << E;
+}
+
+TEST(PassPipeline, ShippedSimulatorsPostPassIrIsPinned) {
+  // Every counter and an FNV-1a hash of the printed post-pass IR, for
+  // isa.fac with each shipped simulator. A dataflow rewrite must leave all
+  // of them alone; a deliberate IR change updates them here. The wall-time
+  // fields are not compared.
+  struct Pinned {
+    sims::SimKind Kind;
+    const char *Name;
+    unsigned InstsBefore, InstsAfter, BlocksBefore, BlocksAfter, Rounds,
+        Folded, BranchesFolded, CopiesPropagated, DeadRemoved, JumpsThreaded,
+        BlocksMerged, BlocksRemoved;
+    uint64_t IrHash;
+  };
+  static const Pinned Expected[] = {
+      {sims::SimKind::OutOfOrder, "ooo", 1562, 1271, 348, 296, 4, 54, 0, 24,
+       239, 48, 7, 52, 0xa3e8269e39fc5852ull},
+      {sims::SimKind::InOrder, "inorder", 1244, 1030, 283, 254, 4, 53, 0, 16,
+       185, 26, 4, 29, 0x3b310fa2f259515eull},
+      {sims::SimKind::Functional, "functional", 535, 514, 98, 87, 2, 1, 0, 2,
+       10, 14, 0, 11, 0x9b93a0f3f07879aeull},
+  };
+  for (const Pinned &W : Expected) {
+    SCOPED_TRACE(W.Name);
+    LoweredProgram LP = lowerOnly(sims::simulatorSource(W.Kind));
+    PassPipelineStats S;
+    std::string Error;
+    ASSERT_TRUE(runPassPipeline(LP, S, &Error)) << Error;
+    const std::string Ir = printStepFunction(LP.Step);
+    EXPECT_EQ(S.InstsBefore, W.InstsBefore);
+    EXPECT_EQ(S.InstsAfter, W.InstsAfter);
+    EXPECT_EQ(S.BlocksBefore, W.BlocksBefore);
+    EXPECT_EQ(S.BlocksAfter, W.BlocksAfter);
+    EXPECT_EQ(S.Rounds, W.Rounds);
+    EXPECT_EQ(S.Folded, W.Folded);
+    EXPECT_EQ(S.BranchesFolded, W.BranchesFolded);
+    EXPECT_EQ(S.CopiesPropagated, W.CopiesPropagated);
+    EXPECT_EQ(S.DeadRemoved, W.DeadRemoved);
+    EXPECT_EQ(S.JumpsThreaded, W.JumpsThreaded);
+    EXPECT_EQ(S.BlocksMerged, W.BlocksMerged);
+    EXPECT_EQ(S.BlocksRemoved, W.BlocksRemoved);
+    EXPECT_EQ(hashBytes(Ir.data(), Ir.size()), W.IrHash);
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -1053,6 +1053,81 @@ TEST_F(ServerTest, DeadlineExceededSessionStaysResumable) {
   EXPECT_GE(Srv->get("deadline_faults")->intOr(0), 1);
 }
 
+TEST_F(ServerTest, StepLimitInsideCountCountsOnlyStepsThatRan) {
+  // A 10-step watchdog fires inside a 20-step request. The call that
+  // faults runs nothing, so it is not a step: steps, the engine breakdown
+  // and steps_total agree.
+  Client C = connect();
+  int64_t S = createSession(C, R"(,"options":{"max_steps":10})");
+  auto step = [&](int64_t Id, int Count) {
+    return rpc(C, strFormat(R"({"id":%lld,"verb":"step","session":%lld,)"
+                            R"("count":%d})",
+                            static_cast<long long>(Id),
+                            static_cast<long long>(S), Count));
+  };
+  auto engineSum = [](const json::Value &R) {
+    const json::Value *E = R.get("engines");
+    return E->get("slow")->intOr(-1) + E->get("fast")->intOr(-1) +
+           E->get("recovered")->intOr(-1);
+  };
+  json::Value R = step(2, 20);
+  ASSERT_TRUE(isOk(R));
+  EXPECT_TRUE(R.get("faulted")->boolOr(false));
+  EXPECT_EQ(R.get("fault")->get("kind")->str(), "step-limit");
+  EXPECT_EQ(R.get("steps")->intOr(-1), 10);
+  EXPECT_EQ(engineSum(R), 10);
+  EXPECT_EQ(R.get("steps_total")->intOr(-1), 10);
+  // A step request on the faulted session runs nothing at all.
+  R = step(3, 5);
+  ASSERT_TRUE(isOk(R));
+  EXPECT_EQ(R.get("steps")->intOr(-1), 0);
+  EXPECT_EQ(engineSum(R), 0);
+  EXPECT_EQ(R.get("steps_total")->intOr(-1), 10);
+}
+
+TEST_F(ServerTest, ClearFaultRejectsBadStepLimitAndKeepsTheFault) {
+  // A malformed new limit once cleared the fault first and then read "x"
+  // as 0 (no watchdog) or -1 as ~2^64. It must be refused before anything
+  // changes: the fault and the old limit both stay.
+  Client C = connect();
+  int64_t S = createSession(C, R"(,"options":{"max_steps":10})");
+  int64_t Id = 2;
+  auto req = [&](const std::string &Body) {
+    return rpc(C, strFormat(R"({"id":%lld,"session":%lld,)",
+                            static_cast<long long>(Id++),
+                            static_cast<long long>(S)) +
+                      Body + "}");
+  };
+  auto stillFaulted = [&] {
+    json::Value R = req(R"("verb":"inspect","what":"digest")");
+    return isOk(R) && R.get("faulted")->boolOr(false);
+  };
+  ASSERT_TRUE(isOk(req(R"("verb":"step","count":20)")));
+  ASSERT_TRUE(stillFaulted());
+  for (const char *Bad : {R"("x")", "-1", "1.5"}) {
+    SCOPED_TRACE(Bad);
+    expectError(req(std::string(R"("verb":"clear-fault","max_steps":)") +
+                    Bad),
+                ErrCode::BadRequest);
+    EXPECT_TRUE(stillFaulted());
+  }
+  // The old limit is still armed: clearing without a new one re-faults on
+  // the next step.
+  json::Value R = req(R"("verb":"clear-fault")");
+  ASSERT_TRUE(isOk(R));
+  EXPECT_TRUE(R.get("cleared")->boolOr(false));
+  R = req(R"("verb":"step","count":5)");
+  ASSERT_TRUE(isOk(R));
+  EXPECT_EQ(R.get("steps")->intOr(-1), 0);
+  EXPECT_TRUE(R.get("faulted")->boolOr(false));
+  // A valid limit replaces it.
+  ASSERT_TRUE(isOk(req(R"("verb":"clear-fault","max_steps":30)")));
+  R = req(R"("verb":"step","count":50)");
+  ASSERT_TRUE(isOk(R));
+  EXPECT_EQ(R.get("steps")->intOr(-1), 20);
+  EXPECT_EQ(R.get("steps_total")->intOr(-1), 30);
+}
+
 TEST_F(ServerTest, SaturatedQueueRejectsWithRetryAfter) {
   TearDown();
   ServerOptions Opts;

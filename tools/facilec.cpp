@@ -181,6 +181,10 @@ int main(int Argc, char **Argv) {
     std::printf("  jumps threaded:    %u\n", PS.JumpsThreaded);
     std::printf("  blocks merged:     %u\n", PS.BlocksMerged);
     std::printf("  blocks removed:    %u\n", PS.BlocksRemoved);
+    std::printf("  pass time:         %llu us\n",
+                static_cast<unsigned long long>(PS.PassUs));
+    std::printf("  verifier time:     %llu us\n",
+                static_cast<unsigned long long>(PS.VerifyUs));
   }
 
   if (Mode == "check") {
