@@ -261,6 +261,12 @@ void ActionCache::clear() {
 ActionCache::FlatImage ActionCache::compactImage() const {
   FlatImage Img;
   Img.Tick = Tick;
+  // Reachable nodes, data and live entries are at most what the arenas
+  // hold, so the copy below never reallocates.
+  Img.Nodes.reserve(nodeCount());
+  Img.Seals.reserve(nodeCount());
+  Img.Data.reserve(dataSize());
+  Img.Entries.reserve(Entries.size());
 
   // Copies key \p Old into the new pool once, returning its new id.
   std::vector<KeyId> KeyRemap(keyCount(), NoId);
@@ -319,7 +325,11 @@ ActionCache::FlatImage ActionCache::compactImage() const {
         Dst.NextKey = remapKey(Src.NextKey);
       // Re-home the seal: node indices (and the head's key id) change the
       // link tag, a remapped NextKey the identity mix; the data xor stays.
-      const uint64_t Rehome = identityMix(Src) ^ identityMix(Dst);
+      // Only NextKey differs between Src and Dst's identity fields, so an
+      // unchanged one re-homes by 0.
+      const uint64_t Rehome = Dst.NextKey == Src.NextKey
+                                  ? 0
+                                  : identityMix(Src) ^ identityMix(Dst);
       uint64_t OldTag, NewTag;
       if (W.ParentNew == ActionNode::NoNode) {
         C.Head = NewIdx;

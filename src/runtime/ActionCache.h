@@ -54,6 +54,7 @@
 #include "src/support/Hashing.h"
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -90,6 +91,10 @@ struct ActionNode {
 
   int32_t ActionId = -1;
   Kind K = Kind::Plain;
+  /// Explicit, always-zero padding: nodes are only ever value-built or
+  /// copied, so an arena written raw to disk carries no stray bytes and
+  /// equal images encode to identical bytes.
+  uint8_t Pad[3] = {};
   uint32_t DataOfs = 0; ///< placeholder span in the cache-wide data pool
   uint32_t DataLen = 0;
   uint32_t Next = NoNode;                 ///< Plain
@@ -98,6 +103,15 @@ struct ActionNode {
 };
 
 static_assert(sizeof(ActionNode) == 32, "replay nodes must stay dense");
+static_assert(offsetof(ActionNode, ActionId) == 0 &&
+                  offsetof(ActionNode, K) == 4 &&
+                  offsetof(ActionNode, Pad) == 5 &&
+                  offsetof(ActionNode, DataOfs) == 8 &&
+                  offsetof(ActionNode, DataLen) == 12 &&
+                  offsetof(ActionNode, Next) == 16 &&
+                  offsetof(ActionNode, OnValue) == 20 &&
+                  offsetof(ActionNode, NextKey) == 28,
+              "node layout is the on-disk arena format");
 
 /// One cache entry: the recorded behaviour of the step function for one
 /// run-time static input. The node graph and placeholder data live in the

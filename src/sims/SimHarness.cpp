@@ -8,6 +8,7 @@
 #include "src/telemetry/Profiler.h"
 #include "src/telemetry/Trace.h"
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -288,7 +289,30 @@ bool FacileSim::loadCache(const std::string &Path, std::string *Err) {
 // Shared cache store
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+/// Stores the wall time from construction to scope exit, in microseconds,
+/// into \p Out: one timer covers every return path of a store operation.
+class WallTimerUs {
+public:
+  explicit WallTimerUs(uint64_t &Out)
+      : Out(Out), Start(std::chrono::steady_clock::now()) {}
+  ~WallTimerUs() {
+    Out = static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - Start)
+            .count());
+  }
+
+private:
+  uint64_t &Out;
+  std::chrono::steady_clock::time_point Start;
+};
+
+} // namespace
+
 bool FacileSim::attachStore(store::CacheStoreDir &Store, std::string *Err) {
+  WallTimerUs Timer(AttachUs);
   std::string Detail;
   std::shared_ptr<const store::StoreMap> M =
       Store.lookup(Sim.compatKey(), Sim.actionCount(), &Detail);
@@ -320,6 +344,7 @@ bool FacileSim::attachStore(store::CacheStoreDir &Store, std::string *Err) {
 
 bool FacileSim::promoteStore(store::CacheStoreDir &Store,
                              uint64_t *OutGeneration, std::string *Err) {
+  WallTimerUs Timer(PromoteUs);
   return Store.promote(Sim.cache().compactImage(), Sim.compatKey(),
                        OutGeneration, Err);
 }
@@ -358,6 +383,9 @@ void FacileSim::registerMetrics(telemetry::MetricsRegistry &R) const {
     Sink.counter("generation", Mapping ? Mapping->generation() : 0);
     Sink.counter("mapped_bytes", Mapping ? Mapping->mappedBytes() : 0);
     Sink.counter("overlay_bytes", Sim.cache().overlayBytes());
+    // Wall-clock, unlike every counter above.
+    Sink.counter("attach_us", AttachUs);
+    Sink.counter("promote_us", PromoteUs);
   });
   R.add("passes", [this](telemetry::MetricSink &Sink) {
     const PassPipelineStats &P = Prog.Passes;

@@ -190,6 +190,11 @@ private:
   MemoryHierarchy MH;
   SnapshotStats SnapStats;
   std::shared_ptr<const store::StoreMap> Mapping; ///< attached store base
+  /// Wall time of the last attachStore (map and validate, or reuse a live
+  /// mapping, then attach) and of the last promoteStore (compact, encode,
+  /// write and publish); "store" group attach_us / promote_us.
+  uint64_t AttachUs = 0;
+  uint64_t PromoteUs = 0;
   size_t TopActions = 8; ///< "profile" block top_actions rows
 };
 

@@ -35,7 +35,11 @@ namespace facile {
 namespace snapshot {
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected) of \p Len bytes at \p Data,
-/// continuing from \p Seed so section checksums can be streamed.
+/// continuing from \p Seed so section checksums can be streamed:
+/// crc32(A || B) == crc32(B, crc32(A)). Portable slicing-by-8: each 8-byte
+/// lane is two 32-bit loads folded through eight 256-entry tables, the
+/// last Len % 8 bytes go byte-wise. Any alignment; values equal the
+/// byte-at-a-time definition, so every stored CRC keeps its meaning.
 uint32_t crc32(const void *Data, size_t Len, uint32_t Seed = 0);
 
 /// Append-only byte sink for one snapshot payload.

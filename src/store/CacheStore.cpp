@@ -39,31 +39,13 @@ snapshot::Section section(uint32_t Tag, const std::vector<T> &V) {
 
 std::vector<uint8_t> facile::store::encodeImage(
     const ActionCache::FlatImage &Img, uint64_t CompatKey) {
-  // Stage the nodes with padding bytes forced to zero: the arena is
-  // written (and CRC'd) raw, and ActionNode has 3 padding bytes after the
-  // kind whose values a copy would otherwise leak — images of equal
-  // content must be bit-identical.
-  std::vector<ActionNode> Nodes(Img.Nodes.size());
-  if (!Nodes.empty())
-    std::memset(static_cast<void *>(Nodes.data()), 0,
-                Nodes.size() * sizeof(ActionNode));
-  for (size_t I = 0; I != Nodes.size(); ++I) {
-    const ActionNode &S = Img.Nodes[I];
-    ActionNode &D = Nodes[I];
-    D.ActionId = S.ActionId;
-    D.K = S.K;
-    D.DataOfs = S.DataOfs;
-    D.DataLen = S.DataLen;
-    D.Next = S.Next;
-    D.OnValue[0] = S.OnValue[0];
-    D.OnValue[1] = S.OnValue[1];
-    D.NextKey = S.NextKey;
-  }
+  // The node arena goes out raw: ActionNode's padding is an explicit,
+  // always-zero member, so equal images encode to identical bytes.
   std::vector<uint32_t> Table = ActionCache::buildProbeTable(Img.Keys);
   return snapshot::buildContainer(
       snapshot::PayloadKind::ActionCache, CompatKey,
       {{SecTick, &Img.Tick, sizeof(Img.Tick)},
-       section(SecNodes, Nodes),
+       section(SecNodes, Img.Nodes),
        section(SecSeals, Img.Seals),
        section(SecData, Img.Data),
        section(SecKeyPool, Img.KeyPool),
@@ -98,6 +80,12 @@ bool validateArenas(const ActionCache::BaseArenas &A, uint32_t NumActions,
     }
     if (static_cast<uint8_t>(N.K) > static_cast<uint8_t>(ActionNode::Kind::End)) {
       Err = "bad node kind";
+      return false;
+    }
+    // Nodes are copied verbatim from here on (compaction, promotion), so
+    // a non-zero pad would break "equal images encode to identical bytes".
+    if ((N.Pad[0] | N.Pad[1] | N.Pad[2]) != 0) {
+      Err = "node padding not zero";
       return false;
     }
     if (static_cast<uint64_t>(N.DataOfs) + N.DataLen > A.DataWords) {

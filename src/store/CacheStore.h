@@ -28,8 +28,8 @@
 /// to the exact compiled program, options, ISA revision and target image —
 /// and carry a monotonically increasing *generation* in their name:
 /// promoting a session's warmed cache writes the next generation beside
-/// the old one (atomic rename), so live mappings of earlier generations
-/// stay valid.
+/// the old one (published with link(), which never replaces an existing
+/// name), so live mappings of earlier generations stay valid.
 ///
 //===----------------------------------------------------------------------===//
 

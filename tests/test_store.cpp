@@ -13,6 +13,7 @@
 #include "src/sims/SimHarness.h"
 #include "src/snapshot/Snapshot.h"
 #include "src/store/CacheStore.h"
+#include "src/support/JsonValue.h"
 #include "src/workload/Workloads.h"
 
 #include <gtest/gtest.h>
@@ -41,6 +42,14 @@ workload::WorkloadSpec testSpec() {
 }
 
 constexpr uint64_t kBudget = 300'000;
+
+/// Steps that record a cache image of 2-4 KB (Functional, testSpec()).
+constexpr uint64_t kSmallImageSteps = 10;
+
+/// cacheBytes() of OutOfOrder gcc (2 KWords of data) after 50 K
+/// instructions: its length and whole-buffer CRC-32.
+constexpr size_t kPinnedGccBytes = 4929464;
+constexpr uint32_t kPinnedGccCrc = 0x76dc5766u;
 
 void removeTree(const std::string &Dir) {
   if (DIR *D = ::opendir(Dir.c_str())) {
@@ -141,6 +150,42 @@ TEST(CacheStore, PromoteLookupAttachRoundTrip) {
   EXPECT_EQ(Warm.sim().memory().digest(), Cold.sim().memory().digest());
   EXPECT_EQ(Warm.sim().stats().RetiredTotal, Cold.sim().stats().RetiredTotal);
   EXPECT_EQ(Warm.sim().stats().Cycles, Cold.sim().stats().Cycles);
+  removeTree(Dir);
+}
+
+TEST(CacheStore, StatsReportAttachAndPromoteTimes) {
+  // store.attach_us and store.promote_us are this instance's wall times
+  // for attachStore and promoteStore: zero until the call, then set.
+  isa::TargetImage Image = workload::generate(testSpec(), 2);
+  auto storeGroup = [](const FacileSim &Sim, json::Value &Stats) {
+    std::string Err;
+    EXPECT_TRUE(json::parse(Sim.statsJson(), Stats, Err)) << Err;
+    return Stats.get("store");
+  };
+  FacileSim Builder(SimKind::OutOfOrder, Image);
+  Builder.run(100'000);
+  json::Value Before;
+  const json::Value *G = storeGroup(Builder, Before);
+  ASSERT_TRUE(G);
+  EXPECT_EQ(G->get("attach_us")->intOr(-1), 0);
+  EXPECT_EQ(G->get("promote_us")->intOr(-1), 0);
+
+  std::string Dir = freshDir("timing");
+  store::CacheStoreDir Store(Dir);
+  std::string Err;
+  ASSERT_TRUE(Builder.promoteStore(Store, nullptr, &Err)) << Err;
+  json::Value Promoted;
+  G = storeGroup(Builder, Promoted);
+  EXPECT_GT(G->get("promote_us")->intOr(0), 0);
+  EXPECT_EQ(G->get("attach_us")->intOr(-1), 0);
+
+  FacileSim Warm(SimKind::OutOfOrder, Image);
+  ASSERT_TRUE(Warm.attachStore(Store, &Err)) << Err;
+  json::Value Attached;
+  G = storeGroup(Warm, Attached);
+  EXPECT_TRUE(G->get("attached")->boolOr(false));
+  EXPECT_GT(G->get("attach_us")->intOr(0), 0);
+  EXPECT_EQ(G->get("promote_us")->intOr(-1), 0);
   removeTree(Dir);
 }
 
@@ -299,6 +344,69 @@ TEST(CacheStore, EveryByteAndTheLengthAreChecked) {
   }
   EXPECT_TRUE(opens(Good));
   removeTree(Dir);
+}
+
+TEST(CacheStore, EveryByteFlipOfASmallImageFailsParse) {
+  // A container small enough to flip every byte: each section CRC runs
+  // over both the 8-byte lanes and the byte-wise tail, so a flip anywhere
+  // must surface as a rejection.
+  isa::TargetImage Image = workload::generate(testSpec(), 2);
+  FacileSim Builder(SimKind::Functional, Image);
+  Builder.sim().run(kSmallImageSteps);
+  const std::vector<uint8_t> Good = Builder.cacheBytes();
+  ASSERT_GE(Good.size(), size_t(2048));
+  ASSERT_LE(Good.size(), size_t(4096));
+  const uint64_t CK = Builder.sim().compatKey();
+  const uint32_t NA = static_cast<uint32_t>(Builder.sim().actionCount());
+  rt::ActionCache::BaseArenas View;
+  std::string Err;
+  ASSERT_EQ(store::parseImage(Good.data(), Good.size(), CK, NA, View, Err),
+            snapshot::LoadStatus::Ok)
+      << Err;
+  std::vector<uint8_t> Bad = Good;
+  for (size_t Pos = 0; Pos != Good.size(); ++Pos) {
+    Bad[Pos] ^= uint8_t(1u << (Pos % 8));
+    EXPECT_NE(store::parseImage(Bad.data(), Bad.size(), CK, NA, View, Err),
+              snapshot::LoadStatus::Ok)
+        << "flip at byte " << Pos;
+    Bad[Pos] = Good[Pos];
+  }
+}
+
+TEST(CacheStore, NonZeroNodePaddingIsRejected) {
+  // The node arena is encoded raw, so its padding is part of the format:
+  // a CRC-valid image whose node carries a stray pad byte is refused.
+  isa::TargetImage Image = workload::generate(testSpec(), 2);
+  FacileSim Builder(SimKind::Functional, Image);
+  Builder.sim().run(kSmallImageSteps);
+  rt::ActionCache::FlatImage Img = Builder.sim().cache().compactImage();
+  ASSERT_FALSE(Img.Nodes.empty());
+  Img.Nodes.back().Pad[2] = 1;
+  const uint64_t CK = Builder.sim().compatKey();
+  const std::vector<uint8_t> Bytes = store::encodeImage(Img, CK);
+  rt::ActionCache::BaseArenas View;
+  std::string Err;
+  EXPECT_EQ(store::parseImage(Bytes.data(), Bytes.size(), CK,
+                              static_cast<uint32_t>(
+                                  Builder.sim().actionCount()),
+                              View, Err),
+            snapshot::LoadStatus::Corrupt);
+  EXPECT_EQ(Err, "node padding not zero");
+}
+
+TEST(CacheStore, CacheBytesArePinned) {
+  // The size and whole-buffer CRC of a short deterministic recorded run's
+  // image. Any change to the image format, the encoder's bytes or the
+  // CRC kernel moves them; store files of earlier builds attach only
+  // while they hold.
+  workload::WorkloadSpec Spec = *workload::findSpec("gcc");
+  Spec.DataKWords = 2;
+  isa::TargetImage Image = workload::generate(Spec, 1u << 30);
+  FacileSim Builder(SimKind::OutOfOrder, Image);
+  Builder.run(50'000);
+  const std::vector<uint8_t> Bytes = Builder.cacheBytes();
+  EXPECT_EQ(Bytes.size(), kPinnedGccBytes);
+  EXPECT_EQ(snapshot::crc32(Bytes.data(), Bytes.size()), kPinnedGccCrc);
 }
 
 TEST(CacheStore, ConcurrentPromotesOfOneKeyGetDistinctGenerations) {
