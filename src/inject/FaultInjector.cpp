@@ -16,7 +16,8 @@ using namespace facile::inject;
 static bool parseRatePpm(const std::string &V, uint32_t &Out) {
   char *End = nullptr;
   double D = std::strtod(V.c_str(), &End);
-  if (End == V.c_str() || *End != '\0' || D < 0.0 || D > 1.0)
+  // Negated so NaN, which compares false both ways, is rejected too.
+  if (End == V.c_str() || *End != '\0' || !(D >= 0.0 && D <= 1.0))
     return false;
   Out = static_cast<uint32_t>(D * 1'000'000.0 + 0.5);
   return true;

@@ -308,10 +308,33 @@ ActionCache::FlatImage ActionCache::compactImage() const {
     C.LastUse = E.LastUse;
     Img.KeyToEntry[C.Key] = NewE;
 
+    // An arena corrupted out of band (fault injection) can hold a link out
+    // of the arena, a span out of the pool, a key id out of the pool or a
+    // cycle. Replay refuses such an entry, so the image drops it rather
+    // than read out of bounds or walk forever; a corrupt seal is carried
+    // over re-homed, for the loader's replay to refuse in turn.
+    const size_t NodesBefore = Img.Nodes.size(), DataBefore = Img.Data.size();
+    size_t Walked = 0;
+    auto corrupt = [&](const ActionNode &N) {
+      const uint64_t Lo = N.DataOfs, Hi = Lo + N.DataLen;
+      return ++Walked > nodeCount() || Hi > dataSize() ||
+             (Lo < baseDataWords() && Hi > baseDataWords()) ||
+             (N.K == ActionNode::Kind::End && N.NextKey != NoId &&
+              N.NextKey >= keyCount());
+    };
     Work.push_back({E.Head, ActionNode::NoNode, ActionNode::NoNode, -1});
     while (!Work.empty()) {
       WorkItem W = Work.back();
       Work.pop_back();
+      if (W.Old >= nodeCount() || corrupt(node(W.Old))) {
+        Work.clear();
+        Img.Nodes.resize(NodesBefore);
+        Img.Seals.resize(NodesBefore);
+        Img.Data.resize(DataBefore);
+        Img.KeyToEntry[C.Key] = NoId;
+        Img.Entries.pop_back();
+        break;
+      }
       const ActionNode &Src = node(W.Old);
       uint32_t NewIdx = static_cast<uint32_t>(Img.Nodes.size());
       Img.Nodes.push_back(Src);

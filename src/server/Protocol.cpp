@@ -101,15 +101,18 @@ void server::writeRequestId(json::Writer &W, const json::Value *Id) {
 }
 
 std::string server::errorResponse(const json::Value *Id, const char *Code,
-                                  std::string_view Message) {
+                                  std::string_view Message,
+                                  uint64_t RetryAfterMs) {
   json::Writer W;
   W.beginObject();
   writeRequestId(W, Id);
   W.field("ok", false);
   W.objectField("error")
       .field("code", std::string_view(Code))
-      .field("message", Message)
-      .endObject();
+      .field("message", Message);
+  if (std::string_view(Code) == ErrCode::Overloaded)
+    W.field("retry_after_ms", RetryAfterMs);
+  W.endObject();
   W.endObject();
   return W.take();
 }

@@ -24,6 +24,14 @@
 /// under "fault" with ok=true, because the session survives and stays
 /// resumable via the clear-fault verb.
 ///
+/// Request schema: every verb declares its members once, as FieldSpecs in
+/// the daemon's verb table (Server.cpp), and one validator checks each
+/// request against its verb's declaration before the verb runs. A declared
+/// member that is present with the wrong type or outside its range is
+/// rejected with the member's error code (bad-request unless declared
+/// otherwise); an absent member takes its default; unknown members are
+/// ignored.
+///
 /// Snapshot payloads (snapshot container bytes, src/snapshot/Snapshot.h)
 /// cross the wire as base64 in "bytes_b64", so the protocol stays
 /// line-delimited text end to end.
@@ -37,6 +45,7 @@
 #include "src/support/JsonValue.h"
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -72,6 +81,40 @@ inline constexpr const char *UnknownToken = "unknown-resume-token";
 inline constexpr const char *BadBackend = "bad-backend";
 } // namespace ErrCode
 
+/// The JSON type a declared request member must have.
+enum class FieldType : uint8_t { Int, Str, Bool, Object, Array };
+
+/// The daemon cap (ServerOptions) an Int member is clamped to: a value
+/// above the cap is cut to it rather than rejected.
+enum class FieldCap : uint8_t { None, StepsPerRequest, InspectWords };
+
+/// One declared request member.
+struct FieldSpec {
+  /// Member name; "options.memoize" is member memoize of the object member
+  /// options, which the verb declares before it.
+  const char *Name = nullptr;
+  FieldType Type = FieldType::Int;
+  int64_t Lo = 0, Hi = 0;        ///< Int: inclusive range
+  int64_t Def = 0;               ///< Int: value when absent
+  const char *Choices = nullptr; ///< Str: "a|b|c"; null accepts any string
+  const char *DefStr = "";       ///< Str: value when absent
+  bool Required = false;
+  /// When present, the verb's later members are not read at all.
+  bool Alone = false;
+  FieldCap Cap = FieldCap::None;
+  const char *Code = ErrCode::BadRequest; ///< error code when rejected
+};
+
+/// One verb as the daemon's verb table declares it. Session verbs take a
+/// "session" member and may appear inside batch; the others are top-level
+/// only. Mutating verbs are deduplicated by request id.
+struct VerbSchema {
+  const char *Name = nullptr;
+  bool SessionScoped = false;
+  bool Mutating = false;
+  std::span<const FieldSpec> Fields;
+};
+
 /// The protocol's nesting bound for incoming requests. Requests are flat
 /// (options object, at most one level of arrays), so 16 is generous while
 /// keeping hostile deeply-nested input cheap to reject.
@@ -94,9 +137,11 @@ bool base64Decode(std::string_view Text, std::vector<uint8_t> &Out);
 /// (absent/unsupported types echo as null).
 void writeRequestId(json::Writer &W, const json::Value *Id);
 
-/// Builds a complete error-response line (no trailing newline).
+/// Builds a complete error-response line (no trailing newline). An
+/// overloaded rejection also carries "retry_after_ms".
 std::string errorResponse(const json::Value *Id, const char *Code,
-                          std::string_view Message);
+                          std::string_view Message,
+                          uint64_t RetryAfterMs = 0);
 
 /// Opens a success-response object: {"id":..., "ok":true — caller appends
 /// verb members and calls endObject()/take().

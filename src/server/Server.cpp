@@ -3,9 +3,10 @@
 // Structure: an accept loop hands each connection to a reader thread that
 // only frames newline-delimited requests (and enforces the line-size and
 // per-connection request budgets); framed lines go into one bounded work
-// queue drained by the fixed worker pool, which parses, dispatches and
-// responds. Sessions serialize on a per-session mutex; everything read-only
-// (program, image, plan) lives in pooled SharedPrograms.
+// queue drained by the fixed worker pool, which parses, validates against
+// the verb table, dispatches and responds. Sessions serialize on a
+// per-session mutex; everything read-only (program, image, plan) lives in
+// pooled SharedPrograms.
 //
 // All loops are poll-with-timeout against one atomic stop flag, so
 // shutdown never depends on waking a blocked syscall.
@@ -24,6 +25,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <cerrno>
 #include <chrono>
 #include <condition_variable>
@@ -33,7 +35,6 @@
 #include <map>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include <netinet/in.h>
@@ -62,7 +63,7 @@ bool sendAll(int Fd, const char *Data, size_t N) {
   return true;
 }
 
-bool parseSimKind(const std::string &Name, SimKind &Out) {
+bool parseSimKind(std::string_view Name, SimKind &Out) {
   if (Name == "functional")
     Out = SimKind::Functional;
   else if (Name == "inorder")
@@ -122,23 +123,6 @@ std::string requestIdKey(const json::Value *Id) {
   return std::string();
 }
 
-/// The admission-control rejection: an error envelope whose error object
-/// carries "retry_after_ms". The request was never executed, so the client
-/// may retry any verb after the hinted wait.
-std::string overloadedResponse(const json::Value *Id, uint64_t RetryAfterMs) {
-  json::Writer W;
-  W.beginObject();
-  writeRequestId(W, Id);
-  W.field("ok", false);
-  W.objectField("error")
-      .field("code", std::string_view(ErrCode::Overloaded))
-      .field("message", "worker queue is full")
-      .field("retry_after_ms", RetryAfterMs)
-      .endObject();
-  W.endObject();
-  return W.take();
-}
-
 /// Parses \p Line just far enough to echo its request id on a rejection
 /// path (framing otherwise never parses JSON). \p Req owns the storage.
 const json::Value *lineRequestId(const std::string &Line, json::Value &Req) {
@@ -148,27 +132,183 @@ const json::Value *lineRequestId(const std::string &Line, json::Value &Req) {
   return nullptr;
 }
 
+//===----------------------------------------------------------------------===//
+// Request schema: field declarations and the one validator
+//===----------------------------------------------------------------------===//
+
+using enum FieldType;
+
 /// Bounds of create's footprint and budget fields: 4096 K words is 16 MB
 /// of target data, 8x the largest suite workload's; 1024 kernels are 8x
-/// gcc's 120; a budget of 2^20 MB shifts into a byte count without wrap.
-constexpr int64_t MaxDataKWords = 4096;
-constexpr int64_t MaxNumKernels = 1024;
-constexpr int64_t MaxBudgetMb = int64_t(1) << 20;
+/// gcc's 120 (generation splits the data among the kernels, so neither may
+/// be 0); a budget of 2^20 MB shifts into a byte count without wrap; the
+/// outer count is loaded into a 32-bit register.
+constexpr FieldSpec CreateFields[] = {
+    // A resume restores a spilled session; nothing else is read.
+    {.Name = "resume_token", .Type = Str, .Alone = true},
+    {.Name = "sim", .Type = Str, .Choices = "functional|inorder|ooo",
+     .DefStr = "functional"},
+    {.Name = "workload", .Type = Str, .DefStr = "compress"},
+    {.Name = "outer_iters", .Type = Int, .Lo = 1, .Hi = 0x7fffffff, .Def = 2},
+    {.Name = "data_kwords", .Type = Int, .Lo = 1, .Hi = 4096},
+    {.Name = "num_kernels", .Type = Int, .Lo = 1, .Hi = 1024},
+    {.Name = "options", .Type = Object},
+    {.Name = "options.memoize", .Type = Bool},
+    // Test knob: an artificial per-chunk sleep, so deadline and overload
+    // behavior can be exercised deterministically without huge workloads.
+    {.Name = "options.step_delay_us", .Type = Int, .Hi = 1 << 20},
+    {.Name = "options.cache_budget_mb", .Type = Int, .Hi = int64_t(1) << 20},
+    {.Name = "options.mem_budget_mb", .Type = Int, .Hi = int64_t(1) << 20},
+    {.Name = "options.max_steps", .Type = Int, .Hi = INT64_MAX}, // 0: none
+    // Its own code: a client probing for JIT support can tell "this daemon
+    // predates backends" (unknown fields are ignored) from a bad spelling.
+    {.Name = "backend", .Type = Str, .Choices = "auto|interpret|jit|on|off",
+     .Code = ErrCode::BadBackend},
+    {.Name = "fault_inject", .Type = Str},
+};
+constexpr FieldSpec SessionField = {
+    .Name = "session", .Type = Int, .Hi = INT64_MAX, .Required = true};
+constexpr FieldSpec DeadlineField = {
+    .Name = "deadline_ms", .Type = Int, .Hi = INT64_MAX};
+constexpr FieldSpec StepFields[] = {
+    SessionField,
+    {.Name = "count", .Type = Int, .Lo = 1, .Hi = INT64_MAX, .Def = 1,
+     .Cap = FieldCap::StepsPerRequest},
+    DeadlineField,
+};
+constexpr FieldSpec RunFields[] = {
+    SessionField,
+    {.Name = "steps", .Type = Int, .Lo = 1, .Hi = INT64_MAX, .Def = INT64_MAX,
+     .Cap = FieldCap::StepsPerRequest},
+    // Absolute retired-instruction target; 0: none.
+    {.Name = "instrs", .Type = Int, .Lo = 1, .Hi = INT64_MAX},
+    DeadlineField,
+};
+constexpr FieldSpec InspectFields[] = {
+    SessionField,
+    {.Name = "what", .Type = Str,
+     .Choices = "stats|digest|global|registers|memory", .DefStr = "stats"},
+    {.Name = "name", .Type = Str},                   // what=global
+    {.Name = "addr", .Type = Int, .Hi = 0xffffffff}, // what=memory
+    {.Name = "words", .Type = Int, .Lo = 1, .Hi = INT64_MAX, .Def = 1,
+     .Cap = FieldCap::InspectWords},
+};
+// A step-limit fault would re-fire at once unless the watchdog is raised,
+// so clear-fault takes the new limit in the same round trip.
+constexpr FieldSpec ClearFaultFields[] = {
+    SessionField, {.Name = "max_steps", .Type = Int, .Hi = INT64_MAX}};
+constexpr FieldSpec SnapshotKindField = {
+    .Name = "kind", .Type = Str, .Choices = "checkpoint|cache",
+    .DefStr = "checkpoint"};
+constexpr FieldSpec SnapshotSaveFields[] = {SessionField, SnapshotKindField};
+constexpr FieldSpec SnapshotLoadFields[] = {
+    SessionField, SnapshotKindField,
+    {.Name = "bytes_b64", .Type = Str, .Required = true}};
+constexpr FieldSpec SessionOnly[] = {SessionField};
+constexpr FieldSpec BatchFields[] = {
+    {.Name = "requests", .Type = Array, .Required = true}};
 
-/// Reads integer member \p Name of \p Obj into \p Out when present. An
-/// empty result accepts; otherwise it is the bad-request message for a
-/// non-integer or a value outside [Lo, Hi].
-std::string readBounded(const json::Value &Obj, const char *Name, int64_t Lo,
-                        int64_t Hi, int64_t &Out) {
-  const json::Value *V = Obj.get(Name);
-  if (!V)
-    return std::string();
-  if (!V->isInt() || V->intOr(0) < Lo || V->intOr(0) > Hi)
-    return strFormat("'%s' must be an integer in [%lld, %lld]", Name,
-                     static_cast<long long>(Lo), static_cast<long long>(Hi));
-  Out = V->intOr(0);
-  return std::string();
+bool isChoice(std::string_view Choices, std::string_view S) {
+  for (size_t Pos = 0;;) {
+    size_t Bar = Choices.find('|', Pos);
+    if (Choices.substr(Pos, Bar - Pos) == S)
+      return true;
+    if (Bar == std::string_view::npos)
+      return false;
+    Pos = Bar + 1;
+  }
 }
+
+/// The message for a member that fails its declaration.
+std::string describe(const FieldSpec &F) {
+  static const char *const Want[] = {"", "a string", "true or false",
+                                     "an object", "an array"};
+  if (F.Type == Int)
+    return strFormat("'%s' must be an integer in [%lld, %lld]", F.Name,
+                     static_cast<long long>(F.Lo),
+                     static_cast<long long>(F.Hi));
+  return strFormat("'%s' must be %s", F.Name,
+                   F.Choices ? F.Choices : Want[static_cast<int>(F.Type)]);
+}
+
+/// A request's declared members after validation: each one either present
+/// and well-typed, or absent and at its default. Verb bodies read requests
+/// only through this.
+class Args {
+public:
+  /// The one request validator: checks \p Req against \p Decl, in
+  /// declaration order. On the first member that is present with the wrong
+  /// type or out of range (or required and absent) returns false with the
+  /// member's error code in \p Code and the message in \p Msg.
+  bool read(std::span<const FieldSpec> Decl, const json::Value &Req,
+            const ServerOptions &Opts, const char *&Code, std::string &Msg) {
+    Fields = Decl;
+    Slots.clear();
+    for (const FieldSpec &F : Decl)
+      Slots.push_back(Slot{nullptr, F.Def, F.DefStr});
+    for (size_t I = 0; I != Decl.size(); ++I) {
+      const FieldSpec &F = Decl[I];
+      std::string_view Name = F.Name;
+      const json::Value *In = &Req;
+      if (size_t Dot = Name.find('.'); Dot != std::string_view::npos) {
+        In = Req.get(Name.substr(0, Dot)); // type-checked as declared first
+        Name.remove_prefix(Dot + 1);
+      }
+      const json::Value *V = In ? In->get(Name) : nullptr;
+      const bool Ok =
+          !V                 ? !F.Required
+          : F.Type == Int    ? V->isInt() && V->intOr(0) >= F.Lo &&
+                                V->intOr(0) <= F.Hi
+          : F.Type == Str    ? V->isStr() && (!F.Choices ||
+                                              isChoice(F.Choices, V->str()))
+          : F.Type == Bool   ? V->isBool()
+          : F.Type == Object ? V->isObject()
+                             : V->isArray();
+      if (!Ok) {
+        Code = F.Code;
+        Msg = V ? describe(F) : strFormat("missing '%s'", F.Name);
+        return false;
+      }
+      Slot &S = Slots[I];
+      if (V)
+        S = Slot{V, V->isBool() ? V->boolOr(false) : V->intOr(0), V->str()};
+      if (F.Cap != FieldCap::None)
+        S.I = static_cast<int64_t>(std::min<uint64_t>(
+            static_cast<uint64_t>(S.I), F.Cap == FieldCap::StepsPerRequest
+                                            ? Opts.MaxStepsPerRequest
+                                            : Opts.MaxInspectWords));
+      if (V && F.Alone)
+        break;
+    }
+    return true;
+  }
+
+  bool has(std::string_view Name) const { return slot(Name).V != nullptr; }
+  int64_t num(std::string_view Name) const { return slot(Name).I; }
+  bool flag(std::string_view Name) const { return slot(Name).I != 0; }
+  std::string_view str(std::string_view Name) const { return slot(Name).S; }
+  /// The raw value of a present member (arrays).
+  const json::Value &value(std::string_view Name) const {
+    return *slot(Name).V;
+  }
+
+private:
+  struct Slot {
+    const json::Value *V = nullptr; ///< null when absent
+    int64_t I = 0;                  ///< Int (clamped) and Bool
+    std::string_view S;             ///< Str
+  };
+  const Slot &slot(std::string_view Name) const {
+    for (size_t I = 0; I != Fields.size(); ++I)
+      if (Name == Fields[I].Name)
+        return Slots[I];
+    assert(false && "verb reads a member it does not declare");
+    static const Slot Absent;
+    return Absent;
+  }
+  std::span<const FieldSpec> Fields;
+  std::vector<Slot> Slots;
+};
 
 } // namespace
 
@@ -195,41 +335,43 @@ struct Conn {
   std::atomic<int64_t> InFlight{0};
 };
 
+/// What a session is built from: resolved from a create request, and kept
+/// so a reaped session can be rebuilt from its spill.
+struct SessionParams {
+  SimKind Kind = SimKind::Functional;
+  workload::WorkloadSpec Spec;
+  uint64_t OuterIters = 2;
+  rt::Simulation::Options SimOpts;
+  uint64_t StepDelayUs = 0; ///< test knob: sleep per executed chunk
+
+  /// One pooled SharedProgram per (sim, workload shape, length).
+  std::string poolKey() const {
+    return strFormat("%s|%s|%llu|%u|%u", simKindName(Kind), Spec.Name.c_str(),
+                     static_cast<unsigned long long>(OuterIters),
+                     Spec.DataKWords, Spec.NumKernels);
+  }
+};
+
 /// One live session: a private simulation plus a reference keeping its
-/// SharedProgram pool entry alive.
-struct SharedEntry;
+/// pooled SharedProgram alive.
 struct Session {
   uint64_t Id = 0;
-  SimKind Kind = SimKind::Functional;
-  std::string WorkloadName;
-  std::shared_ptr<const SharedEntry> Shared;
+  SessionParams P;
+  std::shared_ptr<const rt::SharedProgram> Shared;
   std::unique_ptr<FacileSim> Sim;
   std::unique_ptr<inject::FaultInjector> Injector; ///< after Sim: refs it
   std::mutex Mu;       ///< per-session serialization: one verb at a time
   uint64_t Verbs = 0;  ///< verbs serviced (under Mu)
-
-  /// Creation parameters, kept so a reaped session can be rebuilt.
-  workload::WorkloadSpec Spec;
-  uint64_t OuterIters = 2;
-  rt::Simulation::Options SimOpts;
-  std::string PoolKey;
-  std::string ResumeToken;
-  uint64_t StepDelayUs = 0; ///< test knob: sleep per executed chunk
+  std::string ResumeToken; ///< create + this token restores a reaped session
 
   std::atomic<uint64_t> LastVerbMs{0}; ///< TTL / LRU recency
-  bool Reaped = false; ///< under Mu: detached from the table by the reaper
+  /// Under Mu: removed from the table by destroy or the reaper.
+  bool Detached = false;
 
   /// Request-id dedup of the last completed mutating verb: an identical
   /// retry replays the stored response instead of re-executing.
   std::string LastCompletedId; ///< under Mu; requestIdKey form
   std::string LastResponse;    ///< under Mu
-};
-
-/// One pooled (program, image, plan) bundle.
-struct SharedEntry {
-  SimKind Kind = SimKind::Functional;
-  std::string WorkloadName;
-  std::unique_ptr<rt::SharedProgram> Prog;
 };
 
 struct Work {
@@ -239,17 +381,19 @@ struct Work {
 
 /// A reaped session's warm state, restorable by create + resume_token.
 struct Spilled {
-  SimKind Kind = SimKind::Functional;
-  workload::WorkloadSpec Spec;
-  uint64_t OuterIters = 2;
-  rt::Simulation::Options SimOpts;
-  std::string PoolKey;
-  uint64_t StepDelayUs = 0;
+  SessionParams P;
   std::vector<uint8_t> Checkpoint; ///< checkpoint container
   std::vector<uint8_t> CacheBytes; ///< cache image container (memoizing)
   uint64_t Seq = 0;                ///< spill order, oldest dropped first
 
   size_t bytes() const { return Checkpoint.size() + CacheBytes.size(); }
+};
+
+/// One validated request on its way into a verb body.
+struct Call {
+  const json::Value *Id = nullptr;
+  Args A;
+  Session *S = nullptr; ///< session verbs: the target, locked
 };
 
 } // namespace
@@ -295,8 +439,13 @@ struct FacileServer::Impl {
   std::thread AcceptThread;
   std::thread ReaperThread;
   std::vector<std::thread> Workers;
+  // Reader threads: live ones by key; an exiting reader moves its own
+  // thread to ExitedReaders, which the acceptor joins, so a finished
+  // connection's stack is released while the daemon runs.
   std::mutex ConnThreadsMu;
-  std::vector<std::thread> ConnThreads;
+  std::map<uint64_t, std::thread> ConnThreads;
+  std::vector<std::thread> ExitedReaders;
+  uint64_t LastReaderKey = 0; ///< acceptor only
   std::mutex JoinMu;
   bool Joined = false;
 
@@ -325,10 +474,10 @@ struct FacileServer::Impl {
   // Session table and SharedProgram pool.
   mutable std::mutex SessionsMu;
   std::map<uint64_t, std::shared_ptr<Session>> Sessions;
-  uint64_t LastSessionId = 0;
-  uint64_t PeakSessions = 0;
+  uint64_t LastSessionId = 0;                ///< under SessionsMu
+  std::atomic<uint64_t> PeakSessions{0};     ///< written under SessionsMu
   std::mutex PoolMu;
-  std::map<std::string, std::shared_ptr<SharedEntry>> Pool;
+  std::map<std::string, std::shared_ptr<const rt::SharedProgram>> Pool;
 
   // Daemon counters.
   std::atomic<uint64_t> ConnectionsTotal{0};
@@ -353,6 +502,8 @@ struct FacileServer::Impl {
   bool start(std::string *Err);
   void acceptLoop();
   void readerLoop(std::shared_ptr<Conn> C);
+  void retireReader(uint64_t Key);
+  void joinReaders(bool All);
   void workerLoop();
   void reaperLoop();
   void reapIdleSessions(uint64_t Now);
@@ -363,36 +514,63 @@ struct FacileServer::Impl {
   void joinAll();
 
   void respond(Conn &C, std::string Line);
-  void processLine(const std::shared_ptr<Conn> &C, const std::string &Line);
+  void processLine(Conn &C, const std::string &Line);
 
   std::shared_ptr<Session> findSession(uint64_t Id);
+  std::vector<std::shared_ptr<Session>> liveSessions();
+  std::shared_ptr<Session> buildSession(const SessionParams &P,
+                                        bool *PoolHit);
+  bool publish(const std::shared_ptr<Session> &S);
+  template <typename BodyT> void withDeadline(const Call &C, BodyT Body);
 
-  // Every verb handler builds and returns one complete response line (no
+  // Every verb body builds and returns one complete response line (no
   // trailing newline) instead of writing to the connection itself; that is
   // what lets the batch verb collect sub-replies into one envelope.
   std::string errorLine(const json::Value *Id, const char *Code,
-                        std::string_view Msg);
-  std::string executeSessionVerb(const json::Value &Req,
-                                 const std::string &Verb,
-                                 const json::Value *Id);
-  std::string verbBatch(const json::Value &Req, const json::Value *Id);
-  std::string verbCreate(const json::Value &Req, const json::Value *Id);
+                        std::string_view Msg, uint64_t RetryAfterMs = 0);
+  std::string sessionLimitLine(const json::Value *Id);
+  std::string dispatch(const json::Value &Req, bool InBatch);
+  std::string verbPing(const Call &C);
+  std::string verbStats(const Call &C);
+  std::string verbShutdown(const Call &C);
+  std::string verbBatch(const Call &C);
+  std::string verbCreate(const Call &C);
   std::string resumeSession(const std::string &Token, const json::Value *Id);
-  std::string verbStep(const json::Value &Req, const json::Value *Id,
-                       Session &S);
-  std::string verbRun(const json::Value &Req, const json::Value *Id,
-                      Session &S);
-  std::string verbInspect(const json::Value &Req, const json::Value *Id,
-                          Session &S);
-  std::string verbClearFault(const json::Value &Req, const json::Value *Id,
-                             Session &S);
-  std::string verbSnapshotSave(const json::Value &Req, const json::Value *Id,
-                               Session &S);
-  std::string verbSnapshotLoad(const json::Value &Req, const json::Value *Id,
-                               Session &S);
-  std::string verbDestroy(const json::Value *Id, uint64_t SessionId);
+  std::string verbStep(const Call &C);
+  std::string verbRun(const Call &C);
+  std::string verbInspect(const Call &C);
+  std::string verbClearFault(const Call &C);
+  std::string verbSnapshotSave(const Call &C);
+  std::string verbSnapshotLoad(const Call &C);
+  std::string verbDestroy(const Call &C);
+
+  /// One verb: its wire declaration and its body.
+  struct VerbSpec : VerbSchema {
+    std::string (Impl::*Run)(const Call &);
+  };
+  static const VerbSpec Verbs[];
 
   std::string statsJson();
+};
+
+/// The verb table: every verb, declared once. The validator checks a
+/// request against its entry's fields before the body runs.
+const FacileServer::Impl::VerbSpec FacileServer::Impl::Verbs[] = {
+    // {{name, session-scoped, mutating, fields}, body}
+    {{"ping", false, false, {}}, &Impl::verbPing},
+    {{"create", false, false, CreateFields}, &Impl::verbCreate},
+    {{"stats", false, false, {}}, &Impl::verbStats},
+    {{"shutdown", false, false, {}}, &Impl::verbShutdown},
+    {{"batch", false, false, BatchFields}, &Impl::verbBatch},
+    {{"step", true, true, StepFields}, &Impl::verbStep},
+    {{"run", true, true, RunFields}, &Impl::verbRun},
+    {{"inspect", true, false, InspectFields}, &Impl::verbInspect},
+    {{"clear-fault", true, true, ClearFaultFields}, &Impl::verbClearFault},
+    {{"snapshot-save", true, false, SnapshotSaveFields},
+     &Impl::verbSnapshotSave},
+    {{"snapshot-load", true, true, SnapshotLoadFields},
+     &Impl::verbSnapshotLoad},
+    {{"destroy", true, false, SessionOnly}, &Impl::verbDestroy},
 };
 
 //===----------------------------------------------------------------------===//
@@ -489,8 +667,10 @@ bool FacileServer::Impl::start(std::string *Err) {
   return true;
 }
 
+
 void FacileServer::Impl::acceptLoop() {
   while (!Stop.load(std::memory_order_acquire)) {
+    joinReaders(/*All=*/false);
     pollfd P[2] = {{ListenFd, POLLIN, 0}, {WakeFds[0], POLLIN, 0}};
     int R = ::poll(P, 2, 200);
     if (R <= 0 || !(P[0].revents & POLLIN))
@@ -505,9 +685,41 @@ void FacileServer::Impl::acceptLoop() {
     ++ConnectionsTotal;
     ++ActiveConnections;
     auto C = std::make_shared<Conn>(Fd);
+    // The reader retires itself under this lock, so it cannot look for its
+    // key before the map holds it.
     std::lock_guard<std::mutex> Lock(ConnThreadsMu);
-    ConnThreads.emplace_back([this, C] { readerLoop(C); });
+    uint64_t Key = ++LastReaderKey;
+    ConnThreads.emplace(Key, std::thread([this, C, Key] {
+                          readerLoop(C);
+                          retireReader(Key);
+                        }));
   }
+}
+
+void FacileServer::Impl::retireReader(uint64_t Key) {
+  std::lock_guard<std::mutex> Lock(ConnThreadsMu);
+  auto It = ConnThreads.find(Key);
+  if (It == ConnThreads.end())
+    return; // joinAll already holds this thread
+  ExitedReaders.push_back(std::move(It->second));
+  ConnThreads.erase(It);
+}
+
+/// Joins the readers that have exited (each is at most returning), or with
+/// \p All every reader, once the acceptor is gone and none can be added.
+void FacileServer::Impl::joinReaders(bool All) {
+  std::vector<std::thread> Join;
+  {
+    std::lock_guard<std::mutex> Lock(ConnThreadsMu);
+    Join.swap(ExitedReaders);
+    if (All) {
+      for (auto &E : ConnThreads)
+        Join.push_back(std::move(E.second));
+      ConnThreads.clear();
+    }
+  }
+  for (std::thread &T : Join)
+    T.join();
 }
 
 void FacileServer::Impl::readerLoop(std::shared_ptr<Conn> C) {
@@ -549,26 +761,22 @@ void FacileServer::Impl::readerLoop(std::shared_ptr<Conn> C) {
       if (Line.empty())
         continue;
       if (Line.size() > Opts.MaxLineBytes) {
-        ++ProtocolErrors;
-        respond(*C, errorResponse(nullptr, ErrCode::Oversized,
-                                  "request exceeds line-size limit"));
+        respond(*C, errorLine(nullptr, ErrCode::Oversized,
+                              "request exceeds line-size limit"));
         Close = true;
         break;
       }
       if (++C->Requests > Opts.MaxRequestsPerConn) {
-        ++ProtocolErrors;
-        respond(*C, errorResponse(nullptr, ErrCode::RequestLimit,
-                                  "per-connection request limit reached"));
+        respond(*C, errorLine(nullptr, ErrCode::RequestLimit,
+                              "per-connection request limit reached"));
         Close = true;
         break;
       }
       ++RequestsTotal;
       if (Draining.load(std::memory_order_acquire)) {
-        ++ProtocolErrors;
         json::Value IdOwner;
-        respond(*C, errorResponse(lineRequestId(Line, IdOwner),
-                                  ErrCode::ShuttingDown,
-                                  "server is draining"));
+        respond(*C, errorLine(lineRequestId(Line, IdOwner),
+                              ErrCode::ShuttingDown, "server is draining"));
         continue;
       }
       // Admission control: a full queue rejects instead of buffering
@@ -590,7 +798,6 @@ void FacileServer::Impl::readerLoop(std::shared_ptr<Conn> C) {
       }
       C->InFlight.fetch_sub(1, std::memory_order_acq_rel);
       ++AdmissionRejects;
-      ++ProtocolErrors;
       // The hint grows with how much backlog each worker would have to
       // clear first, capped at 2 s.
       uint64_t Hint = std::min<uint64_t>(
@@ -599,14 +806,14 @@ void FacileServer::Impl::readerLoop(std::shared_ptr<Conn> C) {
                                              std::max(1u, Opts.Workers) /
                                              8));
       json::Value IdOwner;
-      respond(*C, overloadedResponse(lineRequestId(Line, IdOwner), Hint));
+      respond(*C, errorLine(lineRequestId(Line, IdOwner), ErrCode::Overloaded,
+                            "worker queue is full", Hint));
     }
     // An unterminated line larger than the limit is rejected without
     // waiting for its newline — the peer may never send one.
     if (!Close && Buf.size() > Opts.MaxLineBytes) {
-      ++ProtocolErrors;
-      respond(*C, errorResponse(nullptr, ErrCode::Oversized,
-                                "request exceeds line-size limit"));
+      respond(*C, errorLine(nullptr, ErrCode::Oversized,
+                            "request exceeds line-size limit"));
       Close = true;
     }
   }
@@ -633,7 +840,7 @@ void FacileServer::Impl::workerLoop() {
       InFlight.fetch_add(1, std::memory_order_acq_rel);
     }
     uint64_t T0 = nowUs();
-    processLine(W.C, W.Line);
+    processLine(*W.C, W.Line);
     uint64_t Elapsed = nowUs() - T0;
     {
       std::lock_guard<std::mutex> Lock(HistMu);
@@ -667,6 +874,7 @@ void FacileServer::Impl::requestShutdown() {
   }
 }
 
+
 void FacileServer::Impl::joinAll() {
   std::lock_guard<std::mutex> Lock(JoinMu);
   if (Joined)
@@ -679,15 +887,7 @@ void FacileServer::Impl::joinAll() {
   for (std::thread &T : Workers)
     if (T.joinable())
       T.join();
-  // The acceptor is gone, so ConnThreads is stable now.
-  std::vector<std::thread> Readers;
-  {
-    std::lock_guard<std::mutex> CLock(ConnThreadsMu);
-    Readers.swap(ConnThreads);
-  }
-  for (std::thread &T : Readers)
-    if (T.joinable())
-      T.join();
+  joinReaders(/*All=*/true);
   if (ListenFd >= 0) {
     ::close(ListenFd);
     ListenFd = -1;
@@ -709,9 +909,15 @@ void FacileServer::Impl::respond(Conn &C, std::string Line) {
 
 std::string FacileServer::Impl::errorLine(const json::Value *Id,
                                           const char *Code,
-                                          std::string_view Msg) {
+                                          std::string_view Msg,
+                                          uint64_t RetryAfterMs) {
   ++ProtocolErrors;
-  return errorResponse(Id, Code, Msg);
+  return errorResponse(Id, Code, Msg, RetryAfterMs);
+}
+
+std::string FacileServer::Impl::sessionLimitLine(const json::Value *Id) {
+  return errorLine(Id, ErrCode::SessionLimit,
+                   strFormat("session limit (%u) reached", Opts.MaxSessions));
 }
 
 std::shared_ptr<Session> FacileServer::Impl::findSession(uint64_t Id) {
@@ -720,145 +926,129 @@ std::shared_ptr<Session> FacileServer::Impl::findSession(uint64_t Id) {
   return It == Sessions.end() ? nullptr : It->second;
 }
 
-void FacileServer::Impl::processLine(const std::shared_ptr<Conn> &C,
-                                     const std::string &Line) {
-  json::Value Req;
-  std::string PErr;
-  if (!json::parse(Line, Req, PErr, MaxRequestDepth)) {
-    respond(*C, errorLine(nullptr, ErrCode::ParseError, PErr));
-    return;
-  }
-  if (!Req.isObject()) {
-    respond(*C, errorLine(nullptr, ErrCode::BadRequest,
-                          "request must be a JSON object"));
-    return;
-  }
-  const json::Value *Id = Req.get("id");
-  const json::Value *VerbV = Req.get("verb");
-  if (!VerbV || !VerbV->isStr()) {
-    respond(*C, errorLine(Id, ErrCode::BadRequest, "missing 'verb' string"));
-    return;
-  }
-  const std::string &Verb = VerbV->str();
-
-  if (Verb == "ping") {
-    json::Writer W;
-    beginOkResponse(W, Id);
-    W.field("server", "facilesimd");
-    W.endObject();
-    respond(*C, W.take());
-    return;
-  }
-  if (Verb == "create") {
-    respond(*C, verbCreate(Req, Id));
-    return;
-  }
-  if (Verb == "stats") {
-    json::Writer W;
-    beginOkResponse(W, Id);
-    W.rawField("stats", statsJson());
-    W.endObject();
-    respond(*C, W.take());
-    return;
-  }
-  if (Verb == "shutdown") {
-    json::Writer W;
-    beginOkResponse(W, Id);
-    W.field("shutting_down", true);
-    W.endObject();
-    respond(*C, W.take());
-    requestShutdown();
-    return;
-  }
-  if (Verb == "batch") {
-    respond(*C, verbBatch(Req, Id));
-    return;
-  }
-  respond(*C, executeSessionVerb(Req, Verb, Id));
+/// The live session table, copied under SessionsMu: callers lock single
+/// sessions afterwards, never while holding the table lock.
+std::vector<std::shared_ptr<Session>> FacileServer::Impl::liveSessions() {
+  std::lock_guard<std::mutex> Lock(SessionsMu);
+  std::vector<std::shared_ptr<Session>> Live;
+  Live.reserve(Sessions.size());
+  for (const auto &E : Sessions)
+    Live.push_back(E.second);
+  return Live;
 }
 
-std::string FacileServer::Impl::executeSessionVerb(const json::Value &Req,
-                                                   const std::string &Verb,
-                                                   const json::Value *Id) {
-  bool Destroy = Verb == "destroy";
-  bool Known = Destroy || Verb == "step" || Verb == "run" ||
-               Verb == "inspect" || Verb == "clear-fault" ||
-               Verb == "snapshot-save" || Verb == "snapshot-load";
-  if (!Known)
+void FacileServer::Impl::processLine(Conn &C, const std::string &Line) {
+  json::Value Req;
+  std::string PErr;
+  respond(C, json::parse(Line, Req, PErr, MaxRequestDepth)
+                 ? dispatch(Req, /*InBatch=*/false)
+                 : errorLine(nullptr, ErrCode::ParseError, PErr));
+}
+
+std::string FacileServer::Impl::dispatch(const json::Value &Req,
+                                         bool InBatch) {
+  if (!Req.isObject())
+    return errorLine(nullptr, ErrCode::BadRequest,
+                     InBatch ? "batch element must be a request object"
+                             : "request must be a JSON object");
+  const json::Value *Id = Req.get("id");
+  const json::Value *VerbV = Req.get("verb");
+  if (!VerbV || !VerbV->isStr())
+    return errorLine(Id, ErrCode::BadRequest, "missing 'verb' string");
+  const VerbSpec *V = nullptr;
+  for (const VerbSpec &E : Verbs)
+    if (VerbV->str() == E.Name)
+      V = &E;
+  if (!V)
     return errorLine(Id, ErrCode::UnknownVerb,
-                     strFormat("unknown verb '%s'", Verb.c_str()));
-  const json::Value *SV = Req.get("session");
-  if (!SV || !SV->isInt() || SV->intOr(0) < 0)
+                     strFormat("unknown verb '%s'", VerbV->str().c_str()));
+  if (InBatch && !V->SessionScoped)
     return errorLine(Id, ErrCode::BadRequest,
-                     "missing or non-integer 'session'");
+                     strFormat("verb '%s' is not allowed in a batch", V->Name));
+  Call C;
+  C.Id = Id;
+  const char *Code = nullptr;
+  std::string Msg;
+  if (!C.A.read(V->Fields, Req, Opts, Code, Msg))
+    return errorLine(Id, Code, Msg);
+  if (!V->SessionScoped)
+    return (this->*V->Run)(C);
+
   std::shared_ptr<Session> S =
-      findSession(static_cast<uint64_t>(SV->intOr(0)));
-  if (!S) {
-    // Unknown and destroyed ids are indistinguishable on purpose: ids are
-    // never reused, so a stale handle can only ever fail.
+      findSession(static_cast<uint64_t>(C.A.num("session")));
+  // Per-session serialization: no two verbs on one session concurrently.
+  std::unique_lock<std::mutex> Lock;
+  if (S)
+    Lock = std::unique_lock<std::mutex>(S->Mu);
+  // Unknown, destroyed and reaped ids are indistinguishable on purpose: ids
+  // are never reused, so a stale handle can only ever fail (a reaped
+  // session's resume token is the way back in).
+  if (!S || S->Detached)
     return errorLine(Id, ErrCode::UnknownSession,
                      strFormat("no session %lld",
-                               static_cast<long long>(SV->intOr(0))));
-  }
-  if (Destroy)
-    return verbDestroy(Id, S->Id);
-  // Per-session serialization: no two verbs on one session concurrently.
-  std::lock_guard<std::mutex> Lock(S->Mu);
-  if (S->Reaped) {
-    // The reaper spilled this session between our table lookup and the
-    // lock; its resume token is the way back in.
-    return errorLine(Id, ErrCode::UnknownSession,
-                     strFormat("no session %lld (reaped)",
-                               static_cast<long long>(SV->intOr(0))));
-  }
+                               static_cast<long long>(C.A.num("session"))));
   S->LastVerbMs.store(nowMs(), std::memory_order_relaxed);
   ++S->Verbs;
   // Request-id dedup: retrying the last completed mutating verb replays
   // its stored response instead of executing twice — the client retry
   // policy's at-most-once guarantee for step/run rides on this.
-  bool Mutating = Verb == "step" || Verb == "run" || Verb == "clear-fault" ||
-                  Verb == "snapshot-load";
-  std::string IdKey = requestIdKey(Id);
-  if (Mutating && !IdKey.empty() && IdKey == S->LastCompletedId) {
+  const std::string IdKey = V->Mutating ? requestIdKey(Id) : std::string();
+  if (!IdKey.empty() && IdKey == S->LastCompletedId) {
     ++DedupedRequests;
     return S->LastResponse;
   }
-  std::string Reply;
-  if (Verb == "step")
-    Reply = verbStep(Req, Id, *S);
-  else if (Verb == "run")
-    Reply = verbRun(Req, Id, *S);
-  else if (Verb == "inspect")
-    Reply = verbInspect(Req, Id, *S);
-  else if (Verb == "clear-fault")
-    Reply = verbClearFault(Req, Id, *S);
-  else if (Verb == "snapshot-save")
-    Reply = verbSnapshotSave(Req, Id, *S);
-  else
-    Reply = verbSnapshotLoad(Req, Id, *S);
+  C.S = S.get();
+  std::string Reply = (this->*V->Run)(C);
   // The substring probe is sound: '"' never appears unescaped inside a
   // JSON string, so "ok":true can only be the envelope's own member.
-  if (Mutating && !IdKey.empty() &&
-      Reply.find("\"ok\":true") != std::string::npos) {
+  if (!IdKey.empty() && Reply.find("\"ok\":true") != std::string::npos) {
     S->LastCompletedId = IdKey;
     S->LastResponse = Reply;
   }
   return Reply;
 }
 
-std::string FacileServer::Impl::verbBatch(const json::Value &Req,
-                                          const json::Value *Id) {
-  const json::Value *Reqs = Req.get("requests");
-  if (!Reqs || !Reqs->isArray())
-    return errorLine(Id, ErrCode::BadRequest, "'requests' must be an array");
-  if (Reqs->array().size() > MaxBatchRequests)
+//===----------------------------------------------------------------------===//
+// Verbs
+//===----------------------------------------------------------------------===//
+
+std::string FacileServer::Impl::verbPing(const Call &C) {
+  json::Writer W;
+  beginOkResponse(W, C.Id);
+  W.field("server", "facilesimd");
+  W.endObject();
+  return W.take();
+}
+
+std::string FacileServer::Impl::verbStats(const Call &C) {
+  json::Writer W;
+  beginOkResponse(W, C.Id);
+  W.rawField("stats", statsJson());
+  W.endObject();
+  return W.take();
+}
+
+std::string FacileServer::Impl::verbShutdown(const Call &C) {
+  // The worker still writes this reply: shutdown only stops the loops,
+  // and the connection's fd lives until its last reference drops.
+  requestShutdown();
+  json::Writer W;
+  beginOkResponse(W, C.Id);
+  W.field("shutting_down", true);
+  W.endObject();
+  return W.take();
+}
+
+std::string FacileServer::Impl::verbBatch(const Call &C) {
+  const std::vector<json::Value> &Reqs = C.A.value("requests").array();
+  if (Reqs.size() > MaxBatchRequests)
     return errorLine(
-        Id, ErrCode::Oversized,
+        C.Id, ErrCode::Oversized,
         strFormat("batch exceeds %llu sub-requests",
                   static_cast<unsigned long long>(MaxBatchRequests)));
   json::Writer W;
-  beginOkResponse(W, Id);
-  W.field("count", static_cast<uint64_t>(Reqs->array().size()));
+  beginOkResponse(W, C.Id);
+  W.field("count", static_cast<uint64_t>(Reqs.size()));
   W.arrayField("replies");
   // Aggregate reply budget: 256 memory inspects at MaxInspectWords each
   // would otherwise balloon the one response line far past what framing
@@ -868,29 +1058,13 @@ std::string FacileServer::Impl::verbBatch(const json::Value &Req,
   // one element's reply.
   size_t ReplyBytes = 0;
   bool Truncated = false;
-  for (const json::Value &Sub : Reqs->array()) {
+  for (const json::Value &Sub : Reqs) {
     // Sub-requests fail independently: a bad element yields its own error
     // object in the replies array and the rest of the batch proceeds.
-    std::string Reply;
-    const json::Value *SubId = Sub.get("id");
-    const json::Value *SubVerb = Sub.get("verb");
-    if (Truncated)
-      Reply = errorLine(SubId, ErrCode::Oversized,
-                        "batch reply budget exhausted");
-    else if (!Sub.isObject())
-      Reply = errorLine(nullptr, ErrCode::BadRequest,
-                        "batch element must be a request object");
-    else if (!SubVerb || !SubVerb->isStr())
-      Reply = errorLine(SubId, ErrCode::BadRequest, "missing 'verb' string");
-    else if (SubVerb->str() == "batch")
-      Reply = errorLine(SubId, ErrCode::BadRequest, "'batch' cannot nest");
-    else if (SubVerb->str() == "ping" || SubVerb->str() == "create" ||
-             SubVerb->str() == "stats" || SubVerb->str() == "shutdown")
-      Reply = errorLine(SubId, ErrCode::BadRequest,
-                        strFormat("verb '%s' is not allowed in a batch",
-                                  SubVerb->str().c_str()));
-    else
-      Reply = executeSessionVerb(Sub, SubVerb->str(), SubId);
+    std::string Reply =
+        Truncated ? errorLine(Sub.get("id"), ErrCode::Oversized,
+                              "batch reply budget exhausted")
+                  : dispatch(Sub, /*InBatch=*/true);
     ReplyBytes += Reply.size();
     if (!Truncated && ReplyBytes > Opts.MaxBatchReplyBytes)
       Truncated = true;
@@ -902,186 +1076,124 @@ std::string FacileServer::Impl::verbBatch(const json::Value &Req,
   return W.take();
 }
 
-//===----------------------------------------------------------------------===//
-// Verbs
-//===----------------------------------------------------------------------===//
-
-std::string FacileServer::Impl::verbCreate(const json::Value &Req,
-                                           const json::Value *Id) {
-  if (Stop.load(std::memory_order_acquire))
-    return errorLine(Id, ErrCode::ShuttingDown, "server is shutting down");
-  if (const json::Value *V = Req.get("resume_token")) {
-    if (!V->isStr())
-      return errorLine(Id, ErrCode::BadRequest,
-                       "'resume_token' must be a string");
-    return resumeSession(V->str(), Id);
-  }
-  {
-    // Cheap early reject; re-checked at insert, but a full table should
-    // not cost a workload build first.
-    std::lock_guard<std::mutex> Lock(SessionsMu);
-    if (Sessions.size() >= Opts.MaxSessions)
-      return errorLine(Id, ErrCode::SessionLimit,
-                       strFormat("session limit (%u) reached",
-                                 Opts.MaxSessions));
-  }
-  SimKind Kind;
-  std::string SimName = "functional";
-  if (const json::Value *V = Req.get("sim"))
-    SimName = V->strOr(SimName);
-  if (!parseSimKind(SimName, Kind))
-    return errorLine(Id, ErrCode::BadRequest,
-                     "'sim' must be functional|inorder|ooo");
-  std::string WorkloadName = "compress";
-  if (const json::Value *V = Req.get("workload"))
-    WorkloadName = V->strOr(WorkloadName);
-  const workload::WorkloadSpec *Found = workload::findSpec(WorkloadName);
-  if (!Found)
-    return errorLine(Id, ErrCode::BadRequest,
-                     strFormat("unknown workload '%s'", WorkloadName.c_str()));
-  workload::WorkloadSpec Spec = *Found;
-  // The outer count is loaded into a 32-bit register; data_kwords and
-  // num_kernels are footprint knobs, mainly for tests and smoke runs.
-  // Generation splits the data among the kernels, so neither may be 0,
-  // and both are bounded so a request cannot build an outsized image.
-  int64_t OuterIters = 2, DataKWords = Spec.DataKWords,
-          NumKernels = Spec.NumKernels;
-  std::string Bad = readBounded(Req, "outer_iters", 1, 0x7fffffff, OuterIters);
-  if (Bad.empty())
-    Bad = readBounded(Req, "data_kwords", 1, MaxDataKWords, DataKWords);
-  if (Bad.empty())
-    Bad = readBounded(Req, "num_kernels", 1, MaxNumKernels, NumKernels);
-  if (!Bad.empty())
-    return errorLine(Id, ErrCode::BadRequest, Bad);
-  Spec.DataKWords = static_cast<unsigned>(DataKWords);
-  Spec.NumKernels = static_cast<unsigned>(NumKernels);
-
-  rt::Simulation::Options SimOpts = Opts.DefaultSimOptions;
-  uint64_t StepDelayUs = 0;
-  if (const json::Value *O = Req.get("options")) {
-    if (!O->isObject())
-      return errorLine(Id, ErrCode::BadRequest, "'options' must be an object");
-    // Test knob: an artificial per-chunk sleep, so deadline and overload
-    // behavior can be exercised deterministically without huge workloads.
-    if (const json::Value *V = O->get("step_delay_us"))
-      StepDelayUs = std::min<uint64_t>(
-          static_cast<uint64_t>(std::max<int64_t>(0, V->intOr(0))), 1u << 20);
-    if (const json::Value *V = O->get("memoize"))
-      SimOpts.Memoize = V->boolOr(SimOpts.Memoize);
-    // -1: absent, keep the default. max_steps 0 means no watchdog.
-    int64_t CacheMb = -1, MemMb = -1, MaxSteps = -1;
-    Bad = readBounded(*O, "cache_budget_mb", 0, MaxBudgetMb, CacheMb);
-    if (Bad.empty())
-      Bad = readBounded(*O, "mem_budget_mb", 0, MaxBudgetMb, MemMb);
-    if (Bad.empty())
-      Bad = readBounded(*O, "max_steps", 0, INT64_MAX, MaxSteps);
-    if (!Bad.empty())
-      return errorLine(Id, ErrCode::BadRequest, "'options." + Bad.substr(1));
-    if (CacheMb >= 0)
-      SimOpts.CacheBudgetBytes = static_cast<size_t>(CacheMb) << 20;
-    if (MemMb >= 0)
-      SimOpts.MemPageBudget =
-          (static_cast<size_t>(MemMb) << 20) >> TargetMemory::PageBits;
-    if (MaxSteps >= 0)
-      SimOpts.StepLimit = static_cast<uint64_t>(MaxSteps);
-  }
-  // Execution backend for memoized replay (default auto). Unknown values
-  // get their own stable code: a client probing for JIT support can tell
-  // "this daemon predates backends" (bad-request on the unknown field
-  // never happens — unknown fields are ignored) from "bad spelling".
-  if (const json::Value *V = Req.get("backend")) {
-    rt::BackendKind Kind2;
-    if (!V->isStr() || !rt::parseBackendKind(V->str(), Kind2))
-      return errorLine(Id, ErrCode::BadBackend,
-                       "'backend' must be auto|interpret|jit");
-    SimOpts.Backend = Kind2;
-  }
-
-  inject::InjectSpec InjSpec;
-  bool Injecting = false;
-  if (const json::Value *V = Req.get("fault_inject")) {
-    std::string SpecErr;
-    if (!V->isStr() ||
-        !inject::InjectSpec::parse(V->str(), InjSpec, SpecErr))
-      return errorLine(Id, ErrCode::BadRequest,
-                       "bad 'fault_inject' spec: " + SpecErr);
-    Injecting = true;
-  }
-
-  // Pool lookup: one SharedProgram per (sim, workload-shape, length).
-  std::string Key = strFormat("%s|%s|%llu|%u|%u", SimName.c_str(),
-                              Spec.Name.c_str(),
-                              static_cast<unsigned long long>(OuterIters),
-                              Spec.DataKWords, Spec.NumKernels);
-  std::shared_ptr<SharedEntry> Entry;
-  bool PoolHit = false;
-  {
-    std::lock_guard<std::mutex> Lock(PoolMu);
-    std::shared_ptr<SharedEntry> &Slot = Pool[Key];
-    if (!Slot) {
-      Slot = std::make_shared<SharedEntry>();
-      Slot->Kind = Kind;
-      Slot->WorkloadName = Spec.Name;
-      Slot->Prog = std::make_unique<rt::SharedProgram>(
-          sims::simulatorProgram(Kind), workload::generate(Spec, OuterIters));
-    } else {
-      PoolHit = true;
-    }
-    Entry = Slot;
-  }
-
+/// A fresh, unpublished session over the pooled program for \p P, building
+/// the pool entry on first use; \p PoolHit (optional) says it existed.
+std::shared_ptr<Session>
+FacileServer::Impl::buildSession(const SessionParams &P, bool *PoolHit) {
   auto S = std::make_shared<Session>();
-  S->Kind = Kind;
-  S->WorkloadName = Spec.Name;
-  S->Shared = Entry;
-  S->Sim = std::make_unique<FacileSim>(Kind, *Entry->Prog, SimOpts);
-  S->Spec = Spec;
-  S->OuterIters = OuterIters;
-  S->SimOpts = SimOpts;
-  S->PoolKey = Key;
-  S->StepDelayUs = StepDelayUs;
+  {
+    // Pool entries are never pruned, so a resume is a hit whenever the
+    // original create happened in this process.
+    std::lock_guard<std::mutex> Lock(PoolMu);
+    std::shared_ptr<const rt::SharedProgram> &Slot = Pool[P.poolKey()];
+    if (PoolHit)
+      *PoolHit = Slot != nullptr;
+    if (!Slot)
+      Slot = std::make_shared<const rt::SharedProgram>(
+          sims::simulatorProgram(P.Kind),
+          workload::generate(P.Spec, P.OuterIters));
+    S->Shared = Slot;
+  }
+  S->P = P;
+  S->Sim = std::make_unique<FacileSim>(P.Kind, *S->Shared, P.SimOpts);
   S->LastVerbMs.store(nowMs(), std::memory_order_relaxed);
-  // Attach the shared cache base before the first step. A miss keeps the
-  // session cold; a rejected file is diagnosed in the harness's snapshot
-  // stats but is likewise not a create error.
-  bool StoreAttached = false;
-  uint64_t StoreGeneration = 0;
-  if (StoreDir && SimOpts.Memoize) {
-    std::string StoreErr;
-    if (S->Sim->attachStore(*StoreDir, &StoreErr)) {
-      StoreAttached = true;
-      StoreGeneration = S->Sim->storeMapping()->generation();
-    }
-  }
-  if (Injecting) {
-    S->Injector =
-        std::make_unique<inject::FaultInjector>(S->Sim->sim(), InjSpec);
-    S->Injector->arm();
-  }
+  return S;
+}
+
+/// Enters \p S into the session table under a fresh id; false when the
+/// table is full.
+bool FacileServer::Impl::publish(const std::shared_ptr<Session> &S) {
   {
     std::lock_guard<std::mutex> Lock(SessionsMu);
     if (Sessions.size() >= Opts.MaxSessions)
-      return errorLine(Id, ErrCode::SessionLimit,
-                       strFormat("session limit (%u) reached",
-                                 Opts.MaxSessions));
+      return false;
     S->Id = ++LastSessionId;
     // Tokens only need to be unguessed by accident, not by an adversary —
     // the daemon trusts its socket. Uniqueness comes from the session id.
     // Set before the session becomes visible: the reaper reads it.
-    S->ResumeToken = strFormat("rt-%llu-%llx",
-                               static_cast<unsigned long long>(S->Id),
-                               static_cast<unsigned long long>(nowUs()));
+    if (S->ResumeToken.empty())
+      S->ResumeToken = strFormat("rt-%llu-%llx",
+                                 static_cast<unsigned long long>(S->Id),
+                                 static_cast<unsigned long long>(nowUs()));
     Sessions.emplace(S->Id, S);
-    if (Sessions.size() > PeakSessions)
-      PeakSessions = Sessions.size();
+    if (Sessions.size() > PeakSessions.load(std::memory_order_relaxed))
+      PeakSessions.store(Sessions.size(), std::memory_order_relaxed);
   }
   ++SessionsCreated;
+  return true;
+}
+
+std::string FacileServer::Impl::verbCreate(const Call &C) {
+  const Args &A = C.A;
+  if (Stop.load(std::memory_order_acquire))
+    return errorLine(C.Id, ErrCode::ShuttingDown, "server is shutting down");
+  if (A.has("resume_token"))
+    return resumeSession(std::string(A.str("resume_token")), C.Id);
+  {
+    // Cheap early reject; re-checked at publish, but a full table should
+    // not cost a workload build first.
+    std::lock_guard<std::mutex> Lock(SessionsMu);
+    if (Sessions.size() >= Opts.MaxSessions)
+      return sessionLimitLine(C.Id);
+  }
+  SessionParams P;
+  parseSimKind(A.str("sim"), P.Kind);
+  const workload::WorkloadSpec *Found =
+      workload::findSpec(std::string(A.str("workload")));
+  if (!Found)
+    return errorLine(C.Id, ErrCode::BadRequest,
+                     "unknown workload '" + std::string(A.str("workload")) +
+                         "'");
+  P.Spec = *Found;
+  if (A.has("data_kwords"))
+    P.Spec.DataKWords = static_cast<unsigned>(A.num("data_kwords"));
+  if (A.has("num_kernels"))
+    P.Spec.NumKernels = static_cast<unsigned>(A.num("num_kernels"));
+  P.OuterIters = static_cast<uint64_t>(A.num("outer_iters"));
+  P.StepDelayUs = static_cast<uint64_t>(A.num("options.step_delay_us"));
+  // Absent options keep the daemon's defaults.
+  P.SimOpts = Opts.DefaultSimOptions;
+  if (A.has("options.memoize"))
+    P.SimOpts.Memoize = A.flag("options.memoize");
+  if (A.has("options.cache_budget_mb"))
+    P.SimOpts.CacheBudgetBytes =
+        static_cast<size_t>(A.num("options.cache_budget_mb")) << 20;
+  if (A.has("options.mem_budget_mb"))
+    P.SimOpts.MemPageBudget =
+        (static_cast<size_t>(A.num("options.mem_budget_mb")) << 20) >>
+        TargetMemory::PageBits;
+  if (A.has("options.max_steps"))
+    P.SimOpts.StepLimit = static_cast<uint64_t>(A.num("options.max_steps"));
+  if (A.has("backend"))
+    rt::parseBackendKind(std::string(A.str("backend")), P.SimOpts.Backend);
+  inject::InjectSpec InjSpec;
+  std::string SpecErr;
+  if (A.has("fault_inject") &&
+      !inject::InjectSpec::parse(std::string(A.str("fault_inject")), InjSpec,
+                                 SpecErr))
+    return errorLine(C.Id, ErrCode::BadRequest,
+                     "bad 'fault_inject' spec: " + SpecErr);
+
+  bool PoolHit = false;
+  std::shared_ptr<Session> S = buildSession(P, &PoolHit);
+  // Attach the shared cache base before the first step. A miss keeps the
+  // session cold; a rejected file is diagnosed in the harness's snapshot
+  // stats but is likewise not a create error.
+  const bool StoreAttached =
+      StoreDir && P.SimOpts.Memoize && S->Sim->attachStore(*StoreDir);
+  if (A.has("fault_inject")) {
+    S->Injector =
+        std::make_unique<inject::FaultInjector>(S->Sim->sim(), InjSpec);
+    S->Injector->arm();
+  }
+  if (!publish(S))
+    return sessionLimitLine(C.Id);
 
   json::Writer W;
-  beginOkResponse(W, Id);
+  beginOkResponse(W, C.Id);
   W.field("session", S->Id);
-  W.field("sim", std::string_view(simKindName(Kind)));
-  W.field("workload", std::string_view(S->WorkloadName));
+  W.field("sim", std::string_view(simKindName(P.Kind)));
+  W.field("workload", std::string_view(P.Spec.Name));
   // The *resolved* backend ("interpret" or "jit", never "auto"): what the
   // session actually runs after host-capability resolution.
   W.field("backend", std::string_view(S->Sim->sim().backendName()));
@@ -1092,7 +1204,7 @@ std::string FacileServer::Impl::verbCreate(const json::Value &Req,
   W.field("shared_program", PoolHit);
   W.field("store_attached", StoreAttached);
   if (StoreAttached)
-    W.field("store_generation", StoreGeneration);
+    W.field("store_generation", S->Sim->storeMapping()->generation());
   W.endObject();
   return W.take();
 }
@@ -1110,34 +1222,8 @@ std::string FacileServer::Impl::resumeSession(const std::string &Token,
     SpillBytes -= Sp.bytes();
     Spills.erase(It);
   }
-  // Rebuild the shared bundle. Pool entries are never pruned, so this is
-  // a hit whenever the original create happened in this process.
-  std::shared_ptr<SharedEntry> Entry;
-  {
-    std::lock_guard<std::mutex> Lock(PoolMu);
-    std::shared_ptr<SharedEntry> &Slot = Pool[Sp.PoolKey];
-    if (!Slot) {
-      Slot = std::make_shared<SharedEntry>();
-      Slot->Kind = Sp.Kind;
-      Slot->WorkloadName = Sp.Spec.Name;
-      Slot->Prog = std::make_unique<rt::SharedProgram>(
-          sims::simulatorProgram(Sp.Kind),
-          workload::generate(Sp.Spec, Sp.OuterIters));
-    }
-    Entry = Slot;
-  }
-  auto S = std::make_shared<Session>();
-  S->Kind = Sp.Kind;
-  S->WorkloadName = Sp.Spec.Name;
-  S->Shared = Entry;
-  S->Sim = std::make_unique<FacileSim>(Sp.Kind, *Entry->Prog, Sp.SimOpts);
-  S->Spec = Sp.Spec;
-  S->OuterIters = Sp.OuterIters;
-  S->SimOpts = Sp.SimOpts;
-  S->PoolKey = Sp.PoolKey;
-  S->StepDelayUs = Sp.StepDelayUs;
+  std::shared_ptr<Session> S = buildSession(Sp.P, nullptr);
   S->ResumeToken = Token;
-  S->LastVerbMs.store(nowMs(), std::memory_order_relaxed);
   // The spilled cache supersedes the store's shared base: it holds the
   // base's entries plus whatever the session recorded before reaping, so
   // no attachStore here. Fault injectors are not restored — injection is
@@ -1150,25 +1236,15 @@ std::string FacileServer::Impl::resumeSession(const std::string &Token,
       !S->Sim->loadCacheBytes(Sp.CacheBytes, &LoadErr))
     return errorLine(Id, ErrCode::Internal,
                      "spilled cache failed to restore: " + LoadErr);
-  {
-    std::lock_guard<std::mutex> Lock(SessionsMu);
-    if (Sessions.size() >= Opts.MaxSessions)
-      return errorLine(Id, ErrCode::SessionLimit,
-                       strFormat("session limit (%u) reached",
-                                 Opts.MaxSessions));
-    S->Id = ++LastSessionId;
-    Sessions.emplace(S->Id, S);
-    if (Sessions.size() > PeakSessions)
-      PeakSessions = Sessions.size();
-  }
-  ++SessionsCreated;
+  if (!publish(S))
+    return sessionLimitLine(Id);
   ++ResumedSessions;
 
   json::Writer W;
   beginOkResponse(W, Id);
   W.field("session", S->Id);
-  W.field("sim", std::string_view(simKindName(S->Kind)));
-  W.field("workload", std::string_view(S->WorkloadName));
+  W.field("sim", std::string_view(simKindName(Sp.P.Kind)));
+  W.field("workload", std::string_view(Sp.P.Spec.Name));
   W.field("resume_token", std::string_view(S->ResumeToken));
   W.field("resumed", true);
   W.field("steps_total", S->Sim->sim().stats().Steps);
@@ -1196,61 +1272,61 @@ void writeRunState(json::Writer &W, const FacileSim &Sim) {
 
 } // namespace
 
-std::string FacileServer::Impl::verbStep(const json::Value &Req,
-                                         const json::Value *Id, Session &S) {
-  uint64_t Count = 1;
-  if (const json::Value *V = Req.get("count")) {
-    if (!V->isInt() || V->intOr(0) <= 0)
-      return errorLine(Id, ErrCode::BadRequest,
-                       "'count' must be a positive integer");
-    Count = static_cast<uint64_t>(V->intOr(1));
-  }
-  Count = std::min<uint64_t>(Count, Opts.MaxStepsPerRequest);
-  uint64_t DeadlineMs = Opts.DefaultDeadlineMs;
-  if (const json::Value *V = Req.get("deadline_ms")) {
-    if (!V->isInt() || V->intOr(0) < 0)
-      return errorLine(Id, ErrCode::BadRequest,
-                       "'deadline_ms' must be a non-negative integer");
-    DeadlineMs = static_cast<uint64_t>(V->intOr(0));
-  }
-
-  uint64_t Slow = 0, Fast = 0, Recovered = 0;
-  rt::Simulation &Sim = S.Sim->sim();
-  bool WasFaulted = Sim.faulted();
-  const uint64_t StepsBefore = Sim.stats().Steps;
-  const uint64_t DeadlineAt = DeadlineMs == 0 ? 0 : nowMs() + DeadlineMs;
+/// Runs \p Body(Sim) under the request's deadline ("deadline_ms", else the
+/// daemon default; 0 disables) and counts a deadline fault it raises. The
+/// hook is consulted inside step() every DeadlineCheckPeriod steps, so the
+/// deadline binds within a chunk, not only between chunks.
+template <typename BodyT>
+void FacileServer::Impl::withDeadline(const Call &C, BodyT Body) {
+  rt::Simulation &Sim = C.S->Sim->sim();
+  const bool WasFaulted = Sim.faulted();
+  const uint64_t Ms = C.A.has("deadline_ms")
+                          ? static_cast<uint64_t>(C.A.num("deadline_ms"))
+                          : Opts.DefaultDeadlineMs;
+  const uint64_t DeadlineAt = Ms == 0 ? 0 : nowMs() + Ms;
   if (DeadlineAt)
     Sim.setDeadlineHook([DeadlineAt] { return nowMs() >= DeadlineAt; });
-  // A Faulted result ends the loop. The watchdog and the deadline fault
-  // before the step runs, so only the step counter says what ran.
-  for (uint64_t Tried = 1; Tried <= Count && !Sim.halted() && !Sim.faulted();
-       ++Tried) {
-    switch (Sim.step()) {
-    case rt::StepEngine::Slow:
-      ++Slow;
-      break;
-    case rt::StepEngine::Fast:
-      ++Fast;
-      break;
-    case rt::StepEngine::FastThenSlow:
-      ++Recovered;
-      break;
-    case rt::StepEngine::Faulted:
-      break;
-    }
-    if (S.StepDelayUs && (Tried & 63) == 0)
-      std::this_thread::sleep_for(std::chrono::microseconds(S.StepDelayUs));
-    if (S.Injector && (Tried & 255) == 0)
-      S.Injector->inject();
-  }
-  const uint64_t Ran = Sim.stats().Steps - StepsBefore;
+  Body(Sim);
   if (DeadlineAt)
     Sim.setDeadlineHook(nullptr);
   if (!WasFaulted && Sim.faulted() &&
       Sim.fault().Kind == rt::FaultKind::DeadlineExceeded)
     ++DeadlineFaults;
+}
+
+std::string FacileServer::Impl::verbStep(const Call &C) {
+  const Session &S = *C.S;
+  const uint64_t Count = static_cast<uint64_t>(C.A.num("count"));
+  uint64_t Slow = 0, Fast = 0, Recovered = 0, Ran = 0;
+  withDeadline(C, [&](rt::Simulation &Sim) {
+    const uint64_t StepsBefore = Sim.stats().Steps;
+    // A Faulted result ends the loop. The watchdog and the deadline fault
+    // before the step runs, so only the step counter says what ran.
+    for (uint64_t Tried = 1;
+         Tried <= Count && !Sim.halted() && !Sim.faulted(); ++Tried) {
+      switch (Sim.step()) {
+      case rt::StepEngine::Slow:
+        ++Slow;
+        break;
+      case rt::StepEngine::Fast:
+        ++Fast;
+        break;
+      case rt::StepEngine::FastThenSlow:
+        ++Recovered;
+        break;
+      case rt::StepEngine::Faulted:
+        break;
+      }
+      if (S.P.StepDelayUs && (Tried & 63) == 0)
+        std::this_thread::sleep_for(
+            std::chrono::microseconds(S.P.StepDelayUs));
+      if (S.Injector && (Tried & 255) == 0)
+        S.Injector->inject();
+    }
+    Ran = Sim.stats().Steps - StepsBefore;
+  });
   json::Writer W;
-  beginOkResponse(W, Id);
+  beginOkResponse(W, C.Id);
   W.field("steps", Ran);
   W.objectField("engines")
       .field("slow", Slow)
@@ -1262,171 +1338,106 @@ std::string FacileServer::Impl::verbStep(const json::Value &Req,
   return W.take();
 }
 
-std::string FacileServer::Impl::verbRun(const json::Value &Req,
-                                        const json::Value *Id, Session &S) {
-  uint64_t MaxSteps = Opts.MaxStepsPerRequest;
-  uint64_t InstrTarget = 0;
-  if (const json::Value *V = Req.get("steps")) {
-    if (!V->isInt() || V->intOr(0) <= 0)
-      return errorLine(Id, ErrCode::BadRequest,
-                       "'steps' must be a positive integer");
-    MaxSteps = std::min<uint64_t>(static_cast<uint64_t>(V->intOr(1)),
-                                  Opts.MaxStepsPerRequest);
-  }
-  if (const json::Value *V = Req.get("instrs")) {
-    if (!V->isInt() || V->intOr(0) <= 0)
-      return errorLine(Id, ErrCode::BadRequest,
-                       "'instrs' must be a positive integer");
-    InstrTarget = static_cast<uint64_t>(V->intOr(1));
-  }
-  uint64_t DeadlineMs = Opts.DefaultDeadlineMs;
-  if (const json::Value *V = Req.get("deadline_ms")) {
-    if (!V->isInt() || V->intOr(0) < 0)
-      return errorLine(Id, ErrCode::BadRequest,
-                       "'deadline_ms' must be a non-negative integer");
-    DeadlineMs = static_cast<uint64_t>(V->intOr(0));
-  }
-
-  rt::Simulation &Sim = S.Sim->sim();
-  bool WasFaulted = Sim.faulted();
-  // The hook is consulted inside step() every DeadlineCheckPeriod steps,
-  // so the deadline binds within a chunk, not only between chunks.
-  const uint64_t DeadlineAt = DeadlineMs == 0 ? 0 : nowMs() + DeadlineMs;
-  if (DeadlineAt)
-    Sim.setDeadlineHook([DeadlineAt] { return nowMs() >= DeadlineAt; });
+std::string FacileServer::Impl::verbRun(const Call &C) {
+  const Session &S = *C.S;
+  const uint64_t MaxSteps = static_cast<uint64_t>(C.A.num("steps"));
+  const uint64_t InstrTarget = static_cast<uint64_t>(C.A.num("instrs"));
   uint64_t Ran = 0;
-  while (Ran < MaxSteps && !Sim.halted() && !Sim.faulted() &&
-         (InstrTarget == 0 || Sim.stats().RetiredTotal < InstrTarget)) {
-    uint64_t Chunk = std::min<uint64_t>(256, MaxSteps - Ran);
-    rt::RunResult R = Sim.run(Chunk);
-    Ran += R.Steps;
-    if (R.Steps == 0)
-      break; // already halted/faulted; avoid spinning
-    if (S.StepDelayUs)
-      std::this_thread::sleep_for(std::chrono::microseconds(S.StepDelayUs));
-    if (S.Injector)
-      S.Injector->inject();
-  }
-  if (DeadlineAt)
-    Sim.setDeadlineHook(nullptr);
-  if (!WasFaulted && Sim.faulted() &&
-      Sim.fault().Kind == rt::FaultKind::DeadlineExceeded)
-    ++DeadlineFaults;
+  withDeadline(C, [&](rt::Simulation &Sim) {
+    while (Ran < MaxSteps && !Sim.halted() && !Sim.faulted() &&
+           (InstrTarget == 0 || Sim.stats().RetiredTotal < InstrTarget)) {
+      rt::RunResult R = Sim.run(std::min<uint64_t>(256, MaxSteps - Ran));
+      Ran += R.Steps;
+      if (R.Steps == 0)
+        break; // already halted/faulted; avoid spinning
+      if (S.P.StepDelayUs)
+        std::this_thread::sleep_for(
+            std::chrono::microseconds(S.P.StepDelayUs));
+      if (S.Injector)
+        S.Injector->inject();
+    }
+  });
   json::Writer W;
-  beginOkResponse(W, Id);
+  beginOkResponse(W, C.Id);
   W.field("steps", Ran);
   writeRunState(W, *S.Sim);
   W.endObject();
   return W.take();
 }
 
-std::string FacileServer::Impl::verbInspect(const json::Value &Req,
-                                            const json::Value *Id,
-                                            Session &S) {
-  std::string What = "stats";
-  if (const json::Value *V = Req.get("what"))
-    What = V->strOr(What);
+std::string FacileServer::Impl::verbInspect(const Call &C) {
+  const Session &S = *C.S;
+  const std::string_view What = C.A.str("what");
   json::Writer W;
-
   if (What == "stats") {
-    beginOkResponse(W, Id);
+    beginOkResponse(W, C.Id);
     W.rawField("stats", S.Sim->statsJson());
   } else if (What == "digest") {
-    beginOkResponse(W, Id);
+    beginOkResponse(W, C.Id);
     W.field("digest",
             strFormat("%016llx", static_cast<unsigned long long>(
                                      S.Sim->sim().memory().digest())));
   } else if (What == "global") {
-    const json::Value *N = Req.get("name");
+    const std::string Name(C.A.str("name"));
     int64_t Value = 0;
-    if (!N || !N->isStr() ||
-        !S.Sim->sim().tryGetGlobal(N->str(), Value))
-      return errorLine(Id, ErrCode::BadRequest,
+    if (!C.A.has("name") || !S.Sim->sim().tryGetGlobal(Name, Value))
+      return errorLine(C.Id, ErrCode::BadRequest,
                        "'name' must name a scalar global");
-    beginOkResponse(W, Id);
-    W.field("name", std::string_view(N->str()));
+    beginOkResponse(W, C.Id);
+    W.field("name", std::string_view(Name));
     W.field("value", Value);
   } else if (What == "registers") {
-    const ir::GlobalVar *R = S.Shared->Prog->program().findGlobal("R");
+    const ir::GlobalVar *R = S.Shared->program().findGlobal("R");
     if (!R || !R->IsArray)
-      return errorLine(Id, ErrCode::BadRequest,
+      return errorLine(C.Id, ErrCode::BadRequest,
                        "program has no register file array 'R'");
-    beginOkResponse(W, Id);
+    beginOkResponse(W, C.Id);
     W.arrayField("registers");
     for (uint32_t I = 0; I != R->Size; ++I)
       W.value(S.Sim->sim().getGlobalElem("R", I));
     W.endArray();
-  } else if (What == "memory") {
-    const json::Value *A = Req.get("addr");
-    if (!A || !A->isInt() || A->intOr(0) < 0)
-      return errorLine(Id, ErrCode::BadRequest,
-                       "'addr' must be a non-negative integer");
-    uint64_t Words = 1;
-    if (const json::Value *V = Req.get("words")) {
-      if (!V->isInt() || V->intOr(0) <= 0)
-        return errorLine(Id, ErrCode::BadRequest,
-                         "'words' must be a positive integer");
-      Words = static_cast<uint64_t>(V->intOr(1));
-    }
-    Words = std::min<uint64_t>(Words, Opts.MaxInspectWords);
-    uint32_t Addr = static_cast<uint32_t>(A->intOr(0));
-    beginOkResponse(W, Id);
+  } else { // memory
+    if (!C.A.has("addr"))
+      return errorLine(C.Id, ErrCode::BadRequest,
+                       "what=memory needs 'addr'");
+    const uint32_t Addr = static_cast<uint32_t>(C.A.num("addr"));
+    const uint64_t Words = static_cast<uint64_t>(C.A.num("words"));
+    beginOkResponse(W, C.Id);
     W.field("addr", static_cast<uint64_t>(Addr));
     W.arrayField("values");
     for (uint64_t I = 0; I != Words; ++I)
       W.value(static_cast<uint64_t>(
           S.Sim->sim().memory().read32(Addr + static_cast<uint32_t>(I) * 4)));
     W.endArray();
-  } else {
-    return errorLine(Id, ErrCode::BadRequest,
-                     "'what' must be stats|digest|global|registers|memory");
   }
   writeRunState(W, *S.Sim);
   W.endObject();
   return W.take();
 }
 
-std::string FacileServer::Impl::verbClearFault(const json::Value &Req,
-                                               const json::Value *Id,
-                                               Session &S) {
-  // A step-limit fault would re-fire immediately unless the watchdog is
-  // raised; the verb takes the new limit in the same round trip. A bad
-  // limit is rejected before anything changes: the fault and the old
-  // limit both stay.
-  int64_t MaxSteps = -1;
-  std::string Bad = readBounded(Req, "max_steps", 0, INT64_MAX, MaxSteps);
-  if (!Bad.empty())
-    return errorLine(Id, ErrCode::BadRequest, Bad);
-  rt::Simulation &Sim = S.Sim->sim();
-  bool Was = Sim.faulted();
+std::string FacileServer::Impl::verbClearFault(const Call &C) {
+  // The validator refused a bad limit before anything changed: the fault
+  // and the old limit both stay.
+  rt::Simulation &Sim = C.S->Sim->sim();
+  const bool Was = Sim.faulted();
   Sim.clearFault();
-  if (MaxSteps >= 0)
-    Sim.setStepLimit(static_cast<uint64_t>(MaxSteps));
+  if (C.A.has("max_steps"))
+    Sim.setStepLimit(static_cast<uint64_t>(C.A.num("max_steps")));
   json::Writer W;
-  beginOkResponse(W, Id);
+  beginOkResponse(W, C.Id);
   W.field("cleared", Was);
   W.field("faulted", Sim.faulted());
   W.endObject();
   return W.take();
 }
 
-std::string FacileServer::Impl::verbSnapshotSave(const json::Value &Req,
-                                                 const json::Value *Id,
-                                                 Session &S) {
-  std::string Kind = "checkpoint";
-  if (const json::Value *V = Req.get("kind"))
-    Kind = V->strOr(Kind);
-  std::vector<uint8_t> Bytes;
-  if (Kind == "checkpoint")
-    Bytes = S.Sim->checkpointBytes();
-  else if (Kind == "cache")
-    Bytes = S.Sim->cacheBytes();
-  else
-    return errorLine(Id, ErrCode::BadRequest,
-                     "'kind' must be checkpoint|cache");
+std::string FacileServer::Impl::verbSnapshotSave(const Call &C) {
+  const bool Checkpoint = C.A.str("kind") == "checkpoint";
+  const std::vector<uint8_t> Bytes =
+      Checkpoint ? C.S->Sim->checkpointBytes() : C.S->Sim->cacheBytes();
   json::Writer W;
-  beginOkResponse(W, Id);
-  W.field("kind", std::string_view(Kind));
+  beginOkResponse(W, C.Id);
+  W.field("kind", C.A.str("kind"));
   W.field("format", snapshot::Magic);
   W.field("size", static_cast<uint64_t>(Bytes.size()));
   W.field("bytes_b64", base64Encode(Bytes));
@@ -1434,58 +1445,40 @@ std::string FacileServer::Impl::verbSnapshotSave(const json::Value &Req,
   return W.take();
 }
 
-std::string FacileServer::Impl::verbSnapshotLoad(const json::Value &Req,
-                                                 const json::Value *Id,
-                                                 Session &S) {
-  std::string Kind = "checkpoint";
-  if (const json::Value *V = Req.get("kind"))
-    Kind = V->strOr(Kind);
-  if (Kind != "checkpoint" && Kind != "cache")
-    return errorLine(Id, ErrCode::BadRequest,
-                     "'kind' must be checkpoint|cache");
-  const json::Value *B = Req.get("bytes_b64");
+std::string FacileServer::Impl::verbSnapshotLoad(const Call &C) {
   std::vector<uint8_t> Bytes;
-  if (!B || !B->isStr() || !base64Decode(B->str(), Bytes))
-    return errorLine(Id, ErrCode::BadRequest,
+  if (!base64Decode(C.A.str("bytes_b64"), Bytes))
+    return errorLine(C.Id, ErrCode::BadRequest,
                      "'bytes_b64' must be valid base64");
   std::string LoadErr;
-  bool Ok = Kind == "checkpoint" ? S.Sim->loadCheckpointBytes(Bytes, &LoadErr)
-                                 : S.Sim->loadCacheBytes(Bytes, &LoadErr);
-  if (!Ok) {
-    // Rejected payloads leave the session exactly as it was (the loaders
-    // are all-or-nothing), so this is an error response, not a fault.
-    return errorLine(Id, ErrCode::BadSnapshot, LoadErr);
-  }
+  const bool Ok = C.A.str("kind") == "checkpoint"
+                      ? C.S->Sim->loadCheckpointBytes(Bytes, &LoadErr)
+                      : C.S->Sim->loadCacheBytes(Bytes, &LoadErr);
+  // Rejected payloads leave the session exactly as it was (the loaders
+  // are all-or-nothing), so this is an error response, not a fault.
+  if (!Ok)
+    return errorLine(C.Id, ErrCode::BadSnapshot, LoadErr);
   json::Writer W;
-  beginOkResponse(W, Id);
-  W.field("kind", std::string_view(Kind));
+  beginOkResponse(W, C.Id);
+  W.field("kind", C.A.str("kind"));
   W.field("loaded", true);
-  writeRunState(W, *S.Sim);
+  writeRunState(W, *C.S->Sim);
   W.endObject();
   return W.take();
 }
 
-std::string FacileServer::Impl::verbDestroy(const json::Value *Id,
-                                            uint64_t SessionId) {
-  std::shared_ptr<Session> S;
+std::string FacileServer::Impl::verbDestroy(const Call &C) {
+  // Under the session lock, so a verb in flight finishes first; the object
+  // dies when the dispatcher drops the last reference.
   {
     std::lock_guard<std::mutex> Lock(SessionsMu);
-    auto It = Sessions.find(SessionId);
-    if (It != Sessions.end()) {
-      S = std::move(It->second);
-      Sessions.erase(It);
-    }
+    Sessions.erase(C.S->Id);
   }
-  if (!S)
-    return errorLine(Id, ErrCode::UnknownSession,
-                     strFormat("no session %llu",
-                               static_cast<unsigned long long>(SessionId)));
-  // An in-flight verb on another worker still holds a shared_ptr; the
-  // session object dies when the last reference drops.
+  C.S->Detached = true;
   ++SessionsDestroyed;
   json::Writer W;
-  beginOkResponse(W, Id);
-  W.field("destroyed", SessionId);
+  beginOkResponse(W, C.Id);
+  W.field("destroyed", C.S->Id);
   W.endObject();
   return W.take();
 }
@@ -1542,13 +1535,7 @@ void FacileServer::Impl::reaperLoop() {
 }
 
 void FacileServer::Impl::reapIdleSessions(uint64_t Now) {
-  std::vector<std::shared_ptr<Session>> Live;
-  {
-    std::lock_guard<std::mutex> Lock(SessionsMu);
-    Live.reserve(Sessions.size());
-    for (const auto &E : Sessions)
-      Live.push_back(E.second);
-  }
+  std::vector<std::shared_ptr<Session>> Live = liveSessions();
   for (const std::shared_ptr<Session> &S : Live) {
     if (Now - S->LastVerbMs.load(std::memory_order_relaxed) <
         Opts.SessionIdleTtlMs)
@@ -1557,28 +1544,20 @@ void FacileServer::Impl::reapIdleSessions(uint64_t Now) {
     std::unique_lock<std::mutex> SLock(S->Mu, std::try_to_lock);
     if (!SLock.owns_lock())
       continue;
-    if (S->Reaped || Now - S->LastVerbMs.load(std::memory_order_relaxed) <
-                         Opts.SessionIdleTtlMs)
+    if (S->Detached || Now - S->LastVerbMs.load(std::memory_order_relaxed) <
+                           Opts.SessionIdleTtlMs)
       continue; // a verb finished between the scan and the lock
     // Detach from the table first so no new lookup finds it; a worker
-    // already holding a shared_ptr re-checks Reaped under Mu.
+    // already holding a shared_ptr re-checks Detached under Mu.
     {
       std::lock_guard<std::mutex> TLock(SessionsMu);
-      auto It = Sessions.find(S->Id);
-      if (It == Sessions.end() || It->second != S)
-        continue; // destroyed concurrently
-      Sessions.erase(It);
+      Sessions.erase(S->Id);
     }
-    S->Reaped = true;
+    S->Detached = true;
     Spilled Sp;
-    Sp.Kind = S->Kind;
-    Sp.Spec = S->Spec;
-    Sp.OuterIters = S->OuterIters;
-    Sp.SimOpts = S->SimOpts;
-    Sp.PoolKey = S->PoolKey;
-    Sp.StepDelayUs = S->StepDelayUs;
+    Sp.P = S->P;
     Sp.Checkpoint = S->Sim->checkpointBytes();
-    if (S->SimOpts.Memoize)
+    if (S->P.SimOpts.Memoize)
       Sp.CacheBytes = S->Sim->cacheBytes();
     {
       std::lock_guard<std::mutex> Lock(SpillMu);
@@ -1605,13 +1584,7 @@ void FacileServer::Impl::dropSpillOverBudget() {
 }
 
 void FacileServer::Impl::boundOverlayBytes() {
-  std::vector<std::shared_ptr<Session>> Live;
-  {
-    std::lock_guard<std::mutex> Lock(SessionsMu);
-    Live.reserve(Sessions.size());
-    for (const auto &E : Sessions)
-      Live.push_back(E.second);
-  }
+  std::vector<std::shared_ptr<Session>> Live = liveSessions();
   // Oldest-first by verb recency, so eviction is LRU over sessions.
   std::sort(Live.begin(), Live.end(),
             [](const std::shared_ptr<Session> &A,
@@ -1630,7 +1603,7 @@ void FacileServer::Impl::boundOverlayBytes() {
     if (Total <= Opts.MaxOverlayBytes)
       return;
     std::unique_lock<std::mutex> SLock(S->Mu, std::try_to_lock);
-    if (!SLock.owns_lock() || S->Reaped)
+    if (!SLock.owns_lock() || S->Detached)
       continue;
     size_t Overlay = S->Sim->sim().cache().overlayBytes();
     if (Overlay == 0)
@@ -1646,13 +1619,7 @@ void FacileServer::Impl::boundOverlayBytes() {
 void FacileServer::Impl::promoteDirtyOverlays() {
   if (!StoreDir)
     return;
-  std::vector<std::shared_ptr<Session>> Live;
-  {
-    std::lock_guard<std::mutex> Lock(SessionsMu);
-    Live.reserve(Sessions.size());
-    for (const auto &E : Sessions)
-      Live.push_back(E.second);
-  }
+  std::vector<std::shared_ptr<Session>> Live = liveSessions();
   for (const std::shared_ptr<Session> &S : Live) {
     // try_lock: past the drain deadline a wedged session forfeits its
     // promotion rather than hanging shutdown.
@@ -1661,7 +1628,7 @@ void FacileServer::Impl::promoteDirtyOverlays() {
       ++DrainSkipped;
       continue;
     }
-    if (!S->SimOpts.Memoize || S->Sim->sim().cache().overlayBytes() == 0)
+    if (!S->P.SimOpts.Memoize || S->Sim->sim().cache().overlayBytes() == 0)
       continue; // nothing recorded: nothing worth a new generation
     std::string PErr;
     if (S->Sim->promoteStore(*StoreDir, nullptr, &PErr))
@@ -1676,17 +1643,9 @@ void FacileServer::Impl::promoteDirtyOverlays() {
 //===----------------------------------------------------------------------===//
 
 std::string FacileServer::Impl::statsJson() {
-  // Snapshot the session table, then export: the registry providers must
-  // not hold SessionsMu while they lock individual sessions.
-  std::vector<std::shared_ptr<Session>> Live;
-  uint64_t Peak;
-  {
-    std::lock_guard<std::mutex> Lock(SessionsMu);
-    Live.reserve(Sessions.size());
-    for (const auto &E : Sessions)
-      Live.push_back(E.second);
-    Peak = PeakSessions;
-  }
+  // The registry providers lock individual sessions, so they work on a
+  // copy of the table.
+  std::vector<std::shared_ptr<Session>> Live = liveSessions();
   size_t Queued;
   telemetry::Histogram QDHist;
   {
@@ -1721,8 +1680,8 @@ std::string FacileServer::Impl::statsJson() {
         ++FaultedSessions;
       Sink.beginGroup(strFormat("s%llu",
                                 static_cast<unsigned long long>(S->Id)));
-      Sink.text("sim", simKindName(S->Kind));
-      Sink.text("workload", S->WorkloadName);
+      Sink.text("sim", simKindName(S->P.Kind));
+      Sink.text("workload", S->P.Spec.Name);
       Sink.counter("verbs", S->Verbs);
       Sink.counter("steps", Sim.stats().Steps);
       Sink.counter("fast_steps", Sim.stats().FastSteps);
@@ -1756,7 +1715,7 @@ std::string FacileServer::Impl::statsJson() {
   // keep "sessions" registered first regardless.
   R.add("server", [&](telemetry::MetricSink &Sink) {
     Sink.gauge("active_sessions", static_cast<int64_t>(Live.size()));
-    Sink.gauge("peak_sessions", static_cast<int64_t>(Peak));
+    Sink.gauge("peak_sessions", static_cast<int64_t>(PeakSessions.load()));
     Sink.counter("sessions_created", SessionsCreated.load());
     Sink.counter("sessions_destroyed", SessionsDestroyed.load());
     Sink.gauge("faulted_sessions", static_cast<int64_t>(FaultedSessions));
@@ -1839,3 +1798,8 @@ void FacileServer::wait() {
 }
 
 std::string FacileServer::statsJson() const { return I->statsJson(); }
+
+std::vector<VerbSchema> FacileServer::schema() {
+  return std::vector<VerbSchema>(std::begin(Impl::Verbs),
+                                 std::end(Impl::Verbs));
+}

@@ -38,10 +38,12 @@
 #define FACILE_SERVER_SERVER_H
 
 #include "src/runtime/Simulation.h"
+#include "src/server/Protocol.h"
 
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 namespace facile {
 namespace server {
@@ -156,6 +158,10 @@ public:
   /// one JSON object: {"server": {...}, "sessions": {"s3": {...}, ...}}.
   /// Also served over the wire by the stats verb.
   std::string statsJson() const;
+
+  /// Every verb's request schema, in verb-table order: what the validator
+  /// checks each request against.
+  static std::vector<VerbSchema> schema();
 
   FacileServer(const FacileServer &) = delete;
   FacileServer &operator=(const FacileServer &) = delete;

@@ -45,11 +45,13 @@ public:
   bool isObject() const { return K == Kind::Object; }
 
   bool boolOr(bool Default) const { return isBool() ? B : Default; }
-  /// Number coercion: Int returns the stored value, Double truncates.
+  /// Number coercion: Int returns the stored value, Double truncates. A
+  /// double that is not finite or lies outside the int64 range has no
+  /// int64 value and returns \p Default.
   int64_t intOr(int64_t Default) const {
     if (K == Kind::Int)
       return I;
-    if (K == Kind::Double)
+    if (K == Kind::Double && D >= -0x1p63 && D < 0x1p63)
       return static_cast<int64_t>(D);
     return Default;
   }

@@ -436,8 +436,11 @@ TEST(ActionCache, EntryIdsStableAcrossInserts) {
   C.pushData(42);
   uint32_t N = C.appendNode(7);
   C.entry(First).Head = N;
-  for (int I = 0; I != 1000; ++I)
-    C.create(intern(C, "k" + std::to_string(I)));
+  for (int I = 0; I != 1000; ++I) {
+    std::string Key(1, 'k');
+    Key += std::to_string(I);
+    C.create(intern(C, Key));
+  }
   EXPECT_EQ(C.lookup(intern(C, "first")), First);
   EXPECT_EQ(C.entry(First).Head, N);
   EXPECT_EQ(C.data()[0], 42);

@@ -133,6 +133,11 @@ TEST(FaultCampaign, CacheCorruptionNeverDivergesSilently) {
       Inj.inject();
     }
     ASSERT_LE(Guard, Steps * 4) << "seed " << Seed << ": hang";
+    // Cache snapshots and store promotion compact whatever the campaign
+    // left behind: compaction must keep to the arenas and terminate.
+    EXPECT_LE(Sim.cache().compactImage().Entries.size(),
+              Sim.cache().entryCount())
+        << "seed " << Seed;
 
     if (Sim.faulted()) {
       ++Faulted;

@@ -37,7 +37,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <future>
+#include <random>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -218,6 +221,8 @@ TEST_F(ServerTest, BadCreateArgumentsAreRejected) {
       ErrCode::BadRequest);
   expectError(rpc(C, R"({"id":5,"verb":"create","outer_iters":-3})"),
               ErrCode::BadRequest);
+  expectError(rpc(C, R"({"id":3,"verb":"create","workload":["gcc"]})"),
+              ErrCode::BadRequest);
   // Fields cast into the workload shape or a budget: a zero kernel count
   // divided the data footprint by zero (SIGFPE), an outer count past 2^31
   // failed generation's assert, and a negative budget shifted into a huge
@@ -241,6 +246,17 @@ TEST_F(ServerTest, BadCreateArgumentsAreRejected) {
       // one wrapped to ~2^64: either way the client got no limit.
       R"("options":{"max_steps":"x"})",
       R"("options":{"max_steps":-1})",
+      // Wrong types once fell back to a default, and an out-of-range delay
+      // was clamped or cast from a double without a check.
+      R"("sim":5)",
+      R"("options":{"memoize":"no"})",
+      R"("options":5)",
+      R"("options":{"step_delay_us":"x"})",
+      R"("options":{"step_delay_us":-7})",
+      R"("options":{"step_delay_us":1e300})",
+      R"("options":{"step_delay_us":1048577})",
+      // A NaN rate passed the [0, 1] check and was cast to an integer.
+      R"("fault_inject":"seed:1,cache:nan")",
   };
   int64_t Id = 10;
   for (const char *Field : Hostile) {
@@ -588,6 +604,54 @@ TEST_F(ServerTest, InspectVariants) {
       R"({"id":8,"verb":"inspect","session":%lld,)"
       R"("what":"global","name":"NOPE"})"),
       ErrCode::BadRequest);
+}
+
+TEST_F(ServerTest, WrongTypedSessionMembersChangeNothing) {
+  // Each of these once fell back to a default ("what":5 read stats,
+  // "kind":3 saved a checkpoint) or was cut to 32 bits ("addr" 2^32 read
+  // address 0). Now each is refused before the verb runs, and the session
+  // is left exactly as it was.
+  Client C = connect();
+  int64_t S = createSession(C);
+  int64_t Id = 2;
+  auto req = [&](const std::string &Body) {
+    return rpc(C, strFormat(R"({"id":%lld,"session":%lld,)",
+                            static_cast<long long>(Id++),
+                            static_cast<long long>(S)) +
+                      Body + "}");
+  };
+  ASSERT_TRUE(isOk(req(R"("verb":"run","steps":300)")));
+  auto state = [&] {
+    json::Value R = req(R"("verb":"inspect","what":"digest")");
+    EXPECT_TRUE(isOk(R));
+    return R.get("digest")->str() + "/" +
+           std::to_string(R.get("steps_total")->intOr(-1));
+  };
+  const std::string Before = state();
+  const char *Hostile[] = {
+      R"("verb":"inspect","what":5)",
+      R"("verb":"inspect","what":"memory","addr":4294967296)",
+      R"("verb":"inspect","what":"memory","addr":-1)",
+      R"("verb":"inspect","what":"memory","addr":0,"words":0)",
+      R"("verb":"inspect","what":"memory")",
+      R"("verb":"snapshot-save","kind":3)",
+      R"("verb":"snapshot-load","kind":"cache")",
+      R"("verb":"snapshot-load","bytes_b64":7)",
+      R"("verb":"step","count":"5")",
+      R"("verb":"step","count":1e300)",
+      R"("verb":"run","steps":0)",
+      R"("verb":"run","instrs":true)",
+      R"("verb":"run","deadline_ms":-1)",
+  };
+  for (const char *Body : Hostile) {
+    SCOPED_TRACE(Body);
+    expectError(req(Body), ErrCode::BadRequest);
+    EXPECT_EQ(state(), Before);
+  }
+  json::Value R = rpc(C, R"({"id":1,"verb":"stats"})");
+  ASSERT_TRUE(isOk(R));
+  EXPECT_EQ(R.get("stats")->get("server")->get("sessions_created")->intOr(-1),
+            1);
 }
 
 //===----------------------------------------------------------------------===//
@@ -1480,6 +1544,404 @@ TEST(ServerUnixSocket, LiveSocketRefusedStaleSocketRebound) {
   S3.requestShutdown();
   S3.wait();
   EXPECT_NE(::access(Path.c_str(), F_OK), 0);
+}
+
+TEST_F(ServerTest, FinishedReadersReleaseTheirStacks) {
+  // A connection's reader thread was joined only at shutdown, so every
+  // finished connection kept its thread stack mapped for the daemon's
+  // lifetime: two more lines in /proc/self/maps (and ~8 MB of address
+  // space) per connection. Sequential connections must reuse the space.
+  auto mapLines = [] {
+    std::FILE *F = std::fopen("/proc/self/maps", "r");
+    if (!F)
+      return -1;
+    int N = 0;
+    for (int Ch; (Ch = std::fgetc(F)) != EOF;)
+      N += Ch == '\n';
+    std::fclose(F);
+    return N;
+  };
+  auto cycle = [&] {
+    Client C = connect();
+    EXPECT_TRUE(isOk(rpc(C, R"({"id":1,"verb":"ping"})")));
+  };
+  for (int I = 0; I != 5; ++I)
+    cycle(); // the first reader stacks and malloc arenas
+  const int Before = mapLines();
+  if (Before < 0)
+    GTEST_SKIP() << "no /proc/self/maps";
+  for (int I = 0; I != 200; ++I)
+    cycle();
+  EXPECT_LT(mapLines() - Before, 50);
+}
+
+//===----------------------------------------------------------------------===//
+// Seeded wire fuzzer
+//===----------------------------------------------------------------------===//
+
+/// Generates request lines from the daemon's own verb table
+/// (FacileServer::schema()). Half of them are valid; the others carry one
+/// hostile member: at a range end plus or minus one, a wrong type, an
+/// undeclared choice. Lines are then mutated at the byte level.
+class WireFuzzer {
+public:
+  explicit WireFuzzer(uint32_t Seed) : Rng(Seed) {}
+
+  std::mt19937 Rng;
+  std::vector<int64_t> Sessions; ///< every id ever created
+  std::set<int64_t> Live;        ///< created and not destroyed
+  std::string SavedB64;          ///< the last snapshot-save payload
+  int CreateBudget = 64;         ///< valid creates left to generate
+
+  size_t pick(size_t N) {
+    return std::uniform_int_distribution<size_t>(0, N - 1)(Rng);
+  }
+  bool chance(unsigned Pct) { return pick(100) < Pct; }
+  template <size_t N> const char *oneOf(const char *const (&A)[N]) {
+    return A[pick(N)];
+  }
+
+  /// One request object for a random verb; \p InBatch makes most of them
+  /// session verbs and allows non-objects.
+  std::string request(bool InBatch) {
+    if (InBatch && chance(10))
+      return oneOf({"5", "\"x\"", "[]", "null", "{}"});
+    const std::vector<VerbSchema> Verbs = FacileServer::schema();
+    const VerbSchema *V = nullptr;
+    // The member made hostile, or none.
+    const FieldSpec *Hostile = nullptr;
+    while (!V) {
+      const VerbSchema &C = Verbs[pick(Verbs.size())];
+      // shutdown would end the campaign; destroys are rarer so that
+      // sessions live long enough to be stepped, saved and faulted.
+      if (InBatch ? (!C.SessionScoped && !chance(10))
+                  : std::strcmp(C.Name, "shutdown") == 0)
+        continue;
+      if (std::strcmp(C.Name, "destroy") == 0 && !chance(15))
+        continue;
+      Hostile = !C.Fields.empty() && chance(50)
+                    ? &C.Fields[pick(C.Fields.size())]
+                    : nullptr;
+      // Valid creates build programs and sessions: a bounded number.
+      if (std::strcmp(C.Name, "create") == 0 && !Hostile &&
+          CreateBudget-- <= 0)
+        continue;
+      V = &C;
+    }
+    std::string Out = "{";
+    if (chance(70))
+      Out += oneOf({R"("id":7,)", R"("id":"r",)", R"("id":1.5,)",
+                    R"("id":null,)", R"("id":[1],)", R"("id":-1,)"});
+    Out += chance(3) ? R"("verb":"nope")"
+                     : R"("verb":")" + std::string(V->Name) + "\"";
+    // Members of the object member "options" are gathered into it.
+    std::string Options;
+    bool HasOptions = false;
+    for (const FieldSpec &F : V->Fields) {
+      const std::string_view Name = F.Name;
+      // Small shapes only: a create names its data size, and sessions
+      // are aimed at, nearly always.
+      const bool Usual = Name == "session" || Name == "data_kwords";
+      if (&F != Hostile && !F.Required && !chance(Usual ? 95 : 40))
+        continue;
+      const std::string Val = &F == Hostile ? hostile(F) : valid(F);
+      if (F.Type == FieldType::Object && Val == "{}")
+        HasOptions = true;
+      else if (Name.substr(0, 8) == "options.")
+        Options += (Options.empty() ? "\"" : ",\"") +
+                   std::string(Name.substr(8)) + "\":" + Val;
+      else
+        Out += ",\"" + std::string(Name) + "\":" + Val;
+    }
+    if (HasOptions || !Options.empty())
+      Out += ",\"options\":{" + Options + "}";
+    return Out + "}";
+  }
+
+  /// A value \p F declares: a range end or a small one, a declared choice.
+  std::string valid(const FieldSpec &F) {
+    const std::string_view Name = F.Name;
+    switch (F.Type) {
+    case FieldType::Int: {
+      if (Name == "session" && !Live.empty() && chance(70))
+        return std::to_string(*std::next(Live.begin(), pick(Live.size())));
+      if (Name == "session" && !Sessions.empty() && chance(70))
+        return std::to_string(Sessions[pick(Sessions.size())]);
+      // What a request may ask for without costing the run seconds: a
+      // 4 K-word image, a 20 us chunk delay.
+      const int64_t Hi = Name == "data_kwords"             ? 4
+                         : Name == "options.step_delay_us" ? 20
+                                                           : F.Hi;
+      const int64_t Span = std::min<int64_t>(Hi - F.Lo, 63);
+      return std::to_string(chance(20)   ? F.Lo
+                            : chance(20) ? Hi
+                                         : F.Lo + static_cast<int64_t>(pick(
+                                                      Span + 1)));
+    }
+    case FieldType::Str:
+      if (F.Choices) {
+        std::vector<std::string> C;
+        for (std::string_view Rest = F.Choices;;) {
+          size_t Bar = Rest.find('|');
+          C.emplace_back(Rest.substr(0, Bar));
+          if (Bar == std::string_view::npos)
+            break;
+          Rest.remove_prefix(Bar + 1);
+        }
+        return "\"" + C[pick(C.size())] + "\"";
+      }
+      if (Name == "workload")
+        return oneOf({"\"compress\"", "\"gcc\"", "\"swim\""});
+      if (Name == "fault_inject")
+        return oneOf({"\"seed:3,cache:0.2\"", "\"seed:1,plan:1.0\"",
+                      "\"seed:2,mem:0.5\"", "\"\""});
+      if (Name == "bytes_b64")
+        return "\"" + payload() + "\"";
+      if (Name == "name")
+        return oneOf({"\"PC\"", "\"NOPE\"", "\"R\""});
+      return oneOf({"\"rt-1-0\"", "\"\""});
+    case FieldType::Bool:
+      return chance(50) ? "true" : "false";
+    case FieldType::Object:
+      return "{}";
+    case FieldType::Array: {
+      std::string Out = "[";
+      for (size_t I = 0, N = pick(6); I != N; ++I) {
+        if (I)
+          Out += ",";
+        Out += request(/*InBatch=*/true);
+      }
+      return Out + "]";
+    }
+    }
+    return "null";
+  }
+
+  /// A value \p F does not declare: one past a range end, another type,
+  /// an undeclared choice, bad UTF-8.
+  std::string hostile(const FieldSpec &F) {
+    if (F.Type == FieldType::Int && chance(50))
+      return chance(50) ? std::to_string(F.Lo - 1)
+             : F.Hi == INT64_MAX ? "9223372036854775808"
+                                 : std::to_string(F.Hi + 1);
+    if (F.Type == FieldType::Str && chance(50))
+      return oneOf({"\"bogus\"", "\"\xff\xfe\"", "\"\xed\xa0\x80\"",
+                    "\"\\ud800\"", "\"cache:nan\"", "\"compress\\u0000\""});
+    return oneOf({"\"x\"", "1.5", "true", "null", "[]", "{}", "-7", "1e300",
+                  "-1e300", "\"\"", "9223372036854775808", "-0", "[[[[1]]]]",
+                  "{\"a\":{\"b\":[]}}"});
+  }
+
+  /// A snapshot payload: the last one saved, or a broken variant of it.
+  std::string payload() {
+    std::string B = SavedB64.empty() ? "AAAAAAAAAAAAAAAA" : SavedB64;
+    switch (pick(6)) {
+    case 0:
+      return B;
+    case 1:
+      return B.substr(0, B.size() / 2 / 4 * 4); // truncated container
+    case 2:
+      B[pick(B.size())] ^= 1; // still base64, bytes flipped
+      return B;
+    case 3:
+      return B.substr(0, B.size() - 1); // not a multiple of 4
+    case 4:
+      return "=" + B.substr(1); // padding out of place
+    default:
+      return "@@not-base64@@";
+    }
+  }
+
+  /// A byte-level mutation that keeps the line one framed line: no
+  /// newline or carriage return is ever introduced.
+  std::string mutate(std::string L) {
+    switch (pick(6)) {
+    case 0:
+      return L.substr(0, 1 + pick(L.size())); // truncated
+    case 1: {
+      char Ch;
+      do
+        Ch = static_cast<char>(pick(256));
+      while (Ch == '\n' || Ch == '\r');
+      L[pick(L.size())] = Ch;
+      return L;
+    }
+    case 2:
+      return L.insert(pick(L.size() + 1),
+                      oneOf({"\xff", "\xc0\x80", "\xed\xa0\x80",
+                             "\xf4\x90\x80\x80", "\x80"}));
+    case 3: {
+      size_t At = pick(L.size());
+      return L.insert(At, L.substr(At, pick(16)));
+    }
+    case 4: {
+      // Deep nesting, around the protocol's depth bound.
+      size_t D = std::vector<size_t>{5, 14, 15, 16, 17, 100, 5000}[pick(7)];
+      return R"({"verb":"ping","x":)" + std::string(D, '[') +
+             std::string(D, ']') + "}";
+    }
+    default:
+      return L.erase(pick(L.size()), 1);
+    }
+  }
+};
+
+/// Every error code a reply may carry.
+bool knownCode(const std::string &Code) {
+  for (const char *K :
+       {ErrCode::ParseError, ErrCode::BadRequest, ErrCode::UnknownVerb,
+        ErrCode::UnknownSession, ErrCode::SessionLimit, ErrCode::RequestLimit,
+        ErrCode::Oversized, ErrCode::BadSnapshot, ErrCode::ShuttingDown,
+        ErrCode::Internal, ErrCode::Overloaded, ErrCode::IdleTimeout,
+        ErrCode::UnknownToken, ErrCode::BadBackend})
+    if (Code == K)
+      return true;
+  return false;
+}
+
+TEST_F(ServerTest, WireFuzzEveryFramedLineGetsOneStructuredReply) {
+  // The seed is fixed unless gtest's is given: a long campaign walks
+  // seeds S, S+1, ... with --gtest_random_seed=S --gtest_shuffle
+  // --gtest_repeat=N.
+  const int Walked = ::testing::UnitTest::GetInstance()->random_seed();
+  const int Given = ::testing::GTEST_FLAG(random_seed);
+  const uint32_t Seed = Walked != 0 ? Walked : Given != 0 ? Given : 1;
+  SCOPED_TRACE("seed " + std::to_string(Seed));
+  TearDown();
+  ServerOptions Opts;
+  Opts.Workers = 1; // replies in request order: the sync ping comes last
+  Opts.MaxSessions = 16;
+  Opts.MaxStepsPerRequest = 500;
+  Opts.MaxInspectWords = 64;
+  Opts.MaxLineBytes = 1u << 20;
+  // A Unix socket: over TCP, the second of two small replies in flight
+  // waits out a delayed ACK.
+  Opts.UnixPath = "/tmp/facile-fuzz-sock-" + std::to_string(::getpid());
+  const std::string Path = Opts.UnixPath;
+  Server = std::make_unique<FacileServer>(std::move(Opts));
+  std::string StartErr;
+  ASSERT_TRUE(Server->start(&StartErr)) << StartErr;
+  auto connect = [&] {
+    Client C;
+    std::string Err;
+    EXPECT_TRUE(C.connectUnix(Path, &Err)) << Err;
+    return C;
+  };
+
+  WireFuzzer F(Seed);
+  RetryPolicy P;
+  P.TimeoutMs = 20000; // a lost reply fails the test instead of hanging it
+  Client C = connect();
+  C.setRetryPolicy(P);
+  int64_t Created = 0, Destroyed = 0, Sync = 0;
+
+  // Sends \p Raw and expects one oversized reply, then the close.
+  auto oversized = [&](const std::string &Raw) {
+    C.sendRaw(Raw); // may fail part-way: the daemon closes once it has seen
+                    // more than the limit
+    std::string Line;
+    ASSERT_TRUE(C.recvLine(Line));
+    EXPECT_NE(Line.find(ErrCode::Oversized), std::string::npos) << Line;
+    EXPECT_FALSE(C.recvLine(Line));
+    C = connect();
+    C.setRetryPolicy(P);
+  };
+  // Checks one reply (recursively into batch replies) and tracks which
+  // sessions it created or destroyed and which snapshot it carried.
+  std::function<void(const json::Value &)> check =
+      [&](const json::Value &R) {
+        const json::Value *Ok = R.get("ok");
+        ASSERT_TRUE(Ok && Ok->isBool());
+        if (!Ok->boolOr(false)) {
+          const json::Value *E = R.get("error");
+          ASSERT_TRUE(E && E->get("code") && E->get("message"));
+          EXPECT_TRUE(knownCode(E->get("code")->str()))
+              << E->get("code")->str();
+          return;
+        }
+        if (R.get("compat_key") || R.get("resumed")) {
+          ++Created;
+          F.Sessions.push_back(R.get("session")->intOr(-1));
+          F.Live.insert(F.Sessions.back());
+        }
+        if (const json::Value *D = R.get("destroyed")) {
+          ++Destroyed;
+          F.Live.erase(D->intOr(-1));
+        }
+        if (const json::Value *B = R.get("bytes_b64"))
+          F.SavedB64 = B->str();
+        if (const json::Value *Rs = R.get("replies"))
+          for (const json::Value &Sub : Rs->array())
+            check(Sub);
+      };
+  // Sends one framed line with a sync ping behind it: exactly one reply
+  // must come before the ping's, and it must check out.
+  auto exchange = [&](const std::string &Raw) {
+    SCOPED_TRACE(Raw.substr(0, 300));
+    if (Raw.size() > (1u << 20))
+      return oversized(Raw + "\n"); // a batch of large snapshot payloads
+    const std::string SyncId = "sync-" + std::to_string(++Sync);
+    ASSERT_TRUE(C.sendRaw(Raw + "\n" + R"({"id":")" + SyncId +
+                          R"(","verb":"ping"})" + "\n"));
+    int Got = 0;
+    for (;;) {
+      std::string Line;
+      ASSERT_TRUE(C.recvLine(Line)) << "connection lost";
+      json::Value R;
+      std::string Err;
+      ASSERT_TRUE(json::parse(Line, R, Err)) << Err << ": " << Line;
+      const json::Value *Id = R.get("id");
+      if (Id && Id->isStr() && Id->str() == SyncId)
+        break;
+      ++Got;
+      check(R);
+    }
+    EXPECT_EQ(Got, 1);
+  };
+
+  // A faulted and a destroyed session for the campaign to aim at.
+  exchange(R"({"id":1,"verb":"create","data_kwords":2,)"
+           R"("options":{"max_steps":10}})");
+  exchange(R"({"id":2,"verb":"create","data_kwords":1,"sim":"ooo"})");
+  ASSERT_EQ(F.Sessions.size(), 2u);
+  exchange(strFormat(R"({"id":3,"verb":"step","session":%lld,"count":20})",
+                     static_cast<long long>(F.Sessions[0])));
+  exchange(strFormat(R"({"id":4,"verb":"snapshot-save","session":%lld})",
+                     static_cast<long long>(F.Sessions[1])));
+  exchange(strFormat(R"({"id":5,"verb":"destroy","session":%lld})",
+                     static_cast<long long>(F.Sessions[1])));
+
+  for (int I = 0; I != 4000 && !HasFatalFailure(); ++I) {
+    const size_t Action = F.pick(100);
+    if (Action < 2) {
+      // No newline, then the peer goes away: nothing was framed.
+      C.sendRaw(F.request(false));
+      C = connect();
+      C.setRetryPolicy(P);
+    } else if (Action < 3) {
+      oversized(std::string((1u << 20) + 1, 'x') + "\n");
+    } else if (Action < 4) {
+      oversized(R"({"verb":"ping","pad":")" + std::string(1u << 20, 'y'));
+    } else if (Action < 8) {
+      // An unterminated fragment joins the next line into one.
+      ASSERT_TRUE(C.sendRaw(F.request(false).substr(0, 5)));
+      exchange(F.request(false));
+    } else if (Action < 40) {
+      exchange(F.mutate(F.request(false)));
+    } else {
+      exchange(F.request(false));
+    }
+  }
+
+  // Still serving, and the session count adds up.
+  C = connect();
+  json::Value R = rpc(C, R"({"id":1,"verb":"ping"})");
+  EXPECT_TRUE(isOk(R));
+  R = rpc(C, R"({"id":2,"verb":"stats"})");
+  ASSERT_TRUE(isOk(R));
+  const json::Value *Srv = R.get("stats")->get("server");
+  EXPECT_EQ(Srv->get("active_sessions")->intOr(-1), Created - Destroyed);
+  EXPECT_EQ(Srv->get("sessions_created")->intOr(-1), Created);
 }
 
 } // namespace
