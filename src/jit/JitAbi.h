@@ -7,9 +7,10 @@
 /// \file
 /// The ABI shared by the template JIT (src/jit) and the runtime that calls
 /// into its code (src/runtime/FastEngine.cpp and SlowEngine.cpp via the
-/// Jit ExecBackend). Three kinds of code exist: the plan's slow-step
-/// function (JitSlowFn), entry-trace shapes (JitTraceFn) and a session's
-/// chain stub, which End exits of shapes jump through.
+/// Jit ExecBackend). Three kinds of code exist, all compiled once per plan
+/// and shared by its sessions: the slow-step function (JitSlowFn),
+/// entry-trace shapes (JitTraceFn) and the chain stub, which End exits of
+/// shapes jump through.
 ///
 /// Return values >= 0 are the function's own (an exit id, a packed slow
 /// exit); values < 0 are bail codes (JitBail). Bails only occur for
@@ -79,7 +80,7 @@ struct JitFrame {
   // call, and the slot, table and entry views whenever the budget is
   // non-zero; the other pointers are set once with the rest of the frame.
 
-  /// +160: the session's chain stub; End exits of shape code jump to it.
+  /// +160: the plan's chain stub; End exits of shape code jump to it.
   const void *ChainStub = nullptr;
   /// +168: chain jumps the stub may still take (each takes one); 0 makes
   /// every End exit return as an unchained trace would.
@@ -129,6 +130,11 @@ struct TraceSlot {
   uint32_t TableCap = 0;         ///< +28 cells reserved at TableOfs
 };
 static_assert(sizeof(TraceSlot) == 32, "the chain stub reads slot heads");
+
+/// The stride of a session's slot array: a TraceSlot head, then the
+/// runtime's private per-entry fields (jit::JitTraceCache). One chain stub
+/// serves every session of a plan, so the stride is fixed.
+inline constexpr uint32_t TraceSlotStride = 48;
 
 /// The chain link of one End descriptor of one binding: what the End
 /// node's NextKey resolved to the first time a step chained through it.
@@ -196,14 +202,14 @@ struct JitRuntimeHooks {
 
 /// Per-session JIT view, armed by the Jit ExecBackend and consulted by the
 /// replay loop: the frame, the plan's shared code cache, the session's
-/// private trace shapes and bindings, the compile trip point and the
-/// session-local counters.
+/// private trace bindings, the compile trip point and the session-local
+/// counters.
 class JitCache;
 class JitTraceCache;
 struct JitSession {
   JitFrame Frame;
   JitCache *Cache = nullptr;
-  JitTraceCache *Traces = nullptr; ///< per-session trace shapes, bindings
+  JitTraceCache *Traces = nullptr; ///< per-session trace bindings
   /// Replays of an entry before it binds to a trace shape; slow steps
   /// before the plan's slow-step function compiles.
   uint32_t Threshold = 1;

@@ -36,16 +36,20 @@ size_t alignUnit(size_t Ofs) {
 
 JitArena::~JitArena() {
 #if FACILE_JIT_HAVE_MMAP
-  for (const Chunk &C : Chunks)
-    ::munmap(C.Base, C.Size);
+  for (const Chunk &C : Chunks) {
+    ::munmap(C.Exec, C.Size);
+    if (C.Write)
+      ::munmap(C.Write, C.Size);
+  }
 #endif
 }
 
 uint64_t JitArena::mappedBytesAfter(size_t Size) const {
 #if FACILE_JIT_HAVE_MMAP
-  if (L == Layout::PagePerUnit)
+  if (!DualViews)
     return Mapped + pageRound(Size);
-  if (!Chunks.empty() && alignUnit(Tail) + Size <= Chunks.back().Size)
+  if (!Chunks.empty() && Chunks.back().Write &&
+      alignUnit(Tail) + Size <= Chunks.back().Size)
     return Mapped;
   return Mapped + std::max(ChunkBytes, pageRound(Size));
 #else
@@ -58,9 +62,69 @@ const uint8_t *JitArena::publish(const uint8_t *Code, size_t Size) {
 #if FACILE_JIT_HAVE_MMAP
   if (Size == 0)
     return nullptr;
-  if (L == Layout::Packed)
-    return append(Code, Size);
-  size_t Rounded = pageRound(Size);
+  size_t Ofs = alignUnit(Tail);
+  if (DualViews && (Chunks.empty() || !Chunks.back().Write ||
+                    Ofs + Size > Chunks.back().Size)) {
+    if (newChunk(std::max(ChunkBytes, pageRound(Size))))
+      Ofs = 0;
+    else
+      DualViews = false;
+  }
+  if (!DualViews)
+    return publishUnit(Code, Size);
+  const Chunk &C = Chunks.back();
+  // The executable view of these pages may be running earlier units on
+  // another thread; only bytes no published address reaches change.
+  std::memcpy(C.Write + Ofs, Code, Size);
+  Tail = Ofs + Size;
+  return C.Exec + Ofs;
+#else
+  (void)Code;
+  (void)Size;
+  return nullptr;
+#endif
+}
+
+/// Maps a fresh dual-view chunk of \p Bytes and retires the write view of
+/// the previous one. False when the platform cannot share memory between
+/// two views.
+bool JitArena::newChunk(size_t Bytes) {
+#if FACILE_JIT_HAVE_MMAP && defined(__linux__)
+  const int Fd = ::memfd_create("facile-jit", MFD_CLOEXEC);
+  if (Fd < 0)
+    return false;
+  void *W = MAP_FAILED, *X = MAP_FAILED;
+  if (::ftruncate(Fd, static_cast<off_t>(Bytes)) == 0) {
+    W = ::mmap(nullptr, Bytes, PROT_READ | PROT_WRITE, MAP_SHARED, Fd, 0);
+    X = ::mmap(nullptr, Bytes, PROT_READ | PROT_EXEC, MAP_SHARED, Fd, 0);
+  }
+  ::close(Fd); // the mappings keep the object alive
+  if (W == MAP_FAILED || X == MAP_FAILED) {
+    if (W != MAP_FAILED)
+      ::munmap(W, Bytes);
+    if (X != MAP_FAILED)
+      ::munmap(X, Bytes);
+    return false;
+  }
+  if (!Chunks.empty() && Chunks.back().Write) {
+    ::munmap(Chunks.back().Write, Chunks.back().Size);
+    Chunks.back().Write = nullptr;
+  }
+  Chunks.push_back(
+      {static_cast<uint8_t *>(X), static_cast<uint8_t *>(W), Bytes});
+  Mapped += Bytes;
+  return true;
+#else
+  (void)Bytes;
+  return false;
+#endif
+}
+
+/// The fallback: one page-rounded private mapping per unit, filled while
+/// read-write and flipped to read-execute before anyone can call it.
+const uint8_t *JitArena::publishUnit(const uint8_t *Code, size_t Size) {
+#if FACILE_JIT_HAVE_MMAP
+  const size_t Rounded = pageRound(Size);
   void *Base = ::mmap(nullptr, Rounded, PROT_READ | PROT_WRITE,
                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
   if (Base == MAP_FAILED)
@@ -70,51 +134,9 @@ const uint8_t *JitArena::publish(const uint8_t *Code, size_t Size) {
     ::munmap(Base, Rounded);
     return nullptr;
   }
-  Chunks.push_back({static_cast<uint8_t *>(Base), Rounded});
+  Chunks.push_back({static_cast<uint8_t *>(Base), nullptr, Rounded});
   Mapped += Rounded;
   return static_cast<const uint8_t *>(Base);
-#else
-  (void)Code;
-  (void)Size;
-  return nullptr;
-#endif
-}
-
-const uint8_t *JitArena::append(const uint8_t *Code, size_t Size) {
-#if FACILE_JIT_HAVE_MMAP
-  if (!Intact)
-    return nullptr;
-  size_t Ofs = alignUnit(Tail);
-  if (Chunks.empty() || Ofs + Size > Chunks.back().Size) {
-    // Fresh chunks start inaccessible; pages become RX as appends reach
-    // them, so a jump past the last unit faults instead of running zeros.
-    const size_t Bytes = std::max(ChunkBytes, pageRound(Size));
-    void *Base = ::mmap(nullptr, Bytes, PROT_NONE,
-                        MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (Base == MAP_FAILED)
-      return nullptr;
-    Chunks.push_back({static_cast<uint8_t *>(Base), Bytes});
-    Mapped += Bytes;
-    Tail = Ofs = 0;
-  }
-  const Chunk &C = Chunks.back();
-  const size_t Lo = Ofs & ~(pageSize() - 1);
-  const size_t Len = pageRound(Ofs + Size) - Lo;
-  uint8_t *Pages = C.Base + Lo;
-  if (::mprotect(Pages, Len, PROT_READ | PROT_WRITE) != 0) {
-    // The flip may have applied to part of the range: restore RX over all
-    // of it before giving up on this unit.
-    if (::mprotect(Pages, Len, PROT_READ | PROT_EXEC) != 0)
-      Intact = false;
-    return nullptr;
-  }
-  std::memcpy(C.Base + Ofs, Code, Size);
-  if (::mprotect(Pages, Len, PROT_READ | PROT_EXEC) != 0) {
-    Intact = false;
-    return nullptr;
-  }
-  Tail = Ofs + Size;
-  return C.Base + Ofs;
 #else
   (void)Code;
   (void)Size;

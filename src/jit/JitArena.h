@@ -6,24 +6,25 @@
 ///
 /// \file
 /// Executable memory for compiled code under a strict W^X discipline: no
-/// page is ever writable and executable at once. Two layouts serve the two
-/// JIT tiers:
+/// mapping is ever writable and executable at once, and a mapping that
+/// holds published code never changes protection again, so publishing
+/// never disturbs code another thread may be running.
 ///
-///  - PagePerUnit (the per-plan JitCache, shared across threads): each
-///    published unit gets its own page-rounded mmap, filled while the
-///    mapping is read-write and mprotect-flipped to read-execute before the
-///    entry pointer is ever published. Units are never flipped back, reused
-///    or freed until arena destruction, so a page that other threads may be
-///    executing is never writable again — publication is a single
-///    release-store of the function pointer done by the caller.
-///  - Packed (the per-session JitTraceCache's trace shapes): units are
-///    appended 16-byte aligned into 64 KB chunks. An append flips only the
-///    page(s) it touches read-write, copies, and flips them back to
-///    read-execute, so earlier code sharing the tail page is briefly not
-///    executable. That is legal only because the owner is single-threaded
-///    and never appends while its own code is mid-flight. Packing matters
-///    because a trace averages well under 1 KB: one page each spent ~80 %
-///    of the budget on page rounding.
+/// Units are appended 16-byte aligned into 64 KB chunks. Each chunk is one
+/// anonymous shared-memory object mapped twice: a read-write view the
+/// arena copies code into and a read-execute view the code runs from.
+/// Packing matters because a trace shape averages well under 1 KB: one
+/// page each spent ~80 % of the trace budget on page rounding, and a
+/// shape-diverse program (575 shapes on m88ksim) would not fit its budget
+/// at all. The write view of a chunk is unmapped once a later chunk takes
+/// over, so only the tail chunk is mapped twice.
+///
+/// Where the platform has no anonymous shared memory (or creating it
+/// fails), each unit falls back to a page-rounded private mapping filled
+/// read-write and flipped to read-execute before its address is returned.
+///
+/// The arena is not synchronized; its owner (jit::JitCache) publishes
+/// under its own mutex.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,13 +40,11 @@ namespace jit {
 
 class JitArena {
 public:
-  enum class Layout : uint8_t { PagePerUnit, Packed };
-
-  /// Packed chunk size and unit alignment.
+  /// Chunk size and unit alignment.
   static constexpr size_t ChunkBytes = 64u << 10;
   static constexpr size_t UnitAlign = 16;
 
-  explicit JitArena(Layout L = Layout::PagePerUnit) : L(L) {}
+  JitArena() = default;
   ~JitArena();
   JitArena(const JitArena &) = delete;
   JitArena &operator=(const JitArena &) = delete;
@@ -53,34 +52,31 @@ public:
   /// Copies \p Size bytes of machine code into the arena and returns its
   /// executable address, or null when the platform has no executable
   /// memory (or mapping failed) — the caller treats that as "cannot
-  /// compile", never as an error. A Packed arena that returned null may
-  /// have left earlier code unexecutable (see intact()).
+  /// compile", never as an error. Code published earlier stays valid
+  /// either way.
   const uint8_t *publish(const uint8_t *Code, size_t Size);
 
   /// What mappedBytes() would read after publishing \p Size bytes, so a
   /// caller can hold a budget before committing to a new chunk.
   uint64_t mappedBytesAfter(size_t Size) const;
 
-  /// Total bytes of executable memory held: page-rounded units, or whole
-  /// chunks when Packed.
+  /// Total bytes of executable memory held: whole chunks, plus
+  /// page-rounded units on the fallback path.
   uint64_t mappedBytes() const { return Mapped; }
 
-  /// False once a Packed append failed to flip its pages back to
-  /// read-execute: code published earlier must not run again.
-  bool intact() const { return Intact; }
-
 private:
-  const uint8_t *append(const uint8_t *Code, size_t Size);
+  const uint8_t *publishUnit(const uint8_t *Code, size_t Size);
+  bool newChunk(size_t Bytes);
 
   struct Chunk {
-    uint8_t *Base;
+    uint8_t *Exec;  ///< read-execute view
+    uint8_t *Write; ///< read-write view; null once retired or unit-mapped
     size_t Size;
   };
   std::vector<Chunk> Chunks;
-  size_t Tail = 0; ///< Packed: bytes used in Chunks.back()
+  size_t Tail = 0; ///< bytes used in the current (write-mapped) chunk
   uint64_t Mapped = 0;
-  Layout L;
-  bool Intact = true;
+  bool DualViews = true; ///< false once shared memory proved unavailable
 };
 
 } // namespace jit

@@ -4,8 +4,10 @@
 // the interpreter in FastEngine.cpp and ir::evalBin/evalUn: every template
 // must be bit-exact against those, including division edge cases (which
 // route through helpers built on evalBin itself so divergence is
-// impossible) and the hardware-masked shift counts (shl/shr/sar with cl
-// mask the count to 6 bits, exactly the `& 63` in evalBin).
+// impossible, except for a divisor known to be a positive power of two,
+// whose truncating quotient and remainder are emitted inline) and the
+// hardware-masked shift counts (shl/shr/sar with cl mask the count to 6
+// bits, exactly the `& 63` in evalBin).
 //
 //===----------------------------------------------------------------------===//
 
@@ -479,6 +481,13 @@ private:
   bool Recording = false; ///< current slow block captures placeholder words
   bool InStatic = false;  ///< current instruction is run-time static
   uint32_t CapWords = 0;  ///< words one execution of the block captures
+  /// Per slot: the value a Const of the current slow block stored to the
+  /// slot's StatSlots word, valid while ConstBlock[Slot] == Block (any
+  /// later store to the slot clears it). Lets a division by a constant
+  /// power of two compile inline.
+  std::vector<int64_t> ConstVal;
+  std::vector<uint32_t> ConstBlock;
+  uint32_t Block = 0; ///< 1 + the slow block being emitted; 0 otherwise
 
   bool slotOk(uint32_t Slot) const { return Slot < Ctx.NumSlots; }
   /// Appends the value in \p Src to the capture buffer (action blocks of
@@ -522,8 +531,46 @@ private:
   bool storeSlot(uint32_t Dst, unsigned Src = RAX) {
     if (!slotOk(Dst))
       return false;
+    if (Dst < ConstBlock.size())
+      ConstBlock[Dst] = 0;
     A.movMR(Slow && InStatic ? RBP : R12, 8 * static_cast<int32_t>(Dst), Src);
     return true;
+  }
+  /// The value operand \p Pos of \p I (slot \p Slot) is known to hold:
+  /// loadOp read it from StatSlots, where a Const of this block put it.
+  bool knownConst(const XInst &I, uint32_t Slot, unsigned Pos,
+                  int64_t &V) const {
+    if (!Slow || !(InStatic || (I.StaticOperands & (1u << Pos))) ||
+        Slot >= ConstBlock.size() || Block == 0 || ConstBlock[Slot] != Block)
+      return false;
+    V = ConstVal[Slot];
+    return true;
+  }
+  /// rax = rax / 2^K or rax % 2^K, truncating toward zero as evalBin does
+  /// for a positive divisor (clobbers rcx/rdx): a negative dividend is
+  /// biased by 2^K - 1 first.
+  void divPow2(bool Rem, unsigned K) {
+    if (K == 0) {
+      if (Rem)
+        A.xorR32(RAX);
+      return;
+    }
+    A.movRR(RDX, RAX);
+    A.shiftImm(7, RDX, 63);                            // sar: 0 or -1
+    A.shiftImm(5, RDX, static_cast<uint8_t>(64 - K)); // shr: bias
+    A.alu(0x01, RAX, RDX);                             // add rax, rdx
+    if (!Rem) {
+      A.shiftImm(7, RAX, static_cast<uint8_t>(K)); // sar
+      return;
+    }
+    const uint64_t Mask = (uint64_t(1) << K) - 1;
+    if (Mask <= INT32_MAX) {
+      A.andRI32(RAX, static_cast<int32_t>(Mask));
+    } else {
+      A.movRI64(RCX, Mask);
+      A.alu(0x21, RAX, RCX); // and rax, rcx
+    }
+    A.alu(0x29, RAX, RDX); // sub rax, rdx
   }
   /// Loads global \p Id of the current domain into \p Dst (the static
   /// domain indirects through the frame; the dynamic one sits in r14).
@@ -586,15 +633,21 @@ bool ActionCompiler::emitBin(const XInst &I) {
     A.imulRR(RAX, RCX);
     break;
   case ast::BinOp::Div:
-  case ast::BinOp::Rem:
+  case ast::BinOp::Rem: {
+    const bool Rem = static_cast<ast::BinOp>(I.Kind) == ast::BinOp::Rem;
+    int64_t D = 0;
+    if (knownConst(I, I.B, 1, D) && D > 0 && (D & (D - 1)) == 0) {
+      divPow2(Rem, static_cast<unsigned>(__builtin_ctzll(
+                       static_cast<uint64_t>(D))));
+      break;
+    }
     // Edge cases (B==0, B==-1 with INT64_MIN) are defined by evalBin; the
     // helpers are built on it, so this cannot diverge.
     A.movRR(RDI, RAX);
     A.movRR(RSI, RCX);
-    A.callAbs(reinterpret_cast<const void *>(
-        static_cast<ast::BinOp>(I.Kind) == ast::BinOp::Div ? &helpDiv
-                                                           : &helpRem));
+    A.callAbs(reinterpret_cast<const void *>(Rem ? &helpRem : &helpDiv));
     break;
+  }
   case ast::BinOp::And:
     A.alu(0x21, RAX, RCX);
     break;
@@ -710,7 +763,11 @@ bool ActionCompiler::emitInst(const XInst &I, uint32_t FastIdx) {
       A.movRI32s(RAX, static_cast<int32_t>(I.Imm));
     else
       A.movRI64(RAX, static_cast<uint64_t>(I.Imm));
-    return storeSlot(I.Dst);
+    if (!storeSlot(I.Dst))
+      return false;
+    ConstVal[I.Dst] = I.Imm;
+    ConstBlock[I.Dst] = Block;
+    return true;
   case XOp::Copy:
     return loadOp(I, RAX, I.A, 0) && storeSlot(I.Dst);
   case XOp::Bin:
@@ -958,6 +1015,8 @@ bool ActionCompiler::compileSlowStep(bool Rec, uint32_t &CaptureWordsOut) {
   if (NumBlocks == 0 || NumBlocks >= (size_t(1) << 29))
     return false;
   Slow = true;
+  ConstVal.assign(Ctx.NumSlots, 0);
+  ConstBlock.assign(Ctx.NumSlots, 0);
 
   // Prologue mirrors the trace compiler's (6 pushes + 136 keeps rsp
   // 16-aligned at call sites) with rbp = StatSlots and r13 = the capture
@@ -1007,6 +1066,7 @@ bool ActionCompiler::compileSlowStep(bool Rec, uint32_t &CaptureWordsOut) {
     if (End <= Begin || End > P.Code.size())
       return false;
     Label[B] = A.size();
+    Block = B + 1; // forgets every constant of the block before
     const int32_t Rel = static_cast<int32_t>(Label[B] - Table);
     std::memcpy(&A.Code[Table + 4 * B], &Rel, 4);
 

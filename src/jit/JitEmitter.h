@@ -13,7 +13,7 @@
 /// removes the whole dispatch-and-decode cost that dominates replay. Two
 /// kinds of function use the templates: the plan's slow-step function
 /// (emitSlowStep) and entry-trace shapes (emitTrace), whose End exits
-/// chain through a per-session stub (emitChainStub).
+/// chain through a per-plan stub (emitChainStub).
 ///
 /// Register plan (all callee-saved, so helper calls need no spills):
 ///   rbx  JitFrame*              r14  DynGlobals base
@@ -140,7 +140,7 @@ struct ChainWord {
 /// replays without chaining.
 inline constexpr size_t MaxChainWords = 8;
 
-/// Compiles a session's chain stub: the code every End exit of its shapes
+/// Compiles a plan's chain stub: the code every End exit of its shapes
 /// jumps to (see emitTrace). It enters the linked step's shape body —
 /// past the prologue, with rbp set to the target's binding table — when
 /// the frame's ChainBudget is positive, *Halt and *MemLatch are clear,

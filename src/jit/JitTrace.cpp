@@ -1,8 +1,6 @@
-//===- JitTrace.cpp - Per-session trace shapes and entry bindings ---------===//
+//===- JitTrace.cpp - Per-session trace bindings --------------------------===//
 
 #include "src/jit/JitTrace.h"
-
-#include "src/support/Hashing.h"
 
 #include <algorithm>
 #include <cstring>
@@ -30,96 +28,7 @@ bool JitTraceCache::shouldCompile(uint32_t Entry, uint32_t Threshold,
   return ++S.Visits >= Threshold;
 }
 
-uint64_t JitTraceCache::shapeHash(const std::vector<TraceNodeDesc> &Nodes) {
-  uint64_t H = FNVOffset;
-  for (const TraceNodeDesc &N : Nodes) {
-    H = hashCombine(H, static_cast<uint32_t>(N.ActionId) |
-                           static_cast<uint64_t>(N.DataLen) << 32);
-    H = hashCombine(H, N.Succ[0] | static_cast<uint64_t>(N.Succ[1]) << 32);
-    H = hashCombine(H, N.Kind | static_cast<uint64_t>(N.BaseSide) << 8);
-  }
-  return H;
-}
-
-const JitTraceCache::Shape *
-JitTraceCache::findShape(const std::vector<TraceNodeDesc> &Nodes) const {
-  auto [I, E] = Shapes.equal_range(shapeHash(Nodes));
-  for (; I != E; ++I)
-    if (I->second->Nodes == Nodes)
-      return I->second.get();
-  return nullptr;
-}
-
-JitArena &JitTraceCache::arena() {
-  if (!Arena)
-    Arena = std::make_unique<JitArena>(JitArena::Layout::Packed);
-  return *Arena;
-}
-
-const void *JitTraceCache::enableChaining(const std::vector<ChainWord> &Words) {
-  std::vector<uint8_t> Code;
-  if (BudgetSpent || !emitChainStub(Words, sizeof(Slot), Code))
-    return nullptr;
-  const uint8_t *Stub = arena().publish(Code.data(), Code.size());
-  if (!Stub) {
-    BudgetSpent = !Arena->intact(); // as addShape: compile nothing more
-    return nullptr;
-  }
-  LinkBytes = static_cast<uint32_t>(sizeof(ChainLink) + 8 * Words.size());
-  return Stub;
-}
-
-const JitTraceCache::Shape *
-JitTraceCache::addShape(const std::vector<TraceNodeDesc> &Nodes,
-                        const std::vector<TraceExitDesc> &Exits,
-                        const std::vector<uint8_t> &Code, uint32_t BodyOfs) {
-  if (BudgetSpent || BodyOfs >= Code.size())
-    return nullptr;
-  arena();
-  if (Arena->mappedBytesAfter(Code.size()) > MaxCodeBytes) {
-    // The last chunk is full and the budget has no room for another: no
-    // new shape compiles from here on, existing ones still bind.
-    BudgetSpent = true;
-    return nullptr;
-  }
-  const uint8_t *Exec = Arena->publish(Code.data(), Code.size());
-  if (!Exec) {
-    if (!Arena->intact()) {
-      // A failed append left earlier shapes' pages unexecutable: drop
-      // every shape and binding and compile nothing more.
-      dropBindings();
-      Shapes.clear();
-      BudgetSpent = true;
-    }
-    return nullptr;
-  }
-  auto S = std::make_unique<Shape>();
-  S->Fn = reinterpret_cast<JitTraceFn>(reinterpret_cast<uintptr_t>(Exec));
-  S->Body = Exec + BodyOfs;
-  S->Nodes = Nodes;
-  S->Exits = Exits;
-  const size_t Ends = static_cast<size_t>(
-      std::count_if(Exits.begin(), Exits.end(),
-                    [](const TraceExitDesc &X) { return X.IsEnd; }));
-  S->Cells = static_cast<uint32_t>(Nodes.size() +
-                                   Ends * LinkBytes / sizeof(TraceBind));
-  // Descriptors come in DFS pre-order, so a parent precedes its children.
-  S->Links.resize(Nodes.size());
-  for (uint32_t D = 0; D != Nodes.size(); ++D)
-    for (int V = 0; V != 2; ++V) {
-      const uint32_t C = Nodes[D].Succ[V];
-      if (C == TraceNoSucc || C >= Nodes.size())
-        continue;
-      S->Links[C] = {D, S->Links[D].Depth + 1,
-                     Nodes[D].Kind == 1 ? static_cast<int64_t>(V) : 0};
-    }
-  const Shape *Out = S.get();
-  Shapes.emplace(shapeHash(Nodes), std::move(S));
-  ++Compiled;
-  return Out;
-}
-
-void JitTraceCache::bind(uint32_t Entry, const Shape &S,
+void JitTraceCache::bind(uint32_t Entry, const TraceShape &S,
                          const TraceBind *Nodes, uint64_t Epoch) {
   Slot &Sl = Slots[Entry]; // sized by shouldCompile
   if (S.Cells > Sl.Native.TableCap) {
@@ -143,12 +52,13 @@ void JitTraceCache::bind(uint32_t Entry, const Shape &S,
 void JitTraceCache::link(uint32_t From, uint32_t Exit, uint32_t EndNode,
                          uint32_t To, uint32_t Key, const char *Head,
                          uint64_t Epoch) {
-  if (LinkBytes == 0 || From >= Slots.size() || To >= Slots.size())
+  if (From >= Slots.size() || To >= Slots.size())
     return;
   const Slot &F = Slots[From], &T = Slots[To];
-  if (!F.Sh || F.Native.Epoch != Epoch || !T.Sh || T.Native.Epoch != Epoch ||
-      Exit >= F.Sh->Exits.size())
+  if (!F.Sh || F.Sh->LinkBytes == 0 || F.Native.Epoch != Epoch || !T.Sh ||
+      T.Native.Epoch != Epoch || Exit >= F.Sh->Exits.size())
     return;
+  const uint32_t LinkBytes = F.Sh->LinkBytes;
   const TraceExitDesc &X = F.Sh->Exits[Exit];
   const TraceBind *Run = Table.data() + F.Native.TableOfs;
   if (!X.IsEnd || Run[X.Desc].Node != EndNode)

@@ -95,6 +95,7 @@ void ExecBackend::exportMetrics(telemetry::MetricSink &Sink) const {
   Sink.counter("trace_compile_us", 0);
   Sink.counter("chained_steps", 0);
   Sink.counter("trace_bind_us", 0);
+  Sink.counter("trace_table_bytes", 0);
 }
 
 //===----------------------------------------------------------------------===//
@@ -145,9 +146,8 @@ public:
   void onStateReplaced() override { refreshFrame(); }
   void onCacheRebuilt() override {
     // Trace shape code references no cache arena (spans are read from a
-    // binding) and survives;
-    // bindings name node ids and span offsets of the rebuilt arenas and
-    // are dropped wholesale.
+    // binding) and lives in the plan's code cache; bindings name node ids
+    // and span offsets of the rebuilt arenas and are dropped wholesale.
     Traces.dropBindings();
     ++CacheRebuilds;
   }
@@ -168,9 +168,10 @@ public:
     // nothing falls back per node); the keys stay for schema readers.
     Sink.counter("compiled_actions", 0);
     Sink.counter("compiled_blocks", Session.Cache->compiledBlocks());
-    // compiled_traces: trace shapes compiled; trace_bindings: entries
-    // bound to one (re-bindings included).
-    Sink.counter("compiled_traces", Traces.compiledTraces());
+    // compiled_traces: trace shapes this session compiled into the plan's
+    // code cache (shapes other sessions compiled bind without counting);
+    // trace_bindings: entries bound to one (re-bindings included).
+    Sink.counter("compiled_traces", CompiledTraces);
     Sink.counter("trace_bindings", Traces.bindings());
     Sink.counter("jit_exec_steps", Session.JitSteps);
     Sink.counter("trace_steps", Session.TraceSteps);
@@ -179,8 +180,9 @@ public:
     // slow_block_execs: native slow-step function calls.
     Sink.counter("slow_block_execs", Session.SlowCalls);
     Sink.counter("bailouts", 0);
+    // Both code sizes are the plan's, shared by its sessions.
     Sink.counter("code_bytes", Session.Cache->codeBytes());
-    Sink.counter("trace_code_bytes", Traces.codeBytes());
+    Sink.counter("trace_code_bytes", Session.Cache->traceCodeBytes());
     Sink.counter("slow_compile_us", Session.Cache->slowCompileMicros());
     Sink.counter("trace_compile_us", TraceCompileNs / 1000);
     // chained_steps: the subset of trace_steps entered by a native chain
@@ -188,11 +190,14 @@ public:
     // whose shape was already compiled (walk, shape lookup, bind).
     Sink.counter("chained_steps", Session.ChainedSteps);
     Sink.counter("trace_bind_us", TraceBindNs / 1000);
+    // The session's slots and binding tables (the shapes they bind to
+    // are the plan's, in trace_code_bytes).
+    Sink.counter("trace_table_bytes", Traces.bytes());
   }
 
   uint64_t compiledActions() const override {
     // Both tiers: the slow-step function's blocks and trace shapes.
-    return Session.Cache->compiledBlocks() + Traces.compiledTraces();
+    return Session.Cache->compiledBlocks() + CompiledTraces;
   }
 
   uint64_t chainedSteps() const override { return Session.ChainedSteps; }
@@ -255,14 +260,9 @@ private:
   std::vector<Work> WalkStack;
   std::vector<jit::TraceNodeDesc> WalkDescs;
   std::vector<jit::TraceBind> WalkBinds;
-  std::vector<jit::TraceExitDesc> WalkExits;
-  std::vector<uint8_t> WalkCode;
   uint64_t TraceCompileNs = 0; ///< walking, emitting and publishing
   uint64_t TraceBindNs = 0;    ///< of that, binds to compiled shapes
-  /// The compared key words, for the chain stub (emitted with the first
-  /// shape, so a session that never traces maps no code for it).
-  std::vector<jit::ChainWord> ChainWords;
-  bool ChainTried = false;
+  uint64_t CompiledTraces = 0; ///< shapes this session compiled
   /// Backing stores for the frame's array-of-pointers indirections.
   std::vector<int64_t *> ArrayPtrs;
   std::vector<int64_t *> LocPtrs;
@@ -284,9 +284,6 @@ JitBackend::JitBackend(Simulation &Sim, jit::JitCache &Cache)
       T = static_cast<uint32_t>(std::strtoul(Env, nullptr, 10));
   Session.Threshold = T == 0 ? 1 : T;
   Session.Traces = &Traces;
-  for (const Simulation::KeyField &F : Sim.ChainFields)
-    for (uint32_t W = 0; W != F.Words; ++W)
-      ChainWords.push_back({F.Global, W, Sim.Prog.Globals[F.Global].IsArray});
   refreshFrame();
   Sim.JitCtx = &Session;
 }
@@ -342,45 +339,38 @@ void JitBackend::maybeBindTrace(EntryId Entry) {
     bindTrace(Entry, Epoch);
 }
 
-/// Walks \p Entry and binds it to its shape, compiling the shape first if
-/// no entry had it yet. Any refusal pins the entry to the interpreter;
-/// nothing here can fault.
+/// Walks \p Entry and binds it to its shape, which the plan's code cache
+/// compiles first if no session of the plan had it yet. Any refusal pins
+/// the entry to the interpreter; nothing here can fault.
 void JitBackend::bindTrace(EntryId Entry, uint64_t Epoch) {
   const auto T0 = std::chrono::steady_clock::now();
-  const jit::JitTraceCache::Shape *Shape = nullptr;
-  bool Emitted = false;
-  if (walkTrace(Entry)) {
-    Shape = Traces.findShape(WalkDescs);
-    if (!Shape && !Traces.budgetSpent()) {
-      if (!ChainTried) {
-        ChainTried = true;
-        Session.Frame.ChainStub = Traces.enableChaining(ChainWords);
-      }
-      uint32_t BodyOfs = 0;
-      Emitted = true;
-      if (jit::emitTrace(Session.Cache->ctx(), WalkDescs, Traces.linkBytes(),
-                         WalkCode, WalkExits, BodyOfs))
-        Shape = Traces.addShape(WalkDescs, WalkExits, WalkCode, BodyOfs);
-    }
-  }
-  if (Shape)
+  const jit::TraceShape *Shape = nullptr;
+  bool Compiled = false;
+  if (walkTrace(Entry))
+    Shape = Session.Cache->shape(WalkDescs, jit::JitCache::shapeHash(WalkDescs),
+                                 Compiled);
+  if (Shape) {
+    // Published before any shape that jumps to it.
+    Session.Frame.ChainStub = Session.Cache->chainStub();
     Traces.bind(Entry, *Shape, WalkBinds.data(), Epoch);
-  else
+  } else {
     Traces.noCompile(Entry);
+  }
+  CompiledTraces += Compiled;
   const uint64_t Ns = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - T0)
           .count());
   TraceCompileNs += Ns;
-  if (Shape && !Emitted)
+  if (Shape && !Compiled)
     TraceBindNs += Ns;
 }
 
 /// Walks \p Entry's recorded node tree into WalkDescs (the shape key) and
-/// WalkBinds (the binding), running the interpreter's full verification
-/// over every node it is about to bind: structural bounds and the seal
-/// sweep. Shape code skips per-node checks, so nothing unverified may be
-/// bound. False refuses the entry.
+/// WalkBinds (the binding), running the interpreter's verification over
+/// every node it is about to bind: structural bounds and the seal sweep.
+/// Shape code skips per-node checks, so nothing unverified may be bound.
+/// False refuses the entry.
 bool JitBackend::walkTrace(EntryId Entry) {
   // Const reference on purpose: ActionCache::node() has a mutable
   // overlay-only overload; the walk must resolve global ids through the
@@ -419,16 +409,20 @@ bool JitBackend::walkTrace(EntryId Entry) {
     const uint64_t Lo = N.DataOfs, Hi = Lo + N.DataLen;
     if (Hi > PoolSize || (Lo < BaseD && Hi > BaseD))
       return false;
-    // The interpreter's seal check, unconditionally (marks are an
-    // optimization for the per-step loop; binding is rare). A mismatch is
-    // left for the interpreter to detect or absorb.
-    const int64_t *Span = C.spanData(N.DataOfs);
-    uint64_t Xor = 0;
-    for (uint32_t Wd = 0; Wd != N.DataLen; ++Wd)
-      Xor ^= static_cast<uint64_t>(Span[Wd]);
-    if ((Xor ^ ActionCache::identityMix(N) ^ W.Tag) != C.nodeSeal(W.Node))
-      return false;
-    Sim.Cache.markVerified(W.Node, W.Tag);
+    // The interpreter's seal check, skipped — as the interpreter skips it
+    // — for a node already verified at this mutation epoch through the
+    // same link: the interpreted replays before a bind have just set
+    // those marks. A mismatch is left for the interpreter to detect or
+    // absorb.
+    if (!C.nodeVerified(W.Node, W.Tag)) {
+      const int64_t *Span = C.spanData(N.DataOfs);
+      uint64_t Xor = 0;
+      for (uint32_t Wd = 0; Wd != N.DataLen; ++Wd)
+        Xor ^= static_cast<uint64_t>(Span[Wd]);
+      if ((Xor ^ ActionCache::identityMix(N) ^ W.Tag) != C.nodeSeal(W.Node))
+        return false;
+      Sim.Cache.markVerified(W.Node, W.Tag);
+    }
     const uint32_t Di = static_cast<uint32_t>(WalkDescs.size());
     if (W.ParentDesc != jit::TraceNoSucc)
       WalkDescs[W.ParentDesc].Succ[W.Slot] = Di;

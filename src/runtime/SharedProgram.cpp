@@ -20,3 +20,8 @@ jit::JitCache &SharedProgram::jitCache(
     Jit = std::make_unique<jit::JitCache>(Prog, Plan, Image, Hooks);
   return *Jit;
 }
+
+const jit::JitCache *SharedProgram::builtJitCache() const {
+  std::lock_guard<std::mutex> Lock(JitMu);
+  return Jit.get();
+}

@@ -64,6 +64,9 @@ public:
   /// the concurrency contract above still holds — sessions on any thread
   /// may trip compilations and run each other's published code.
   jit::JitCache &jitCache(const jit::JitRuntimeHooks &Hooks) const;
+  /// The code cache if a Jit-backend session built it, else null (for
+  /// reporting; builds nothing).
+  const jit::JitCache *builtJitCache() const;
 
   SharedProgram(const SharedProgram &) = delete;
   SharedProgram &operator=(const SharedProgram &) = delete;

@@ -111,12 +111,14 @@ public:
     /// Jit request degrades to Interpret when unsupported — never an
     /// error. Does not affect compatKey().
     BackendKind Backend = BackendKind::Auto;
-    /// Interpreted replays of a cache entry before the Jit backend binds
-    /// it to a trace shape, and slow steps before the plan's slow-step
-    /// function compiles. When left at the default, the
+    /// Replays of a cache entry until the Jit backend binds it to a trace
+    /// shape (the threshold-th replay runs native), and slow steps before
+    /// the plan's slow-step function compiles. 2 was the fastest of a
+    /// {2, 4, 8} sweep once binds reused replay's verification and shapes
+    /// were shared per program. When left at the default, the
     /// FACILE_JIT_THRESHOLD environment variable overrides it
     /// (harness-wide experiments).
-    static constexpr uint32_t DefaultJitThreshold = 32;
+    static constexpr uint32_t DefaultJitThreshold = 2;
     uint32_t JitThreshold = DefaultJitThreshold;
   };
 

@@ -3,6 +3,7 @@
 #include "src/server/Client.h"
 
 #include "src/server/Protocol.h"
+#include "src/server/Server.h"
 #include "src/snapshot/Snapshot.h"
 #include "src/support/Json.h"
 #include "src/support/StringUtils.h"
@@ -227,12 +228,14 @@ bool Client::rpcRetry(const std::string &Request, json::Value &Response,
       HasSession = Req.get("session") != nullptr;
     }
   }
-  bool Idempotent = Verb == "ping" || Verb == "stats" || Verb == "inspect" ||
-                    Verb == "snapshot-save";
-  bool Dedupable = (Verb == "step" || Verb == "run" ||
-                    Verb == "clear-fault" || Verb == "snapshot-load") &&
-                   HasId && HasSession;
-  bool RetryOnTransport = Idempotent || Dedupable;
+  // The daemon's verb table says which verbs change nothing (safe to
+  // resend) and which it deduplicates by request id (safe to resend with
+  // one).
+  static const std::vector<VerbSchema> Verbs = FacileServer::schema();
+  bool RetryOnTransport = false;
+  for (const VerbSchema &V : Verbs)
+    if (Verb == V.Name)
+      RetryOnTransport = V.ReadOnly || (V.Mutating && HasId && HasSession);
 
   const unsigned Attempts = std::max(1u, Policy.MaxAttempts);
   std::string LocalErr;

@@ -77,14 +77,15 @@ public:
   bool reconnect(std::string *Err = nullptr);
 
   /// rpc with timeouts, reconnect and exponential backoff — but gated on
-  /// idempotency. What is safe to retry after a transport failure:
-  ///  - ping/stats/inspect/snapshot-save: read-only, always.
-  ///  - step/run/clear-fault/snapshot-load: only when the request carries
-  ///    both an "id" and a "session", because the server dedups the last
-  ///    completed request id per session — a retried duplicate replays the
-  ///    stored response instead of executing twice.
-  ///  - create/destroy/shutdown/batch: never (one attempt); an "overloaded"
-  ///    *response* is retried for any verb after the server's
+  /// idempotency, as the daemon's verb table (FacileServer::schema())
+  /// declares it. What is safe to retry after a transport failure:
+  ///  - read-only verbs (ping/stats/inspect/snapshot-save): always.
+  ///  - mutating verbs (step/run/clear-fault/snapshot-load): only when the
+  ///    request carries both an "id" and a "session", because the server
+  ///    dedups the last completed request id per session — a retried
+  ///    duplicate replays the stored response instead of executing twice.
+  ///  - the rest (create/destroy/shutdown/batch): never (one attempt); an
+  ///    "overloaded" *response* is retried for any verb after the server's
   ///    retry_after_ms hint, since a rejected request was never executed.
   /// A non-retryable failure returns false after one attempt.
   bool rpcRetry(const std::string &Request, json::Value &Response,

@@ -107,11 +107,13 @@ struct FieldSpec {
 
 /// One verb as the daemon's verb table declares it. Session verbs take a
 /// "session" member and may appear inside batch; the others are top-level
-/// only. Mutating verbs are deduplicated by request id.
+/// only. Mutating verbs are deduplicated by request id. Read-only verbs
+/// change no state, so a client may resend one after a transport failure.
 struct VerbSchema {
   const char *Name = nullptr;
   bool SessionScoped = false;
   bool Mutating = false;
+  bool ReadOnly = false;
   std::span<const FieldSpec> Fields;
 };
 

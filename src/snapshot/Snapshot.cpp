@@ -55,26 +55,31 @@ std::vector<uint8_t> buildContainer(PayloadKind Kind, uint64_t CompatKey,
   for (const Section &S : Sections)
     Total = align8(Total) + S.Len;
 
-  std::vector<uint8_t> Buf(Total, 0);
+  // Only the header, the table and the alignment padding are zeroed;
+  // each section is copied once, straight after its padding.
+  std::vector<uint8_t> Buf;
+  Buf.reserve(Total);
+  Buf.resize(TableEnd, 0);
+  for (size_t I = 0; I != Sections.size(); ++I) {
+    const Section &S = Sections[I];
+    Buf.resize(align8(Buf.size()), 0);
+    const size_t Pos = Buf.size();
+    if (S.Len != 0) {
+      const auto *Data = static_cast<const uint8_t *>(S.Data);
+      Buf.insert(Buf.end(), Data, Data + S.Len);
+    }
+    uint8_t *E = Buf.data() + HeaderSize + I * EntrySize;
+    putU32(E, S.Tag);
+    putU32(E + 4, crc32(Buf.data() + Pos, S.Len));
+    putU64(E + 8, Pos);
+    putU64(E + 16, S.Len);
+  }
   uint8_t *B = Buf.data();
   std::memcpy(B, Magic.data(), Magic.size());
   putU32(B + 8, FormatVersion);
   putU32(B + 12, static_cast<uint32_t>(Kind));
   putU64(B + 16, CompatKey);
   putU32(B + 24, static_cast<uint32_t>(Sections.size()));
-  size_t Pos = TableEnd;
-  for (size_t I = 0; I != Sections.size(); ++I) {
-    const Section &S = Sections[I];
-    Pos = align8(Pos);
-    if (S.Len != 0)
-      std::memcpy(B + Pos, S.Data, S.Len);
-    uint8_t *E = B + HeaderSize + I * EntrySize;
-    putU32(E, S.Tag);
-    putU32(E + 4, crc32(B + Pos, S.Len));
-    putU64(E + 8, Pos);
-    putU64(E + 16, S.Len);
-    Pos += S.Len;
-  }
   putU32(B + TableCrcOfs, tableCrc(B, TableEnd));
   return Buf;
 }

@@ -16,6 +16,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "src/jit/JitCache.h"
 #include "src/jit/JitEmitter.h"
 #include "src/sims/SimHarness.h"
 #include "src/store/CacheStore.h"
@@ -26,6 +27,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <thread>
 #include <vector>
 
 #include <dirent.h>
@@ -339,6 +341,69 @@ TEST(Differential, SharedPlanMatchesOwnedPlan) {
       rt::Simulation Fresh(Shared, rt::Simulation::Options());
       EXPECT_TRUE(Fresh.planShared());
     }
+  }
+}
+
+TEST(Differential, SharedPlanSessionsShareTraceShapes) {
+  // Trace shapes live in the plan's code cache. Two sessions of one
+  // SharedProgram on two threads bind to, and race to compile, the same
+  // shapes; each shape compiles once, both finish bit-identical to the
+  // interpreter, and a later session binds without compiling any.
+  if (!jit::available())
+    GTEST_SKIP() << "no template-JIT backend on this host";
+  for (const workload::WorkloadSpec &Spec : testWorkloads()) {
+    SCOPED_TRACE(Spec.Name);
+    constexpr uint64_t MaxInstrs = 400'000;
+    isa::TargetImage Image = workload::generate(Spec, 2);
+    rt::Simulation::Options Interp;
+    Interp.Backend = rt::BackendKind::Interpret;
+    const FinalState Ref =
+        runOne(SimKind::OutOfOrder, Image, Interp, MaxInstrs);
+    rt::SharedProgram Shared(simulatorProgram(SimKind::OutOfOrder),
+                             workload::generate(Spec, 2));
+    rt::Simulation::Options Jit;
+    Jit.Backend = rt::BackendKind::Jit;
+    Jit.JitThreshold = 2;
+    auto jitCounter = [](const FacileSim &Sim, const char *Name) {
+      json::Value Stats;
+      std::string Err;
+      EXPECT_TRUE(json::parse(Sim.statsJson(), Stats, Err)) << Err;
+      const json::Value *V = Stats.get("jit") ? Stats.get("jit")->get(Name)
+                                              : nullptr;
+      return V ? static_cast<uint64_t>(V->intOr(0)) : 0;
+    };
+    struct Outcome {
+      FinalState State;
+      uint64_t Compiled = 0, Bindings = 0;
+    };
+    auto session = [&](Outcome &Out) {
+      FacileSim Sim(SimKind::OutOfOrder, Shared, Jit);
+      Sim.run(MaxInstrs);
+      Out.State = capture(SimKind::OutOfOrder, Sim);
+      Out.Compiled = jitCounter(Sim, "compiled_traces");
+      Out.Bindings = jitCounter(Sim, "trace_bindings");
+    };
+    Outcome A, B, Late;
+    std::thread TA([&] { session(A); });
+    std::thread TB([&] { session(B); });
+    TA.join();
+    TB.join();
+    EXPECT_EQ(A.State, Ref);
+    EXPECT_EQ(B.State, Ref);
+    EXPECT_EQ(A.State.Steps, B.State.Steps);
+    EXPECT_EQ(A.State.FastSteps, B.State.FastSteps);
+    const jit::JitCache *Code = Shared.builtJitCache();
+    ASSERT_NE(Code, nullptr);
+    const uint64_t Shapes = Code->shapeCount();
+    EXPECT_GT(Shapes, 0u);
+    EXPECT_EQ(A.Compiled + B.Compiled, Shapes);
+    EXPECT_GT(A.Bindings, 0u);
+    EXPECT_GT(B.Bindings, 0u);
+    session(Late);
+    EXPECT_EQ(Late.State, Ref);
+    EXPECT_EQ(Late.Compiled, 0u);
+    EXPECT_EQ(Late.Bindings, A.Bindings);
+    EXPECT_EQ(Code->shapeCount(), Shapes);
   }
 }
 

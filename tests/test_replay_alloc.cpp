@@ -26,19 +26,24 @@
 
 namespace {
 std::atomic<uint64_t> NewCalls{0};
-} // namespace
 
-void *operator new(std::size_t N) {
+// Out of line, so the compiler never sees a `new`ed pointer reach
+// `free` (-Wmismatched-new-delete) once a delete expression is inlined.
+[[gnu::noinline]] void *allocate(std::size_t N) {
   NewCalls.fetch_add(1, std::memory_order_relaxed);
   if (void *P = std::malloc(N ? N : 1))
     return P;
   throw std::bad_alloc();
 }
-void *operator new[](std::size_t N) { return ::operator new(N); }
-void operator delete(void *P) noexcept { std::free(P); }
-void operator delete[](void *P) noexcept { std::free(P); }
-void operator delete(void *P, std::size_t) noexcept { std::free(P); }
-void operator delete[](void *P, std::size_t) noexcept { std::free(P); }
+[[gnu::noinline]] void release(void *P) noexcept { std::free(P); }
+} // namespace
+
+void *operator new(std::size_t N) { return allocate(N); }
+void *operator new[](std::size_t N) { return allocate(N); }
+void operator delete(void *P) noexcept { release(P); }
+void operator delete[](void *P) noexcept { release(P); }
+void operator delete(void *P, std::size_t) noexcept { release(P); }
+void operator delete[](void *P, std::size_t) noexcept { release(P); }
 
 using namespace facile;
 using namespace facile::sims;

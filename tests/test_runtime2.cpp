@@ -347,3 +347,76 @@ TEST(Runtime2, ExternWithDynamicAndStaticArgsDuringReplay) {
   EXPECT_EQ(Calls[2].second, 9);
   EXPECT_EQ(Sim.stats().FastSteps, 1u);
 }
+
+namespace {
+
+/// The dividends every division below sees, one per step.
+const int64_t Dividends[] = {INT64_MIN, -33, -1, 0, 31, 32, INT64_MAX};
+constexpr int64_t Divisors[] = {1, 2, 32, int64_t(1) << 30, 12};
+
+int64_t dividend(const int64_t *A, size_t) { return Dividends[A[0] % 7]; }
+
+} // namespace
+
+TEST(Runtime2, DivisionByConstantsMatchesAcrossEngines) {
+  // The slow-step function inlines / and % by a constant power of two;
+  // every other divisor calls the evalBin helper. Each division runs with
+  // a dynamic dividend (an extern's result) and a run-time-static one (an
+  // init array the host fills), over the dividends where truncation,
+  // bias and overflow differ: INT64_MIN, -33, -1, 0, 31, 32, INT64_MAX.
+  CompiledProgram P = compileOk(R"(
+    extern dividend(int) : int;
+    init val i = 0;
+    init val t = array(7){0};
+    val qd = array(5){0};
+    val rd = array(5){0};
+    val qs = array(5){0};
+    val rs = array(5){0};
+    fun main() {
+      val a = dividend(i);
+      val s = t[i];
+      qd[0] = a / 1; rd[0] = a % 1; qs[0] = s / 1; rs[0] = s % 1;
+      qd[1] = a / 2; rd[1] = a % 2; qs[1] = s / 2; rs[1] = s % 2;
+      qd[2] = a / 32; rd[2] = a % 32; qs[2] = s / 32; rs[2] = s % 32;
+      qd[3] = a / 1073741824; rd[3] = a % 1073741824;
+      qs[3] = s / 1073741824; rs[3] = s % 1073741824;
+      qd[4] = a / 12; rd[4] = a % 12; qs[4] = s / 12; rs[4] = s % 12;
+      i = (i + 1) % 7;
+    }
+  )");
+  isa::TargetImage Img = emptyImage();
+  auto Run = [&](bool Memo, BackendKind Backend) {
+    Simulation::Options Opts;
+    Opts.Memoize = Memo;
+    Opts.Backend = Backend;
+    Opts.JitThreshold = 1;
+    Simulation Sim(P, Img, Opts);
+    Sim.registerExtern("dividend", dividend);
+    for (uint32_t E = 0; E != 7; ++E)
+      Sim.setGlobalElem("t", E, Dividends[E]);
+    std::vector<int64_t> States;
+    for (int Step = 0; Step != 21; ++Step) {
+      Sim.step();
+      EXPECT_FALSE(Sim.faulted()) << Sim.fault().Detail;
+      const int64_t A = Dividends[Step % 7];
+      for (uint32_t D = 0; D != 5; ++D) {
+        SCOPED_TRACE(std::to_string(A) + " by " + std::to_string(Divisors[D]));
+        EXPECT_EQ(Sim.getGlobalElem("qd", D), A / Divisors[D]);
+        EXPECT_EQ(Sim.getGlobalElem("rd", D), A % Divisors[D]);
+        EXPECT_EQ(Sim.getGlobalElem("qs", D), A / Divisors[D]);
+        EXPECT_EQ(Sim.getGlobalElem("rs", D), A % Divisors[D]);
+        for (const char *G : {"qd", "rd", "qs", "rs"})
+          States.push_back(Sim.getGlobalElem(G, D));
+      }
+    }
+    if (std::string(Sim.backendName()) == "jit") {
+      EXPECT_GT(Sim.jitCompiledActions(), 0u);
+    }
+    return States;
+  };
+  const std::vector<int64_t> Ref = Run(false, BackendKind::Interpret);
+  for (bool Memo : {false, true}) {
+    EXPECT_EQ(Run(Memo, BackendKind::Jit), Ref) << "memo " << Memo;
+    EXPECT_EQ(Run(Memo, BackendKind::Interpret), Ref) << "memo " << Memo;
+  }
+}

@@ -1396,6 +1396,45 @@ TEST_F(ServerTest, IdleSessionReapedAndResumedByToken) {
   EXPECT_GE(Srv->get("resumed_sessions")->intOr(0), 1);
 }
 
+TEST_F(ServerTest, RefusedResumeKeepsTheSpill) {
+  // A resume the full session table refuses must not lose the spilled
+  // session: once a slot frees, the same token resumes it.
+  TearDown();
+  ServerOptions Opts;
+  Opts.MaxSessions = 1;
+  Opts.SessionIdleTtlMs = 400;
+  startServer(std::move(Opts));
+
+  Client C = connect();
+  json::Value R = rpc(
+      C, R"({"id":1,"verb":"create","sim":"functional",)"
+         R"("workload":"compress","data_kwords":2})");
+  ASSERT_TRUE(isOk(R));
+  const int64_t S = R.get("session")->intOr(-1);
+  const std::string Token = R.get("resume_token")->str();
+  R = rpc(C, strFormat(R"({"id":2,"verb":"run","session":%lld,)"
+                       R"("steps":3000})",
+                       static_cast<long long>(S)));
+  ASSERT_TRUE(isOk(R));
+  const int64_t Steps = R.get("steps_total")->intOr(0);
+
+  // Idle past the TTL: the reaper spills it and frees the only slot.
+  std::this_thread::sleep_for(std::chrono::milliseconds(1200));
+  const int64_t Other = createSession(C);
+  ASSERT_GT(Other, 0);
+  const std::string Resume =
+      strFormat(R"({"id":4,"verb":"create","resume_token":"%s"})",
+                Token.c_str());
+  expectError(rpc(C, Resume), ErrCode::SessionLimit);
+  ASSERT_TRUE(isOk(rpc(C, strFormat(R"({"id":5,"verb":"destroy",)"
+                                    R"("session":%lld})",
+                                    static_cast<long long>(Other)))));
+  R = rpc(C, Resume);
+  ASSERT_TRUE(isOk(R)) << "the refused resume lost the spill";
+  EXPECT_TRUE(R.get("resumed")->boolOr(false));
+  EXPECT_EQ(R.get("steps_total")->intOr(0), Steps);
+}
+
 TEST_F(ServerTest, BatchReplyBytesAreCapped) {
   TearDown();
   ServerOptions Opts;

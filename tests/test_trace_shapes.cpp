@@ -227,3 +227,72 @@ TEST(TraceShapes, EvictionRebindsShapesWithoutRecompiling) {
   EXPECT_GT(jitCounter(Jit, "trace_bindings"), Bindings);
   EXPECT_GT(jitCounter(Jit, "trace_steps"), Traced);
 }
+
+TEST(TraceShapes, NodeCorruptedAfterItsReplayIsSweptAtBind) {
+  if (!jit::available())
+    GTEST_SKIP() << "no template-JIT backend on this host";
+  // At threshold 2 an entry's first replay runs interpreted and marks its
+  // nodes verified; the second binds, and the bind skips the seal sweep
+  // only for nodes verified at the current mutation epoch. Corrupt an
+  // entry's head between the two replays, through the mutable accessor
+  // fault injection corrupts with (it moves the epoch): the bind must
+  // sweep the head again and refuse the entry, so the step is absorbed
+  // exactly as in the interpreter. A bind that trusted the stale mark
+  // would run the corrupted entry natively and diverge.
+  const isa::TargetImage Image = loopImage();
+  rt::Simulation::Options JitOpts = options(rt::BackendKind::Jit);
+  JitOpts.JitThreshold = 2;
+  FacileSim Jit(SimKind::OutOfOrder, Image, JitOpts);
+  FacileSim Interp(SimKind::OutOfOrder, Image,
+                   options(rt::BackendKind::Interpret));
+  FacileSim Ref(SimKind::OutOfOrder, Image,
+                options(rt::BackendKind::Interpret, false));
+  lockstep({&Jit, &Interp, &Ref}, 20'000);
+  if (HasFatalFailure())
+    return;
+  // Start every entry's visit count afresh.
+  Jit.sim().evictCacheNow();
+  Interp.sim().evictCacheNow();
+  const rt::ActionCache &C = Jit.sim().cache();
+  auto lastUsed = [&C] {
+    rt::EntryId Hot = 0;
+    for (rt::EntryId E = 1; E < C.entryCount(); ++E)
+      if (C.entry(E).LastUse > C.entry(Hot).LastUse)
+        Hot = E;
+    return Hot;
+  };
+  std::vector<bool> Seen;
+  unsigned Corrupted = 0;
+  const uint64_t DroppedBefore = Jit.sim().stats().CorruptDropped;
+  for (unsigned I = 0; I != 20'000 && Corrupted != 8; ++I) {
+    const rt::StepEngine E = Jit.sim().step();
+    ASSERT_EQ(Interp.sim().step(), E) << "step " << I;
+    Ref.sim().step();
+    ASSERT_EQ(Jit.sim().stats().RetiredTotal,
+              Ref.sim().stats().RetiredTotal);
+    ASSERT_EQ(Jit.sim().stats().CorruptDropped,
+              Interp.sim().stats().CorruptDropped);
+    if (E != rt::StepEngine::Fast || C.entryCount() == 0)
+      continue;
+    const rt::EntryId Hot = lastUsed();
+    Seen.resize(C.entryCount());
+    if (Seen[Hot])
+      continue;
+    // Hot's first replay since the eviction: flip its head's seal in
+    // both memoized runs before its second.
+    Seen[Hot] = true;
+    const uint32_t Head = C.entry(Hot).Head;
+    ASSERT_EQ(Interp.sim().cache().entry(Hot).Head, Head);
+    Jit.sim().mutableCache().mutableSeals()[Head] ^= 1;
+    Interp.sim().mutableCache().mutableSeals()[Head] ^= 1;
+    ++Corrupted;
+  }
+  EXPECT_EQ(Corrupted, 8u);
+  lockstep({&Jit, &Interp, &Ref}, 2'000);
+  if (HasFatalFailure())
+    return;
+  EXPECT_GT(Jit.sim().stats().CorruptDropped, DroppedBefore);
+  EXPECT_EQ(Jit.sim().stats().CorruptDropped,
+            Interp.sim().stats().CorruptDropped);
+  EXPECT_GT(jitCounter(Jit, "trace_bindings"), 0u);
+}
