@@ -61,15 +61,16 @@ struct JitFrame {
   int64_t *StatGlobals = nullptr;          ///< +104 StatGlobals.data()
   int64_t *const *StatArrays = nullptr;    ///< +112 per-global-id data()
   int64_t *const *StatLocArrays = nullptr; ///< +120 per-local-array data()
-  /// +128: capture buffer base; the caller sizes it to the function's
-  /// largest action-block capture before the first recording call.
+  /// +128: capture buffer base. Recording variants write captured words
+  /// up from here and node descriptors down from NodeLog (+256); the
+  /// caller sizes the buffer to JitCache::slowCaptureWords() before the
+  /// first recording call.
   int64_t *Capture = nullptr;
   /// +136: capture cursor at exit (set by recording slow-step variants on
-  /// every exit path, bails included, so the caller can flush exactly the
+  /// every exit path, bails included, so the caller can commit exactly the
   /// words the interpreter would have pushed before a fault).
   int64_t *CaptureEnd = nullptr;
-  /// +144: the block a slow-step function left from (set on every exit
-  /// path, bails included).
+  /// +144: the block a bail left from (set on bail paths only).
   int64_t SlowBlock = 0;
   /// +152: overlay data pool, refreshed with BaseData before every trace
   /// call (trace code resolves overlay-side spans off it).
@@ -107,6 +108,13 @@ struct JitFrame {
   uint32_t *StateKey = nullptr;
   /// +248: TargetMemory's resident-page budget latch.
   const bool *MemLatch = nullptr;
+  /// +256: one past the capture buffer's last word: the top of the node
+  /// log, which recording variants grow down from one descriptor
+  /// (slowNodeDesc) per action block run.
+  uint64_t *NodeLog = nullptr;
+  /// +264: the node-log cursor at exit (recording variants, every exit
+  /// path): the call logged [NodeLogEnd, NodeLog), first node highest.
+  uint64_t *NodeLogEnd = nullptr;
 };
 
 /// One node of a trace binding: where descriptor i of a trace shape sits
@@ -156,20 +164,54 @@ using JitTraceFn = int64_t (*)(const JitFrame *Frame, const TraceBind *Table);
 
 /// The compiled slow-step function of a plan: every block of Plan.Code in
 /// one function, entered at block \p Block through an entry table indexed
-/// by block id. It returns at Ret, on a bail (< 0, a JitBail) and — in
-/// recording variants — after every action block's terminator, so the
-/// caller can record that block's node. A non-negative return value packs
-/// the exit kind (SlowExit) in its low two bits and the next block above
-/// them; Frame->SlowBlock names the block left from.
+/// by block id. Control moves between blocks natively; the function
+/// returns at Ret (SlowRet), on a bail (< 0, a JitBail, with
+/// Frame->SlowBlock naming the block that bailed) and — recording
+/// variants only — with SlowFlush when the capture buffer has no room for
+/// the next action block's worst-case capture plus its descriptor. A
+/// flush return packs the block to resume at above the two SlowExit bits;
+/// the caller commits the log and calls again at that block.
+///
+/// A recording variant logs every action block it runs, at the block's
+/// terminator: the block's captured words at Frame->Capture onward, and
+/// one descriptor (slowNodeDesc) down from Frame->NodeLog. On every exit
+/// the cursors are left in CaptureEnd and NodeLogEnd; after a bail the
+/// words past the last logged block are the bailing block's partial
+/// capture.
 using JitSlowFn = int64_t (*)(const JitFrame *Frame, uint64_t Block);
 
-/// How a slow-step function left a block (low two bits of its return).
+/// Why a slow-step function returned (low two bits of a non-negative
+/// return value).
 enum SlowExit : int64_t {
+  SlowRet = 0,   ///< Ret: the step is over
+  SlowFlush = 1, ///< recording: the node log is full; resume at R >> 2
+};
+
+/// How a logged action block left: its node's kind and link.
+enum SlowNodeKind : uint64_t {
   SlowPlain = 0, ///< Jump or rt-static Branch: a plain node
   SlowEdge0 = 1, ///< dynamic-result Branch not taken: a Test node, edge 0
   SlowEdge1 = 2, ///< dynamic-result Branch taken: a Test node, edge 1
-  SlowRet = 3,   ///< Ret: the step is over
+  SlowEnd = 3,   ///< Ret: the End node of the step
 };
+
+/// One node-log descriptor, a compile-time immediate per branch arm: the
+/// action id in the low 32 bits, the SlowNodeKind in bits 32-33 and the
+/// number of words the block captured above them.
+constexpr uint64_t slowNodeDesc(uint32_t ActionId, SlowNodeKind Kind,
+                                uint32_t Words) {
+  return ActionId | (static_cast<uint64_t>(Kind) << 32) |
+         (static_cast<uint64_t>(Words) << 34);
+}
+constexpr int32_t slowNodeAction(uint64_t D) {
+  return static_cast<int32_t>(static_cast<uint32_t>(D));
+}
+constexpr SlowNodeKind slowNodeKind(uint64_t D) {
+  return static_cast<SlowNodeKind>((D >> 32) & 3);
+}
+constexpr uint32_t slowNodeWords(uint64_t D) {
+  return static_cast<uint32_t>(D >> 34);
+}
 
 /// Negative return values of a JitTraceFn or JitSlowFn.
 enum JitBail : int64_t {
@@ -224,8 +266,9 @@ struct JitSession {
   static constexpr uint32_t NoLink = ~0u;
   uint32_t LinkFrom = NoLink;
   uint32_t LinkExit = 0;
-  /// Placeholder capture buffer for recording slow-step variants; sized
-  /// once to the function's largest action-block capture.
+  /// Capture buffer and node log of recording slow-step variants (words
+  /// up from the front, descriptors down from the back); sized once to
+  /// JitCache::slowCaptureWords().
   std::vector<int64_t> Capture;
 };
 

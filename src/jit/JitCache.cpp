@@ -24,9 +24,9 @@ JitCache::JitCache(const CompiledProgram &Prog, const rt::ExecPlan &Plan,
   for (const auto &L : Prog.Step.LocalArrays)
     Ctx.LocArraySizes.push_back(L.Size);
 
-  Ctx.ActionBlocks.reserve(Prog.Actions.Blocks.size());
+  Ctx.BlockActions.reserve(Prog.Actions.Blocks.size());
   for (const ActionBlockInfo &B : Prog.Actions.Blocks)
-    Ctx.ActionBlocks.push_back(B.ActionId != ActionBlockInfo::NoAction);
+    Ctx.BlockActions.push_back(B.ActionId);
 
   // The compared key words, in key order: every init global that is not
   // key-static (Simulation's chain fields).
@@ -83,7 +83,7 @@ void JitCache::compileSlowLocked() {
 
   SlowWords = CapWords[1];
   CompiledBlocks.store(
-      std::min(Ctx.Plan->BlockOfs.size() - 1, Ctx.ActionBlocks.size()),
+      std::min(Ctx.Plan->BlockOfs.size() - 1, Ctx.BlockActions.size()),
       std::memory_order_relaxed);
   CodeBytes.fetch_add(All.size(), std::memory_order_relaxed);
   // Release: a reader that sees any pointer sees the code bytes, the

@@ -87,7 +87,7 @@ public:
   JitSlowFn slowFn(bool Recording) const {
     return SlowFns[Recording].load(std::memory_order_acquire);
   }
-  /// The most placeholder words one recording call can capture.
+  /// The capture buffer (words and node log) a recording call needs.
   /// Meaningful once slowFn() returned non-null.
   uint32_t slowCaptureWords() const { return SlowWords; }
   /// Counts one interpreted slow step; compiles both functions once the

@@ -58,6 +58,8 @@ static_assert(offsetof(JitFrame, ChainTick) == 224, "frame layout is ABI");
 static_assert(offsetof(JitFrame, Steps) == 232, "frame layout is ABI");
 static_assert(offsetof(JitFrame, StateKey) == 240, "frame layout is ABI");
 static_assert(offsetof(JitFrame, MemLatch) == 248, "frame layout is ABI");
+static_assert(offsetof(JitFrame, NodeLog) == 256, "frame layout is ABI");
+static_assert(offsetof(JitFrame, NodeLogEnd) == 264, "frame layout is ABI");
 static_assert(offsetof(TraceBind, SpanOfs) == 4, "binding layout is ABI");
 static_assert(offsetof(TraceSlot, Gen) == 8, "slot layout is ABI");
 static_assert(offsetof(TraceSlot, Epoch) == 16, "slot layout is ABI");
@@ -123,6 +125,7 @@ enum Cond : uint8_t {
   CcAE = 0x3,
   CcE = 0x4,
   CcNE = 0x5,
+  CcA = 0x7,
   CcL = 0xC,
   CcGE = 0xD,
   CcLE = 0xE,
@@ -329,6 +332,17 @@ public:
     u8(0x8B);
     memRM(D, Base, Disp);
   }
+  /// lea D, [Base + disp32] with the displacement left to patch32();
+  /// returns its position. Base must not be rsp/r12 (no SIB form).
+  size_t leaRM32(unsigned D, unsigned Base) {
+    rex(true, D, 0, Base);
+    u8(0x8D);
+    u8(0x80 | ((D & 7) << 3) | (Base & 7));
+    size_t P = size();
+    u32(0);
+    return P;
+  }
+  void patch32(size_t Pos, int32_t V) { std::memcpy(&Code[Pos], &V, 4); }
   void leaIdx8(unsigned D, unsigned Base, unsigned Idx) {
     rex(true, D, Idx, Base); // lea D, [Base+Idx*8]
     u8(0x8D);
@@ -467,7 +481,8 @@ public:
 
   /// Compiles the plan's whole slow stream into one function; see
   /// jit::emitSlowStep. Register plan: rbp = StatSlots base, r13 = capture
-  /// cursor (recording variants only); the rest as for fast streams.
+  /// cursor and r15 = node-log cursor (recording variants only); the rest
+  /// as for fast streams.
   bool compileSlowStep(bool Recording, uint32_t &CaptureWordsOut);
 
   std::vector<size_t> FetchBails;
@@ -1009,9 +1024,9 @@ bool ActionCompiler::compileSlowStep(bool Rec, uint32_t &CaptureWordsOut) {
   if (P.BlockOfs.size() < 2)
     return false;
   // The slow engine's block table: blocks the plan frames *and* the action
-  // table describes. Exits pack the next block above two kind bits.
+  // table describes. A flush exit packs its resume block above two bits.
   const size_t NumBlocks =
-      std::min(P.BlockOfs.size() - 1, Ctx.ActionBlocks.size());
+      std::min(P.BlockOfs.size() - 1, Ctx.BlockActions.size());
   if (NumBlocks == 0 || NumBlocks >= (size_t(1) << 29))
     return false;
   Slow = true;
@@ -1019,9 +1034,10 @@ bool ActionCompiler::compileSlowStep(bool Rec, uint32_t &CaptureWordsOut) {
   ConstBlock.assign(Ctx.NumSlots, 0);
 
   // Prologue mirrors the trace compiler's (6 pushes + 136 keeps rsp
-  // 16-aligned at call sites) with rbp = StatSlots and r13 = the capture
-  // cursor, then dispatches on the entry block (rsi) through a table of
-  // rel32 offsets from the table's own start.
+  // 16-aligned at call sites) with rbp = StatSlots, r13 = the capture
+  // cursor and r15 = the node-log cursor, then dispatches on the entry
+  // block (rsi) through a table of rel32 offsets from the table's own
+  // start.
   A.push(RBX);
   A.push(RBP);
   A.push(R12);
@@ -1032,8 +1048,10 @@ bool ActionCompiler::compileSlowStep(bool Rec, uint32_t &CaptureWordsOut) {
   A.movRM(R12, RBX, 0);
   A.movRM(R14, RBX, 8);
   A.movRM(RBP, RBX, 96);
-  if (Rec)
+  if (Rec) {
     A.movRM(R13, RBX, 128);
+    A.movRM(R15, RBX, 256);
+  }
   A.subRI32(RSP, 136);
   const size_t TableRef = A.leaRip(RAX);
   A.movsxdIdx4(RCX, RAX, RSI);
@@ -1051,6 +1069,7 @@ bool ActionCompiler::compileSlowStep(bool Rec, uint32_t &CaptureWordsOut) {
   std::vector<Pending> Jumps;
   std::vector<size_t> Label(NumBlocks);
   std::vector<size_t> Exits; ///< jumps to the shared epilogue
+  std::vector<Pending> Flushes; ///< full-log checks, by resume block
   /// Bail sites of one block and kind, funnelled through one stub that
   /// names the block.
   struct BailGroup {
@@ -1070,9 +1089,19 @@ bool ActionCompiler::compileSlowStep(bool Rec, uint32_t &CaptureWordsOut) {
     const int32_t Rel = static_cast<int32_t>(Label[B] - Table);
     std::memcpy(&A.Code[Table + 4 * B], &Rel, 4);
 
-    // Only action blocks record a node, so only they capture — and in a
-    // recording variant each one hands control back after its terminator.
-    Recording = Rec && Ctx.ActionBlocks[B];
+    // Only action blocks record a node, so only they capture and log. A
+    // recording action block first checks that its worst-case capture
+    // and descriptor fit between the cursors (the bound is patched in
+    // once the body is emitted); if not, it returns a flush naming
+    // itself, so the caller commits the log and re-enters here.
+    const int32_t ActionId = Ctx.BlockActions[B];
+    Recording = Rec && ActionId >= 0;
+    size_t Room = 0;
+    if (Recording) {
+      Room = A.leaRM32(RAX, R13);
+      A.alu(0x39, RAX, R15); // cmp rax, r15
+      Flushes.push_back({A.jcc(CcA), B});
+    }
     CapWords = 0;
     for (uint32_t Idx = Begin; Idx != End - 1; ++Idx) {
       const XInst &I = P.Code[Idx];
@@ -1105,8 +1134,14 @@ bool ActionCompiler::compileSlowStep(bool Rec, uint32_t &CaptureWordsOut) {
         return false;
     }
     InStatic = false;
-    if (Recording)
+    if (Recording) {
+      // The capture is straight-line, so its size is a constant of the
+      // block: the descriptor carries it and the room check reserves it.
+      if (CapWords > (1u << 26))
+        return false;
+      A.patch32(Room, 8 * static_cast<int32_t>(CapWords + 1));
       MaxCap = std::max(MaxCap, CapWords);
+    }
     if (!FetchBails.empty())
       Bails.push_back({B, BailFetchOob, std::move(FetchBails)});
     if (!ExternBails.empty())
@@ -1114,13 +1149,14 @@ bool ActionCompiler::compileSlowStep(bool Rec, uint32_t &CaptureWordsOut) {
     FetchBails.clear();
     ExternBails.clear();
 
-    // Terminator: a native jump within the function, or (action blocks of
-    // a recording variant, and Ret) an exit naming this block, the exit
-    // kind and the next block.
-    auto exitTo = [&](SlowExit Kind, uint32_t Next) {
-      A.movMI32(RBX, 144, static_cast<int32_t>(B));
-      A.movRI32(RAX, (Next << 2) | static_cast<uint32_t>(Kind));
-      Exits.push_back(A.jmp());
+    // Terminator: a native jump within the function, or at Ret an exit.
+    // A recording action block logs its node's descriptor first, on each
+    // arm of a dynamic-result Branch (the arm decides the node's edge).
+    auto logNode = [&](SlowNodeKind Kind) {
+      A.movRI64(RAX, slowNodeDesc(static_cast<uint32_t>(ActionId), Kind,
+                                  CapWords));
+      A.subRI32(R15, 8);
+      A.movMR(R15, 0, RAX);
     };
     auto jumpTo = [&](uint32_t Target) {
       if (Target != B + 1)
@@ -1132,41 +1168,48 @@ bool ActionCompiler::compileSlowStep(bool Rec, uint32_t &CaptureWordsOut) {
       if (T.Target >= NumBlocks)
         return false;
       if (Recording)
-        exitTo(SlowPlain, T.Target);
-      else
-        jumpTo(T.Target);
+        logNode(SlowPlain);
+      jumpTo(T.Target);
       break;
     case XOp::Branch: {
       if (T.Target >= NumBlocks || T.Target2 >= NumBlocks || !slotOk(T.A))
         return false;
+      if (Recording && !T.Dynamic)
+        logNode(SlowPlain);
       A.movRM(RAX, T.Dynamic ? R12 : RBP, 8 * static_cast<int32_t>(T.A));
       A.alu(0x85, RAX, RAX); // test rax, rax
-      if (Recording) {
+      if (Recording && T.Dynamic) {
         // A dynamic-result test makes the node a Test node.
         size_t NotTaken = A.jcc(CcE);
-        exitTo(T.Dynamic ? SlowEdge1 : SlowPlain, T.Target);
+        logNode(SlowEdge1);
+        Jumps.push_back({A.jmp(), T.Target});
         A.patchHere(NotTaken);
-        exitTo(T.Dynamic ? SlowEdge0 : SlowPlain, T.Target2);
+        logNode(SlowEdge0);
       } else {
         Jumps.push_back({A.jcc(CcNE), T.Target});
-        jumpTo(T.Target2);
       }
+      jumpTo(T.Target2);
       break;
     }
     case XOp::Ret:
-      exitTo(SlowRet, 0);
+      if (Recording)
+        logNode(SlowEnd);
+      A.movRI32(RAX, static_cast<uint32_t>(SlowRet));
+      Exits.push_back(A.jmp());
       break;
     default:
       return false; // a block without a terminator
     }
   }
 
-  // Shared epilogue; every exit and bail funnels through it with rax and
-  // Frame.SlowBlock set, publishing the capture cursor so the caller can
-  // flush exactly what the interpreter would have pushed.
+  // Shared epilogue; every exit, flush and bail funnels through it with
+  // rax set, publishing both cursors so the caller can commit exactly
+  // what the interpreter would have recorded.
   const size_t Epilogue = A.size();
-  if (Rec)
+  if (Rec) {
     A.movMR(RBX, 136, R13);
+    A.movMR(RBX, 264, R15);
+  }
   A.addRI32(RSP, 136);
   A.pop(R15);
   A.pop(R14);
@@ -1177,6 +1220,11 @@ bool ActionCompiler::compileSlowStep(bool Rec, uint32_t &CaptureWordsOut) {
   A.ret();
   for (size_t Pos : Exits)
     A.patch(Pos, Epilogue);
+  for (const Pending &F : Flushes) {
+    A.patchHere(F.Pos);
+    A.movRI32(RAX, (F.Target << 2) | static_cast<uint32_t>(SlowFlush));
+    A.patch(A.jmp(), Epilogue);
+  }
   for (const BailGroup &G : Bails) {
     for (size_t Pos : G.Sites)
       A.patchHere(Pos);
@@ -1187,7 +1235,10 @@ bool ActionCompiler::compileSlowStep(bool Rec, uint32_t &CaptureWordsOut) {
   for (const Pending &J : Jumps)
     A.patch(J.Pos, Label[J.Target]);
 
-  CaptureWordsOut = MaxCap;
+  // The buffer holds the largest block's capture and descriptor, so a
+  // flushed block always fits on re-entry; and room for whole steps, so
+  // flushes stay rare.
+  CaptureWordsOut = std::max(MaxCap + 1, SlowLogWords);
   return true;
 }
 

@@ -56,28 +56,35 @@ struct EmitContext {
   std::vector<uint32_t> ArraySizes;
   /// Element count per local-array id.
   std::vector<uint32_t> LocArraySizes;
-  /// Per block id: true when the block is an action block (the slow
-  /// engine records a node for it).
-  std::vector<bool> ActionBlocks;
+  /// Per block id: the action id of an action block (the slow engine
+  /// records a node for it), -1 for a fully rt-static block.
+  std::vector<int32_t> BlockActions;
   JitRuntimeHooks Hooks;
 };
+
+/// Smallest capture buffer, in words, a recording slow-step function is
+/// given: room for a typical recorded step's words and descriptors, so
+/// most steps commit once.
+inline constexpr uint32_t SlowLogWords = 1024;
 
 /// Compiles the whole slow stream of the plan — every block of Plan.Code —
 /// into one JitSlowFn (see JitAbi.h) in \p Code: block bodies use the same
 /// templates as trace nodes, run-time-static instructions against the
 /// frame's Stat* state and dynamic ones against the shared state; Jump and
-/// Branch terminators become native jumps between block labels. A \p Recording
-/// variant returns after every action block's terminator and writes every
-/// word the recording interpreter would pushData() for that block — static
-/// operands in placeholder order, memoized sync values — to
-/// Frame.Capture, leaving the final cursor in Frame.CaptureEnd on every
-/// exit path; the caller flushes those through the cache (preserving seal
-/// and peak accounting). A non-recording variant runs from its entry block
-/// to Ret in one call. \p CaptureWordsOut receives the largest number of
-/// words one recording call can capture. Returns false when any block
-/// contains anything the templates cannot express bit-exactly or any
-/// control transfer leaves the block table; the plan then stays
-/// interpreted.
+/// Branch terminators become native jumps between block labels, and the
+/// function runs from its entry block to Ret in one call. A \p Recording
+/// variant also logs each action block it runs without leaving: every word
+/// the recording interpreter would pushData() for the block — static
+/// operands in placeholder order, memoized sync values — goes to the
+/// capture buffer, and at the terminator one descriptor (action id, node
+/// kind or edge, word count: immediates per branch arm) goes to the node
+/// log. It returns early only with a flush, before an action block whose
+/// capture might not fit. The caller commits the log through the cache in
+/// one pass (preserving seal and peak accounting). \p CaptureWordsOut
+/// receives the buffer size, in words, the caller must provide. Returns
+/// false when any block contains anything the templates cannot express
+/// bit-exactly or any control transfer leaves the block table; the plan
+/// then stays interpreted.
 bool emitSlowStep(const EmitContext &Ctx, bool Recording,
                   std::vector<uint8_t> &Code, uint32_t &CaptureWordsOut);
 

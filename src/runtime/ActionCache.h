@@ -124,6 +124,30 @@ struct CacheEntry {
 
 static_assert(sizeof(CacheEntry) == 16, "entries are stored flat on disk");
 
+namespace detail {
+
+/// Action ids whose seal identities are precomputed (SealIdentities);
+/// larger ids, and corrupt ones, compute theirs.
+inline constexpr uint32_t SealTableActions = 1024;
+
+/// Per (action id, kind): [2 * (Action * 3 + Kind)] the FNV mix of the
+/// action id and kind, [+1] that mix closed with NextKey == NoId — the
+/// whole identity of every Plain and Test node.
+struct SealIdentities {
+  uint64_t Mix[2 * 3 * SealTableActions] = {};
+  constexpr SealIdentities() {
+    for (uint32_t A = 0; A != SealTableActions; ++A)
+      for (uint32_t K = 0; K != 3; ++K) {
+        const uint64_t Prefix = hashCombine(hashCombine(FNVOffset, A), K);
+        Mix[2 * (A * 3 + K)] = Prefix;
+        Mix[2 * (A * 3 + K) + 1] = hashCombine(Prefix, NoId);
+      }
+  }
+};
+inline constexpr SealIdentities SealIdentityTable;
+
+} // namespace detail
+
 /// The key-indexed store of specialized actions.
 class ActionCache {
 public:
@@ -365,6 +389,32 @@ public:
     return Idx;
   }
 
+  /// Bulk appendNode for a batch of nodes recorded back to back: \p N
+  /// nodes (ActionId -1) with one resize of the arena, seal and
+  /// verification arrays, and the \p NWords placeholder words they hold,
+  /// in node order, with one insert at the pool end. Every array grows
+  /// to the capacity appending one element at a time would have given
+  /// it, so bulk recording leaves the heap as appendNode/pushData do.
+  /// Returns the first node's global id. The caller sets each node's
+  /// action, kind and span, links it and seals it with the span's xor —
+  /// nothing folds into the pending xor. Samples the footprint once, at
+  /// the end.
+  uint32_t appendNodes(size_t N, const int64_t *Words, size_t NWords) {
+    uint32_t Idx = static_cast<uint32_t>(Base.NumNodes + NodeArena.size());
+    const size_t Nodes = NodeArena.size() + N;
+    reserveAsAppends(NodeArena, Nodes);
+    reserveAsAppends(NodeSeal, Nodes);
+    reserveAsAppends(VerifyMark, Nodes);
+    reserveAsAppends(DataPool, DataPool.size() + NWords);
+    NodeArena.resize(Nodes);
+    NodeSeal.resize(Nodes, 0);
+    VerifyMark.resize(Nodes, 0);
+    DataPool.insert(DataPool.end(), Words, Words + NWords);
+    PendingXor = 0;
+    notePeak();
+    return Idx;
+  }
+
   /// Mutable access is overlay-only: base nodes are never written (the
   /// backing mapping is typically PROT_READ).
   ActionNode &node(uint32_t I) {
@@ -435,18 +485,6 @@ public:
     PendingXor ^= static_cast<uint64_t>(V);
     notePeak();
   }
-  /// Bulk pushData: appends [V, V+N) in one insert and folds the whole
-  /// span into the pending seal xor. Equivalent to N pushData calls —
-  /// the pool grows monotonically, so one peak sample at the end sees
-  /// the same maximum. The JIT's block-capture flush is the hot caller.
-  void pushDataSpan(const int64_t *V, size_t N) {
-    DataPool.insert(DataPool.end(), V, V + N);
-    uint64_t X = 0;
-    for (size_t I = 0; I != N; ++I)
-      X ^= static_cast<uint64_t>(V[I]);
-    PendingXor ^= X;
-    notePeak();
-  }
   /// Global pool size: base words below, overlay words above. A node's
   /// span never straddles the boundary (overlay nodes allocate at the
   /// global end; base spans are validated against the base extent).
@@ -502,11 +540,17 @@ public:
   /// plus the End node's NextKey. The INDEX chain compares only the
   /// dynamic key words against NextKey and the key-static rest is restored
   /// from it, so a NextKey flipped onto another key must fail the seal.
+  /// The (ActionId, kind) prefix comes from a table, and the whole value
+  /// when NextKey is NoId; ids past the table and illegal kinds (a
+  /// corrupt node under verification) compute it.
   static uint64_t identityMix(const ActionNode &N) {
-    return hashCombine(
-        hashCombine(hashCombine(FNVOffset, static_cast<uint32_t>(N.ActionId)),
-                    static_cast<uint64_t>(N.K)),
-        N.NextKey);
+    const uint32_t A = static_cast<uint32_t>(N.ActionId);
+    const uint32_t K = static_cast<uint8_t>(N.K);
+    if (A < detail::SealTableActions && K < 3) {
+      const uint64_t *Mix = &detail::SealIdentityTable.Mix[2 * (A * 3 + K)];
+      return N.NextKey == NoId ? Mix[1] : hashCombine(Mix[0], N.NextKey);
+    }
+    return hashCombine(hashCombine(hashCombine(FNVOffset, A), K), N.NextKey);
   }
 
   /// Closes node \p I's seal: the placeholder-data xor accumulated since
@@ -514,8 +558,13 @@ public:
   /// Call exactly once per node, after its kind and data span are final.
   /// Overlay-only (base nodes were sealed by whoever recorded them).
   void sealNode(uint32_t I, uint64_t LinkTag) {
-    NodeSeal[I - Base.NumNodes] = PendingXor ^ identityMix(node(I)) ^ LinkTag;
+    sealNode(I, LinkTag, PendingXor);
     PendingXor = 0;
+  }
+  /// Same, for a node whose data xor \p DataXor the caller computed
+  /// (nodes added by appendNodes).
+  void sealNode(uint32_t I, uint64_t LinkTag, uint64_t DataXor) {
+    NodeSeal[I - Base.NumNodes] = DataXor ^ identityMix(node(I)) ^ LinkTag;
   }
   uint64_t nodeSeal(uint32_t I) const {
     return I < Base.NumNodes ? Base.Seals[I] : NodeSeal[I - Base.NumNodes];
@@ -583,6 +632,15 @@ public:
   /// True when the budget is exhausted; the owner should clear().
   bool overBudget() const { return bytes() > Budget; }
 
+  /// Samples the footprint into Stats::PeakBytes. Every growth path
+  /// samples on its own; a bulk recorder calls this where the one-by-one
+  /// path's last sample of a step would fall.
+  void notePeak() {
+    size_t B = bytes();
+    if (B > S.PeakBytes)
+      S.PeakBytes = B;
+  }
+
   /// Notes the peak footprint, then drops every entry, key and node (the
   /// paper's clear-on-full policy). With a base attached this resets to
   /// the base image instead: the overlay is dropped and the entry table
@@ -648,10 +706,16 @@ public:
                        std::string Group) const;
 
 private:
-  void notePeak() {
-    size_t B = bytes();
-    if (B > S.PeakBytes)
-      S.PeakBytes = B;
+  /// Grows \p V's capacity to hold \p Size elements as appending them
+  /// one at a time would: a full vector doubles.
+  template <typename T>
+  static void reserveAsAppends(std::vector<T> &V, size_t Size) {
+    size_t Cap = V.capacity();
+    if (Size <= Cap)
+      return;
+    for (Cap = Cap ? Cap : 1; Cap < Size;)
+      Cap *= 2;
+    V.reserve(Cap);
   }
 
   void growTable();

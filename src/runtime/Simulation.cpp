@@ -209,23 +209,42 @@ namespace {
 static_assert(std::endian::native == std::endian::little,
               "key fields are stored as little-endian host words");
 
-/// The narrowest signed width in bytes (1, 2, 4 or 8) that holds each of
-/// the \p N words at \p W. V ^ (V >> 63) is V for V >= 0 and -V - 1
-/// otherwise, and V fits b signed bits iff that is below 2^(b-1); the OR
-/// over the field bounds the largest of them.
-unsigned fieldWidth(const int64_t *W, uint32_t N) {
-  uint64_t M = 0;
-  for (uint32_t I = 0; I != N; ++I)
-    M |= static_cast<uint64_t>(W[I] ^ (W[I] >> 63));
-  return 1 + (M > 0x7f) + 2 * (M > 0x7fff) + 4 * (M > 0x7fffffff);
-}
-
 template <typename T> char *putWords(char *P, const int64_t *W, uint32_t N) {
   for (uint32_t I = 0; I != N; ++I, P += sizeof(T)) {
     const T V = static_cast<T>(W[I]);
     std::memcpy(P, &V, sizeof(T)); // key pool bytes carry no alignment
   }
   return P;
+}
+
+/// Writes the \p N words at \p W to \p P as a width-tagged key field:
+/// the narrowest signed width in bytes (1, 2, 4 or 8) that holds each of
+/// them, then the words at that width. V ^ (V >> 63) is V for V >= 0 and
+/// -V - 1 otherwise, and V fits b signed bits iff that is below 2^(b-1);
+/// the OR over the field bounds the largest of them. Most fields fit a
+/// byte, so the bytes are written in the same pass that finds the width,
+/// and rewritten wider only when they do not fit (the key buffer has
+/// room for every field at 8 bytes a word). Returns the end of the field.
+char *putField(char *P, const int64_t *W, uint32_t N) {
+  char *const Tag = P++;
+  uint64_t M = 0;
+  for (uint32_t I = 0; I != N; ++I) {
+    M |= static_cast<uint64_t>(W[I] ^ (W[I] >> 63));
+    P[I] = static_cast<char>(W[I]);
+  }
+  const unsigned Width =
+      1 + (M > 0x7f) + 2 * (M > 0x7fff) + 4 * (M > 0x7fffffff);
+  *Tag = static_cast<char>(Width);
+  switch (Width) {
+  case 1:
+    return P + N;
+  case 2:
+    return putWords<int16_t>(P, W, N);
+  case 4:
+    return putWords<int32_t>(P, W, N);
+  default:
+    return putWords<int64_t>(P, W, N);
+  }
 }
 
 template <typename T>
@@ -245,34 +264,23 @@ int64_t *Simulation::storeWords(uint32_t G, bool Static) {
   return &(Static ? StatGlobals : DynGlobals)[G];
 }
 
-size_t Simulation::serializeKey() {
-  // Runs at the end of recorded steps and on INDEX-chain misses.
+Simulation::SerializedKey Simulation::serializeKey() {
+  // Runs at the end of recorded steps and on INDEX-chain misses. The
+  // stripes of the hash run while their bytes are still in registers and
+  // L1, instead of in a second pass over the finished key.
   char *const Begin = KeyBuf.data();
   char *P = Begin;
+  KeyHasher H(Begin);
   for (const KeyField &F : ChainFields) {
     std::memcpy(P, storeWords(F.Global, false), F.Words * 8);
     P += F.Words * 8;
+    H.feed(P);
   }
   for (const KeyField &F : KeyStaticFields) {
-    const int64_t *W = storeWords(F.Global, false);
-    const unsigned Width = fieldWidth(W, F.Words);
-    *P++ = static_cast<char>(Width);
-    switch (Width) {
-    case 1:
-      P = putWords<int8_t>(P, W, F.Words);
-      break;
-    case 2:
-      P = putWords<int16_t>(P, W, F.Words);
-      break;
-    case 4:
-      P = putWords<int32_t>(P, W, F.Words);
-      break;
-    default:
-      P = putWords<int64_t>(P, W, F.Words);
-      break;
-    }
+    P = putField(P, storeWords(F.Global, false), F.Words);
+    H.feed(P);
   }
-  return static_cast<size_t>(P - Begin);
+  return {static_cast<size_t>(P - Begin), H.finish(P)};
 }
 
 bool Simulation::decodeKeyFields(KeyId K, bool Static) {
@@ -762,8 +770,9 @@ StepEngine Simulation::step() {
     materialize();
     if (Fault)
       return StepEngine::Faulted;
-    KeyLen = serializeKey();
-    KeyHash = hashKey(KeyBuf.data(), KeyLen);
+    const SerializedKey Serialized = serializeKey();
+    KeyLen = Serialized.Len;
+    KeyHash = Serialized.Hash;
     Key = Cache.findKey(KeyBuf.data(), KeyLen, KeyHash);
   }
   EntryId Entry = NoId;

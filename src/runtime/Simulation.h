@@ -448,9 +448,14 @@ private:
   /// Accounts \p N steps that ran to completion after native chain jumps
   /// (their Steps and StateKey are kept by the chain stub itself).
   void noteChainedSteps(uint64_t N);
+  /// A key serializeKey() left in KeyBuf: its length and hashKey value.
+  struct SerializedKey {
+    size_t Len = 0;
+    uint64_t Hash = 0;
+  };
   /// Encodes the dynamic store's init globals into KeyBuf (layout at
-  /// KeyField) and returns the key's length.
-  size_t serializeKey();
+  /// KeyField), hashing each finished stripe as it goes.
+  SerializedKey serializeKey();
   /// Decodes every init global of interned key \p Key into the rt-static
   /// store. False when the key is malformed (decodeKeyFields).
   bool seedStaticFromKey(KeyId Key);

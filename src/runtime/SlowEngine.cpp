@@ -10,9 +10,11 @@
 //
 // Once the plan's slow-step function is compiled (JitCache), a session
 // with the JIT armed runs the stream natively instead: block to block in
-// one call, returning here only after a recording step's action blocks (to
-// record their nodes), at Ret and on a bail. Miss recovery stays
-// interpreted; the recording that resumes after the miss point goes native.
+// one call, returning here at Ret, on a bail, and — recording, rarely — to
+// flush a full node log. A recording call logs each action block's
+// captured words and a node descriptor as it goes; one commit pass here
+// turns the log into cache nodes. Miss recovery stays interpreted; the
+// recording that resumes after the miss point goes native.
 //
 // Every condition that used to be an assert but is reachable from user
 // input — a corrupted recovery prefix, an illegal opcode in a loaded plan,
@@ -75,13 +77,12 @@ void Simulation::runSlow(EntryId Rec, const ReplayedStep *Recovery) {
   // The link tag of the node currently being recorded (sealed with it).
   uint64_t NodeTag = 0;
 
-  // Appends a new arena node linked at the current attach point. The
-  // attach point may be a base node (miss recovery extends a mapped
-  // entry's Test), so links go through the cache's setters: overlay
-  // parents are written in place, base parents get an edge patch. The
-  // seal tag is the same either way — tags are over global ids.
-  auto appendNode = [&](int32_t ActionId) -> uint32_t {
-    uint32_t Idx = Cache.appendNode(ActionId);
+  // Links arena node \p Idx at the current attach point. The attach point
+  // may be a base node (miss recovery extends a mapped entry's Test), so
+  // links go through the cache's setters: overlay parents are written in
+  // place, base parents get an edge patch. The seal tag is the same
+  // either way — tags are over global ids.
+  auto link = [&](uint32_t Idx) {
     if (PrevNode == ActionNode::NoNode) {
       assert(Cache.entry(Rec).Head == ActionNode::NoNode &&
              "entry already has a head");
@@ -96,6 +97,10 @@ void Simulation::runSlow(EntryId Rec, const ReplayedStep *Recovery) {
     }
     PrevNode = Idx;
     PrevEdge = -1;
+  };
+  auto appendNode = [&](int32_t ActionId) -> uint32_t {
+    uint32_t Idx = Cache.appendNode(ActionId);
+    link(Idx);
     return Idx;
   };
 
@@ -116,18 +121,20 @@ void Simulation::runSlow(EntryId Rec, const ReplayedStep *Recovery) {
   };
   // Ret ends the step in every mode: key-static globals, which have no
   // flush, take their static values in the dynamic store. A Ret block's
-  // node then names the next step's key and arms the INDEX chain.
-  auto endNode = [&](uint32_t NodeIdx) {
+  // node then names the next step's key (hashed as it is serialized) and
+  // arms the INDEX chain; the caller seals it. False without a node.
+  auto endStep = [&](uint32_t NodeIdx) {
     writeBackKeyStatic();
     if (NodeIdx == ActionNode::NoNode)
-      return;
-    KeyId Next = Cache.internKey(KeyBuf.data(), serializeKey());
+      return false;
+    const SerializedKey Key = serializeKey();
+    KeyId Next = Cache.internKey(KeyBuf.data(), Key.Len, Key.Hash);
     ActionNode &N = Cache.node(NodeIdx);
     N.K = ActionNode::Kind::End;
     N.NextKey = Next;
     N.DataLen = Cache.dataSize() - N.DataOfs;
-    Cache.sealNode(NodeIdx, NodeTag);
     PendingEndNode = NodeIdx;
+    return true;
   };
 
   // The plan's compiled slow-step function for this step's shape, once
@@ -144,47 +151,103 @@ void Simulation::runSlow(EntryId Rec, const ReplayedStep *Recovery) {
     if (Native && Record && Jit->Capture.size() < JC.slowCaptureWords()) {
       Jit->Capture.resize(JC.slowCaptureWords());
       Jit->Frame.Capture = Jit->Capture.data();
+      Jit->Frame.NodeLog = reinterpret_cast<uint64_t *>(
+          Jit->Capture.data() + Jit->Capture.size());
     }
   }
+
+  // Commits what one recording native call logged, in one pass: a node per
+  // logged action block and, after a bail inside an action block, the
+  // partial node the interpreter appended before the fault (linked, holding
+  // the words captured so far, never closed). Each node is spanned, linked
+  // and sealed as appendNode/closeNode would; the End node of a Ret is
+  // returned open, with its data xor in \p EndXor, for endStep. The
+  // footprint is sampled where the interpreter's last sample would fall:
+  // after the last node's words, or before its link when it has none.
+  auto commitNative = [&](bool Bailed, uint64_t &EndXor) {
+    const jit::JitFrame &F = Jit->Frame;
+    const uint64_t *Log = F.NodeLog;
+    const size_t Logged = static_cast<size_t>(Log - F.NodeLogEnd);
+    const int32_t PartialAction =
+        Bailed ? Prog.Actions.Blocks[F.SlowBlock].ActionId
+               : ActionBlockInfo::NoAction;
+    const size_t NNodes = Logged + (PartialAction != ActionBlockInfo::NoAction);
+    if (NNodes == 0)
+      return ActionNode::NoNode; // only action blocks capture
+    const int64_t *const Words = F.Capture;
+    const uint32_t NWords = static_cast<uint32_t>(F.CaptureEnd - Words);
+    uint32_t Idx = Cache.appendNodes(NNodes, Words, NWords);
+    S.PlaceholderWords += NWords;
+    const uint32_t Base = Cache.dataSize() - NWords;
+    uint32_t Used = 0, End = ActionNode::NoNode;
+    for (size_t I = 0; I != NNodes; ++I, ++Idx) {
+      const bool Partial = I == Logged;
+      const uint64_t D = Partial ? 0 : Log[-1 - static_cast<ptrdiff_t>(I)];
+      const uint32_t Len = Partial ? NWords - Used : jit::slowNodeWords(D);
+      assert(Used + Len <= NWords && "node log overruns the capture");
+      const bool Last = I + 1 == NNodes;
+      if (Last && Len == 0)
+        Cache.notePeak();
+      link(Idx);
+      ActionNode &N = Cache.node(Idx);
+      N.DataOfs = Base + Used;
+      if (Partial) {
+        N.ActionId = PartialAction;
+      } else {
+        N.ActionId = jit::slowNodeAction(D);
+        N.DataLen = Len;
+        uint64_t X = 0;
+        for (uint32_t W = Used; W != Used + Len; ++W)
+          X ^= static_cast<uint64_t>(Words[W]);
+        Used += Len;
+        switch (jit::slowNodeKind(D)) {
+        case jit::SlowPlain:
+          Cache.sealNode(Idx, NodeTag, X);
+          break;
+        case jit::SlowEdge0:
+        case jit::SlowEdge1:
+          N.K = ActionNode::Kind::Test;
+          Cache.sealNode(Idx, NodeTag, X);
+          PrevEdge = jit::slowNodeKind(D) == jit::SlowEdge1 ? 1 : 0;
+          break;
+        case jit::SlowEnd:
+          End = Idx;
+          EndXor = X;
+          break;
+        }
+      }
+      if (Last && Len != 0)
+        Cache.notePeak();
+    }
+    return End;
+  };
 
   uint32_t BB = 0;
   int64_t ArgBuf[16];
   for (;;) {
     if (Native && !Recovering) {
-      // Native: runs from BB until the next action block of a recording
-      // step, Ret or a bail. The block it left from records its node now:
-      // non-action blocks capture nothing and never touch the cache, so
-      // appending the node after its body ran and flushing the captured
-      // words leaves the pool, seals and peak accounting bit-identical to
-      // the interpreter — including on a mid-body bail, where exactly the
-      // words pushed before the fault are flushed.
+      // Native: runs from BB to Ret, a bail or — recording — a full node
+      // log, then commits what the call logged. Extern calls never read
+      // the cache, so recording the nodes after their blocks ran leaves
+      // the pool, seals and peak accounting bit-identical to the
+      // interpreter — including on a mid-body bail, where exactly the
+      // words pushed before the fault are committed.
       const int64_t R = Native(&Jit->Frame, BB);
       ++Jit->SlowCalls;
-      const uint32_t From = static_cast<uint32_t>(Jit->Frame.SlowBlock);
-      const int32_t ActionId = Prog.Actions.Blocks[From].ActionId;
-      uint32_t NodeIdx = ActionNode::NoNode;
-      if (Record && ActionId != ActionBlockInfo::NoAction) {
-        NodeIdx = appendNode(ActionId);
-        const int64_t *Cap = Jit->Capture.data();
-        const size_t N = static_cast<size_t>(Jit->Frame.CaptureEnd - Cap);
-        Cache.pushDataSpan(Cap, N);
-        S.PlaceholderWords += N;
-      }
+      uint32_t End = ActionNode::NoNode;
+      uint64_t EndXor = 0;
+      if (Record)
+        End = commitNative(R < 0, EndXor);
       if (R < 0) {
         if (R == jit::BailFetchOob)
           return fail(FaultKind::DecodeError,
                       "instruction fetch outside the text segment");
         return fail(FaultKind::ExternFailure, "extern call failed");
       }
-      switch (R & 3) {
-      case jit::SlowRet:
-        return endNode(NodeIdx);
-      case jit::SlowPlain:
-        closeNode(NodeIdx, -1);
-        break;
-      default:
-        closeNode(NodeIdx, (R & 3) == jit::SlowEdge1 ? 1 : 0);
-        break;
+      if ((R & 3) == jit::SlowRet) {
+        if (endStep(End))
+          Cache.sealNode(End, NodeTag, EndXor);
+        return;
       }
       BB = static_cast<uint32_t>(R >> 2);
       continue;
@@ -485,7 +548,9 @@ void Simulation::runSlow(EntryId Rec, const ReplayedStep *Recovery) {
       if (Recovering)
         return fail(FaultKind::CacheCorrupt,
                     "step ended before reaching the miss point");
-      return endNode(NodeIdx);
+      if (endStep(NodeIdx))
+        Cache.sealNode(NodeIdx, NodeTag);
+      return;
     default:
       assert(false && "block without a terminator");
       return fail(FaultKind::PlanCorrupt, "block without a terminator");

@@ -376,6 +376,46 @@ struct Session {
   /// retry replays the stored response instead of re-executing.
   std::string LastCompletedId; ///< under Mu; requestIdKey form
   std::string LastResponse;    ///< under Mu
+
+  /// The session's stats group as of its last finished verb, so the stats
+  /// verb never waits behind a verb in flight: rendered by publishStats()
+  /// under Mu (or before the session is published), read under StatsMu.
+  std::mutex StatsMu;
+  telemetry::MetricRecording Stats; ///< under StatsMu
+  bool StatsFaulted = false;        ///< under StatsMu
+
+  void publishStats() {
+    telemetry::MetricRecording R;
+    const rt::Simulation &Sim = this->Sim->sim();
+    R.text("sim", simKindName(P.Kind));
+    R.text("workload", P.Spec.Name);
+    R.counter("verbs", Verbs);
+    R.counter("steps", Sim.stats().Steps);
+    R.counter("fast_steps", Sim.stats().FastSteps);
+    R.counter("chained_steps", Sim.chainedSteps());
+    R.counter("retired", Sim.stats().RetiredTotal);
+    R.counter("cycles", Sim.stats().Cycles);
+    R.counter("faults", Sim.stats().Faults);
+    R.beginGroup("admission");
+    Sim.exportAdmissionMetrics(R);
+    R.endGroup();
+    R.flag("store_attached", static_cast<bool>(this->Sim->storeMapping()));
+    if (this->Sim->storeMapping()) {
+      R.counter("store_generation", this->Sim->storeMapping()->generation());
+      R.counter("base_bytes", static_cast<uint64_t>(Sim.cache().baseBytes()));
+    }
+    R.counter("overlay_bytes",
+              static_cast<uint64_t>(Sim.cache().overlayBytes()));
+    R.flag("halted", Sim.halted());
+    R.flag("faulted", Sim.faulted());
+    if (Sim.faulted())
+      R.text("fault_kind", rt::faultKindName(Sim.fault().Kind));
+    if (Injector)
+      R.counter("injected_faults", Injector->counters().total());
+    std::lock_guard<std::mutex> Lock(StatsMu);
+    std::swap(Stats, R);
+    StatsFaulted = Sim.faulted();
+  }
 };
 
 struct Work {
@@ -994,6 +1034,12 @@ std::string FacileServer::Impl::dispatch(const json::Value &Req,
                                static_cast<long long>(C.A.num("session"))));
   S->LastVerbMs.store(nowMs(), std::memory_order_relaxed);
   ++S->Verbs;
+  // Whatever the verb did is visible to stats once it returns (this runs
+  // before Lock releases Mu).
+  struct PublishAtEnd {
+    Session &S;
+    ~PublishAtEnd() { S.publishStats(); }
+  } Publish{*S};
   // Request-id dedup: retrying the last completed mutating verb replays
   // its stored response instead of executing twice — the client retry
   // policy's at-most-once guarantee for step/run rides on this.
@@ -1108,6 +1154,7 @@ FacileServer::Impl::buildSession(const SessionParams &P, bool *PoolHit) {
 /// Enters \p S into the session table under a fresh id; false when the
 /// table is full.
 bool FacileServer::Impl::publish(const std::shared_ptr<Session> &S) {
+  S->publishStats();
   {
     std::lock_guard<std::mutex> Lock(SessionsMu);
     if (Sessions.size() >= Opts.MaxSessions)
@@ -1638,6 +1685,7 @@ void FacileServer::Impl::boundOverlayBytes() {
     // Resets to the shared read-only base (or empty when cold); recorded
     // work is lost, correctness is not — the cache is a memo, not state.
     S->Sim->sim().evictCacheNow();
+    S->publishStats();
     Total -= std::min(Total, Overlay);
     ++OverlaysEvicted;
   }
@@ -1670,8 +1718,9 @@ void FacileServer::Impl::promoteDirtyOverlays() {
 //===----------------------------------------------------------------------===//
 
 std::string FacileServer::Impl::statsJson() {
-  // The registry providers lock individual sessions, so they work on a
-  // copy of the table.
+  // The registry providers read each session's published stats under its
+  // StatsMu — never its Mu, which a verb in flight holds — so they work
+  // on a copy of the table.
   std::vector<std::shared_ptr<Session>> Live = liveSessions();
   size_t Queued;
   telemetry::Histogram QDHist;
@@ -1703,38 +1752,11 @@ std::string FacileServer::Impl::statsJson() {
   telemetry::MetricsRegistry R;
   R.add("sessions", [&](telemetry::MetricSink &Sink) {
     for (const std::shared_ptr<Session> &S : Live) {
-      std::lock_guard<std::mutex> Lock(S->Mu);
-      const rt::Simulation &Sim = S->Sim->sim();
-      if (Sim.faulted())
-        ++FaultedSessions;
       Sink.beginGroup(strFormat("s%llu",
                                 static_cast<unsigned long long>(S->Id)));
-      Sink.text("sim", simKindName(S->P.Kind));
-      Sink.text("workload", S->P.Spec.Name);
-      Sink.counter("verbs", S->Verbs);
-      Sink.counter("steps", Sim.stats().Steps);
-      Sink.counter("fast_steps", Sim.stats().FastSteps);
-      Sink.counter("chained_steps", Sim.chainedSteps());
-      Sink.counter("retired", Sim.stats().RetiredTotal);
-      Sink.counter("cycles", Sim.stats().Cycles);
-      Sink.counter("faults", Sim.stats().Faults);
-      Sink.beginGroup("admission");
-      Sim.exportAdmissionMetrics(Sink);
-      Sink.endGroup();
-      Sink.flag("store_attached", static_cast<bool>(S->Sim->storeMapping()));
-      if (S->Sim->storeMapping()) {
-        Sink.counter("store_generation", S->Sim->storeMapping()->generation());
-        Sink.counter("base_bytes",
-                     static_cast<uint64_t>(Sim.cache().baseBytes()));
-      }
-      Sink.counter("overlay_bytes",
-                   static_cast<uint64_t>(Sim.cache().overlayBytes()));
-      Sink.flag("halted", Sim.halted());
-      Sink.flag("faulted", Sim.faulted());
-      if (Sim.faulted())
-        Sink.text("fault_kind", rt::faultKindName(Sim.fault().Kind));
-      if (S->Injector)
-        Sink.counter("injected_faults", S->Injector->counters().total());
+      std::lock_guard<std::mutex> Lock(S->StatsMu);
+      S->Stats.replay(Sink);
+      FaultedSessions += S->StatsFaulted;
       Sink.endGroup();
     }
   });

@@ -14,9 +14,10 @@
 ///    node seals, FastSim's pipeline-state key. Their values are part of the
 ///    bit-identical contract and must never change.
 ///  - hashKey (xxHash64, four independent 64-bit lanes) for the action
-///    cache's key tables, where one ~1.5 KB step key is hashed per recorded
-///    step. Its values are persisted in cache images (key records and
-///    probe table), which is why the snapshot container carries a version.
+///    cache's key tables, where one step key is hashed per recorded step
+///    — by a KeyHasher fed while the key is serialized. Its values are
+///    persisted in cache images (key records and probe table), which is
+///    why the snapshot container carries a version.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,9 +45,15 @@ inline uint64_t hashBytes(const void *Data, size_t Size,
   return H;
 }
 
-/// Mixes one 64-bit value into a running hash.
-inline uint64_t hashCombine(uint64_t Seed, uint64_t Value) {
-  return hashBytes(&Value, sizeof(Value), Seed);
+/// Mixes one 64-bit value into a running hash: hashBytes over its eight
+/// bytes in little-endian order (the order hashBytes reads a uint64_t in
+/// on every host this project runs on), usable in constant expressions.
+constexpr uint64_t hashCombine(uint64_t Seed, uint64_t Value) {
+  for (unsigned I = 0; I != 8; ++I) {
+    Seed ^= (Value >> (8 * I)) & 0xff;
+    Seed *= FNVPrime;
+  }
+  return Seed;
 }
 
 namespace detail {
@@ -83,6 +90,84 @@ inline uint64_t keyMerge(uint64_t Acc, uint64_t V) {
 
 } // namespace detail
 
+/// hashKey computed while the hashed buffer is written front to back:
+/// feed() runs every whole 32-byte stripe below the write cursor through
+/// the four lanes, so finish() has only the tail left to mix. Feeding is
+/// optional and any number of times; the value always equals hashKey's.
+class KeyHasher {
+public:
+  explicit KeyHasher(const void *Data)
+      : Begin(static_cast<const unsigned char *>(Data)), Next(Begin) {}
+
+  /// Hashes the whole stripes of [Data, \p Upto) not yet hashed. The
+  /// lanes run in locals: the byte loads may alias any member.
+  void feed(const void *Upto) {
+    using namespace detail;
+    const auto *U = static_cast<const unsigned char *>(Upto);
+    if (U - Next < 32)
+      return;
+    const unsigned char *P = Next;
+    uint64_t A = V1, B = V2, C = V3, D = V4;
+    do {
+      A = keyRound(A, load64(P));
+      B = keyRound(B, load64(P + 8));
+      C = keyRound(C, load64(P + 16));
+      D = keyRound(D, load64(P + 24));
+      P += 32;
+    } while (U - P >= 32);
+    V1 = A, V2 = B, V3 = C, V4 = D;
+    Next = P;
+  }
+
+  /// The hash of [Data, \p End).
+  uint64_t finish(const void *End) {
+    using namespace detail;
+    feed(End);
+    const auto *E = static_cast<const unsigned char *>(End);
+    const unsigned char *P = Next;
+    const auto Size = static_cast<uint64_t>(E - Begin);
+    uint64_t H;
+    if (Size >= 32) {
+      H = rotl64(V1, 1) + rotl64(V2, 7) + rotl64(V3, 12) + rotl64(V4, 18);
+      H = keyMerge(H, V1);
+      H = keyMerge(H, V2);
+      H = keyMerge(H, V3);
+      H = keyMerge(H, V4);
+    } else {
+      H = KeyPrime5;
+    }
+    H += Size;
+
+    // Tail: whole words, then a half word, then single bytes.
+    for (; P + 8 <= E; P += 8)
+      H = rotl64(H ^ keyRound(0, load64(P)), 27) * KeyPrime1 + KeyPrime4;
+    if (P + 4 <= E) {
+      H = rotl64(H ^ (static_cast<uint64_t>(load32(P)) * KeyPrime1), 23) *
+              KeyPrime2 +
+          KeyPrime3;
+      P += 4;
+    }
+    for (; P != E; ++P)
+      H = rotl64(H ^ (*P * KeyPrime5), 11) * KeyPrime1;
+
+    // Avalanche.
+    H ^= H >> 33;
+    H *= KeyPrime2;
+    H ^= H >> 29;
+    H *= KeyPrime3;
+    H ^= H >> 32;
+    return H;
+  }
+
+private:
+  const unsigned char *Begin;
+  const unsigned char *Next; ///< first byte not yet run through the lanes
+  uint64_t V1 = detail::KeyPrime1 + detail::KeyPrime2;
+  uint64_t V2 = detail::KeyPrime2;
+  uint64_t V3 = 0;
+  uint64_t V4 = 0 - detail::KeyPrime1;
+};
+
 /// Hashes \p Size bytes at \p Data for a key table: xxHash64 with seed 0.
 /// 32-byte stripes feed four independent lanes, so the multiplies overlap
 /// instead of forming one chain per byte; the final avalanche makes every
@@ -90,50 +175,8 @@ inline uint64_t keyMerge(uint64_t Acc, uint64_t V) {
 /// through memcpy, so \p Data may be unaligned. Assumes a little-endian
 /// host, like the store files that persist these values.
 inline uint64_t hashKey(const void *Data, size_t Size) {
-  using namespace detail;
-  const auto *P = static_cast<const unsigned char *>(Data);
-  const unsigned char *End = P + Size;
-  uint64_t H;
-  if (Size >= 32) {
-    uint64_t V1 = KeyPrime1 + KeyPrime2, V2 = KeyPrime2, V3 = 0,
-             V4 = 0 - KeyPrime1;
-    const unsigned char *Limit = End - 32;
-    do {
-      V1 = keyRound(V1, load64(P));
-      V2 = keyRound(V2, load64(P + 8));
-      V3 = keyRound(V3, load64(P + 16));
-      V4 = keyRound(V4, load64(P + 24));
-      P += 32;
-    } while (P <= Limit);
-    H = rotl64(V1, 1) + rotl64(V2, 7) + rotl64(V3, 12) + rotl64(V4, 18);
-    H = keyMerge(H, V1);
-    H = keyMerge(H, V2);
-    H = keyMerge(H, V3);
-    H = keyMerge(H, V4);
-  } else {
-    H = KeyPrime5;
-  }
-  H += static_cast<uint64_t>(Size);
-
-  // Tail: whole words, then a half word, then single bytes.
-  for (; P + 8 <= End; P += 8)
-    H = rotl64(H ^ keyRound(0, load64(P)), 27) * KeyPrime1 + KeyPrime4;
-  if (P + 4 <= End) {
-    H = rotl64(H ^ (static_cast<uint64_t>(load32(P)) * KeyPrime1), 23) *
-            KeyPrime2 +
-        KeyPrime3;
-    P += 4;
-  }
-  for (; P != End; ++P)
-    H = rotl64(H ^ (*P * KeyPrime5), 11) * KeyPrime1;
-
-  // Avalanche.
-  H ^= H >> 33;
-  H *= KeyPrime2;
-  H ^= H >> 29;
-  H *= KeyPrime3;
-  H ^= H >> 32;
-  return H;
+  return KeyHasher(Data).finish(static_cast<const unsigned char *>(Data) +
+                                Size);
 }
 
 } // namespace facile

@@ -134,6 +134,55 @@ private:
   std::vector<Entry> Entries;
 };
 
+/// Records an export walk to replay into another sink later: a snapshot
+/// taken while the metrics' owner is locked, rendered while it is not.
+class MetricRecording : public MetricSink {
+public:
+  void beginGroup(std::string_view Name) override { add(Op::Begin, Name); }
+  void endGroup() override { add(Op::End, {}); }
+  void counter(std::string_view Name, uint64_t V) override {
+    add(Op::Counter, Name).U = V;
+  }
+  void gauge(std::string_view Name, double V) override {
+    add(Op::Real, Name).D = V;
+  }
+  void gauge(std::string_view Name, int64_t V) override {
+    add(Op::Int, Name).I = V;
+  }
+  void flag(std::string_view Name, bool V) override {
+    add(Op::Flag, Name).U = V;
+  }
+  void text(std::string_view Name, std::string_view V) override {
+    add(Op::Text, Name).Text = V;
+  }
+  void histogram(std::string_view Name, const Histogram &H) override {
+    add(Op::Hist, Name).U = Hists.size();
+    Hists.push_back(H);
+  }
+
+  /// Replays the recorded walk into \p Sink, in recording order.
+  void replay(MetricSink &Sink) const;
+
+private:
+  enum class Op : uint8_t { Begin, End, Counter, Real, Int, Flag, Text, Hist };
+  struct Item {
+    Op K = Op::End;
+    std::string Name;
+    uint64_t U = 0; ///< counter, flag, or histogram index
+    int64_t I = 0;
+    double D = 0;
+    std::string Text;
+  };
+  Item &add(Op K, std::string_view Name) {
+    Item &It = Items.emplace_back();
+    It.K = K;
+    It.Name = Name;
+    return It;
+  }
+  std::vector<Item> Items;
+  std::vector<Histogram> Hists;
+};
+
 /// Renders an export walk as one JSON object. Groups become nested
 /// objects; histograms become {"count","sum","min","max","mean","buckets"}
 /// with buckets keyed by their inclusive lower bound.

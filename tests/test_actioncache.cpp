@@ -512,6 +512,68 @@ TEST(KeyHash, EveryTailLengthIsDistinctAndConsumed) {
   }
 }
 
+TEST(KeyHash, StreamedHashEqualsOnePass) {
+  // serializeKey feeds each finished field to a KeyHasher: whatever the
+  // split points, the value is hashKey's.
+  std::vector<unsigned char> B = patternBytes(1576);
+  for (size_t Len : {size_t(0), size_t(31), size_t(32), size_t(214),
+                     size_t(1576)}) {
+    for (size_t Step : {size_t(1), size_t(7), size_t(32), size_t(100)}) {
+      KeyHasher H(B.data());
+      for (size_t At = 0; At < Len; At += Step)
+        H.feed(B.data() + At);
+      EXPECT_EQ(H.finish(B.data() + Len), hashKey(B.data(), Len))
+          << "length " << Len << ", fed every " << Step;
+    }
+  }
+}
+
+TEST(SealIdentity, TableMatchesTheMixAndKnownValues) {
+  // Seal identities are persisted in every sealed image, so the table
+  // must reproduce the FNV mix exactly, including for node fields no
+  // valid node carries (the verifiers mix corrupt nodes too).
+  const uint32_t Actions[] = {0, 1, 7, rt::detail::SealTableActions - 1,
+                              rt::detail::SealTableActions, 1u << 30,
+                              0xffffffffu};
+  for (uint32_t A : Actions)
+    for (uint8_t K : {0, 1, 2, 3, 255})
+      for (uint32_t Next : {NoId, 0u, 12345u}) {
+        ActionNode N;
+        N.ActionId = static_cast<int32_t>(A);
+        N.K = static_cast<ActionNode::Kind>(K);
+        N.NextKey = Next;
+        EXPECT_EQ(ActionCache::identityMix(N),
+                  hashCombine(hashCombine(hashCombine(FNVOffset, A), K), Next))
+            << "action " << A << ", kind " << unsigned(K) << ", next " << Next;
+      }
+  // hashCombine is hashBytes over the value's bytes.
+  for (uint64_t V : {uint64_t(0), uint64_t(0x0123456789abcdefULL),
+                     ~uint64_t(0)})
+    EXPECT_EQ(hashCombine(FNVOffset, V), hashBytes(&V, sizeof(V)));
+  // Values sealed images carry.
+  struct Known {
+    int32_t A;
+    uint8_t K;
+    uint32_t Next;
+    uint64_t Mix;
+  } Cases[] = {
+      {0, 0, NoId, 0x5e7ffcc721c21021ULL},
+      {7, 1, NoId, 0x160691145115193fULL},
+      {1023, 2, 17, 0xb0b50d00dc8cab4cULL},
+      {1024, 0, NoId, 0x9b7f6844e7b6c7b5ULL},
+      {-1, 0, NoId, 0xb122cacc511ff63dULL},
+      {1 << 30, 2, 5, 0xe3ed1acf804ca9a2ULL},
+      {3, 7, NoId, 0x0ebf70a22b9ec73dULL},
+  };
+  for (const Known &C : Cases) {
+    ActionNode N;
+    N.ActionId = C.A;
+    N.K = static_cast<ActionNode::Kind>(C.K);
+    N.NextKey = C.Next;
+    EXPECT_EQ(ActionCache::identityMix(N), C.Mix) << "action " << C.A;
+  }
+}
+
 TEST(KeyHash, UnalignedInputHashesLikeAligned) {
   std::vector<unsigned char> Src = patternBytes(1576);
   alignas(8) unsigned char Buf[1576 + 8];

@@ -63,6 +63,7 @@ struct FinalState {
   uint64_t CacheNodes = 0;
   uint64_t CacheDataWords = 0;
   uint64_t CacheDigest = 0;
+  uint64_t CachePeakBytes = 0;
   uint64_t SlowBlockExecs = 0; ///< native slow-step function calls
   // Admission: what second-touch admission ran unrecorded and created.
   uint64_t UnadmittedSteps = 0;
@@ -100,6 +101,7 @@ FinalState capture(SimKind Kind, const FacileSim &Sim,
   F.KeysInterned = C.stats().KeysInterned;
   F.CacheNodes = C.nodeCount();
   F.CacheDataWords = C.dataSize();
+  F.CachePeakBytes = C.stats().PeakBytes;
   const rt::ActionCache::FlatImage Flat = C.compactImage();
   uint64_t H = hashBytes(Flat.Data.data(), Flat.Data.size() * sizeof(int64_t));
   H = hashBytes(Flat.Seals.data(), Flat.Seals.size() * sizeof(uint64_t), H);
@@ -483,7 +485,8 @@ namespace {
 /// Runs \p Image under \p Interp and again with the Jit backend at
 /// \p Threshold, and holds the JIT run to the interpreter's architectural
 /// state, step accounting and recording: placeholder words, interned keys
-/// and the action cache's nodes, data words and compacted image.
+/// and the action cache's nodes, data words, compacted image and peak
+/// footprint.
 FinalState expectJitMatches(SimKind Kind, const isa::TargetImage &Image,
                             rt::Simulation::Options Interp,
                             uint32_t Threshold, uint64_t MaxInstrs) {
@@ -512,6 +515,7 @@ FinalState expectJitMatches(SimKind Kind, const isa::TargetImage &Image,
   EXPECT_EQ(J.CacheNodes, I.CacheNodes);
   EXPECT_EQ(J.CacheDataWords, I.CacheDataWords);
   EXPECT_EQ(J.CacheDigest, I.CacheDigest);
+  EXPECT_EQ(J.CachePeakBytes, I.CachePeakBytes);
   EXPECT_EQ(I.CompiledActions, 0u);
   EXPECT_EQ(I.SlowBlockExecs, 0u);
   // The comparison is vacuous unless the slow steps actually ran native.

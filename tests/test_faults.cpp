@@ -865,6 +865,7 @@ struct RecordedState {
   uint64_t Nodes = 0;
   uint64_t DataWords = 0;
   uint64_t Digest = 0; ///< data pool, seals and key pool of compactImage()
+  uint64_t PeakBytes = 0;
 };
 
 void expectSameRecording(const RecordedState &J, const RecordedState &I) {
@@ -874,6 +875,7 @@ void expectSameRecording(const RecordedState &J, const RecordedState &I) {
   EXPECT_EQ(J.Nodes, I.Nodes);
   EXPECT_EQ(J.DataWords, I.DataWords);
   EXPECT_EQ(J.Digest, I.Digest);
+  EXPECT_EQ(J.PeakBytes, I.PeakBytes);
 }
 
 RecordedState recordedState(const Simulation &Sim) {
@@ -887,7 +889,23 @@ RecordedState recordedState(const Simulation &Sim) {
   uint64_t H = hashBytes(F.Data.data(), F.Data.size() * sizeof(int64_t));
   H = hashBytes(F.Seals.data(), F.Seals.size() * sizeof(uint64_t), H);
   R.Digest = hashBytes(F.KeyPool.data(), F.KeyPool.size(), H);
+  R.PeakBytes = Sim.cache().stats().PeakBytes;
   return R;
+}
+
+/// The jit group's slow_block_execs: native slow-step function calls.
+uint64_t slowCalls(const Simulation &Sim) {
+  telemetry::MetricsRegistry Reg;
+  Sim.registerMetrics(Reg);
+  telemetry::JsonMetricSink Sink;
+  Reg.exportTo(Sink);
+  json::Value Stats;
+  std::string Err;
+  EXPECT_TRUE(json::parse(Sink.finish(), Stats, Err)) << Err;
+  if (const json::Value *Jit = Stats.get("jit"))
+    if (const json::Value *N = Jit->get("slow_block_execs"))
+      return static_cast<uint64_t>(N->intOr(0));
+  return 0;
 }
 
 struct BailRun {
@@ -932,16 +950,7 @@ BailRun runSlowBail(BackendKind Backend, bool FetchBail) {
   Out.AtEnd = recordedState(Sim);
   Out.Arch = {Sim.memory().digest(), Sim.getGlobal("k"), Sim.getGlobal("t"),
               Sim.stats().RetiredTotal};
-  telemetry::MetricsRegistry Reg;
-  Sim.registerMetrics(Reg);
-  telemetry::JsonMetricSink Sink;
-  Reg.exportTo(Sink);
-  json::Value Stats;
-  std::string Err;
-  EXPECT_TRUE(json::parse(Sink.finish(), Stats, Err)) << Err;
-  if (const json::Value *Jit = Stats.get("jit"))
-    if (const json::Value *N = Jit->get("slow_block_execs"))
-      Out.SlowCalls = static_cast<uint64_t>(N->intOr(0));
+  Out.SlowCalls = slowCalls(Sim);
   return Out;
 }
 
@@ -987,5 +996,159 @@ TEST(FaultCampaign, JitSlowStepBailsMatchInterpreter) {
     }
     EXPECT_EQ(I.SlowCalls, 0u);
     EXPECT_GT(J.SlowCalls, 0u); // the bails happened in native code
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// The recording slow-step function's node log
+//===----------------------------------------------------------------------===//
+//
+// A recording native call logs every action block it runs and returns
+// early only when the capture buffer cannot hold the next block's words
+// and descriptor. A step whose loop runs 600 action blocks outgrows the
+// buffer several times, so flush exits fire mid-step; a bail after them
+// must leave the recording exactly as the interpreter does.
+
+namespace {
+
+const char *loopLogSource() {
+  return R"(
+    extern observe(int, int) : int;
+    init val pc = 0;
+    init val k = 0;
+    init val w = 0;
+    fun main() {
+      val i = 0;
+      while (i < 600) {
+        val r = observe(k, i);
+        mem_st(2097152 + i * 4, mem_ld(2097152 + i * 4) + r + w);
+        if (k == 2) {
+          if (i == 500) w = pc?fetch();
+        }
+        i = i + 1;
+      }
+      k = (k + 1) % 3;
+    }
+  )";
+}
+
+enum class LoopBail { None, Extern, Fetch };
+
+struct LoopRun {
+  RecordedState AtFault, AtEnd;
+  uint64_t MemDigest = 0;
+  int64_t K = 0;
+  uint64_t Steps = 0, FastSteps = 0, SlowCalls = 0;
+};
+
+/// Runs loopLogSource() under \p Backend (threshold 1): two steps, then a
+/// third that bails as \p Bail says — the 400th extern call of the step
+/// fails, or the fetch at i == 500 reads outside the text segment — then
+/// repairs the cause, clears the fault and runs 12 more steps.
+LoopRun runLoopLog(BackendKind Backend, LoopBail Bail) {
+  static const CompiledProgram P = compileOk(loopLogSource());
+  static const isa::TargetImage Img = emptyImage();
+  Simulation::Options Opts;
+  Opts.Backend = Backend;
+  Opts.JitThreshold = 1;
+  Simulation Sim(P, Img, Opts);
+  EXPECT_STREQ(Sim.backendName(), backendKindName(Backend));
+  uint64_t Calls = 0, FailAt = 0;
+  EXPECT_TRUE(Sim.registerExtern(
+      "observe", [](const int64_t *A, size_t) { return A[0] * 3 + A[1]; }));
+  Sim.setExternFaultHook([&](uint32_t) { return ++Calls == FailAt; });
+  Sim.setGlobal("pc", Img.TextBase);
+
+  LoopRun Out;
+  EXPECT_EQ(Sim.run(2).Status, RunStatus::Limit);
+  if (Bail == LoopBail::Extern)
+    FailAt = Calls + 400;
+  if (Bail == LoopBail::Fetch)
+    Sim.setGlobal("pc", 4);
+  const RunResult R = Sim.run(1);
+  EXPECT_EQ(R.Status,
+            Bail == LoopBail::None ? RunStatus::Limit : RunStatus::Faulted);
+  Out.AtFault = recordedState(Sim);
+
+  Sim.setGlobal("pc", Img.TextBase);
+  Sim.clearFault();
+  EXPECT_EQ(Sim.run(12).Status, RunStatus::Limit);
+  Out.AtEnd = recordedState(Sim);
+  Out.MemDigest = Sim.memory().digest();
+  Out.K = Sim.getGlobal("k");
+  Out.Steps = Sim.stats().Steps;
+  Out.FastSteps = Sim.stats().FastSteps;
+  Out.SlowCalls = slowCalls(Sim);
+  return Out;
+}
+
+} // namespace
+
+TEST(JitNodeLog, FlushExitsAndBailsMatchInterpreter) {
+  if (!facile::jit::available())
+    GTEST_SKIP() << "no template-JIT backend on this host";
+  for (LoopBail Bail : {LoopBail::None, LoopBail::Extern, LoopBail::Fetch}) {
+    SCOPED_TRACE(Bail == LoopBail::None     ? "no bail"
+                 : Bail == LoopBail::Extern ? "extern failure after flushes"
+                                            : "fetch fault after flushes");
+    LoopRun I = runLoopLog(BackendKind::Interpret, Bail);
+    LoopRun J = runLoopLog(BackendKind::Jit, Bail);
+    const FaultKind Want = Bail == LoopBail::None     ? FaultKind::None
+                           : Bail == LoopBail::Extern ? FaultKind::ExternFailure
+                                                      : FaultKind::DecodeError;
+    EXPECT_EQ(I.AtFault.Kind, Want);
+    {
+      SCOPED_TRACE("at the fault");
+      expectSameRecording(J.AtFault, I.AtFault);
+    }
+    {
+      SCOPED_TRACE("after clearFault()");
+      expectSameRecording(J.AtEnd, I.AtEnd);
+    }
+    EXPECT_EQ(J.MemDigest, I.MemDigest);
+    EXPECT_EQ(J.K, I.K);
+    EXPECT_EQ(J.FastSteps, I.FastSteps);
+    EXPECT_GT(I.FastSteps, 0u);
+    EXPECT_GT(I.AtEnd.PlaceholderWords, 0u);
+    // Every recorded step ran 600 action blocks, far more than one buffer
+    // holds: native calls outnumber the slow steps, so flushes fired.
+    EXPECT_EQ(I.SlowCalls, 0u);
+    EXPECT_GT(J.SlowCalls, J.Steps - J.FastSteps);
+  }
+}
+
+TEST(Guards, OutOfRangeActionIdFaultsAsCacheCorrupt) {
+  // Every node but the entry heads gets an action id far past the plan
+  // (and past the seal-identity table). A replay runs a head, then meets
+  // the corrupt successor after dynamic state changed: the step cannot be
+  // retried, so it faults — CacheCorrupt, under either backend, and never
+  // reads past a table.
+  CompiledProgram P = compileOk(campaignSource());
+  isa::TargetImage Img = emptyImage();
+  for (BackendKind Backend : {BackendKind::Interpret, BackendKind::Jit}) {
+    SCOPED_TRACE(backendKindName(Backend));
+    Simulation::Options Opts;
+    Opts.Backend = Backend;
+    Opts.JitThreshold = 1;
+    Simulation Sim(P, Img, Opts);
+    EXPECT_EQ(Sim.run(80).Status, RunStatus::Limit);
+    ASSERT_GT(Sim.stats().FastSteps, 0u);
+    ActionCache &C = Sim.mutableCache();
+    std::vector<bool> Head(C.nodeCount(), false);
+    for (EntryId E = 0; E != C.entryCount(); ++E)
+      if (C.entry(E).Head != ActionNode::NoNode)
+        Head[C.entry(E).Head] = true;
+    for (uint32_t I = 0; I != C.nodeCount(); ++I)
+      if (!Head[I])
+        C.node(I).ActionId = 1 << 30;
+    C.noteExternalMutation(); // as an injector does: bindings re-verify
+    // Compaction mixes the identity of corrupt End nodes it re-homes.
+    EXPECT_EQ(C.compactImage().Entries.size(), C.entryCount());
+
+    RunResult R = Sim.run(40);
+    ASSERT_EQ(R.Status, RunStatus::Faulted);
+    EXPECT_EQ(R.Fault.Kind, FaultKind::CacheCorrupt);
+    EXPECT_NE(R.Fault.Detail.find("action id"), std::string::npos)
+        << R.Fault.Detail;
   }
 }

@@ -1241,6 +1241,54 @@ TEST_F(ServerTest, SaturatedQueueRejectsWithRetryAfter) {
             Overloaded);
 }
 
+TEST_F(ServerTest, StatsDoesNotWaitBehindAVerbInFlight) {
+  TearDown();
+  ServerOptions Opts;
+  Opts.Workers = 2;
+  startServer(std::move(Opts));
+
+  // A run that sleeps 100 ms after each 256-step chunk holds its session
+  // for about half a second...
+  Client Busy = connect();
+  int64_t S = createSession(Busy, R"(,"options":{"step_delay_us":100000})");
+  ASSERT_GT(S, 0);
+  ASSERT_TRUE(Busy.sendLine(
+      strFormat(R"({"id":1,"verb":"run","session":%lld,"steps":1280})",
+                static_cast<long long>(S))));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  // ...while stats, served by the other worker, reads the session's
+  // published counters instead of waiting for it.
+  Client Probe = connect();
+  const auto T0 = std::chrono::steady_clock::now();
+  json::Value Stats = rpc(Probe, R"({"id":2,"verb":"stats"})");
+  const auto Ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                      std::chrono::steady_clock::now() - T0)
+                      .count();
+  ASSERT_TRUE(isOk(Stats));
+  EXPECT_LT(Ms, 100);
+  const json::Value *Sess = Stats.get("stats")->get("sessions");
+  ASSERT_TRUE(Sess);
+  const json::Value *G =
+      Sess->get(strFormat("s%lld", static_cast<long long>(S)));
+  ASSERT_TRUE(G);
+  EXPECT_EQ(G->get("verbs")->intOr(-1), 0); // as created, before the run
+  EXPECT_TRUE(G->get("admission"));
+
+  std::string Line;
+  ASSERT_TRUE(Busy.recvLine(Line)); // the run itself completes
+  json::Value R;
+  std::string PErr;
+  ASSERT_TRUE(json::parse(Line, R, PErr)) << Line;
+  EXPECT_TRUE(isOk(R));
+  Stats = rpc(Probe, R"({"id":3,"verb":"stats"})");
+  G = Stats.get("stats")->get("sessions")->get(
+      strFormat("s%lld", static_cast<long long>(S)));
+  ASSERT_TRUE(G);
+  EXPECT_EQ(G->get("verbs")->intOr(-1), 1);
+  EXPECT_GT(G->get("steps")->intOr(0), 0);
+}
+
 TEST_F(ServerTest, ClientBackoffConformance) {
   // Retry-safe requests: MaxAttempts dials with exponential backoff
   // between them. Against a dead server every attempt transport-fails, so
